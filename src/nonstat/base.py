@@ -3,9 +3,12 @@
 Each learner exposes, before every round, a clamped optimistic value
 predict() in [0, 1] and a policy act(); after the environment responds it
 consumes update(feedback), which is the only call that advances internal
-time.  predict/act never mutate state, so calling them repeatedly between
-updates returns identical results, and a learner can be paused, snapshotted
-to JSON, restored, and resumed with a bitwise-identical trajectory.
+time.  predict/act never change observable state, but may fill a cache that
+update clears: read-side state (score vectors, the GLM fit) is computed at
+most once per update, and only when something reads it.  Calling them
+repeatedly between updates returns identical results, and a learner can be
+paused, snapshotted to JSON, restored, and resumed with a bitwise-identical
+trajectory.
 
 Implemented learners and their feedback payloads:
 
@@ -43,7 +46,12 @@ SNAPSHOT_VERSION = 1
 
 
 class GlmSolveError(RuntimeError):
-    """The generalized-linear estimator failed to converge; the run aborts."""
+    """The generalized-linear estimator failed to converge; the run aborts.
+
+    GlmUcb fits lazily, so the error is raised at the first read of the
+    failed fit (predict, act, snapshot or theta), not inside the update
+    that made it stale; a fit that is never read never raises.
+    """
 
 
 def _clamp01(x: float) -> float:
@@ -83,7 +91,33 @@ class _Learner:
                 setattr(self, key, type(current)(val))
 
 
-class Ucb1(_Learner):
+class _IndexLearner(_Learner):
+    """Plays the argmax of a score vector and predicts its clamped max.
+
+    The vector is a function of the state fields; it is computed at the
+    first read after an update and cached until the next one, so update
+    (and anything else that changes the fields) must reset _score_cache.
+    """
+
+    _score_cache = None
+
+    def _scores(self) -> np.ndarray:
+        if self._score_cache is None:
+            self._score_cache = self._compute_scores()
+        return self._score_cache
+
+    def predict(self) -> float:
+        return _clamp01(float(self._scores().max()))
+
+    def act(self) -> int:
+        return int(np.argmax(self._scores()))
+
+    def _load_state(self, state: dict):
+        super()._load_state(state)
+        self._score_cache = None
+
+
+class Ucb1(_IndexLearner):
     name = "ucb1"
     _fields = ("counts", "sums", "t_int")
 
@@ -107,24 +141,19 @@ class Ucb1(_Learner):
             "bonus_scale": self.bonus_scale,
         }
 
-    def _indexes(self) -> np.ndarray:
+    def _compute_scores(self) -> np.ndarray:
         nplus = np.maximum(self.counts, 1.0)
         return self.sums / nplus + self.bonus_scale * np.sqrt(self._log_term / nplus)
-
-    def predict(self) -> float:
-        return _clamp01(float(self._indexes().max()))
-
-    def act(self) -> int:
-        return int(np.argmax(self._indexes()))
 
     def update(self, feedback):
         arm, reward = feedback
         self.counts[arm] += 1.0
         self.sums[arm] += reward
         self.t_int += 1
+        self._score_cache = None
 
 
-class Oful(_Learner):
+class Oful(_IndexLearner):
     name = "oful"
     _fields = ("lam_mat", "lam_inv", "bvec", "t_int", "_since_refactor")
 
@@ -153,15 +182,9 @@ class Oful(_Learner):
     def theta_hat(self) -> np.ndarray:
         return self.lam_inv @ self.bvec
 
-    def _scores(self) -> np.ndarray:
+    def _compute_scores(self) -> np.ndarray:
         widths = np.sqrt(np.einsum("kd,de,ke->k", self.actions, self.lam_inv, self.actions))
         return self.actions @ self.theta_hat() + 2.0 * self.beta * widths
-
-    def predict(self) -> float:
-        return _clamp01(float(self._scores().max()))
-
-    def act(self) -> int:
-        return int(np.argmax(self._scores()))
 
     def update(self, feedback):
         arm, reward = feedback
@@ -179,6 +202,7 @@ class Oful(_Learner):
             self.lam_inv = (self.lam_inv + self.lam_inv.T) / 2.0
             self._since_refactor = 0
         self.t_int += 1
+        self._score_cache = None
 
 
 def glm_solve(
@@ -271,7 +295,10 @@ def glm_solve(
     raise GlmSolveError(f"projection did not converge to {project_tol:g}")
 
 
-class GlmUcb(_Learner):
+class GlmUcb(_IndexLearner):
+    """GLM-UCB.  update only accumulates the per-action statistics; the
+    estimate theta is refit by glm_solve at its first read after that."""
+
     name = "glm"
     _fields = ("counts", "rsums", "t_int", "theta")
 
@@ -294,6 +321,20 @@ class GlmUcb(_Learner):
         self.t_int = 0
         self.theta = np.zeros(self.dim)
 
+    @property
+    def theta(self) -> np.ndarray:
+        if self._fit_stale:
+            reward_vec = self.rsums @ self.actions
+            _, self._theta = glm_solve(self.actions, self.counts, reward_vec, self.lam, self.link)
+            self._fit_stale = False
+        return self._theta
+
+    @theta.setter
+    def theta(self, value: np.ndarray):
+        self._theta = value
+        self._fit_stale = False
+        self._score_cache = None
+
     def _params(self):
         return {
             "actions": self.actions.tolist(),
@@ -307,24 +348,18 @@ class GlmUcb(_Learner):
         lam_mat = self.lam * np.eye(self.dim) + (self.actions.T * self.counts) @ self.actions
         return np.linalg.inv(lam_mat)
 
-    def _scores(self) -> np.ndarray:
+    def _compute_scores(self) -> np.ndarray:
         lam_inv = self._lam_inv()
         widths = np.sqrt(np.einsum("kd,de,ke->k", self.actions, lam_inv, self.actions))
         return np.asarray(self.link.mu(self.actions @ self.theta)) + 2.0 * self.beta * widths
-
-    def predict(self) -> float:
-        return _clamp01(float(self._scores().max()))
-
-    def act(self) -> int:
-        return int(np.argmax(self._scores()))
 
     def update(self, feedback):
         arm, reward = feedback
         self.counts[arm] += 1.0
         self.rsums[arm] += reward
         self.t_int += 1
-        reward_vec = self.rsums @ self.actions
-        _, self.theta = glm_solve(self.actions, self.counts, reward_vec, self.lam, self.link)
+        self._fit_stale = True
+        self._score_cache = None
 
 
 class QUcb(_Learner):
@@ -372,9 +407,6 @@ class QUcb(_Learner):
     def act(self) -> int:
         table = np.argmax(self.q, axis=2)
         return encode_layer_policy(table, self.n_actions)
-
-    def greedy_table(self) -> np.ndarray:
-        return np.argmax(self.q, axis=2)
 
     def update(self, feedback):
         h_total = float(self.n_layers)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .base import restore, snapshot_to_json
 from .rates import RateFunction
 
 __all__ = [
@@ -195,12 +194,3 @@ class MalgRunner:
 
     def live_instances(self) -> list[InstanceRecord]:
         return [rec for rec in self._slots if rec is not None]
-
-    def snapshot_active(self) -> str:
-        """Serialize the active instance's learner (pause/resume support)."""
-        rec = self._active if self._active is not None else self._find_uid(self._prev_active_uid)
-        return snapshot_to_json(rec.learner)
-
-    def restore_active(self, blob: str):
-        rec = self._active if self._active is not None else self._find_uid(self._prev_active_uid)
-        rec.learner = restore(blob)

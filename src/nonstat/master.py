@@ -138,11 +138,11 @@ class RunLog:
                 else:
                     values[name] = float(cell)
             log.append(**values)
-        for t, ev in zip(log.column("t"), log.column("event")):
+        for t, block, ev in zip(log.column("t"), log.column("block"), log.column("event")):
             for token in ev.split(";"):
                 if token.startswith("restart "):
                     cause = token[len("restart ") :]
-                    log.restarts.append(RestartEvent(round=t, cause=cause, block=-1))
+                    log.restarts.append(RestartEvent(round=t, cause=cause, block=block))
         return log
 
 

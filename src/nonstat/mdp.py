@@ -19,6 +19,7 @@ learner's own active-round count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,6 +160,34 @@ def widen_to_span(
         eta *= 2.0
 
 
+def _optimistic_solve(visit_total, trans_counts, reward_sums, t_int, log_term, dbar, horizon):
+    """The episode solve of the average-reward learner from its counts."""
+    nplus = np.maximum(visit_total, 1.0)
+    p_hat = trans_counts / nplus[:, :, None]
+    r_hat = reward_sums / nplus
+    conf = 8.0 * np.sqrt(log_term / nplus)
+    r_max = np.minimum(1.0, r_hat + conf)
+    epsilon = math.sqrt(1.0 / (t_int + 1))
+    n_states = visit_total.shape[0]
+    return widen_to_span(p_hat, math.sqrt(n_states) * conf, r_max, epsilon, dbar, horizon)
+
+
+@functools.lru_cache(maxsize=64)
+def _prior_solution(n_states: int, n_actions: int, horizon: int, delta: float, dbar: float):
+    """The first solve of a learner that has no data, shared by all such learners.
+
+    Without data the solved model depends on these five parameters only,
+    and the scheduler spawns a fresh learner with them up to every round.
+    The cached arrays are read-only.
+    """
+    zeros = np.zeros((n_states, n_actions))
+    log_term = math.log(n_states * n_actions * horizon / delta)
+    out, eta = _optimistic_solve(zeros, np.zeros((n_states, n_actions, n_states)), zeros, 0, log_term, dbar, horizon)
+    out.policy.flags.writeable = False
+    out.bias.flags.writeable = False
+    return out, eta
+
+
 def rho_ucrl(t: float, dbar: float, n_states: int, n_actions: int, horizon: int, delta: float) -> float:
     """min(dbar*S*sqrt(A*log/t) + dbar*S*A*log/t, dbar) with log = log(SAT/delta)."""
     lg = math.log(n_states * n_actions * horizon / delta)
@@ -231,20 +260,13 @@ class UcrlAcw(_Learner):
 
     def _solve_episode(self):
         self.episode += 1
-        nplus = np.maximum(self.visit_total, 1.0)
-        p_hat = self.trans_counts / nplus[:, :, None]
-        r_hat = self.reward_sums / nplus
-        conf = 8.0 * np.sqrt(self._log_term / nplus)
-        r_max = np.minimum(1.0, r_hat + conf)
-        epsilon = math.sqrt(1.0 / (self.t_int + 1))
-        out, eta = widen_to_span(
-            p_hat,
-            math.sqrt(self.n_states) * conf,
-            r_max,
-            epsilon,
-            self.dbar,
-            self.horizon,
-        )
+        if self.t_int == 0 and not self.visit_total.any():
+            out, eta = _prior_solution(self.n_states, self.n_actions, self.horizon, self.delta, self.dbar)
+        else:
+            out, eta = _optimistic_solve(
+                self.visit_total, self.trans_counts, self.reward_sums,
+                self.t_int, self._log_term, self.dbar, self.horizon,
+            )
         self.eta = eta
         self.gain = out.gain
         self.policy_table = out.policy.astype(np.int64)

@@ -1,0 +1,231 @@
+"""Lazy read-side state: the learners against their eager reference code.
+
+Ucb1, Oful and GlmUcb compute their score vector (and GlmUcb its fit) at
+the first read after an update.  The reference classes below are the eager
+implementations: they recompute the scores at every read, and the GLM one
+calls glm_solve after every update.  Everything observable must agree bit
+for bit: predict, act, theta and the snapshot JSON.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+import nonstat.base
+from nonstat.base import (
+    GlmSolveError,
+    GlmUcb,
+    Oful,
+    Ucb1,
+    _clamp01,
+    _Learner,
+    glm_solve,
+    restore,
+    snapshot_to_json,
+)
+from nonstat.envs import LINKS
+from nonstat.harness import seed_derive
+
+ACTIONS = [[1.0, 0.0], [0.0, 1.0], [0.6, 0.6], [-0.5, 0.8]]
+
+
+class EagerUcb1(_Learner):
+    name = "ucb1"
+    _fields = ("counts", "sums", "t_int")
+
+    def __init__(self, n_arms, horizon, delta, bonus_scale=2.0):
+        self.n_arms, self.horizon, self.delta, self.bonus_scale = n_arms, horizon, delta, bonus_scale
+        self._log_term = math.log(horizon / delta)
+        self.counts = np.zeros(n_arms)
+        self.sums = np.zeros(n_arms)
+        self.t_int = 0
+
+    def _params(self):
+        return {"n_arms": self.n_arms, "horizon": self.horizon, "delta": self.delta,
+                "bonus_scale": self.bonus_scale}
+
+    def _indexes(self):
+        nplus = np.maximum(self.counts, 1.0)
+        return self.sums / nplus + self.bonus_scale * np.sqrt(self._log_term / nplus)
+
+    def predict(self):
+        return _clamp01(float(self._indexes().max()))
+
+    def act(self):
+        return int(np.argmax(self._indexes()))
+
+    def update(self, feedback):
+        arm, reward = feedback
+        self.counts[arm] += 1.0
+        self.sums[arm] += reward
+        self.t_int += 1
+
+
+class EagerOful(_Learner):
+    name = "oful"
+    _fields = ("lam_mat", "lam_inv", "bvec", "t_int", "_since_refactor")
+
+    def __init__(self, actions, horizon, delta, refactor_every=1024):
+        self.actions = np.asarray(actions, dtype=np.float64)
+        self.dim = self.actions.shape[1]
+        self.horizon, self.delta, self.refactor_every = horizon, delta, refactor_every
+        self.beta = 4.0 * math.sqrt(self.dim * math.log(horizon / delta))
+        self.lam_mat = np.eye(self.dim)
+        self.lam_inv = np.eye(self.dim)
+        self.bvec = np.zeros(self.dim)
+        self.t_int = 0
+        self._since_refactor = 0
+
+    def _params(self):
+        return {"actions": self.actions.tolist(), "horizon": self.horizon, "delta": self.delta,
+                "refactor_every": self.refactor_every}
+
+    def _scores(self):
+        widths = np.sqrt(np.einsum("kd,de,ke->k", self.actions, self.lam_inv, self.actions))
+        return self.actions @ (self.lam_inv @ self.bvec) + 2.0 * self.beta * widths
+
+    def predict(self):
+        return _clamp01(float(self._scores().max()))
+
+    def act(self):
+        return int(np.argmax(self._scores()))
+
+    def update(self, feedback):
+        arm, reward = feedback
+        a = self.actions[arm]
+        self.lam_mat = self.lam_mat + np.outer(a, a)
+        v = self.lam_inv @ a
+        self.lam_inv = self.lam_inv - np.outer(v, v) / (1.0 + float(a @ v))
+        self.lam_inv = (self.lam_inv + self.lam_inv.T) / 2.0
+        self.bvec = self.bvec + reward * a
+        self._since_refactor += 1
+        if self._since_refactor >= self.refactor_every:
+            self.lam_inv = np.linalg.inv(self.lam_mat)
+            self.lam_inv = (self.lam_inv + self.lam_inv.T) / 2.0
+            self._since_refactor = 0
+        self.t_int += 1
+
+
+class EagerGlm(_Learner):
+    name = "glm"
+    _fields = ("counts", "rsums", "t_int", "theta")
+
+    def __init__(self, actions, horizon, delta, link="logistic", lam=1.0):
+        self.actions = np.asarray(actions, dtype=np.float64)
+        self.dim = self.actions.shape[1]
+        self.horizon, self.delta, self.link_name, self.lam = horizon, delta, link, lam
+        self.link = LINKS[link]
+        k_mu, c_mu = self.link.k_mu, self.link.c_mu
+        self.beta = (4.0 * k_mu / c_mu) * (
+            math.sqrt(self.dim * math.log(c_mu * horizon / (lam * delta))) + c_mu * math.sqrt(lam)
+        )
+        self.counts = np.zeros(self.actions.shape[0])
+        self.rsums = np.zeros(self.actions.shape[0])
+        self.t_int = 0
+        self.theta = np.zeros(self.dim)
+
+    def _params(self):
+        return {"actions": self.actions.tolist(), "horizon": self.horizon, "delta": self.delta,
+                "link": self.link_name, "lam": self.lam}
+
+    def _scores(self):
+        lam_inv = np.linalg.inv(self.lam * np.eye(self.dim) + (self.actions.T * self.counts) @ self.actions)
+        widths = np.sqrt(np.einsum("kd,de,ke->k", self.actions, lam_inv, self.actions))
+        return np.asarray(self.link.mu(self.actions @ self.theta)) + 2.0 * self.beta * widths
+
+    def predict(self):
+        return _clamp01(float(self._scores().max()))
+
+    def act(self):
+        return int(np.argmax(self._scores()))
+
+    def update(self, feedback):
+        arm, reward = feedback
+        self.counts[arm] += 1.0
+        self.rsums[arm] += reward
+        self.t_int += 1
+        _, self.theta = glm_solve(self.actions, self.counts, self.rsums @ self.actions, self.lam, self.link)
+
+
+CASES = {
+    "ucb1": (Ucb1, EagerUcb1, dict(n_arms=4, horizon=512, delta=1 / 512)),
+    "oful": (Oful, EagerOful, dict(actions=ACTIONS, horizon=512, delta=1 / 512, refactor_every=16)),
+    "glm": (GlmUcb, EagerGlm, dict(actions=ACTIONS, horizon=512, delta=1 / 512)),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(CASES))
+@pytest.mark.parametrize("seed", range(3))
+def test_lazy_learner_matches_eager_reference(algo, seed):
+    lazy_cls, eager_cls, params = CASES[algo]
+    lazy, eager = lazy_cls(**params), eager_cls(**params)
+    rng = seed_derive(seed, 0, f"lazy-{algo}")
+    n_arms = 4
+    for step in range(60):
+        # reads come in any number (none included) between updates
+        for _ in range(int(rng.integers(0, 3))):
+            assert lazy.predict() == eager.predict()
+            assert lazy.act() == eager.act()
+        if algo == "glm" and rng.random() < 0.3:
+            assert np.array_equal(lazy.theta, eager.theta)
+        if rng.random() < 0.2:
+            assert snapshot_to_json(lazy) == snapshot_to_json(eager)
+        # the played arm is sometimes the learner's choice, sometimes not
+        arm = eager.act() if rng.random() < 0.5 else int(rng.integers(0, n_arms))
+        feedback = (arm, float(rng.random() < 0.4 + 0.1 * arm))
+        lazy.update(feedback)
+        eager.update(feedback)
+    assert snapshot_to_json(lazy) == snapshot_to_json(eager)
+    assert lazy.predict() == eager.predict()
+    assert lazy.act() == eager.act()
+
+
+@pytest.mark.parametrize("algo", sorted(CASES))
+def test_restored_learner_starts_with_empty_cache(algo):
+    lazy_cls, _, params = CASES[algo]
+    inst = lazy_cls(**params)
+    for arm in (0, 1, 2, 1):
+        inst.predict()
+        inst.update((arm, 1.0))
+    blob = snapshot_to_json(inst)
+    clone = restore(blob)
+    assert clone._score_cache is None
+    assert clone.predict() == inst.predict()
+    assert clone.act() == inst.act()
+    assert json.loads(snapshot_to_json(clone)) == json.loads(blob)
+
+
+def _failing_solve(*args, **kwargs):
+    raise GlmSolveError("scripted failure")
+
+
+def test_glm_solve_error_raised_at_first_read(monkeypatch):
+    inst = GlmUcb(ACTIONS, 512, 1 / 512)
+    monkeypatch.setattr(nonstat.base, "glm_solve", _failing_solve)
+    inst.update((0, 1.0))  # the fit is only marked stale: no error here
+    inst.update((2, 0.0))
+    with pytest.raises(GlmSolveError):
+        inst.predict()
+    # a failed fit stays stale, so every later read raises too
+    with pytest.raises(GlmSolveError):
+        inst.act()
+    with pytest.raises(GlmSolveError):
+        inst.snapshot()
+    with pytest.raises(GlmSolveError):
+        inst.theta  # noqa: B018
+    monkeypatch.undo()
+    eager = EagerGlm(ACTIONS, 512, 1 / 512)
+    eager.update((0, 1.0))
+    eager.update((2, 0.0))
+    assert inst.predict() == eager.predict()
+    assert np.array_equal(inst.theta, eager.theta)
+
+
+def test_glm_fit_never_read_never_raises(monkeypatch):
+    monkeypatch.setattr(nonstat.base, "glm_solve", _failing_solve)
+    inst = GlmUcb(ACTIONS, 512, 1 / 512)
+    assert inst.predict() == 1.0  # the data-free estimate needs no fit
+    inst.act()
+    inst.update((1, 1.0))  # then the instance is discarded unread

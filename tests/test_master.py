@@ -326,6 +326,18 @@ def test_csv_roundtrip_bit_exact():
     assert text == again
 
 
+def test_csv_roundtrip_keeps_restart_blocks():
+    T = 512
+    env = mab(T, [
+        {"length": 256, "means": [0.9, 0.1]},
+        {"length": 256, "means": [0.1, 0.9]},
+    ])
+    factory, rate, delta = ucb1_stack(env, T)
+    log = run_master(env, factory, rate, T, delta, kappa=1e-4, seed=31)
+    assert any(ev.block > 0 for ev in log.restarts)
+    assert RunLog.from_csv(log.to_csv_text()).restarts == log.restarts
+
+
 def test_empty_log_regret_raises():
     with pytest.raises(ValueError):
         dynamic_regret(RunLog())

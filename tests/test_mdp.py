@@ -7,10 +7,13 @@ from scipy.optimize import linprog
 
 from nonstat.envs import decode_policy, make_env, policy_gain
 from nonstat.harness import seed_derive
+import nonstat.mdp
+from nonstat.base import restore, snapshot_to_json
 from nonstat.mdp import (
     Exp3P,
     UcrlAcw,
     _optimistic_shift,
+    _prior_solution,
     borl,
     borl_arm_count,
     borl_interval_length,
@@ -214,6 +217,58 @@ def test_fresh_learner_state():
     assert inst.episode == 1
     # all-unvisited confidence sets cover everything: optimistic gain is 1
     assert inst.predict() == 1.0
+
+
+def test_prior_solution_equals_fresh_widening():
+    S, A, T, dbar = 3, 2, 256, 2.0
+    delta = 1.0 / T
+    _prior_solution.cache_clear()
+    out, eta = _prior_solution(S, A, T, delta, dbar)
+    # the zero-data inputs of the first episode, spelled out
+    conf = np.full((S, A), 8.0 * math.sqrt(math.log(S * A * T / delta)))
+    ref, ref_eta = widen_to_span(
+        np.zeros((S, A, S)), math.sqrt(S) * conf, np.minimum(1.0, conf), 1.0, dbar, T
+    )
+    assert eta == ref_eta
+    assert out.gain == ref.gain
+    assert out.iterations == ref.iterations
+    assert out.policy.tobytes() == ref.policy.tobytes()
+    assert out.bias.tobytes() == ref.bias.tobytes()
+    with pytest.raises(ValueError):
+        out.policy[0] = 1
+    with pytest.raises(ValueError):
+        out.bias[0] = 1.0
+
+
+def test_fresh_learners_share_the_prior_solution():
+    _prior_solution.cache_clear()
+    first = UcrlAcw(3, 2, 256, 1.0 / 256, dbar=2.0)
+    first.predict()
+    second = UcrlAcw(3, 2, 256, 1.0 / 256, dbar=2.0)
+    second.predict()
+    info = _prior_solution.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    out, eta = _prior_solution(3, 2, 256, 1.0 / 256, 2.0)
+    assert second.gain == out.gain and second.eta == eta
+    assert np.array_equal(second.policy_table, out.policy)
+    second.policy_table[0] = 1  # the learner owns a writable copy
+
+
+def test_learner_with_data_never_takes_the_prior_solution(monkeypatch):
+    inst = UcrlAcw(2, 2, 256, 1.0 / 256, dbar=1.0)
+    inst.predict()
+    inst.update((0, 0, 1.0, 1))  # a first visit ends the episode
+    assert inst.needs_solve
+    clone = restore(snapshot_to_json(inst))
+
+    def no_memo(*args):
+        raise AssertionError("a learner with data took the data-free solve")
+
+    monkeypatch.setattr(nonstat.mdp, "_prior_solution", no_memo)
+    assert clone.predict() == inst.predict()
+    assert clone.act() == inst.act()
+    assert clone.eta == inst.eta
+    assert snapshot_to_json(clone) == snapshot_to_json(inst)
 
 
 def test_gamma_threshold_arithmetic():
