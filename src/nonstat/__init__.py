@@ -10,9 +10,9 @@ from .envs import (
     optimal_value,
     sample_reward,
 )
-from .harness import baseline_run, run_experiment, run_single, seed_derive
+from .harness import baseline_run, run_experiment, run_single
 from .malg import MalgRunner, rho_hat, schedule_upfront, spawn_probability
-from .master import RunLog, dynamic_regret, run_bare, run_master, test1_fails, test2_fails
+from .master import RunLog, dynamic_regret, run_bare, run_master, seed_derive, test1_fails, test2_fails
 from .mdp import (
     Exp3P,
     UcrlAcw,
@@ -22,7 +22,6 @@ from .mdp import (
     evi,
     nbar,
     optimal_gain,
-    rho_ucrl,
     run_master_ucrl,
     widen_to_span,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "qucb_rate",
     "restore",
     "rho_hat",
-    "rho_ucrl",
     "run_bare",
     "run_experiment",
     "run_master",

@@ -155,9 +155,8 @@ class NonstatSummary:
 class MabEnv:
     kind = "mab"
 
-    def __init__(self, horizon, segments, drift=None, seed=0):
+    def __init__(self, horizon, segments, drift=None):
         self.horizon = int(horizon)
-        self.seed = int(seed)
         self._drift = drift  # (means_start, means_end) or None
         self._segments = segments
         if drift is not None:
@@ -189,9 +188,8 @@ class MabEnv:
 class LinearEnv:
     """Finite-action linear bandit; the GLM variant adds a link function."""
 
-    def __init__(self, horizon, actions, segments, drift=None, link=None, lam=1.0, seed=0):
+    def __init__(self, horizon, actions, segments, drift=None, link=None, lam=1.0):
         self.horizon = int(horizon)
-        self.seed = int(seed)
         self.actions = actions  # (K, d)
         self.dim = actions.shape[1]
         self.n_policies = actions.shape[0]
@@ -236,9 +234,8 @@ class EpisodicEnv:
 
     kind = "episodic"
 
-    def __init__(self, horizon, n_states, n_actions, n_layers, segments, init_state=0, seed=0):
+    def __init__(self, horizon, n_states, n_actions, n_layers, segments, init_state=0):
         self.horizon = int(horizon)
-        self.seed = int(seed)
         self.n_states = int(n_states)
         self.n_actions = int(n_actions)
         self.n_layers = int(n_layers)
@@ -301,9 +298,8 @@ class InfiniteEnv:
 
     kind = "infinite"
 
-    def __init__(self, horizon, n_states, n_actions, segments, init_state=0, seed=0):
+    def __init__(self, horizon, n_states, n_actions, segments, init_state=0):
         self.horizon = int(horizon)
-        self.seed = int(seed)
         self.n_states = int(n_states)
         self.n_actions = int(n_actions)
         self.init_state = int(init_state)
@@ -526,7 +522,7 @@ def nonstat_summary(env, algo: str, delta: float | None = None, dbar: float = 1.
 # spec loading
 
 
-_COMMON_KEYS = {"kind", "T", "seed"}
+_COMMON_KEYS = {"kind", "T"}
 _ALLOWED_KEYS = {
     "mab": _COMMON_KEYS | {"segments", "drift"},
     "linear": _COMMON_KEYS | {"actions", "segments", "drift"},
@@ -599,20 +595,17 @@ def make_env(spec: dict):
     if unknown:
         _fail("spec", f"unknown keys for kind {kind!r}: {sorted(unknown)}")
     horizon = _as_positive_int(_need(spec, "T", "spec"), "spec.T")
-    seed = spec.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        _fail("spec.seed", f"expected an integer, got {seed!r}")
 
     if kind == "mab":
-        return _make_mab(spec, horizon, seed)
+        return _make_mab(spec, horizon)
     if kind in ("linear", "glm"):
-        return _make_linear(spec, horizon, seed, kind)
+        return _make_linear(spec, horizon, kind)
     if kind == "episodic":
-        return _make_episodic(spec, horizon, seed)
-    return _make_infinite(spec, horizon, seed)
+        return _make_episodic(spec, horizon)
+    return _make_infinite(spec, horizon)
 
 
-def _make_mab(spec, horizon, seed):
+def _make_mab(spec, horizon):
     if ("segments" in spec) == ("drift" in spec):
         _fail("spec", "exactly one of 'segments' or 'drift' is required")
     if "drift" in spec:
@@ -625,7 +618,7 @@ def _make_mab(spec, horizon, seed):
             _fail("spec.drift", "means_start and means_end must be equal-length vectors")
         _check_unit_interval(lo, "spec.drift.means_start")
         _check_unit_interval(hi, "spec.drift.means_end")
-        return MabEnv(horizon, None, drift=(lo, hi), seed=seed)
+        return MabEnv(horizon, None, drift=(lo, hi))
 
     n_arms = [None]
 
@@ -640,10 +633,10 @@ def _make_mab(spec, horizon, seed):
         _check_unit_interval(means, f"{path}.means")
         return means
 
-    return MabEnv(horizon, _load_segments(spec, "spec", horizon, load), seed=seed)
+    return MabEnv(horizon, _load_segments(spec, "spec", horizon, load))
 
 
-def _make_linear(spec, horizon, seed, kind):
+def _make_linear(spec, horizon, kind):
     actions = _freeze(_need(spec, "actions", "spec"))
     if actions.ndim != 2 or actions.shape[0] < 1:
         _fail("spec.actions", "expected a non-empty matrix (one action per row)")
@@ -680,7 +673,7 @@ def _make_linear(spec, horizon, seed, kind):
         hi = _freeze(drift["theta_end"])
         check_theta(lo, "spec.drift.theta_start")
         check_theta(hi, "spec.drift.theta_end")
-        return LinearEnv(horizon, actions, None, drift=(lo, hi), link=link, lam=lam, seed=seed)
+        return LinearEnv(horizon, actions, None, drift=(lo, hi), link=link, lam=lam)
 
     def load(seg, path):
         theta = _freeze(_need(seg, "theta", path))
@@ -688,11 +681,11 @@ def _make_linear(spec, horizon, seed, kind):
         return theta
 
     return LinearEnv(
-        horizon, actions, _load_segments(spec, "spec", horizon, load), link=link, lam=lam, seed=seed
+        horizon, actions, _load_segments(spec, "spec", horizon, load), link=link, lam=lam
     )
 
 
-def _make_episodic(spec, horizon, seed):
+def _make_episodic(spec, horizon):
     s = _as_positive_int(_need(spec, "S", "spec"), "spec.S")
     a = _as_positive_int(_need(spec, "A", "spec"), "spec.A")
     h = _as_positive_int(_need(spec, "H", "spec"), "spec.H")
@@ -714,10 +707,10 @@ def _make_episodic(spec, horizon, seed):
                     _check_prob_vector(trans[hh, ss, aa], f"{path}.transitions[{hh}][{ss}][{aa}]")
         return (rewards, trans)
 
-    return EpisodicEnv(horizon, s, a, h, _load_segments(spec, "spec", horizon, load), init_state=s1, seed=seed)
+    return EpisodicEnv(horizon, s, a, h, _load_segments(spec, "spec", horizon, load), init_state=s1)
 
 
-def _make_infinite(spec, horizon, seed):
+def _make_infinite(spec, horizon):
     s = _as_positive_int(_need(spec, "S", "spec"), "spec.S")
     a = _as_positive_int(_need(spec, "A", "spec"), "spec.A")
     s0 = spec.get("s0", 0)
@@ -737,7 +730,7 @@ def _make_infinite(spec, horizon, seed):
                 _check_prob_vector(trans[ss, aa], f"{path}.transitions[{ss}][{aa}]")
         return (rewards, trans)
 
-    env = InfiniteEnv(horizon, s, a, _load_segments(spec, "spec", horizon, load), init_state=s0, seed=seed)
+    env = InfiniteEnv(horizon, s, a, _load_segments(spec, "spec", horizon, load), init_state=s0)
     for b in env._segments.bounds[:-1]:
         t = int(b) + 1
         try:

@@ -8,25 +8,27 @@ normalizers regret / sqrt(L*T) and regret / (Delta^(1/3) T^(2/3) + sqrt(T)))
 is recomputable from those CSVs and is persisted as JSON next to an SVG of
 the per-seed regret curves.
 
-Randomness is derived, not shared: stream = PCG64 seeded with the first 8
-bytes of SHA-256("<master_seed>:<run_index>:<purpose>"), so distinct
-(run, purpose) pairs get independent streams and any run is reproducible
-from its spec alone, on any platform.
+Randomness is derived, not shared: every stream comes from seed_derive, so
+any run is reproducible from its spec alone, on any platform.
+
+Everything the harness knows about an algorithm name sits in its
+ALGORITHMS entry.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import base, mdp, rates
 from .envs import EnvSpecError, make_env, nonstat_summary
-from .master import RunLog, dynamic_regret, run_bare, run_master
+from .master import RunLog, dynamic_regret, run_bare, run_master, seed_derive
 
 __all__ = [
     "SpecError",
@@ -38,29 +40,6 @@ __all__ = [
     "render_regret_svg",
 ]
 
-ALGORITHMS = (
-    "master+ucb1",
-    "master+oful",
-    "master+glm",
-    "master+qucb",
-    "master-ucrl",
-    "doubling-dbar",
-    "borl",
-    "ucb1",
-    "oful",
-    "glm",
-    "qucb",
-    "ucrl",
-)
-
-_ENV_FOR_ALGO = {
-    "ucb1": "mab",
-    "oful": "linear",
-    "glm": "glm",
-    "qucb": "episodic",
-    "ucrl": "infinite",
-}
-
 MAX_CURVE_POINTS = 4096
 
 
@@ -68,11 +47,105 @@ class SpecError(ValueError):
     pass
 
 
-def seed_derive(master_seed: int, run_index: int, purpose: str) -> np.random.Generator:
-    """Counter-based stream derivation (documented; platform-independent)."""
-    msg = f"{master_seed}:{run_index}:{purpose}".encode()
-    digest = hashlib.sha256(msg).digest()
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
+# ---------------------------------------------------------------------------
+# the algorithm table
+#
+# A learner function maps (env, T, delta, spec.algo) to the (factory, rate)
+# of the base learner; a run function maps (learner, env, spec, seed, run_index)
+# to the run log.
+
+
+def _ucb1(env, horizon, delta, algo):
+    params = dict(n_arms=env.n_arms, horizon=horizon, delta=delta)
+    if "c" in algo:
+        params["bonus_scale"] = algo["c"]
+    return (lambda: base.Ucb1(**params)), rates.ucb1_rate(env.n_arms, horizon, delta)
+
+
+def _oful(env, horizon, delta, algo):
+    params = dict(actions=env.actions, horizon=horizon, delta=delta)
+    if "refactor_every" in algo:
+        params["refactor_every"] = algo["refactor_every"]
+    return (lambda: base.Oful(**params)), rates.oful_rate(env.dim, horizon, delta)
+
+
+def _glm(env, horizon, delta, algo):
+    link = env.link
+    params = dict(actions=env.actions, horizon=horizon, delta=delta, link=link.name, lam=env.lam)
+    rate = rates.glm_rate(env.dim, horizon, delta, link.k_mu, link.c_mu, env.lam)
+    return (lambda: base.GlmUcb(**params)), rate
+
+
+def _qucb(env, horizon, delta, algo):
+    params = dict(
+        n_states=env.n_states,
+        n_actions=env.n_actions,
+        n_layers=env.n_layers,
+        horizon=horizon,
+        delta=delta,
+        init_state=env.init_state,
+    )
+    if "c" in algo:
+        params["bonus_scale"] = algo["c"]
+    rate = rates.qucb_rate(env.n_states, env.n_actions, env.n_layers, horizon, delta)
+    return (lambda: base.QUcb(**params)), rate
+
+
+def _ucrl(env, horizon, delta, algo):
+    return mdp.ucrl_learner(env, horizon, delta, algo.get("dbar", 1.0))
+
+
+def _master(learner, env, spec, seed, run_index):
+    factory, rate = learner(env, spec["T"], spec["delta"], spec.get("algo", {}))
+    return run_master(env, factory, rate, spec["T"], spec["delta"], spec["kappa"], seed, run_index)
+
+
+def _bare(learner, env, spec, seed, run_index):
+    factory, _ = learner(env, spec["T"], spec["delta"], spec.get("algo", {}))
+    return run_bare(env, factory(), spec["T"], seed, run_index)
+
+
+def _master_ucrl(learner, env, spec, seed, run_index):
+    dbar = spec.get("algo", {}).get("dbar", 1.0)
+    return mdp.run_master_ucrl(env, dbar, spec["T"], spec["delta"], spec["kappa"], seed, run_index)
+
+
+def _doubling_dbar(learner, env, spec, seed, run_index):
+    algo = spec.get("algo", {})
+    return mdp.doubling_dbar(
+        env, spec["T"], algo.get("known_l"), algo.get("known_delta"), spec["delta"], spec["kappa"],
+        seed, run_index,
+    )
+
+
+def _borl(learner, env, spec, seed, run_index):
+    return mdp.borl(env, spec["T"], spec["delta"], spec["kappa"], seed, run_index)
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    env_kind: str  # the environment kind it runs on
+    learner: Callable  # its base learner's (factory, rate)
+    drift: str  # the drift measure nonstat_summary computes for it
+    run: Callable  # runs one seed
+    bare: str  # its paired baseline without the scheduler
+
+
+ALGORITHMS = {
+    "master+ucb1": Algorithm("mab", _ucb1, "ucb1", _master, "ucb1"),
+    "master+oful": Algorithm("linear", _oful, "oful", _master, "oful"),
+    "master+glm": Algorithm("glm", _glm, "glm", _master, "glm"),
+    "master+qucb": Algorithm("episodic", _qucb, "qucb", _master, "qucb"),
+    "master-ucrl": Algorithm("infinite", _ucrl, "ucrl", _master_ucrl, "ucrl"),
+    # neither has a restart-free counterpart; each is its own baseline
+    "doubling-dbar": Algorithm("infinite", _ucrl, "ucrl", _doubling_dbar, "doubling-dbar"),
+    "borl": Algorithm("infinite", _ucrl, "ucrl", _borl, "borl"),
+    "ucb1": Algorithm("mab", _ucb1, "ucb1", _bare, "ucb1"),
+    "oful": Algorithm("linear", _oful, "oful", _bare, "oful"),
+    "glm": Algorithm("glm", _glm, "glm", _bare, "glm"),
+    "qucb": Algorithm("episodic", _qucb, "qucb", _bare, "qucb"),
+    "ucrl": Algorithm("infinite", _ucrl, "ucrl", _bare, "ucrl"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +167,7 @@ def validate_spec(spec: dict) -> dict:
             raise SpecError(f"spec.{key}: missing")
     algorithm = spec["algorithm"]
     if algorithm not in ALGORITHMS:
-        raise SpecError(f"spec.algorithm: unknown {algorithm!r} (have {ALGORITHMS})")
+        raise SpecError(f"spec.algorithm: unknown {algorithm!r} (have {tuple(ALGORITHMS)})")
     try:
         env = make_env(spec["env"])
     except EnvSpecError as exc:
@@ -102,11 +175,8 @@ def validate_spec(spec: dict) -> dict:
     horizon = spec.get("T", env.horizon)
     if horizon != env.horizon:
         raise SpecError(f"spec.T: {horizon} does not match env horizon {env.horizon}")
-    base_name = algorithm.split("+")[-1].replace("master-", "")
-    expected_kind = _ENV_FOR_ALGO.get(base_name)
-    if algorithm in ("doubling-dbar", "borl"):
-        expected_kind = "infinite"
-    if expected_kind is not None and env.kind != expected_kind:
+    expected_kind = ALGORITHMS[algorithm].env_kind
+    if env.kind != expected_kind:
         raise SpecError(
             f"spec.algorithm: {algorithm!r} needs a {expected_kind!r} environment, got {env.kind!r}"
         )
@@ -145,74 +215,17 @@ def validate_spec(spec: dict) -> dict:
 # single runs
 
 
-def _make_stack(env, algorithm: str, horizon: int, delta: float, algo: dict):
-    """(factory, rate) for the Assumption-style algorithms."""
-    name = algorithm.split("+")[-1]
-    if name == "ucb1":
-        params = dict(n_arms=env.n_arms, horizon=horizon, delta=delta)
-        if "c" in algo:
-            params["bonus_scale"] = algo["c"]
-        return (lambda: base.Ucb1(**params)), rates.ucb1_rate(env.n_arms, horizon, delta)
-    if name == "oful":
-        params = dict(actions=env.actions, horizon=horizon, delta=delta)
-        if "refactor_every" in algo:
-            params["refactor_every"] = algo["refactor_every"]
-        return (lambda: base.Oful(**params)), rates.oful_rate(env.dim, horizon, delta)
-    if name == "glm":
-        link = env.link
-        params = dict(actions=env.actions, horizon=horizon, delta=delta, link=link.name, lam=env.lam)
-        rate = rates.glm_rate(env.dim, horizon, delta, link.k_mu, link.c_mu, env.lam)
-        return (lambda: base.GlmUcb(**params)), rate
-    if name == "qucb":
-        params = dict(
-            n_states=env.n_states,
-            n_actions=env.n_actions,
-            n_layers=env.n_layers,
-            horizon=horizon,
-            delta=delta,
-            init_state=env.init_state,
-        )
-        if "c" in algo:
-            params["bonus_scale"] = algo["c"]
-        rate = rates.qucb_rate(env.n_states, env.n_actions, env.n_layers, horizon, delta)
-        return (lambda: base.QUcb(**params)), rate
-    raise SpecError(f"no stack for algorithm {name!r}")
-
-
 def run_single(spec: dict, seed: int, run_index: int = 0) -> RunLog:
     """One seeded run of the spec's algorithm; returns the run log."""
     env = make_env(spec["env"])
-    algorithm = spec["algorithm"]
-    horizon, delta, kappa = spec["T"], spec["delta"], spec["kappa"]
-    algo = spec.get("algo", {})
-    if algorithm.startswith("master+"):
-        factory, rate = _make_stack(env, algorithm, horizon, delta, algo)
-        return run_master(env, factory, rate, horizon, delta, kappa, seed, run_index)
-    if algorithm == "master-ucrl":
-        return mdp.run_master_ucrl(env, algo.get("dbar", 1.0), horizon, delta, kappa, seed, run_index)
-    if algorithm == "doubling-dbar":
-        return mdp.doubling_dbar(
-            env,
-            horizon,
-            known_l=algo.get("known_l"),
-            known_delta=algo.get("known_delta"),
-            delta=delta,
-            kappa=kappa,
-            seed=seed,
-            run_index=run_index,
-        )
-    if algorithm == "borl":
-        return mdp.borl(env, horizon, delta, kappa, seed, run_index)
-    if algorithm == "ucrl":
-        return mdp.run_bare_ucrl(env, algo.get("dbar", 1.0), horizon, delta, seed, run_index)
-    factory, _ = _make_stack(env, algorithm, horizon, delta, algo)
-    return run_bare(env, factory(), horizon, seed, run_index)
+    entry = ALGORITHMS[spec["algorithm"]]
+    return entry.run(entry.learner, env, spec, seed, run_index)
 
 
 def baseline_run(spec: dict, seed: int, run_index: int = 0) -> RunLog:
     """The spec's base algorithm with no scheduling wrapper (paired baseline)."""
     bare = dict(spec)
-    bare["algorithm"] = spec["algorithm"].replace("master+", "").replace("master-", "")
+    bare["algorithm"] = ALGORITHMS[spec["algorithm"]].bare
     return run_single(bare, seed, run_index)
 
 
@@ -229,26 +242,11 @@ def _downsample(values: np.ndarray, limit: int = MAX_CURVE_POINTS):
     return idx.tolist(), values[idx].tolist()
 
 
-def _summary_algo(algorithm: str) -> str:
-    name = algorithm.split("+")[-1]
-    if name in ("master-ucrl", "doubling-dbar", "borl", "ucrl"):
-        return "ucrl"
-    if name == "oful":
-        return "oful"
-    if name == "glm":
-        return "glm"
-    if name == "qucb":
-        return "qucb"
-    return "ucb1"
-
-
 def aggregate(spec: dict, logs: dict[int, RunLog]) -> dict:
     env = make_env(spec["env"])
     horizon = spec["T"]
-    kwargs = {}
-    if env.kind == "infinite":
-        kwargs["dbar"] = spec.get("algo", {}).get("dbar", 1.0)
-    summary = nonstat_summary(env, _summary_algo(spec["algorithm"]), spec["delta"], **kwargs)
+    dbar = spec.get("algo", {}).get("dbar", 1.0)  # read by the average-reward measure only
+    summary = nonstat_summary(env, ALGORITHMS[spec["algorithm"]].drift, spec["delta"], dbar)
     reg_l_star = math.sqrt(summary.switch_count * horizon)
     reg_d_star = summary.delta_total ** (1.0 / 3.0) * horizon ** (2.0 / 3.0) + math.sqrt(horizon)
 

@@ -24,17 +24,23 @@ simulation time, so dynamic regret is an exact second pass over the rows.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .envs import decode_policy
 from .malg import MalgRunner, rho_hat
 from .rates import RateFunction
 
 __all__ = [
     "RunLog",
     "RestartEvent",
+    "seed_derive",
     "BanditWorld",
+    "AverageRewardWorld",
     "test1_fails",
     "test2_fails",
     "run_master",
@@ -56,6 +62,19 @@ _BASE_COLUMNS = (
 )
 _MDP_COLUMNS = ("episode", "eta", "gamma_budget", "dbar", "borl_arm")
 _INT_COLUMNS = {"t", "block", "epoch", "active_order", "policy", "episode", "borl_arm"}
+
+
+def seed_derive(master_seed: int, run_index: int, purpose: str) -> np.random.Generator:
+    """Counter-based stream derivation, platform-independent.
+
+    stream = PCG64 seeded with the first 8 bytes of
+    SHA-256("<master_seed>:<run_index>:<purpose>"), so distinct (run, purpose)
+    pairs get independent streams and any run is reproducible from its spec
+    alone, on any platform.
+    """
+    msg = f"{master_seed}:{run_index}:{purpose}".encode()
+    digest = hashlib.sha256(msg).digest()
+    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
 
 
 @dataclass(frozen=True)
@@ -159,6 +178,8 @@ def dynamic_regret(log: RunLog) -> float:
 class BanditWorld:
     """Round-per-decision environments (bandits and episodic MDPs)."""
 
+    mdp_columns = False
+
     def __init__(self, env):
         self.env = env
 
@@ -166,8 +187,40 @@ class BanditWorld:
         reward, feedback = self.env.play(t, policy, rng)
         return reward, feedback, self.env.optimal_value(t)
 
-    def extras(self, record):
-        return None
+    def extras(self, learner):
+        return {}
+
+
+class AverageRewardWorld:
+    """Continuing-MDP adapter: one framework round is one transition.
+
+    The physical state persists across instance switches, blocks, and
+    restarts; a newly resumed learner simply continues from wherever the
+    trajectory currently is.
+    """
+
+    mdp_columns = True
+
+    def __init__(self, env):
+        self.env = env
+        self.state = env.init_state
+
+    def play(self, t, policy, rng):
+        s = self.state
+        table = decode_policy(policy, self.env.n_states, self.env.n_actions)
+        action = int(table[s])
+        reward, nxt = self.env.step(t, s, action, rng)
+        self.state = nxt
+        return reward, (s, action, reward, nxt), self.env.optimal_value(t)
+
+    def extras(self, learner):
+        return {
+            "episode": learner.episode,
+            "eta": learner.eta,
+            "gamma_budget": learner.gamma_budget,
+            "dbar": learner.dbar,
+            "borl_arm": -1,
+        }
 
 
 def test1_fails(
@@ -267,7 +320,7 @@ def master_core(
                     cause = "mdp_signal"
 
                 event = ";".join(runner.events)
-                row = dict(
+                log.append(
                     t=t,
                     block=n,
                     epoch=epoch,
@@ -278,11 +331,8 @@ def master_core(
                     g_tilde=g_tilde,
                     u_min=u_min,
                     event=event,
+                    **world.extras(active.learner),
                 )
-                extras = world.extras(active)
-                if extras is not None:
-                    row.update(extras)
-                log.append(**row)
 
                 t += 1
                 if cause is not None:
@@ -309,8 +359,6 @@ def run_master(
     run_index: int = 0,
 ) -> RunLog:
     """Full run of the reduction over a bandit-style environment."""
-    from .harness import seed_derive
-
     if delta is None:
         delta = 1.0 / horizon
     log = RunLog()
@@ -329,12 +377,13 @@ def run_master(
 
 
 def run_bare(env, learner, horizon: int, seed: int = 0, run_index: int = 0) -> RunLog:
-    """The base learner alone, with no scheduling and no tests."""
-    from .harness import seed_derive
+    """The base learner alone, with no scheduling and no tests.
 
+    Restart signals of the average-reward learner are ignored.
+    """
     rng_env = seed_derive(seed, run_index, "env")
-    log = RunLog()
-    world = BanditWorld(env)
+    world = AverageRewardWorld(env) if env.kind == "infinite" else BanditWorld(env)
+    log = RunLog(mdp_columns=world.mdp_columns)
     for t in range(1, horizon + 1):
         g_tilde = learner.predict()
         policy = learner.act()
@@ -351,5 +400,6 @@ def run_bare(env, learner, horizon: int, seed: int = 0, run_index: int = 0) -> R
             g_tilde=g_tilde,
             u_min=0.0,
             event="",
+            **world.extras(learner),
         )
     return log

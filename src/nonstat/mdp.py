@@ -26,19 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import _Learner, register_learner
-from .envs import InfiniteEnv, decode_policy, encode_policy
-from .master import RunLog, master_core
-from .rates import RateFunction, ucrl_rate
+from .envs import InfiniteEnv, encode_policy
+from .master import AverageRewardWorld, RunLog, master_core, seed_derive
+from .rates import ucrl_rate
 
 __all__ = [
     "EviOutput",
     "evi",
     "widen_to_span",
     "UcrlAcw",
-    "AverageRewardWorld",
-    "rho_ucrl",
+    "ucrl_learner",
     "run_master_ucrl",
-    "run_bare_ucrl",
     "nbar",
     "doubling_dbar",
     "borl",
@@ -188,15 +186,6 @@ def _prior_solution(n_states: int, n_actions: int, horizon: int, delta: float, d
     return out, eta
 
 
-def rho_ucrl(t: float, dbar: float, n_states: int, n_actions: int, horizon: int, delta: float) -> float:
-    """min(dbar*S*sqrt(A*log/t) + dbar*S*A*log/t, dbar) with log = log(SAT/delta)."""
-    lg = math.log(n_states * n_actions * horizon / delta)
-    return min(
-        dbar * n_states * math.sqrt(n_actions * lg / t) + dbar * n_states * n_actions * lg / t,
-        dbar,
-    )
-
-
 class UcrlAcw(_Learner):
     """Optimistic average-reward learner with adaptive confidence widening.
 
@@ -305,35 +294,25 @@ class UcrlAcw(_Learner):
 register_learner("ucrl", UcrlAcw)
 
 
-class AverageRewardWorld:
-    """Continuing-MDP adapter: one framework round is one transition.
+def ucrl_learner(env: InfiniteEnv, horizon: int, delta: float, dbar: float):
+    """(factory, rate) of the average-reward learner with diameter guess dbar."""
+    n_states, n_actions = env.n_states, env.n_actions
+    rate = ucrl_rate(n_states, n_actions, horizon, delta, dbar)
+    return (lambda: UcrlAcw(n_states, n_actions, horizon, delta, dbar)), rate
 
-    The physical state persists across instance switches, blocks, and
-    restarts; a newly resumed learner simply continues from wherever the
-    trajectory currently is.
+
+def _reduce(world, dbar, horizon, delta, kappa, rng_env, rng_sched, log, **rounds):
+    """The reduction over ucrl_learner(dbar); returns what master_core returns.
+
+    Identical control flow to the generic runner, with the test inflation
+    factor at 18 and a third restart cause: the active learner exhausting
+    its widening budget.
     """
-
-    def __init__(self, env: InfiniteEnv):
-        self.env = env
-        self.state = env.init_state
-
-    def play(self, t, policy, rng):
-        s = self.state
-        table = decode_policy(policy, self.env.n_states, self.env.n_actions)
-        action = int(table[s])
-        reward, nxt = self.env.step(t, s, action, rng)
-        self.state = nxt
-        return reward, (s, action, reward, nxt), self.env.optimal_value(t)
-
-    def extras(self, record):
-        learner = record.learner
-        return {
-            "episode": learner.episode,
-            "eta": learner.eta,
-            "gamma_budget": learner.gamma_budget,
-            "dbar": learner.dbar,
-            "borl_arm": -1,
-        }
+    factory, rate = ucrl_learner(world.env, horizon, delta, dbar)
+    return master_core(
+        world, factory, rate, horizon, delta, kappa, rng_env, rng_sched, log,
+        rho_factor=18.0, allow_signal_restart=True, **rounds,
+    )
 
 
 def run_master_ucrl(
@@ -345,75 +324,15 @@ def run_master_ucrl(
     seed: int = 0,
     run_index: int = 0,
 ) -> RunLog:
-    """The reduction over the average-reward learner with a fixed diameter guess.
-
-    Identical control flow to the generic runner, with the test inflation
-    factor at 18 and a third restart cause: the active learner exhausting
-    its widening budget.
-    """
-    from .harness import seed_derive
-
+    """The reduction over the average-reward learner with a fixed diameter guess."""
     horizon = env.horizon if horizon is None else horizon
     if delta is None:
         delta = 1.0 / horizon
     log = RunLog(mdp_columns=True)
-    rate = ucrl_rate(env.n_states, env.n_actions, horizon, delta, dbar)
-    master_core(
-        AverageRewardWorld(env),
-        lambda: UcrlAcw(env.n_states, env.n_actions, horizon, delta, dbar),
-        rate,
-        horizon,
-        delta,
-        kappa,
-        seed_derive(seed, run_index, "env"),
-        seed_derive(seed, run_index, "sched"),
-        log,
-        rho_factor=18.0,
-        allow_signal_restart=True,
+    _reduce(
+        AverageRewardWorld(env), dbar, horizon, delta, kappa,
+        seed_derive(seed, run_index, "env"), seed_derive(seed, run_index, "sched"), log,
     )
-    return log
-
-
-def run_bare_ucrl(
-    env: InfiniteEnv,
-    dbar: float,
-    horizon: int | None = None,
-    delta: float | None = None,
-    seed: int = 0,
-    run_index: int = 0,
-) -> RunLog:
-    """Restart-free learner alone (the paired baseline): signals are ignored."""
-    from .harness import seed_derive
-
-    horizon = env.horizon if horizon is None else horizon
-    if delta is None:
-        delta = 1.0 / horizon
-    rng_env = seed_derive(seed, run_index, "env")
-    learner = UcrlAcw(env.n_states, env.n_actions, horizon, delta, dbar)
-    world = AverageRewardWorld(env)
-    log = RunLog(mdp_columns=True)
-    for t in range(1, horizon + 1):
-        g_tilde = learner.predict()
-        policy = learner.act()
-        reward, feedback, f_star = world.play(t, policy, rng_env)
-        learner.update(feedback)
-        log.append(
-            t=t,
-            block=0,
-            epoch=0,
-            active_order=-1,
-            policy=policy,
-            reward=reward,
-            f_star=f_star,
-            g_tilde=g_tilde,
-            u_min=0.0,
-            event="",
-            episode=learner.episode,
-            eta=learner.eta,
-            gamma_budget=learner.gamma_budget,
-            dbar=learner.dbar,
-            borl_arm=-1,
-        )
     return log
 
 
@@ -449,8 +368,6 @@ def doubling_dbar(
     when Delta is known), the guess doubles and a fresh run continues from
     the current round.
     """
-    from .harness import seed_derive
-
     horizon = env.horizon if horizon is None else horizon
     if delta is None:
         delta = 1.0 / horizon
@@ -462,21 +379,8 @@ def doubling_dbar(
     dbar = 1.0
     t = 1
     while t <= horizon:
-        rate = ucrl_rate(env.n_states, env.n_actions, horizon, delta, dbar)
-        t, reason = master_core(
-            world,
-            lambda dbar=dbar: UcrlAcw(env.n_states, env.n_actions, horizon, delta, dbar),
-            rate,
-            horizon,
-            delta,
-            kappa,
-            rng_env,
-            rng_sched,
-            log,
-            rho_factor=18.0,
-            start_t=t,
-            max_epochs=cap,
-            allow_signal_restart=True,
+        t, reason = _reduce(
+            world, dbar, horizon, delta, kappa, rng_env, rng_sched, log, start_t=t, max_epochs=cap
         )
         if reason == "epoch_overflow":
             dbar *= 2.0
@@ -544,8 +448,6 @@ def borl(
 ) -> RunLog:
     """No prior knowledge at all: adversarial-bandit selection among runs
     with geometrically spaced diameter guesses on fixed-length intervals."""
-    from .harness import seed_derive
-
     horizon = env.horizon if horizon is None else horizon
     if delta is None:
         delta = 1.0 / horizon
@@ -564,22 +466,7 @@ def borl(
         dbar = float(1 << arm)
         end = min(t + block - 1, horizon)
         sub = RunLog(mdp_columns=True)
-        rate = ucrl_rate(env.n_states, env.n_actions, horizon, delta, dbar)
-        master_core(
-            world,
-            lambda dbar=dbar: UcrlAcw(env.n_states, env.n_actions, horizon, delta, dbar),
-            rate,
-            horizon=horizon,
-            delta=delta,
-            kappa=kappa,
-            rng_env=rng_env,
-            rng_sched=rng_sched,
-            log=sub,
-            rho_factor=18.0,
-            start_t=t,
-            end_t=end,
-            allow_signal_restart=True,
-        )
+        _reduce(world, dbar, horizon, delta, kappa, rng_env, rng_sched, sub, start_t=t, end_t=end)
         total = 0.0
         for i in range(len(sub)):
             row = {name: sub.column(name)[i] for name in sub.columns}

@@ -9,7 +9,7 @@ here has the shape
 with p in [1/2, 1) and c3 >= 1, which makes rho non-increasing and C
 non-decreasing by construction.  The scheduler and the stationarity tests
 additionally rely on rho(t) >= 1 / sqrt(t) over the whole horizon, so that
-is validated numerically at construction time.
+is checked exactly at construction time.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ __all__ = [
     "qucb_rate",
     "ucrl_rate",
 ]
-
-# Exhaustive validation of rho(t) >= 1/sqrt(t) is done up to this horizon;
-# beyond it, a geometric grid is checked instead (the crossing, if any, moves
-# slowly so the grid is a practical safeguard, not a proof).
-_FULL_CHECK_LIMIT = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -56,25 +51,21 @@ class RateFunction:
         self._validate_sqrt_floor()
 
     def _validate_sqrt_floor(self):
-        top = min(self.horizon, _FULL_CHECK_LIMIT)
-        t = np.arange(1, top + 1, dtype=np.float64)
-        if np.any(self.rho_array(t) * np.sqrt(t) < 1.0 - 1e-12):
-            bad = int(t[np.argmax(self.rho_array(t) * np.sqrt(t) < 1.0 - 1e-12)])
-            raise ValueError(
-                f"rho(t) >= 1/sqrt(t) violated at t={bad} "
-                f"(rho={self.rho(bad):.6g})"
-            )
-        if self.horizon > top:
-            grid = np.unique(
-                np.concatenate(
-                    [
-                        np.geomspace(top, self.horizon, 4096).astype(np.int64),
-                        np.asarray([self.horizon], dtype=np.int64),
-                    ]
-                )
-            ).astype(np.float64)
-            if np.any(self.rho_array(grid) * np.sqrt(grid) < 1.0 - 1e-12):
-                raise ValueError("rho(t) >= 1/sqrt(t) violated beyond full-check limit")
+        """rho(t) * sqrt(t) >= 1 on every integer t of [1, horizon], checked exactly.
+
+        As c3 >= 1, only g(t) = c1 * t**(p - 1/2) + c2 / sqrt(t) >= 1 can fail.
+        g falls and then rises, so its smallest value on the integers lies at
+        1, at the horizon, or next to its stationary point
+        t* = (c2 / (2 * c1 * (p - 1/2)))**(1/p).
+        """
+        points = {1, self.horizon}
+        slope = 2.0 * self.c1 * (self.p - 0.5)
+        if 0.0 < self.c2 < slope * self.horizon**self.p:  # 0 < t* < horizon
+            t_star = (self.c2 / slope) ** (1.0 / self.p)
+            points.update(max(1, min(self.horizon, t)) for t in (math.floor(t_star), math.ceil(t_star)))
+        for t in sorted(points):
+            if self.rho(t) * math.sqrt(t) < 1.0 - 1e-12:
+                raise ValueError(f"rho(t) >= 1/sqrt(t) violated at t={t} (rho={self.rho(t):.6g})")
 
     def rho(self, t: float) -> float:
         if t < 1:

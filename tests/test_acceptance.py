@@ -24,7 +24,6 @@ from nonstat.mdp import (
     evi,
     nbar,
     optimal_gain,
-    run_bare_ucrl,
     widen_to_span,
 )
 from nonstat.rates import RateFunction, ucb1_rate
@@ -308,7 +307,7 @@ def test_acceptance_06_optimism_rates():
     env = make_env(swap)
     dbar = env.diameter(1)
     j_star = env.optimal_value(1)
-    log = run_bare_ucrl(env, dbar=max(1.0, dbar), horizon=T, seed=62)
+    log = run_bare(env, UcrlAcw(env.n_states, env.n_actions, T, 1.0 / T, dbar=max(1.0, dbar)), T, seed=62)
     episodes = np.asarray(log.column("episode"))
     gains = np.asarray(log.column("g_tilde"))
     per_episode = {}

@@ -214,6 +214,14 @@ def test_loader_rejects_unknown_keys():
         make_env(spec)
 
 
+def test_loader_rejects_seed_key():
+    # randomness comes from the run's derived streams, never from the env spec
+    spec = mab_spec()
+    spec["seed"] = 0
+    with pytest.raises(EnvSpecError, match=r"unknown keys for kind 'mab': \['seed'\]"):
+        make_env(spec)
+
+
 def test_loader_field_level_messages():
     with pytest.raises(EnvSpecError, match=r"segments\[0\].means"):
         make_env({"kind": "mab", "T": 4, "segments": [{"length": 4, "means": [0.2, 1.4]}]})

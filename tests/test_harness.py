@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 import math
 import os
@@ -5,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import nonstat.harness
 from nonstat.harness import (
     SpecError,
     aggregate,
@@ -265,6 +268,13 @@ def tiny_env_for(algorithm):
     }
 
 
+def tiny_spec(algorithm):
+    spec = {"env": tiny_env_for(algorithm), "algorithm": algorithm, "kappa": 1.0, "seeds": [0]}
+    if algorithm == "doubling-dbar":
+        spec["algo"] = {"known_l": 2}
+    return validate_spec(spec)
+
+
 @pytest.mark.parametrize(
     "algorithm",
     [
@@ -283,14 +293,47 @@ def tiny_env_for(algorithm):
     ],
 )
 def test_every_algorithm_end_to_end(algorithm):
-    spec = {
-        "env": tiny_env_for(algorithm),
-        "algorithm": algorithm,
-        "kappa": 1.0,
-        "seeds": [0],
-    }
-    if algorithm == "doubling-dbar":
-        spec["algo"] = {"known_l": 2}
-    report = run_experiment(spec)
+    report = run_experiment(tiny_spec(algorithm))
     assert len(report["per_seed"]) == 1
     assert math.isfinite(report["regret_mean"])
+
+
+# SHA-256 of each algorithm's CSV log on its tiny env at seed 0: a refactor
+# that moves any of them changes what the library computes
+LOG_DIGESTS = {
+    "master+ucb1": "d6a877406552ad8bfea8a32e8531ad009d2d90ad53a0f848343f16ce37d8cd70",
+    "master+oful": "ff9724fe5a7b425747a816c8fc13c9569bd4eb122759cccfbb7c965f9d355171",
+    "master+glm": "59bb74fac34c9382e01fa9d788247090933d9b27e3c628587574d2ec073b5133",
+    "master+qucb": "05116dafaa382dc715678ff7fa70b14971d97d7e7ad25a294cd3b9b2f16f6fc4",
+    "master-ucrl": "6c00b253af680ab3e6da62bdeb51794910767556c2fb752448227c4302515e1b",
+    "doubling-dbar": "6c00b253af680ab3e6da62bdeb51794910767556c2fb752448227c4302515e1b",
+    "borl": "71b48e6806dd5c1fc454719e8f976931cc771fec3f51a5519cd74d1b5f2d8d29",
+    "ucb1": "1c91ed60c09aeeaae1bc6ae418da732e2f391ca42e54696b40d20ca9b8675a5a",
+    "oful": "a4278a58cb9052daa1bc05a3b3ae99a591d73b31cd778fa7e627f9d9f724ff97",
+    "glm": "5d8acce285c1a986e11e141274c1c31e4b3d1045529b49b81ae147569c9b710a",
+    "qucb": "e1fbf42804421ada0441bb920ee3da11cc9f72970fdcf1f69886cd783c147d26",
+    "ucrl": "77a6d39e763418b64821e2a22017348a97060bcf5b34ea37626629485d714fd7",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(LOG_DIGESTS))
+def test_every_algorithm_log_is_pinned(algorithm):
+    text = run_single(tiny_spec(algorithm), 0).to_csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == LOG_DIGESTS[algorithm]
+
+
+def test_benchmark_tracer_sees_every_layer(monkeypatch):
+    # perfbench/tracing.py swaps wrappers onto module and class attributes by
+    # name; a layer it can no longer reach would silently drop out of the split
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for algorithm in ("master+ucb1", "master-ucrl"):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            nonstat.harness.run_single(tiny_spec(algorithm), 0)
+        finally:
+            tracer.uninstall()
+        summary = tracer.summary()
+        for span in ("master.core", "malg.begin", "base.predict", "envs.play"):
+            assert summary[span]["calls"] > 0, (algorithm, span)

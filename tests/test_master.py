@@ -49,8 +49,8 @@ class ScriptedWorld:
     def play(self, t, policy, rng):
         return self.rewards[t - 1], (0, self.rewards[t - 1]), 1.0
 
-    def extras(self, record):
-        return None
+    def extras(self, learner):
+        return {}
 
 
 class ScriptedLearner:

@@ -22,8 +22,6 @@ from nonstat.mdp import (
     evi,
     nbar,
     optimal_gain,
-    rho_ucrl,
-    run_bare_ucrl,
     run_master_ucrl,
     widen_to_span,
 )
@@ -331,24 +329,6 @@ def test_signal_fires_when_budget_crossed():
     )
     assert crossed_at == first_cross
     assert inst.gamma_budget == pytest.approx(10.0 * first_cross)
-
-
-# ---------------------------------------------------------------------------
-# rho_ucrl
-
-
-def test_rho_ucrl_cap_binds():
-    lg = math.log(2 * 2 * 4096 / (1 / 4096))
-    val = rho_ucrl(64, dbar=2.0, n_states=2, n_actions=2, horizon=4096, delta=1 / 4096)
-    unc = 2 * 2 * math.sqrt(2 * lg / 64) + 2 * 2 * 2 * lg / 64
-    assert unc > 2.0
-    assert val == 2.0
-
-
-def test_rho_ucrl_decays():
-    v1 = rho_ucrl(10**6, 2.0, 2, 2, 10**6, 1e-6)
-    v2 = rho_ucrl(10**8, 2.0, 2, 2, 10**6, 1e-6)
-    assert v2 < v1 < 2.0
 
 
 # ---------------------------------------------------------------------------

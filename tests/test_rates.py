@@ -82,3 +82,72 @@ def test_ucrl_rate_cap_is_dbar():
     rf = ucrl_rate(2, 2, 4096, 1 / 4096, dbar=3.0)
     assert rf.c3 == 3.0
     assert rf.rho(1.0) == 3.0  # cap binds at tiny t
+
+
+def test_ucrl_rate_cap_binds():
+    lg = math.log(2 * 2 * 4096 / (1 / 4096))
+    val = ucrl_rate(2, 2, 4096, 1 / 4096, dbar=2.0).rho(64)
+    unc = 2 * 2 * math.sqrt(2 * lg / 64) + 2 * 2 * 2 * lg / 64
+    assert unc > 2.0
+    assert val == 2.0
+
+
+def test_ucrl_rate_decays():
+    rf = ucrl_rate(2, 2, 10**6, 1e-6, 2.0)
+    v1 = rf.rho(10**6)
+    v2 = rf.rho(10**8)
+    assert v2 < v1 < 2.0
+
+
+# ---------------------------------------------------------------------------
+# the exact floor check rho(t) >= 1/sqrt(t)
+
+
+def _floor_holds_exhaustively(c1, c2, p, c3, horizon):
+    return all(
+        min(c1 * t ** (p - 1.0) + c2 / t, c3) * math.sqrt(t) >= 1.0 - 1e-12
+        for t in range(1, horizon + 1)
+    )
+
+
+def _floor_accepted(c1, c2, p, c3, horizon):
+    try:
+        RateFunction(c1=c1, c2=c2, p=p, c3=c3, horizon=horizon)
+    except ValueError:
+        return False
+    return True
+
+
+def test_floor_check_finds_a_dip_between_grid_points():
+    # g(t) = c1*t^(1/4) + c2/sqrt(t) has its minimum 1 - 1e-9 at the
+    # integer ts, far beyond 2^21 and between two points of a geometric grid
+    ts = 2.0**30 + 777
+    c1 = (1 - 1e-9) / (1.5 * ts**0.25)
+    rf_args = dict(c1=c1, c2=c1 * ts**0.75 / 2, p=0.75, c3=1.0, horizon=1 << 40)
+    assert (rf_args["c1"] * ts**0.25 + rf_args["c2"] / math.sqrt(ts)) < 1.0 - 1e-12
+    with pytest.raises(ValueError, match="violated"):
+        RateFunction(**rf_args)
+
+
+def _near_critical():
+    # c2 = 2*c1*(p - 1/2)*t0^p puts the stationary point of g at t0, and
+    # c1 = f / (2p * t0^(p - 1/2)) makes its value there f
+    def build(t0, p, f):
+        c1 = f / (2.0 * p * t0 ** (p - 0.5))
+        return c1, 2.0 * c1 * (p - 0.5) * t0**p, p
+
+    return st.builds(build, st.floats(1.0, 5000.0), st.floats(0.5, 0.95), st.floats(0.999, 1.001))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coeffs=st.one_of(
+        st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.floats(0.5, 0.95)),
+        _near_critical(),
+    ),
+    c3=st.floats(1.0, 4.0),
+    horizon=st.integers(1, 4096),
+)
+def test_floor_check_equals_exhaustive_check(coeffs, c3, horizon):
+    c1, c2, p = coeffs
+    assert _floor_accepted(c1, c2, p, c3, horizon) == _floor_holds_exhaustively(c1, c2, p, c3, horizon)
