@@ -23,6 +23,7 @@ state; none of these four learners consumes randomness.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -297,7 +298,9 @@ def glm_solve(
 
 class GlmUcb(_IndexLearner):
     """GLM-UCB.  update only accumulates the per-action statistics; the
-    estimate theta is refit by glm_solve at its first read after that."""
+    estimate theta is refit by glm_solve at its first read after that.  A
+    learner with no data (no update, zero counts and theta) reads its
+    scores from _glm_prior_scores, shared by all such learners."""
 
     name = "glm"
     _fields = ("counts", "rsums", "t_int", "theta")
@@ -349,6 +352,13 @@ class GlmUcb(_IndexLearner):
         return np.linalg.inv(lam_mat)
 
     def _compute_scores(self) -> np.ndarray:
+        if self.t_int == 0 and not self._fit_stale and not self.counts.any() and not self._theta.any():
+            return _glm_prior_scores(
+                self.actions.tobytes(), self.actions.shape, self.horizon, self.delta, self.link_name, self.lam
+            )
+        return self._fitted_scores()
+
+    def _fitted_scores(self) -> np.ndarray:
         lam_inv = self._lam_inv()
         widths = np.sqrt(np.einsum("kd,de,ke->k", self.actions, lam_inv, self.actions))
         return np.asarray(self.link.mu(self.actions @ self.theta)) + 2.0 * self.beta * widths
@@ -360,6 +370,20 @@ class GlmUcb(_IndexLearner):
         self.t_int += 1
         self._fit_stale = True
         self._score_cache = None
+
+
+@functools.lru_cache(maxsize=64)
+def _glm_prior_scores(actions: bytes, shape: tuple, horizon: int, delta: float, link: str, lam: float):
+    """The score vector of a GLM-UCB learner that has no data, shared by all such learners.
+
+    Without data the scores depend on these parameters only, and the
+    scheduler spawns a fresh learner with them up to every round.  The
+    cached array is read-only.
+    """
+    fresh = GlmUcb(np.frombuffer(actions).reshape(shape), horizon, delta, link, lam)
+    scores = fresh._fitted_scores()
+    scores.flags.writeable = False
+    return scores
 
 
 class QUcb(_Learner):

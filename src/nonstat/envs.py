@@ -7,6 +7,9 @@ feedback payload the matching base algorithm consumes.
 
 All parameters are stored per stationary segment (length, payload) so that
 million-round traces stay cheap; per-round quantities are resolved lazily.
+Every kind caches its oracle (the optimum f*_t, and the diameter of a
+continuing MDP) per segment, computed at the first round that asks for it;
+drifting bandits, which have no segments, compute it every round.
 Environments are immutable after construction: building twice from the same
 spec yields bitwise-identical objects, and sampling takes an external RNG.
 
@@ -19,6 +22,7 @@ live in [0, 1].
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -88,13 +92,14 @@ class _Segments:
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.payloads = payloads
         self.bounds = np.concatenate([[0], np.cumsum(self.lengths)])  # bounds[i] rounds before seg i
+        self._bound_list = self.bounds.tolist()  # bisect on a list is cheaper per round than searchsorted
 
     def __len__(self):
         return len(self.payloads)
 
     def index_of(self, t: int) -> int:
         # t is 1-based; segment i covers rounds bounds[i]+1 .. bounds[i+1]
-        i = int(np.searchsorted(self.bounds, t, side="left")) - 1
+        i = bisect.bisect_left(self._bound_list, t) - 1
         if i < 0 or i >= len(self.payloads):
             raise ValueError(f"round {t} outside horizon {int(self.bounds[-1])}")
         return i
@@ -164,6 +169,7 @@ class MabEnv:
         else:
             self.n_arms = len(segments.payloads[0])
         self.n_policies = self.n_arms
+        self._opt_cache = {}
 
     def means(self, t: int) -> np.ndarray:
         _check_round(self, t)
@@ -177,7 +183,13 @@ class MabEnv:
         return float(self.means(t)[pid])
 
     def optimal_value(self, t: int) -> float:
-        return float(self.means(t).max())
+        if self._drift is not None:
+            return float(self.means(t).max())
+        _check_round(self, t)
+        i = self._segments.index_of(t)
+        if i not in self._opt_cache:
+            self._opt_cache[i] = float(self._segments.payloads[i].max())
+        return self._opt_cache[i]
 
     def play(self, t: int, pid: int, rng):
         m = self.f(t, pid)
@@ -198,6 +210,7 @@ class LinearEnv:
         self.link = link
         self.lam = float(lam)
         self.kind = "glm" if link is not None else "linear"
+        self._opt_cache = {}
 
     def theta(self, t: int) -> np.ndarray:
         _check_round(self, t)
@@ -216,7 +229,13 @@ class LinearEnv:
         return self.link.mu(v) if self.link is not None else v
 
     def optimal_value(self, t: int) -> float:
-        return float(self._values(t).max())
+        if self._drift is not None:
+            return float(self._values(t).max())
+        _check_round(self, t)
+        i = self._segments.index_of(t)
+        if i not in self._opt_cache:
+            self._opt_cache[i] = float(self._values(t).max())
+        return self._opt_cache[i]
 
     def play(self, t: int, pid: int, rng):
         m = self.f(t, pid)

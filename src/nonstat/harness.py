@@ -128,7 +128,7 @@ class Algorithm:
     learner: Callable  # its base learner's (factory, rate)
     drift: str  # the drift measure nonstat_summary computes for it
     run: Callable  # runs one seed
-    bare: str  # its paired baseline without the scheduler
+    bare: str | None  # its paired baseline without the scheduler, if it has one
 
 
 ALGORITHMS = {
@@ -137,9 +137,9 @@ ALGORITHMS = {
     "master+glm": Algorithm("glm", _glm, "glm", _master, "glm"),
     "master+qucb": Algorithm("episodic", _qucb, "qucb", _master, "qucb"),
     "master-ucrl": Algorithm("infinite", _ucrl, "ucrl", _master_ucrl, "ucrl"),
-    # neither has a restart-free counterpart; each is its own baseline
-    "doubling-dbar": Algorithm("infinite", _ucrl, "ucrl", _doubling_dbar, "doubling-dbar"),
-    "borl": Algorithm("infinite", _ucrl, "ucrl", _borl, "borl"),
+    # a restart-free learner would need the diameter guess neither is given
+    "doubling-dbar": Algorithm("infinite", _ucrl, "ucrl", _doubling_dbar, None),
+    "borl": Algorithm("infinite", _ucrl, "ucrl", _borl, None),
     "ucb1": Algorithm("mab", _ucb1, "ucb1", _bare, "ucb1"),
     "oful": Algorithm("linear", _oful, "oful", _bare, "oful"),
     "glm": Algorithm("glm", _glm, "glm", _bare, "glm"),
@@ -188,8 +188,9 @@ def validate_spec(spec: dict) -> dict:
     kappa = spec.get("kappa", 1.0)
     if kappa == "inf":
         kappa = math.inf
-    if not (isinstance(kappa, (int, float)) and (kappa >= 0.0 or math.isinf(kappa))):
-        raise SpecError(f"spec.kappa: must be a nonnegative number or 'inf', got {kappa!r}")
+    # kappa = 0 zeroes both test thresholds, so a spec run would restart every round
+    if not (isinstance(kappa, (int, float)) and kappa > 0.0):
+        raise SpecError(f"spec.kappa: must be a positive number or 'inf', got {kappa!r}")
     seeds = spec["seeds"]
     if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
         raise SpecError("spec.seeds: expected a non-empty list of integers")
@@ -223,10 +224,14 @@ def run_single(spec: dict, seed: int, run_index: int = 0) -> RunLog:
 
 
 def baseline_run(spec: dict, seed: int, run_index: int = 0) -> RunLog:
-    """The spec's base algorithm with no scheduling wrapper (paired baseline)."""
-    bare = dict(spec)
-    bare["algorithm"] = ALGORITHMS[spec["algorithm"]].bare
-    return run_single(bare, seed, run_index)
+    """The spec's base algorithm with no scheduling wrapper (paired baseline).
+
+    Raises SpecError for doubling-dbar and borl, which have none.
+    """
+    name = ALGORITHMS[spec["algorithm"]].bare
+    if name is None:
+        raise SpecError(f"spec.algorithm: {spec['algorithm']!r} has no restart-free counterpart")
+    return run_single(dict(spec, algorithm=name), seed, run_index)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@ from nonstat.mdp import (
 )
 from nonstat.rates import RateFunction, ucb1_rate
 
+# the whole module takes about ten minutes; `-m "not acceptance"` leaves it out
+pytestmark = pytest.mark.acceptance
+
 
 def verdict(num, ok, detail):
     print(f"\nACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")

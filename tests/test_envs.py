@@ -5,9 +5,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonstat.envs import (
     EnvSpecError,
+    _Segments,
     decode_layer_policy,
     decode_policy,
     encode_layer_policy,
@@ -75,6 +78,75 @@ def test_optimal_value_out_of_range():
         optimal_value(env, 0)
     with pytest.raises(ValueError):
         optimal_value(env, 65)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+def test_index_of_matches_searchsorted(lengths):
+    segs = _Segments(lengths, list(range(len(lengths))))
+    T = sum(lengths)
+    for t in range(1, T + 1):
+        expected = int(np.searchsorted(segs.bounds, t, side="left")) - 1
+        assert segs.index_of(t) == expected
+        assert segs.index_of(np.int64(t)) == expected
+    for t in (-1, 0, T + 1):
+        with pytest.raises(ValueError):
+            segs.index_of(t)
+
+
+def _segment_env(kind, lengths, rng):
+    if kind == "mab":
+        segments = [{"length": n, "means": rng.random(3).tolist()} for n in lengths]
+        return make_env({"kind": "mab", "T": sum(lengths), "segments": segments})
+    if kind == "linear":
+        spec = {"kind": "linear", "actions": [[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]]}
+        thetas = [(0.6 * rng.random(2)).tolist() for _ in lengths]
+    else:
+        spec = {"kind": "glm", "link": "logistic", "actions": [[1.0, 0.0], [-0.6, 0.8], [0.6, 0.6]]}
+        thetas = [rng.uniform(-0.7, 0.7, 2).tolist() for _ in lengths]
+    spec["T"] = sum(lengths)
+    spec["segments"] = [{"length": n, "theta": th} for n, th in zip(lengths, thetas)]
+    return make_env(spec)
+
+
+def _uncached_optimum(env, t):
+    if env.kind == "mab":
+        return float(env.means(t).max())
+    return float(env._values(t).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["mab", "linear", "glm"]),
+    st.lists(st.integers(1, 9), min_size=2, max_size=6),
+    st.integers(0, 2**16),
+)
+def test_cached_optimal_value_is_bitwise_uncached(kind, lengths, seed):
+    rng = np.random.default_rng(seed)
+    env = _segment_env(kind, lengths, rng)
+    # rounds in any order: a segment's entry may be filled by any of its rounds
+    for t in rng.permutation(np.arange(1, env.horizon + 1)).tolist() * 2:
+        assert env.optimal_value(t).hex() == _uncached_optimum(env, t).hex()
+    assert sorted(env._opt_cache) == list(range(len(lengths)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "mab", "T": 9, "drift": {"means_start": [0.2, 0.8], "means_end": [0.9, 0.1]}},
+        {
+            "kind": "linear",
+            "T": 9,
+            "actions": [[1.0, 0.0], [0.0, 1.0]],
+            "drift": {"theta_start": [0.2, 0.6], "theta_end": [0.7, 0.1]},
+        },
+    ],
+)
+def test_drift_env_optimal_value_bypasses_the_cache(spec):
+    env = make_env(spec)
+    for t in range(1, env.horizon + 1):
+        assert env.optimal_value(t).hex() == _uncached_optimum(env, t).hex()
+    assert env._opt_cache == {}
 
 
 # ---------------------------------------------------------------------------

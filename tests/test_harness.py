@@ -73,6 +73,13 @@ def test_validate_normalizes_defaults():
     assert spec["kappa"] == 1.0
 
 
+@pytest.mark.parametrize("kappa", [0, 0.0, -1.0, -math.inf, math.nan, "zero"])
+def test_validate_rejects_nonpositive_kappa(kappa):
+    # kappa = 0 zeroes both thresholds; the library calls still accept it
+    with pytest.raises(SpecError, match=r"spec\.kappa"):
+        validate_spec(experiment(kappa=kappa))
+
+
 def test_validate_rejects_unknown_keys():
     with pytest.raises(SpecError, match="unknown keys"):
         validate_spec(experiment(bogus=1))
@@ -141,6 +148,12 @@ def test_baseline_run_is_bare():
     spec = validate_spec(experiment())
     log = baseline_run(spec, seed=0)
     assert set(log.column("active_order")) == {-1}
+
+
+@pytest.mark.parametrize("algorithm", ["doubling-dbar", "borl"])
+def test_baseline_run_needs_a_restart_free_counterpart(algorithm):
+    with pytest.raises(SpecError, match="no restart-free counterpart"):
+        baseline_run(tiny_spec(algorithm), seed=0)
 
 
 def test_run_experiment_persists_and_aggregates(tmp_path):

@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import nonstat.base
 from nonstat.base import (
@@ -20,6 +23,7 @@ from nonstat.base import (
     Oful,
     Ucb1,
     _clamp01,
+    _glm_prior_scores,
     _Learner,
     glm_solve,
     restore,
@@ -229,3 +233,102 @@ def test_glm_fit_never_read_never_raises(monkeypatch):
     assert inst.predict() == 1.0  # the data-free estimate needs no fit
     inst.act()
     inst.update((1, 1.0))  # then the instance is discarded unread
+
+
+# ---------------------------------------------------------------------------
+# the shared score vector of GLM-UCB learners without data
+
+
+@st.composite
+def glm_params(draw):
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    actions = draw(hnp.arrays(np.float64, (k, d), elements=st.floats(-1.0, 1.0)))
+    return dict(
+        actions=actions,
+        horizon=draw(st.integers(16, 4096)),
+        delta=draw(st.floats(1e-4, 0.5)),
+        link=draw(st.sampled_from(sorted(LINKS))),
+        lam=draw(st.floats(0.1, 2.0)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(glm_params())
+def test_glm_prior_scores_equal_fresh_eager_scores(params):
+    cached = GlmUcb(**params)._compute_scores()
+    eager = EagerGlm(**params)._scores()
+    assert cached.dtype == eager.dtype
+    assert cached.tobytes() == eager.tobytes()
+    with pytest.raises(ValueError):
+        cached[0] = 0.0  # one array serves every such learner: it is read-only
+
+
+def test_fresh_glm_learners_share_the_prior_scores():
+    _glm_prior_scores.cache_clear()
+    first, second = GlmUcb(ACTIONS, 512, 1 / 512), GlmUcb(ACTIONS, 512, 1 / 512)
+    assert first.predict() == second.predict()
+    assert first._scores() is second._scores()
+    info = _glm_prior_scores.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # a learner restored from a data-free snapshot is data-free too
+    assert restore(snapshot_to_json(first))._scores() is first._scores()
+
+
+BASE_GLM = dict(actions=np.array(ACTIONS), horizon=512, delta=1 / 512, link="logistic", lam=1.0)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(actions=np.array(ACTIONS).reshape(2, 4)),  # same bytes, another shape
+        dict(actions=np.array(ACTIONS)[::-1].copy()),
+        dict(horizon=1024),
+        dict(delta=1 / 1024),
+        dict(link="identity"),
+        dict(lam=0.5),
+    ],
+)
+def test_glm_prior_scores_key_on_every_parameter(change):
+    GlmUcb(**BASE_GLM)._scores()  # the base entry is cached
+    params = dict(BASE_GLM, **change)
+    assert GlmUcb(**params)._scores().tobytes() == EagerGlm(**params)._scores().tobytes()
+
+
+def _with_data(inst):
+    inst.update((2, 1.0))
+
+
+def _with_theta(inst):
+    inst.theta = np.array([0.0, 0.25])
+
+
+def _with_counts_only(inst):
+    inst.counts[1] = 1.0
+
+
+def _with_time_only(inst):
+    inst.t_int = 1
+
+
+def _restored_with_data(inst):
+    _with_data(inst)
+    return restore(snapshot_to_json(inst))
+
+
+@pytest.mark.parametrize(
+    "make_state", [_with_data, _with_theta, _with_counts_only, _with_time_only, _restored_with_data]
+)
+def test_glm_learner_with_state_never_takes_the_prior(monkeypatch, make_state):
+    inst = GlmUcb(ACTIONS, 512, 1 / 512)
+    inst = make_state(inst) or inst
+
+    def no_prior(*args):
+        raise AssertionError("a learner with state took the data-free scores")
+
+    monkeypatch.setattr(nonstat.base, "_glm_prior_scores", no_prior)
+    eager = EagerGlm(ACTIONS, 512, 1 / 512)
+    eager.counts, eager.t_int, eager.theta = inst.counts.copy(), inst.t_int, inst.theta.copy()
+    assert inst.predict() == eager.predict()
+    assert inst.act() == eager.act()
+    assert inst._scores().flags.writeable
