@@ -7,8 +7,6 @@ from .envs import (
     load_env,
     make_env,
     nonstat_summary,
-    optimal_value,
-    sample_reward,
 )
 from .harness import baseline_run, run_experiment, run_single
 from .malg import MalgRunner, rho_hat, schedule_upfront, spawn_probability
@@ -56,7 +54,6 @@ __all__ = [
     "nonstat_summary",
     "oful_rate",
     "optimal_gain",
-    "optimal_value",
     "qucb_rate",
     "restore",
     "rho_hat",
@@ -65,7 +62,6 @@ __all__ = [
     "run_master",
     "run_master_ucrl",
     "run_single",
-    "sample_reward",
     "schedule_upfront",
     "seed_derive",
     "spawn_probability",

@@ -2,8 +2,9 @@
 
 Five environment kinds share one interface: a finite policy set indexed by
 integers, a per-round expected reward f_t(pi), an exact per-round optimum
-f*_t, and a sampler producing a noisy reward in [0, 1] together with the
-feedback payload the matching base algorithm consumes.
+f*_t, and a sampler (play; step for a continuing MDP) producing a noisy
+reward in [0, 1] together with the feedback payload the matching base
+algorithm consumes.
 
 All parameters are stored per stationary segment (length, payload) so that
 million-round traces stay cheap; per-round quantities are resolved lazily.
@@ -38,8 +39,6 @@ __all__ = [
     "NonstatSummary",
     "make_env",
     "load_env",
-    "optimal_value",
-    "sample_reward",
     "nonstat_summary",
     "encode_policy",
     "decode_policy",
@@ -367,12 +366,6 @@ class InfiniteEnv:
     def max_diameter(self) -> float:
         return max(self.diameter(int(b) + 1) for b in self._segments.bounds[:-1])
 
-    def play(self, t, pid, rng):
-        raise TypeError(
-            "infinite-horizon environments advance one transition at a time; "
-            "use env.step(t, state, action, rng)"
-        )
-
 
 # ---------------------------------------------------------------------------
 # exact gain of a fixed policy (oracle used for Delta^J and tests)
@@ -436,22 +429,6 @@ def policy_gain(trans, rewards, table, init_state: int) -> float:
 
 # ---------------------------------------------------------------------------
 # module-level operations
-
-
-def optimal_value(env, t: int) -> float:
-    return env.optimal_value(t)
-
-
-def sample_reward(env, t: int, pid: int, rng, state: int | None = None):
-    """Noisy reward with mean f_t(pi); for infinite MDPs a single transition."""
-    if isinstance(env, InfiniteEnv):
-        if state is None:
-            raise TypeError("infinite-horizon sampling needs the current state")
-        table = decode_policy(pid, env.n_states, env.n_actions)
-        r, _ = env.step(t, state, int(table[state]), rng)
-        return r
-    r, _ = env.play(t, pid, rng)
-    return r
 
 
 def _boundary_rows(env):

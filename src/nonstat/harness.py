@@ -155,6 +155,10 @@ _SPEC_KEYS = {"env", "algorithm", "T", "delta", "kappa", "seeds", "out", "algo"}
 _ALGO_KEYS = {"c", "dbar", "known_l", "known_delta", "refactor_every"}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_spec(spec: dict) -> dict:
     """Normalize and validate an experiment spec; raises SpecError."""
     if not isinstance(spec, dict):
@@ -173,6 +177,8 @@ def validate_spec(spec: dict) -> dict:
     except EnvSpecError as exc:
         raise SpecError(f"spec.env -> {exc}") from None
     horizon = spec.get("T", env.horizon)
+    if not _is_int(horizon):
+        raise SpecError(f"spec.T: expected an integer, got {horizon!r}")
     if horizon != env.horizon:
         raise SpecError(f"spec.T: {horizon} does not match env horizon {env.horizon}")
     expected_kind = ALGORITHMS[algorithm].env_kind
@@ -189,10 +195,10 @@ def validate_spec(spec: dict) -> dict:
     if kappa == "inf":
         kappa = math.inf
     # kappa = 0 zeroes both test thresholds, so a spec run would restart every round
-    if not (isinstance(kappa, (int, float)) and kappa > 0.0):
+    if not (isinstance(kappa, (int, float)) and not isinstance(kappa, bool) and kappa > 0.0):
         raise SpecError(f"spec.kappa: must be a positive number or 'inf', got {kappa!r}")
     seeds = spec["seeds"]
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
         raise SpecError("spec.seeds: expected a non-empty list of integers")
     algo = spec.get("algo", {})
     if not isinstance(algo, dict) or set(algo) - _ALGO_KEYS:

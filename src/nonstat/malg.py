@@ -2,17 +2,15 @@
 
 A block of length 2^n is tiled, for every order m = n..0, by 2^(n-m)
 aligned slots of length 2^m; each slot independently hosts a fresh learner
-instance with probability rho(2^n) / rho(2^m).  The order-n slot is always
-occupied.  At any round exactly one covering instance — the one of smallest
-order — is active: it emits the block's optimistic value g~_t, chooses the
-policy, and is the only instance whose learner state is updated.  Every
-covering instance accumulates the learner's reward into its interval sum,
-which the order-level stationarity test reads when the instance ends.
-
-Spawning is sampled lazily at each slot start instead of upfront at block
-start; the per-slot draws are independent Bernoullis either way, so the two
-procedures are distributionally identical (unit-tested), and lazy sampling
-avoids materializing schedules that a restart would discard.
+instance with probability rho(2^n) / rho(2^m), so the order-n slot is always
+occupied.  spawn_orders is the one implementation of this law: it draws the
+Bernoullis of the slots starting at an offset (orders descending) when the
+block reaches that offset, so a block cut short consumes only the draws of
+the rounds it played.  At any round exactly one covering instance — the one
+of smallest order — is active: it emits the block's optimistic value g~_t,
+chooses the policy, and is the only instance whose learner state is updated.
+Every covering instance accumulates the learner's reward into its interval
+sum, which the order-level stationarity test reads when the instance ends.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ __all__ = [
     "InstanceRecord",
     "MalgRunner",
     "spawn_probability",
+    "spawn_orders",
     "schedule_upfront",
     "rho_hat",
     "n_hat",
@@ -62,16 +61,26 @@ def spawn_probability(n: int, m: int, rate: RateFunction) -> float:
     return rate.rho(float(1 << n)) / rate.rho(float(1 << m))
 
 
-def schedule_upfront(n: int, rate: RateFunction, rng) -> list[tuple[int, int, int]]:
-    """The upfront scheduling procedure, verbatim: returns (m, start_offset,
-    end_offset) triples with offsets 0-based relative to the block start."""
+def spawn_orders(n: int, rate: RateFunction, rng):
+    """Yield, for each offset 0..2^n-1 of a block, the orders spawned there.
+
+    The orders come descending; the draws of an offset, one per slot that
+    starts there, are made when the generator reaches it.
+    """
     probs = [spawn_probability(n, m, rate) for m in range(n + 1)]
-    out = []
     for tau in range(1 << n):
-        for m in range(n, -1, -1):
-            if tau % (1 << m) == 0 and rng.random() < probs[m]:
-                out.append((m, tau, tau + (1 << m) - 1))
-    return out
+        top = n if tau == 0 else (tau & -tau).bit_length() - 1  # slots of order <= top start here
+        yield [m for m in range(top, -1, -1) if rng.random() < probs[m]]
+
+
+def schedule_upfront(n: int, rate: RateFunction, rng) -> list[tuple[int, int, int]]:
+    """The whole block's schedule at once: (m, start_offset, end_offset)
+    triples with offsets 0-based relative to the block start."""
+    return [
+        (m, tau, tau + (1 << m) - 1)
+        for tau, orders in enumerate(spawn_orders(n, rate, rng))
+        for m in orders
+    ]
 
 
 @dataclass
@@ -93,7 +102,8 @@ class InstanceRecord:
 class MalgRunner:
     """Runs one block: spawning, activity resolution, and feedback routing.
 
-    Use as two phases per round t (block_start <= t <= block_start+2^n-1):
+    Use as two phases per round t, for every t = block_start .. block_start+2^n-1
+    in turn (the block may be cut short):
 
         g, policy, active = runner.begin_round(t)
         ... play the environment ...
@@ -104,64 +114,39 @@ class MalgRunner:
     """
 
     def __init__(self, block_start: int, order_n: int, rate: RateFunction, factory, rng):
-        self.block_start = block_start
-        self.order_n = order_n
-        self.rate = rate
         self.factory = factory
-        self.rng = rng
-        self._probs = [spawn_probability(order_n, m, rate) for m in range(order_n + 1)]
-        self._slots: list[InstanceRecord | None] = [None] * (order_n + 1)
+        self._spawns = spawn_orders(order_n, rate, rng)
+        # the instances covering the current round, orders descending: aligned
+        # slots nest, so each spawn has the smallest order and the active
+        # instance is always last
+        self._live: list[InstanceRecord] = []
         self._next_uid = 0
         self._active: InstanceRecord | None = None
-        self._prev_active_uid = -1
-        self._last_signal = False
+        self._prev: InstanceRecord | None = None
         self.events: list[str] = []
 
     # -- phase 1 -----------------------------------------------------------
 
     def begin_round(self, t: int):
-        self.events = []
-        self._maybe_spawn(t)
-        rec = self._select_active(t)
-        self._active = rec
-        if rec.uid != self._prev_active_uid:
-            prev = self._find_uid(self._prev_active_uid)
-            if prev is not None and prev.start <= t <= prev.end:
-                self.events.append(f"pause m{prev.order}#{prev.uid}")
+        self.events = events = []
+        live = self._live
+        for m in next(self._spawns):
+            assert not live or live[-1].order > m, "overlapping same-order instances"
+            rec = InstanceRecord(
+                uid=self._next_uid, order=m, start=t, end=t + (1 << m) - 1, learner=self.factory()
+            )
+            self._next_uid += 1
+            live.append(rec)
+            events.append(f"spawn m{m}#{rec.uid}@[{rec.start},{rec.end}]")
+        assert live, f"no covering instance at round {t}"  # order n always covers
+        rec = self._active = live[-1]
+        prev = self._prev
+        if rec is not prev:
+            if prev is not None and prev.end >= t:
+                events.append(f"pause m{prev.order}#{prev.uid}")
             if rec.active_rounds > 0:
-                self.events.append(f"resume m{rec.order}#{rec.uid}")
+                events.append(f"resume m{rec.order}#{rec.uid}")
         return rec.learner.predict(), rec.learner.act(), rec
-
-    def _maybe_spawn(self, t: int):
-        offset = t - self.block_start
-        for m in range(self.order_n, -1, -1):
-            size = 1 << m
-            if offset % size == 0 and self.rng.random() < self._probs[m]:
-                old = self._slots[m]
-                assert old is None or old.end < t, "overlapping same-order instances"
-                rec = InstanceRecord(
-                    uid=self._next_uid,
-                    order=m,
-                    start=t,
-                    end=t + size - 1,
-                    learner=self.factory(),
-                )
-                self._next_uid += 1
-                self._slots[m] = rec
-                self.events.append(f"spawn m{m}#{rec.uid}@[{rec.start},{rec.end}]")
-
-    def _select_active(self, t: int) -> InstanceRecord:
-        for m in range(self.order_n + 1):
-            rec = self._slots[m]
-            if rec is not None and rec.start <= t <= rec.end:
-                return rec
-        raise AssertionError(f"no covering instance at round {t}")  # order-n always covers
-
-    def _find_uid(self, uid: int):
-        for rec in self._slots:
-            if rec is not None and rec.uid == uid:
-                return rec
-        return None
 
     # -- phase 2 -----------------------------------------------------------
 
@@ -170,27 +155,19 @@ class MalgRunner:
         assert rec is not None, "finish_round before begin_round"
         rec.learner.update(feedback)
         rec.active_rounds += 1
-        self._prev_active_uid = rec.uid
-        self._last_signal = bool(rec.learner.restart_signaled)
-        ended = []
-        for m in range(self.order_n + 1):
-            other = self._slots[m]
-            if other is None or not (other.start <= t <= other.end):
-                continue
-            other.reward_sum += reward
-            if other.end == t:
-                ended.append(other)
-                self.events.append(f"end m{m}#{other.uid}")
-                self._slots[m] = None
+        self._prev = rec
         self._active = None
+        live = self._live
+        for other in live:
+            other.reward_sum += reward
+        ended = []
+        while live and live[-1].end == t:
+            other = live.pop()
+            ended.append(other)
+            self.events.append(f"end m{other.order}#{other.uid}")
         return ended
 
     # -- introspection ------------------------------------------------------
 
-    @property
-    def active_signaled(self) -> bool:
-        """True when the learner updated this round raised a restart signal."""
-        return self._last_signal
-
     def live_instances(self) -> list[InstanceRecord]:
-        return [rec for rec in self._slots if rec is not None]
+        return list(self._live)

@@ -11,11 +11,15 @@ are performed:
         fail iff  mean(g~ - R)      >=  3 * rho_hat(t - t_n + 1)
 
 A failed test aborts the epoch: everything restarts from scratch at the
-next round (block order back to 0, all instances discarded).  A fail
-detected at round t takes effect at t+1, matching the act / update / test /
-increment order of the control loop.  When both tests fail in the same
-round a single restart is recorded with the order-level test taking
-precedence.
+next round (block order back to 0, all instances discarded).  A third
+cause, "mdp_signal", restarts when the active learner raises its
+restart_signaled flag (only the average-reward learner does, when its
+widening budget runs out).  A fail detected at round t takes effect at t+1,
+matching the act / update / test / increment order of the control loop.
+When several causes fire in the same round a single restart is recorded,
+with the order-level test first, then the block test, then the signal.
+The restart is written as a "restart <cause>" token into that round's
+event field; RunLog.restarts is read from the event and block columns.
 
 The per-round log stores the environment oracle's f*_t captured at
 simulation time, so dynamic regret is an exact second pass over the rows.
@@ -91,7 +95,6 @@ class RunLog:
         self.has_mdp_columns = mdp_columns
         self.columns = _BASE_COLUMNS + _MDP_COLUMNS if mdp_columns else _BASE_COLUMNS
         self._data = {name: [] for name in self.columns}
-        self.restarts: list[RestartEvent] = []
 
     def __len__(self):
         return len(self._data["t"])
@@ -102,6 +105,17 @@ class RunLog:
 
     def column(self, name):
         return self._data[name]
+
+    @property
+    def restarts(self) -> list[RestartEvent]:
+        """The restart tokens of the event column, with their rows' round and block."""
+        data = self._data
+        return [
+            RestartEvent(round=t, cause=token[len("restart "):], block=block)
+            for t, block, event in zip(data["t"], data["block"], data["event"])
+            for token in event.split(";")
+            if token.startswith("restart ")
+        ]
 
     def amend_event(self, extra: str):
         """Append a token to the most recent row's event field."""
@@ -157,11 +171,6 @@ class RunLog:
                 else:
                     values[name] = float(cell)
             log.append(**values)
-        for t, block, ev in zip(log.column("t"), log.column("block"), log.column("event")):
-            for token in ev.split(";"):
-                if token.startswith("restart "):
-                    cause = token[len("restart ") :]
-                    log.restarts.append(RestartEvent(round=t, cause=cause, block=block))
         return log
 
 
@@ -196,7 +205,8 @@ class AverageRewardWorld:
 
     The physical state persists across instance switches, blocks, and
     restarts; a newly resumed learner simply continues from wherever the
-    trajectory currently is.
+    trajectory currently is.  borl_arm is the diameter-guess arm BORL is
+    playing (-1 outside BORL), logged with every row.
     """
 
     mdp_columns = True
@@ -204,6 +214,7 @@ class AverageRewardWorld:
     def __init__(self, env):
         self.env = env
         self.state = env.init_state
+        self.borl_arm = -1
 
     def play(self, t, policy, rng):
         s = self.state
@@ -219,7 +230,7 @@ class AverageRewardWorld:
             "eta": learner.eta,
             "gamma_budget": learner.gamma_budget,
             "dbar": learner.dbar,
-            "borl_arm": -1,
+            "borl_arm": self.borl_arm,
         }
 
 
@@ -272,7 +283,6 @@ def master_core(
     start_t: int = 1,
     end_t: int | None = None,
     max_epochs: int | None = None,
-    allow_signal_restart: bool = False,
 ):
     """Shared control loop; returns (next_round, stop_reason).
 
@@ -316,10 +326,10 @@ def master_core(
                     gap_sum, length, rate, horizon, delta, kappa, rho_factor
                 ):
                     cause = "test2"
-                if cause is None and allow_signal_restart and runner.active_signaled:
+                if cause is None and active.learner.restart_signaled:
                     cause = "mdp_signal"
 
-                event = ";".join(runner.events)
+                events = runner.events if cause is None else [*runner.events, f"restart {cause}"]
                 log.append(
                     t=t,
                     block=n,
@@ -330,14 +340,12 @@ def master_core(
                     f_star=f_star,
                     g_tilde=g_tilde,
                     u_min=u_min,
-                    event=event,
+                    event=";".join(events),
                     **world.extras(active.learner),
                 )
 
                 t += 1
                 if cause is not None:
-                    log.amend_event(f"restart {cause}")
-                    log.restarts.append(RestartEvent(round=t - 1, cause=cause, block=n))
                     restarted = True
                     break
             n += 1

@@ -304,14 +304,14 @@ def ucrl_learner(env: InfiniteEnv, horizon: int, delta: float, dbar: float):
 def _reduce(world, dbar, horizon, delta, kappa, rng_env, rng_sched, log, **rounds):
     """The reduction over ucrl_learner(dbar); returns what master_core returns.
 
-    Identical control flow to the generic runner, with the test inflation
-    factor at 18 and a third restart cause: the active learner exhausting
-    its widening budget.
+    The generic control loop with the test inflation factor at 18; the
+    learner's restart signal (its widening budget running out) is the
+    loop's third restart cause.
     """
     factory, rate = ucrl_learner(world.env, horizon, delta, dbar)
     return master_core(
         world, factory, rate, horizon, delta, kappa, rng_env, rng_sched, log,
-        rho_factor=18.0, allow_signal_restart=True, **rounds,
+        rho_factor=18.0, **rounds,
     )
 
 
@@ -462,18 +462,13 @@ def borl(
     log = RunLog(mdp_columns=True)
     t = 1
     while t <= horizon:
-        arm = picker.sample(rng_borl)
-        dbar = float(1 << arm)
+        arm = world.borl_arm = picker.sample(rng_borl)
         end = min(t + block - 1, horizon)
-        sub = RunLog(mdp_columns=True)
-        _reduce(world, dbar, horizon, delta, kappa, rng_env, rng_sched, sub, start_t=t, end_t=end)
+        first = len(log)
+        _reduce(world, float(1 << arm), horizon, delta, kappa, rng_env, rng_sched, log, start_t=t, end_t=end)
         total = 0.0
-        for i in range(len(sub)):
-            row = {name: sub.column(name)[i] for name in sub.columns}
-            row["borl_arm"] = arm
-            log.append(**row)
-            total += row["reward"]
-        log.restarts.extend(sub.restarts)
+        for reward in log.column("reward")[first:]:
+            total += reward
         picker.update(arm, total / block)
         t = end + 1
     return log

@@ -97,10 +97,14 @@ def test_diameter_rejects_wrong_kind(tmp_path, capsys):
 
 def test_console_script_entry_point(tmp_path):
     cfg = write_config(tmp_path, T=16)
+    # the child interpreter finds the package in src whether or not it is installed
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nonstat.cli", "run", "--config", cfg],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert "regret_mean" in proc.stdout

@@ -17,9 +17,7 @@ from nonstat.envs import (
     encode_policy,
     make_env,
     nonstat_summary,
-    optimal_value,
     policy_gain,
-    sample_reward,
 )
 from nonstat.harness import seed_derive
 
@@ -49,7 +47,7 @@ def episodic_spec(rng, T=8, S=2, A=2, H=3):
 
 def test_optimal_value_mab_max_of_means():
     env = make_env(mab_spec())
-    assert optimal_value(env, 1) == 0.8
+    assert env.optimal_value(1) == 0.8
 
 
 def test_optimal_value_linear_coordinate_actions():
@@ -61,7 +59,7 @@ def test_optimal_value_linear_coordinate_actions():
             "segments": [{"length": 16, "theta": [0.3, 0.7]}],
         }
     )
-    assert optimal_value(env, 5) == pytest.approx(0.7)
+    assert env.optimal_value(5) == pytest.approx(0.7)
 
 
 def test_optimal_value_episodic_matches_policy_enumeration():
@@ -69,15 +67,15 @@ def test_optimal_value_episodic_matches_policy_enumeration():
     rng = np.random.default_rng(7)
     env = make_env(episodic_spec(rng))
     best = max(env.policy_value(1, pid) for pid in range(env.n_policies))
-    assert optimal_value(env, 1) == pytest.approx(best, abs=1e-12)
+    assert env.optimal_value(1) == pytest.approx(best, abs=1e-12)
 
 
 def test_optimal_value_out_of_range():
     env = make_env(mab_spec())
     with pytest.raises(ValueError):
-        optimal_value(env, 0)
+        env.optimal_value(0)
     with pytest.raises(ValueError):
-        optimal_value(env, 65)
+        env.optimal_value(65)
 
 
 @settings(max_examples=200, deadline=None)
@@ -234,21 +232,21 @@ def test_summary_algo_env_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# sample_reward
+# reward sampling (play, and step for continuing MDPs)
 
 
 def test_sample_reward_degenerate():
     env = make_env(mab_spec(segments=[{"length": 64, "means": [1.0, 0.0]}]))
     rng = seed_derive(0, 0, "test")
-    assert all(sample_reward(env, 1, 0, rng) == 1.0 for _ in range(20))
-    assert all(sample_reward(env, 1, 1, rng) == 0.0 for _ in range(20))
+    assert all(env.play(1, 0, rng)[0] == 1.0 for _ in range(20))
+    assert all(env.play(1, 1, rng)[0] == 0.0 for _ in range(20))
 
 
 def test_sample_reward_monte_carlo_mean():
     env = make_env(mab_spec(segments=[{"length": 64, "means": [0.6, 0.3]}]))
     rng = seed_derive(1, 0, "test")
     n = 100_000
-    draws = np.array([sample_reward(env, 1, 0, rng) for _ in range(n)])
+    draws = np.array([env.play(1, 0, rng)[0] for _ in range(n)])
     tol = 3.0 * math.sqrt(0.24 / n)
     assert abs(draws.mean() - 0.6) <= tol
     assert set(np.unique(draws)) <= {0.0, 1.0}
@@ -260,7 +258,7 @@ def test_sample_reward_episodic_mean_matches_f():
     pid = 7 % env.n_policies
     f = env.f(1, pid)
     rng = seed_derive(2, 0, "test")
-    draws = np.array([sample_reward(env, 1, pid, rng) for _ in range(20_000)])
+    draws = np.array([env.play(1, pid, rng)[0] for _ in range(20_000)])
     assert np.all((draws >= 0) & (draws <= 1))
     assert abs(draws.mean() - f) <= 4.0 * draws.std() / math.sqrt(len(draws)) + 1e-3
 
@@ -438,12 +436,11 @@ def test_sample_reward_infinite_needs_state():
         }
     )
     rng = seed_derive(20, 0, "inf")
-    with pytest.raises(TypeError):
-        sample_reward(env, 1, 0, rng)
-    assert sample_reward(env, 1, 0, rng, state=0) == 1.0
-    assert sample_reward(env, 1, 0, rng, state=1) == 0.0
-    with pytest.raises(TypeError):
-        env.play(1, 0, rng)
+    # a continuing MDP samples one transition from a given state, never a
+    # whole policy's reward
+    assert not hasattr(env, "play")
+    assert env.step(1, 0, 0, rng) == (1.0, 1)
+    assert env.step(1, 1, 0, rng) == (0.0, 0)
 
 
 def test_linear_drift_env():

@@ -80,6 +80,28 @@ def test_validate_rejects_nonpositive_kappa(kappa):
         validate_spec(experiment(kappa=kappa))
 
 
+@pytest.mark.parametrize("kappa", [True, False])
+def test_validate_rejects_boolean_kappa(kappa):
+    with pytest.raises(SpecError, match=r"spec\.kappa"):
+        validate_spec(experiment(kappa=kappa))
+
+
+@pytest.mark.parametrize("seeds", [[True, False], [0, True], [1.0], ["1"]])
+def test_validate_rejects_non_integer_seeds(seeds):
+    # isinstance(True, int) holds; a boolean seed would name its file seed_True.csv
+    with pytest.raises(SpecError, match=r"spec\.seeds"):
+        validate_spec(experiment(seeds=seeds))
+
+
+@pytest.mark.parametrize("horizon", [128.0, True, "128", None])
+def test_validate_rejects_non_integer_horizon(horizon):
+    # 128.0 == 128 would pass the horizon check and be written into aggregate.json
+    spec = experiment()
+    spec["T"] = horizon  # env horizon stays 128
+    with pytest.raises(SpecError, match=r"spec\.T: expected an integer"):
+        validate_spec(spec)
+
+
 def test_validate_rejects_unknown_keys():
     with pytest.raises(SpecError, match="unknown keys"):
         validate_spec(experiment(bogus=1))
@@ -350,3 +372,94 @@ def test_benchmark_tracer_sees_every_layer(monkeypatch):
         summary = tracer.summary()
         for span in ("master.core", "malg.begin", "base.predict", "envs.play"):
             assert summary[span]["calls"] > 0, (algorithm, span)
+
+
+def switch_mdp_spec(T=32):
+    """S=3, A=2 average-reward MDP whose rewards and kernel change at T/2."""
+    return {
+        "kind": "infinite",
+        "T": T,
+        "S": 3,
+        "A": 2,
+        "segments": [
+            {
+                "length": T // 2,
+                "rewards": [[0.9, 0.1], [0.2, 0.3], [0.0, 0.6]],
+                "transitions": [
+                    [[0.6, 0.3, 0.1], [0.1, 0.8, 0.1]],
+                    [[0.3, 0.3, 0.4], [0.5, 0.1, 0.4]],
+                    [[0.2, 0.2, 0.6], [0.7, 0.2, 0.1]],
+                ],
+            },
+            {
+                "length": T - T // 2,
+                "rewards": [[0.1, 0.9], [0.7, 0.2], [0.4, 0.0]],
+                "transitions": [
+                    [[0.2, 0.7, 0.1], [0.5, 0.4, 0.1]],
+                    [[0.1, 0.1, 0.8], [0.3, 0.6, 0.1]],
+                    [[0.4, 0.4, 0.2], [0.1, 0.2, 0.7]],
+                ],
+            },
+        ],
+    }
+
+
+def restart_spec(algorithm):
+    T = 32
+    if algorithm == "master+ucb1":
+        env = mab_env_spec(T, [{"length": 16, "means": [0.9, 0.1]}, {"length": 16, "means": [0.1, 0.9]}])
+        return validate_spec({"env": env, "algorithm": algorithm, "kappa": 1e-4, "seeds": [0]})
+    algo = {"master-ucrl": {"dbar": 2.0}, "doubling-dbar": {"known_l": 1}, "borl": {}}[algorithm]
+    return validate_spec(
+        {"env": switch_mdp_spec(T), "algorithm": algorithm, "kappa": 1e-5, "seeds": [0], "algo": algo}
+    )
+
+
+def _test2_rounds(pairs):
+    return [(t, "test2", block) for t, block in pairs]
+
+
+# Restart-heavy runs at small kappa and seed 1: the SHA-256 of the CSV log and
+# log.restarts as (round, cause, block), which pin how restarts are written to
+# and read back from the log
+RESTART_PINS = {
+    "master+ucb1": (
+        "5dda7e967c3483bb8dbd39581bfc23eb17e76f860318d5504270d9b57630df47",
+        _test2_rounds([(17, 4)] + [(t, 0) for t in range(18, 23)] + [(25, 1)] + [(t, 0) for t in range(26, 33)]),
+    ),
+    "master-ucrl": (
+        "f171c7babbcb54a376960a786072e5ba338ab57e4545ba0963f0204d94f5d9d4",
+        _test2_rounds(
+            [(4, 2)] + [(t, 0) for t in range(5, 12)] + [(15, 2)] + [(t, 0) for t in range(16, 20)]
+            + [(21, 1), (22, 0), (23, 0), (25, 1), (27, 1), (31, 2), (32, 0)]
+        ),
+    ),
+    "doubling-dbar": (
+        "5afc0f8bd48c076bc7e0cc39fe10e982f3d1b4249ec5f82239338843347a369e",
+        _test2_rounds([(4, 2)] + [(t, 0) for t in range(5, 10)]),
+    ),
+    "borl": (
+        "167f419528d51945292e402ee7d0fef7e3fd3ab9273e74f9f86e3ac8ed15180a",
+        _test2_rounds(
+            [(4, 2)] + [(t, 0) for t in range(5, 12)] + [(15, 2)] + [(t, 0) for t in range(16, 20)]
+            + [(21, 1), (22, 0), (23, 0), (25, 0), (27, 1), (31, 2), (32, 0)]
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(RESTART_PINS))
+def test_restart_heavy_log_is_pinned(algorithm):
+    log = run_single(restart_spec(algorithm), 1)
+    text = log.to_csv_text()
+    digest, restarts = RESTART_PINS[algorithm]
+    assert [(ev.round, ev.cause, ev.block) for ev in log.restarts] == restarts
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert RunLog.from_csv(text).restarts == log.restarts
+    if algorithm == "doubling-dbar":
+        # every restart overflows the one-epoch cap and doubles the guess
+        doublings = [ev for ev in log.column("event") if "double_dbar" in ev]
+        assert len(doublings) == len(restarts)
+        assert sorted(set(log.column("dbar"))) == [float(1 << k) for k in range(len(restarts) + 1)]
+    if algorithm == "borl":
+        assert sorted(set(log.column("borl_arm"))) == [1, 2]

@@ -1,12 +1,23 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonstat.base import Ucb1, restore, snapshot_to_json
 from nonstat.envs import make_env
 from nonstat.harness import seed_derive
-from nonstat.malg import MalgRunner, n_hat, rho_hat, schedule_upfront, spawn_probability
+from nonstat.malg import (
+    InstanceRecord,
+    MalgRunner,
+    n_hat,
+    rho_hat,
+    schedule_upfront,
+    spawn_orders,
+    spawn_probability,
+)
 from nonstat.rates import RateFunction, ucb1_rate
 
 SQRT_RATE = RateFunction(c1=1.0, c2=0.0, p=0.5, c3=1.0, horizon=1 << 20)
@@ -79,6 +90,124 @@ def test_lazy_and_upfront_schedulers_match_in_distribution():
         sd_of_mean = math.sqrt(slots * q * (1 - q) / blocks)
         assert abs(counts_up[m] / blocks - mean) <= 4 * sd_of_mean + 1e-12
         assert abs(counts_lazy[m] / blocks - mean) <= 4 * sd_of_mean + 1e-12
+
+
+def lazy_spawn_reference(n, rate, rng, offsets):
+    """Reference for spawn_orders: at each offset, one draw for every order
+    (descending) whose slot starts there."""
+    probs = [spawn_probability(n, m, rate) for m in range(n + 1)]
+    return [
+        [m for m in range(n, -1, -1) if tau % (1 << m) == 0 and rng.random() < probs[m]]
+        for tau in range(offsets)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.5, 0.95),
+    st.data(),
+)
+def test_spawn_orders_make_the_lazy_draws(n, seed, p, data):
+    # same orders and the same stream state after any number of offsets,
+    # so a block cut short by a restart or end_t leaves the stream unchanged
+    rate = RateFunction(c1=1.0, c2=0.0, p=p, c3=1.0, horizon=1 << 20)
+    cut = data.draw(st.integers(0, 1 << n))
+    rng_a = np.random.default_rng(seed)
+    rng_b = np.random.default_rng(seed)
+    got = list(itertools.islice(spawn_orders(n, rate, rng_a), cut))
+    assert got == lazy_spawn_reference(n, rate, rng_b, cut)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_runner_spawns_follow_schedule_upfront():
+    n = 5
+    runner = MalgRunner(7, n, SQRT_RATE, make_factory(), seed_derive(15, 0, "s"))
+    spawned = []
+    for t in range(7, 7 + (1 << n)):
+        _, pol, _ = runner.begin_round(t)
+        spawned += [ev for ev in runner.events if ev.startswith("spawn")]
+        runner.finish_round(t, 0.5, (pol, 0.5))
+    upfront = schedule_upfront(n, SQRT_RATE, seed_derive(15, 0, "s"))
+    assert spawned == [
+        f"spawn m{m}#{uid}@[{7 + start},{7 + end}]" for uid, (m, start, end) in enumerate(upfront)
+    ]
+
+
+class SlotRunner:
+    """Reference scheduler: one slot per order, scanned each round for the
+    covering instance of smallest order."""
+
+    def __init__(self, block_start, order_n, rate, factory, rng):
+        self.block_start, self.order_n, self.factory, self.rng = block_start, order_n, factory, rng
+        self.probs = [spawn_probability(order_n, m, rate) for m in range(order_n + 1)]
+        self.slots = [None] * (order_n + 1)
+        self.next_uid = 0
+        self.prev_uid = -1
+        self.events = []
+
+    def _find(self, uid):
+        return next((r for r in self.slots if r is not None and r.uid == uid), None)
+
+    def begin_round(self, t):
+        self.events = []
+        for m in range(self.order_n, -1, -1):
+            if (t - self.block_start) % (1 << m) == 0 and self.rng.random() < self.probs[m]:
+                assert self.slots[m] is None or self.slots[m].end < t
+                rec = InstanceRecord(self.next_uid, m, t, t + (1 << m) - 1, self.factory())
+                self.next_uid += 1
+                self.slots[m] = rec
+                self.events.append(f"spawn m{m}#{rec.uid}@[{rec.start},{rec.end}]")
+        rec = next(r for r in self.slots if r is not None and r.start <= t <= r.end)
+        self.active = rec
+        if rec.uid != self.prev_uid:
+            prev = self._find(self.prev_uid)
+            if prev is not None and prev.start <= t <= prev.end:
+                self.events.append(f"pause m{prev.order}#{prev.uid}")
+            if rec.active_rounds > 0:
+                self.events.append(f"resume m{rec.order}#{rec.uid}")
+        return rec.learner.predict(), rec.learner.act(), rec
+
+    def finish_round(self, t, reward, feedback):
+        rec = self.active
+        rec.learner.update(feedback)
+        rec.active_rounds += 1
+        self.prev_uid = rec.uid
+        ended = []
+        for m in range(self.order_n + 1):
+            other = self.slots[m]
+            if other is None or not (other.start <= t <= other.end):
+                continue
+            other.reward_sum += reward
+            if other.end == t:
+                ended.append(other)
+                self.events.append(f"end m{m}#{other.uid}")
+                self.slots[m] = None
+        return ended
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.floats(0.5, 0.95), st.data())
+def test_runner_matches_the_slot_oracle(n, seed, p, data):
+    # every round's events, active instance, ended instances and interval
+    # sums, and the stream state after a block cut at any round
+    rate = RateFunction(c1=1.0, c2=0.0, p=p, c3=1.0, horizon=1 << 20)
+    rounds = data.draw(st.integers(1, 1 << n))
+    rewards = np.random.default_rng(seed).random(rounds)
+    factory = make_factory(64, 3)
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    runner = MalgRunner(3, n, rate, factory, rng_a)
+    oracle = SlotRunner(3, n, rate, factory, rng_b)
+    for t, r in zip(range(3, 3 + rounds), rewards.tolist()):
+        g_a, pol_a, rec_a = runner.begin_round(t)
+        g_b, pol_b, rec_b = oracle.begin_round(t)
+        assert (g_a, pol_a, rec_a.uid, rec_a.order) == (g_b, pol_b, rec_b.uid, rec_b.order)
+        ended_a = runner.finish_round(t, r, (pol_a, r))
+        ended_b = oracle.finish_round(t, r, (pol_b, r))
+        assert runner.events == oracle.events
+        assert [(e.uid, e.reward_sum) for e in ended_a] == [(e.uid, e.reward_sum) for e in ended_b]
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

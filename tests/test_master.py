@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -363,3 +364,74 @@ def test_run_bare_sublinear_on_stationary():
     # second half accrues far less than the first half (sublinear)
     assert curve[-1] - curve[T // 2] < curve[T // 2] * 0.8
     assert regret < 0.2 * T
+
+
+def test_kappa_zero_log_is_pinned():
+    # kappa=0 (library calls only) restarts every round; this run mixes both
+    # test causes, so it pins the test-1 token too
+    T = 32
+    env = mab(T, [{"length": 16, "means": [0.9, 0.1]}, {"length": 16, "means": [0.1, 0.9]}])
+    factory, rate, delta = ucb1_stack(env, T)
+    log = run_master(env, factory, rate, T, delta, kappa=0.0, seed=0)
+    text = log.to_csv_text()
+    test2 = {8, 16, *range(17, 28), 29, 30, 32}
+    expected = [(t, "test2" if t in test2 else "test1 m0#0", 0) for t in range(1, T + 1)]
+    assert [(ev.round, ev.cause, ev.block) for ev in log.restarts] == expected
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "60a3bda65d0d0a56526ea2ef7d2cd4b3a646ca9937f4a2ed87efb720ffc9b4ce"
+    )
+    assert RunLog.from_csv(text).restarts == log.restarts
+
+
+# ---------------------------------------------------------------------------
+# the learner's restart signal
+
+
+class SignalingLearner:
+    """Scripted learner whose restart signal turns on at the k-th update made
+    by any instance of the run (the count is shared through `updates`)."""
+
+    def __init__(self, k, updates):
+        self.k = k
+        self.updates = updates
+
+    def predict(self):
+        return 0.5
+
+    def act(self):
+        return 0
+
+    def update(self, feedback):
+        self.updates[0] += 1
+
+    @property
+    def restart_signaled(self):
+        return self.updates[0] >= self.k
+
+
+def test_signal_restart_through_the_control_loop():
+    # tests disabled and g~ = R: the signal is the only cause that can fire;
+    # round 5 is the second round of block 2, and every later round signals
+    # again in a fresh epoch
+    T, k = 12, 5
+    updates = [0]
+    log = RunLog()
+    master_core(
+        ScriptedWorld([0.5] * T), lambda: SignalingLearner(k, updates), SQRT_RATE, T, 1.0 / T,
+        math.inf, seed_derive(0, 0, "env"), seed_derive(0, 0, "sched"), log,
+    )
+    expected = [(k, "mdp_signal", 2)] + [(t, "mdp_signal", 0) for t in range(k + 1, T + 1)]
+    assert [(ev.round, ev.cause, ev.block) for ev in log.restarts] == expected
+    events = log.column("event")
+    assert events[k - 1].split(";")[-1] == "restart mdp_signal"
+    assert not any("restart" in ev for ev in events[: k - 1])
+    assert log.column("epoch") == [0] * k + list(range(1, T - k + 1))
+
+
+def test_bare_run_ignores_the_restart_signal():
+    T = 12
+    updates = [0]
+    log = run_bare(stationary(T), SignalingLearner(1, updates), T)
+    assert updates == [T]
+    assert log.restarts == []
+    assert log.column("event") == [""] * T

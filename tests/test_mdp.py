@@ -490,6 +490,32 @@ def test_borl_m1_degenerates_to_single_master():
     assert a.column("g_tilde") == b.column("g_tilde")
 
 
+def test_borl_feeds_each_interval_total_to_the_picker(monkeypatch):
+    # the picker is updated with the played arm and the interval's reward
+    # sum, left to right, over the interval length
+    env = infinite_env(256)
+    seen = []
+    update = Exp3P.update
+
+    def spy(self, arm, reward):
+        seen.append((arm, reward))
+        update(self, arm, reward)
+
+    monkeypatch.setattr(Exp3P, "update", spy)
+    log = borl(env, kappa=1e-4, seed=11)
+    block = borl_interval_length(2, 2, 256)
+    rewards, arms = log.column("reward"), log.column("borl_arm")
+    expected = []
+    for start in range(0, 256, block):
+        total = 0.0
+        for reward in rewards[start : start + block]:
+            total += reward
+        assert set(arms[start : start + block]) == {arms[start]}
+        expected.append((arms[start], total / block))
+    assert seen == expected
+    assert log.restarts
+
+
 def test_borl_runs_multiple_intervals():
     env = infinite_env(256)
     log = borl(env, kappa=1.0, seed=11)
