@@ -430,6 +430,10 @@ def policy_gain(trans, rewards, table, init_state: int) -> float:
 # ---------------------------------------------------------------------------
 # module-level operations
 
+# the "ucrl" drift measure takes the largest gain change over every stationary
+# policy, so it enumerates them and stops at this many
+MAX_GAIN_DRIFT_POLICIES = 4096
+
 
 def _boundary_rows(env):
     """Yield (t, payload_t, payload_t1) for rounds where the segment changes."""
@@ -490,8 +494,8 @@ def nonstat_summary(env, algo: str, delta: float | None = None, dbar: float = 1.
         if algo != "ucrl":
             raise ValueError(f"algo {algo!r} does not match an infinite-horizon environment")
         n_pol = env.n_policies
-        if n_pol > 4096:
-            raise ValueError("gain-drift oracle needs |Pi| <= 4096")
+        if n_pol > MAX_GAIN_DRIFT_POLICIES:
+            raise ValueError(f"gain-drift oracle needs |Pi| <= {MAX_GAIN_DRIFT_POLICIES}")
         for t, (r0, p0), (r1, p1) in _boundary_rows(env):
             dr = float(np.abs(r0 - r1).max())
             dp = float(np.abs(p0 - p1).sum(axis=2).max())

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import base, mdp, rates
-from .envs import EnvSpecError, make_env, nonstat_summary
+from .envs import MAX_GAIN_DRIFT_POLICIES, EnvSpecError, make_env, nonstat_summary
 from .master import RunLog, dynamic_regret, run_bare, run_master, seed_derive
 
 __all__ = [
@@ -159,6 +159,25 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_algo(algo: dict):
+    """Type checks of the algo values a run reads; SpecError names the key."""
+    for key in ("c", "known_delta"):
+        if key in algo and not _is_number(algo[key]):
+            raise SpecError(f"spec.algo.{key}: expected a number, got {algo[key]!r}")
+    dbar = algo.get("dbar", 1.0)
+    if not (_is_number(dbar) and 1.0 <= dbar < math.inf):
+        raise SpecError(f"spec.algo.dbar: expected a finite number >= 1, got {dbar!r}")
+    known_l = algo.get("known_l", 1)
+    if not (_is_int(known_l) and known_l > 0):
+        raise SpecError(f"spec.algo.known_l: expected a positive integer, got {known_l!r}")
+    if "refactor_every" in algo and not _is_int(algo["refactor_every"]):
+        raise SpecError(f"spec.algo.refactor_every: expected an integer, got {algo['refactor_every']!r}")
+
+
 def validate_spec(spec: dict) -> dict:
     """Normalize and validate an experiment spec; raises SpecError."""
     if not isinstance(spec, dict):
@@ -189,8 +208,8 @@ def validate_spec(spec: dict) -> dict:
     delta = spec.get("delta")
     if delta is None:
         delta = 1.0 / horizon
-    if not (0.0 < delta < 1.0):
-        raise SpecError(f"spec.delta: must lie in (0, 1), got {delta}")
+    if not (_is_number(delta) and 0.0 < delta < 1.0):
+        raise SpecError(f"spec.delta: must be a number in (0, 1), got {delta!r}")
     kappa = spec.get("kappa", 1.0)
     if kappa == "inf":
         kappa = math.inf
@@ -203,6 +222,7 @@ def validate_spec(spec: dict) -> dict:
     algo = spec.get("algo", {})
     if not isinstance(algo, dict) or set(algo) - _ALGO_KEYS:
         raise SpecError(f"spec.algo: unknown keys {sorted(set(algo) - _ALGO_KEYS)}")
+    _check_algo(algo)
     if algorithm == "doubling-dbar":
         if ("known_l" in algo) == ("known_delta" in algo):
             raise SpecError("spec.algo: doubling-dbar needs exactly one of known_l / known_delta")
@@ -382,6 +402,15 @@ def run_experiment(spec: dict, workers: int | None = None) -> dict:
     identical run logs.
     """
     spec = validate_spec(spec)
+    # aggregate's drift measure must be computable before any seed runs; not
+    # in validate_spec, which accepts such specs for run_single
+    if ALGORITHMS[spec["algorithm"]].drift == "ucrl":
+        n_policies = make_env(spec["env"]).n_policies
+        if n_policies > MAX_GAIN_DRIFT_POLICIES:
+            raise SpecError(
+                f"spec.env: the average-reward drift measure enumerates every policy and needs "
+                f"A^S <= {MAX_GAIN_DRIFT_POLICIES}, got {n_policies}"
+            )
     out_dir = spec.get("out")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -3,20 +3,29 @@
 A block of length 2^n is tiled, for every order m = n..0, by 2^(n-m)
 aligned slots of length 2^m; each slot independently hosts a fresh learner
 instance with probability rho(2^n) / rho(2^m), so the order-n slot is always
-occupied.  spawn_orders is the one implementation of this law: it draws the
-Bernoullis of the slots starting at an offset (orders descending) when the
-block reaches that offset, so a block cut short consumes only the draws of
-the rounds it played.  At any round exactly one covering instance — the one
-of smallest order — is active: it emits the block's optimistic value g~_t,
-chooses the policy, and is the only instance whose learner state is updated.
-Every covering instance accumulates the learner's reward into its interval
-sum, which the order-level stationarity test reads when the instance ends.
+occupied.  The block's 2^(n+1)-1 Bernoullis are drawn at its start with one
+rng.random(k), in slot order (start ascending, order descending); only the
+slots that spawn are kept, by offset.  That is the order in which one draw
+per slot at the round the slot starts would consume the stream, so a block
+cut short (by a restart, or at the end of the caller's round range) rewinds
+the stream to the state those per-round draws would have left:
+MalgRunner.cut restores the state saved at the block start and advances it
+by the draws of the rounds played.  At any round exactly one covering
+instance — the one of smallest order — is active: it emits the block's
+optimistic value g~_t, chooses the policy, and is the only instance whose
+learner state is updated.  Every covering instance accumulates the
+learner's reward into its interval sum, which the order-level
+stationarity test reads when the instance ends.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from .rates import RateFunction
 
@@ -24,7 +33,6 @@ __all__ = [
     "InstanceRecord",
     "MalgRunner",
     "spawn_probability",
-    "spawn_orders",
     "schedule_upfront",
     "rho_hat",
     "n_hat",
@@ -61,29 +69,50 @@ def spawn_probability(n: int, m: int, rate: RateFunction) -> float:
     return rate.rho(float(1 << n)) / rate.rho(float(1 << m))
 
 
-def spawn_orders(n: int, rate: RateFunction, rng):
-    """Yield, for each offset 0..2^n-1 of a block, the orders spawned there.
+@functools.lru_cache(maxsize=None)
+def _slot_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(start offset, order) of the 2^(n+1)-1 slots of an order-n block, in draw
+    order: offset ascending, orders descending from the largest slot starting there.
+    Cached per n, as two read-only C-int arrays (8 bytes per slot), because a
+    run that restarts often starts many short blocks."""
+    tau = np.arange(1 << n, dtype=np.intc)
+    top = np.empty(1 << n, dtype=np.intc)  # largest order whose slot starts at tau
+    top[0] = n
+    top[1:] = np.log2(tau[1:] & -tau[1:]).astype(np.intc)
+    counts = top + 1
+    first = np.cumsum(counts, dtype=np.intc) - counts  # first draw of each offset
+    offsets = np.repeat(tau, counts)
+    orders = np.repeat(top + first, counts) - np.arange(len(offsets), dtype=np.intc)
+    offsets.flags.writeable = orders.flags.writeable = False
+    return offsets, orders
 
-    The orders come descending; the draws of an offset, one per slot that
-    starts there, are made when the generator reaches it.
-    """
-    probs = [spawn_probability(n, m, rate) for m in range(n + 1)]
-    for tau in range(1 << n):
-        top = n if tau == 0 else (tau & -tau).bit_length() - 1  # slots of order <= top start here
-        yield [m for m in range(top, -1, -1) if rng.random() < probs[m]]
+
+def _draws_before(n: int, tau: int) -> int:
+    """Slots of an order-n block that start at offsets 0..tau-1 (tau <= 2^n):
+    n + 1 at offset 0 and v2(s) + 1 at every later offset s."""
+    return n + 2 * tau - 1 - (tau - 1).bit_count() if tau else 0
+
+
+def _spawned_slots(n: int, rate: RateFunction, rng) -> tuple[array, array]:
+    """(start offset, order) of the slots of an order-n block that spawn, in
+    _slot_layout order, followed by the sentinel start 2^n; one uniform per
+    slot, all drawn at once."""
+    offsets, orders = _slot_layout(n)
+    probs = np.array([spawn_probability(n, m, rate) for m in range(n + 1)])
+    hits = np.flatnonzero(rng.random(len(orders)) < probs[orders])
+    starts = array("i", offsets[hits].tobytes())
+    starts.append(1 << n)
+    return starts, array("i", orders[hits].tobytes())
 
 
 def schedule_upfront(n: int, rate: RateFunction, rng) -> list[tuple[int, int, int]]:
-    """The whole block's schedule at once: (m, start_offset, end_offset)
-    triples with offsets 0-based relative to the block start."""
-    return [
-        (m, tau, tau + (1 << m) - 1)
-        for tau, orders in enumerate(spawn_orders(n, rate, rng))
-        for m in orders
-    ]
+    """The whole block's schedule, from the draw MalgRunner makes at the block
+    start: (m, start_offset, end_offset) triples with offsets 0-based relative
+    to the block start."""
+    return [(m, tau, tau + (1 << m) - 1) for tau, m in zip(*_spawned_slots(n, rate, rng))]
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceRecord:
     """One scheduled learner instance and its interval bookkeeping."""
 
@@ -110,12 +139,20 @@ class MalgRunner:
         ended = runner.finish_round(t, reward, feedback)
 
     ended lists the instances whose interval closed at t, for the caller's
-    order-level test; runner.events holds this round's schedule events.
+    order-level test; runner.events holds this round's schedule events.  A
+    block that stops before its last round must be closed with cut(t), t its
+    last round played, so that rng is left as the per-round draws would
+    leave it.
     """
 
     def __init__(self, block_start: int, order_n: int, rate: RateFunction, factory, rng):
         self.factory = factory
-        self._spawns = spawn_orders(order_n, rate, rng)
+        self._block_start = block_start
+        self._order_n = order_n
+        self._rng = rng
+        self._rng_state = rng.bit_generator.state
+        self._spawn_starts, self._spawn_orders = _spawned_slots(order_n, rate, rng)
+        self._next_spawn = 0  # the first of them not yet spawned
         # the instances covering the current round, orders descending: aligned
         # slots nest, so each spawn has the smallest order and the active
         # instance is always last
@@ -130,14 +167,16 @@ class MalgRunner:
     def begin_round(self, t: int):
         self.events = events = []
         live = self._live
-        for m in next(self._spawns):
+        tau, i = t - self._block_start, self._next_spawn
+        while self._spawn_starts[i] == tau:
+            m = self._spawn_orders[i]
             assert not live or live[-1].order > m, "overlapping same-order instances"
-            rec = InstanceRecord(
-                uid=self._next_uid, order=m, start=t, end=t + (1 << m) - 1, learner=self.factory()
-            )
-            self._next_uid += 1
-            live.append(rec)
-            events.append(f"spawn m{m}#{rec.uid}@[{rec.start},{rec.end}]")
+            uid, end = self._next_uid, t + (1 << m) - 1
+            live.append(InstanceRecord(uid, m, t, end, self.factory()))
+            events.append(f"spawn m{m}#{uid}@[{t},{end}]")
+            self._next_uid = uid + 1
+            i += 1
+        self._next_spawn = i
         assert live, f"no covering instance at round {t}"  # order n always covers
         rec = self._active = live[-1]
         prev = self._prev
@@ -166,6 +205,13 @@ class MalgRunner:
             ended.append(other)
             self.events.append(f"end m{other.order}#{other.uid}")
         return ended
+
+    def cut(self, t: int):
+        """End the block after round t: put rng back where one draw per slot,
+        made at the round the slot starts, would leave it."""
+        bits = self._rng.bit_generator
+        bits.state = self._rng_state
+        bits.advance(_draws_before(self._order_n, t - self._block_start + 1))
 
     # -- introspection ------------------------------------------------------
 

@@ -10,6 +10,10 @@ are performed:
     test 2 (every round, over the block so far):
         fail iff  mean(g~ - R)      >=  3 * rho_hat(t - t_n + 1)
 
+Both thresholds depend only on the order or on the block length, so each
+control-loop call tables them (ThresholdTable) and the tests compare
+against the tabled values.
+
 A failed test aborts the epoch: everything restarts from scratch at the
 next round (block order back to 0, all instances discarded).  A third
 cause, "mdp_signal", restarts when the active learner raises its
@@ -30,7 +34,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +75,15 @@ _MDP_COLUMNS = ("episode", "eta", "gamma_budget", "dbar", "borl_arm")
 _INT_COLUMNS = {"t", "block", "epoch", "active_order", "policy", "episode", "borl_arm"}
 
 
+def _csv_field(text: str) -> str:
+    """text as csv.writer (minimal quoting, "\n" line terminator) writes it in
+    a row of several fields: quoted, with inner quotes doubled, when it holds
+    a comma, a quote or the line terminator; a lone CR is left bare."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def seed_derive(master_seed: int, run_index: int, purpose: str) -> np.random.Generator:
     """Counter-based stream derivation, platform-independent.
 
@@ -95,13 +111,14 @@ class RunLog:
         self.has_mdp_columns = mdp_columns
         self.columns = _BASE_COLUMNS + _MDP_COLUMNS if mdp_columns else _BASE_COLUMNS
         self._data = {name: [] for name in self.columns}
+        self._appends = [(name, self._data[name].append) for name in self.columns]
 
     def __len__(self):
         return len(self._data["t"])
 
     def append(self, **values):
-        for name in self.columns:
-            self._data[name].append(values[name])
+        for name, push in self._appends:
+            push(values[name])
 
     def column(self, name):
         return self._data[name]
@@ -113,6 +130,7 @@ class RunLog:
         return [
             RestartEvent(round=t, cause=token[len("restart "):], block=block)
             for t, block, event in zip(data["t"], data["block"], data["event"])
+            if "restart " in event
             for token in event.split(";")
             if token.startswith("restart ")
         ]
@@ -124,25 +142,24 @@ class RunLog:
 
     # -- serialization ------------------------------------------------------
 
-    def _format(self, name, value):
-        if name == "event":
-            return value
-        if name in _INT_COLUMNS:
-            return str(int(value))
-        return repr(float(value))
-
     def to_csv(self, path_or_buf):
-        buf = path_or_buf if hasattr(path_or_buf, "write") else io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        rows = zip(*(self._data[name] for name in self.columns))
-        for row in rows:
-            writer.writerow([self._format(n, v) for n, v in zip(self.columns, row)])
-        if buf is path_or_buf:
-            return None
-        text = buf.getvalue()
-        with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        """Write the log as CSV, each column formatted in one pass: ints with
+        str, floats with repr, the event text quoted as csv.writer quotes it."""
+        if not hasattr(path_or_buf, "write"):
+            with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
+                return self.to_csv(fh)
+        cells = []
+        for name in self.columns:
+            data = self._data[name]
+            if name == "event":
+                cells.append(map(_csv_field, data))
+            elif name in _INT_COLUMNS:
+                cells.append(map(str, map(int, data)))
+            else:
+                cells.append(map(repr, map(float, data)))
+        rows = map(",".join, zip(*cells))
+        path_or_buf.write(",".join(self.columns) + "\n")
+        path_or_buf.writelines(map(operator.add, rows, itertools.repeat("\n")))
         return None
 
     def to_csv_text(self) -> str:
@@ -234,38 +251,37 @@ class AverageRewardWorld:
         }
 
 
-def test1_fails(
-    interval_average: float,
-    u_min: float,
-    order: int,
-    rate: RateFunction,
-    horizon: int,
-    delta: float,
-    kappa: float = 1.0,
-    rho_factor: float = 6.0,
-) -> bool:
+def test1_fails(interval_average: float, u_min: float, threshold: float) -> bool:
     """Order-level test: an ending length-2^m instance whose realized average
-    reward beats the block's optimistic floor by 9 * rho_hat(2^m) exposes a
-    value increase the running learners have not caught."""
-    return interval_average >= u_min + 9.0 * rho_hat(
-        float(1 << order), rate, horizon, delta, kappa, rho_factor
-    )
+    reward beats the block's optimistic floor by threshold = 9 * rho_hat(2^m)
+    exposes a value increase the running learners have not caught."""
+    return interval_average >= u_min + threshold
 
 
-def test2_fails(
-    gap_sum: float,
-    length: int,
-    rate: RateFunction,
-    horizon: int,
-    delta: float,
-    kappa: float = 1.0,
-    rho_factor: float = 6.0,
-) -> bool:
+def test2_fails(gap_sum: float, length: int, threshold: float) -> bool:
     """Block-average test: the mean optimism gap (g~ - R) over the block so
-    far must stay below 3 * rho_hat(block length)."""
-    return gap_sum / length >= 3.0 * rho_hat(
-        float(length), rate, horizon, delta, kappa, rho_factor
-    )
+    far must stay below threshold = 3 * rho_hat(block length)."""
+    return gap_sum / length >= threshold
+
+
+class ThresholdTable:
+    """The two tests' thresholds, which depend only on the order or the block
+    length: order[m] = 9 * rho_hat(2^m) and length[l - 1] = 3 * rho_hat(l),
+    computed once each, when a block first needs them.  Held as float64
+    arrays, which store them without a Python object per entry."""
+
+    def __init__(self, rate: RateFunction, horizon: int, delta: float, kappa: float, rho_factor: float):
+        self._rho_hat_args = (rate, horizon, delta, kappa, rho_factor)
+        self.order = array("d")
+        self.length = array("d")
+
+    def cover(self, n: int, length: int):
+        """Extend the tables to orders 0..n and block lengths 1..length."""
+        args = self._rho_hat_args
+        while len(self.order) <= n:
+            self.order.append(9.0 * rho_hat(float(1 << len(self.order)), *args))
+        while len(self.length) < length:
+            self.length.append(3.0 * rho_hat(float(len(self.length) + 1), *args))
 
 
 def master_core(
@@ -296,6 +312,8 @@ def master_core(
         end_t = horizon
     t = start_t
     epochs_done = 0
+    thresholds = ThresholdTable(rate, horizon, delta, kappa, rho_factor)
+    order_thresholds, length_thresholds = thresholds.order, thresholds.length
     while t <= end_t:
         epoch = epochs_done
         restarted = False
@@ -303,6 +321,7 @@ def master_core(
         while t <= end_t and not restarted:  # blocks within the epoch
             t_n = t
             block_end = min(t_n + (1 << n) - 1, end_t)
+            thresholds.cover(n, block_end - t_n + 1)
             runner = MalgRunner(t_n, n, rate, factory, rng_sched)
             u_min = math.inf
             gap_sum = 0.0
@@ -310,21 +329,17 @@ def master_core(
                 g_tilde, policy, active = runner.begin_round(t)
                 reward, feedback, f_star = world.play(t, policy, rng_env)
                 ended = runner.finish_round(t, reward, feedback)
-                u_min = min(u_min, g_tilde)
+                if g_tilde < u_min:  # min(u_min, g_tilde) without the call, nan included
+                    u_min = g_tilde
                 gap_sum += g_tilde - reward
                 length = t - t_n + 1
 
                 cause = None
                 for rec in ended:
-                    if test1_fails(
-                        rec.interval_average(), u_min, rec.order,
-                        rate, horizon, delta, kappa, rho_factor,
-                    ):
+                    if test1_fails(rec.interval_average(), u_min, order_thresholds[rec.order]):
                         cause = f"test1 m{rec.order}#{rec.uid}"
                         break
-                if cause is None and test2_fails(
-                    gap_sum, length, rate, horizon, delta, kappa, rho_factor
-                ):
+                if cause is None and test2_fails(gap_sum, length, length_thresholds[length - 1]):
                     cause = "test2"
                 if cause is None and active.learner.restart_signaled:
                     cause = "mdp_signal"
@@ -348,6 +363,8 @@ def master_core(
                 if cause is not None:
                     restarted = True
                     break
+            if t < t_n + (1 << n):  # cut short by a restart or by end_t
+                runner.cut(t - 1)
             n += 1
         if restarted:
             epochs_done += 1

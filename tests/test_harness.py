@@ -155,6 +155,102 @@ def test_validate_doubling_needs_one_known():
     validate_spec(spec)
 
 
+@pytest.mark.parametrize("delta", ["0.1", True, [0.1]])
+def test_validate_rejects_non_numeric_delta(delta):
+    # "0.1" raised a bare TypeError from the range check; True passed as 1.0 would not
+    with pytest.raises(SpecError, match=r"spec\.delta"):
+        validate_spec(experiment(delta=delta))
+
+
+def test_validate_keeps_a_numeric_delta():
+    assert validate_spec(experiment(delta=0.05))["delta"] == 0.05
+
+
+def average_reward_spec(algorithm, algo):
+    spec = tiny_spec("master-ucrl")
+    return dict(spec, algorithm=algorithm, algo=algo)
+
+
+@pytest.mark.parametrize(
+    "algorithm, algo, field",
+    [
+        ("master-ucrl", {"dbar": "2"}, "dbar"),
+        ("master-ucrl", {"dbar": 0.5}, "dbar"),
+        ("master-ucrl", {"dbar": True}, "dbar"),
+        ("master-ucrl", {"dbar": math.inf}, "dbar"),
+        ("doubling-dbar", {"known_l": 0}, "known_l"),
+        ("doubling-dbar", {"known_l": True}, "known_l"),
+        ("doubling-dbar", {"known_l": "x"}, "known_l"),
+        ("doubling-dbar", {"known_l": 2.0}, "known_l"),
+        ("doubling-dbar", {"known_delta": "1"}, "known_delta"),
+        ("master+ucb1", {"c": "2"}, "c"),
+        ("master+ucb1", {"c": False}, "c"),
+        ("master+oful", {"refactor_every": 10.5}, "refactor_every"),
+        ("master+oful", {"refactor_every": "10"}, "refactor_every"),
+    ],
+)
+def test_validate_rejects_mistyped_algo_values(algorithm, algo, field):
+    if algorithm in ("master-ucrl", "doubling-dbar"):
+        spec = average_reward_spec(algorithm, algo)
+    else:
+        spec = dict(tiny_spec(algorithm), algo=algo)
+    with pytest.raises(SpecError, match=rf"spec\.algo\.{field}"):
+        validate_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "algorithm, algo",
+    [
+        ("master-ucrl", {"dbar": 2}),
+        ("master-ucrl", {"dbar": 1.0}),
+        ("doubling-dbar", {"known_l": 3}),
+        ("doubling-dbar", {"known_delta": 0}),
+        ("master+ucb1", {"c": 1}),
+        ("master+oful", {"refactor_every": 16}),
+    ],
+)
+def test_validate_keeps_well_typed_algo_values(algorithm, algo):
+    if algorithm in ("master-ucrl", "doubling-dbar"):
+        spec = average_reward_spec(algorithm, algo)
+    else:
+        spec = dict(tiny_spec(algorithm), algo=algo)
+    assert validate_spec(spec)["algo"] == algo
+
+
+def uniform_mdp_spec(S, A, T=8):
+    row = [1.0 / S] * S
+    return {
+        "kind": "infinite",
+        "T": T,
+        "S": S,
+        "A": A,
+        "segments": [{"length": T, "rewards": [[0.5] * A] * S, "transitions": [[row] * A] * S}],
+    }
+
+
+def test_run_experiment_fails_before_any_seed_when_the_drift_measure_cannot_be_computed(
+    tmp_path, monkeypatch
+):
+    # 3^8 = 6561 policies: aggregate's gain-drift oracle would raise after every seed had run
+    spec = {"env": uniform_mdp_spec(8, 3), "algorithm": "master-ucrl", "seeds": [0, 1],
+            "out": str(tmp_path / "out")}
+    ran = []
+    monkeypatch.setattr(nonstat.harness, "run_single", lambda *args: ran.append(args))
+    with pytest.raises(SpecError, match=r"spec\.env: .*4096, got 6561"):
+        run_experiment(spec)
+    assert ran == []
+    assert not (tmp_path / "out").exists()
+    monkeypatch.undo()
+    # validate_spec and run_single still take the spec
+    assert len(run_single(validate_spec(spec), 0)) == 8
+
+
+def test_run_experiment_runs_at_the_policy_limit(tmp_path):
+    # 4^6 = 4096 policies is the largest count the drift measure enumerates
+    report = run_experiment({"env": uniform_mdp_spec(6, 4, T=4), "algorithm": "ucrl", "seeds": [0]})
+    assert report["nonstationarity"]["L"] == 1
+
+
 # ---------------------------------------------------------------------------
 # runs and aggregation
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nonstat.base import Ucb1, restore, snapshot_to_json
 from nonstat.envs import make_env
+from nonstat import master
 from nonstat.harness import seed_derive
 from nonstat.malg import (
     InstanceRecord,
@@ -15,7 +16,6 @@ from nonstat.malg import (
     n_hat,
     rho_hat,
     schedule_upfront,
-    spawn_orders,
     spawn_probability,
 )
 from nonstat.rates import RateFunction, ucb1_rate
@@ -92,14 +92,14 @@ def test_lazy_and_upfront_schedulers_match_in_distribution():
         assert abs(counts_lazy[m] / blocks - mean) <= 4 * sd_of_mean + 1e-12
 
 
-def lazy_spawn_reference(n, rate, rng, offsets):
-    """Reference for spawn_orders: at each offset, one draw for every order
-    (descending) whose slot starts there."""
+def spawn_orders(n, rate, rng):
+    """Oracle of the per-block draw: yield, for each offset of the block, the
+    orders spawned there (descending), drawing that offset's Bernoullis, one
+    per slot that starts there, only when the generator reaches it."""
     probs = [spawn_probability(n, m, rate) for m in range(n + 1)]
-    return [
-        [m for m in range(n, -1, -1) if tau % (1 << m) == 0 and rng.random() < probs[m]]
-        for tau in range(offsets)
-    ]
+    for tau in range(1 << n):
+        top = n if tau == 0 else (tau & -tau).bit_length() - 1  # slots of order <= top start here
+        yield [m for m in range(top, -1, -1) if rng.random() < probs[m]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,14 +110,18 @@ def lazy_spawn_reference(n, rate, rng, offsets):
     st.data(),
 )
 def test_spawn_orders_make_the_lazy_draws(n, seed, p, data):
-    # same orders and the same stream state after any number of offsets,
-    # so a block cut short by a restart or end_t leaves the stream unchanged
+    # the block's one draw spawns what the lazy per-offset draws spawn, and a
+    # cut after any number of rounds leaves the stream where they leave it
     rate = RateFunction(c1=1.0, c2=0.0, p=p, c3=1.0, horizon=1 << 20)
-    cut = data.draw(st.integers(0, 1 << n))
-    rng_a = np.random.default_rng(seed)
-    rng_b = np.random.default_rng(seed)
-    got = list(itertools.islice(spawn_orders(n, rate, rng_a), cut))
-    assert got == lazy_spawn_reference(n, rate, rng_b, cut)
+    played = data.draw(st.integers(0, 1 << n))
+    lazy = list(spawn_orders(n, rate, np.random.default_rng(seed)))
+    assert schedule_upfront(n, rate, np.random.default_rng(seed)) == [
+        (m, tau, tau + (1 << m) - 1) for tau, orders in enumerate(lazy) for m in orders
+    ]
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    runner = MalgRunner(1, n, rate, make_factory(), rng_a)
+    runner.cut(played)  # rounds 1..played
+    list(itertools.islice(spawn_orders(n, rate, rng_b), played))
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -169,6 +173,9 @@ class SlotRunner:
                 self.events.append(f"resume m{rec.order}#{rec.uid}")
         return rec.learner.predict(), rec.learner.act(), rec
 
+    def cut(self, t):
+        pass  # the per-round draws already leave the stream where the block stopped
+
     def finish_round(self, t, reward, feedback):
         rec = self.active
         rec.learner.update(feedback)
@@ -207,7 +214,36 @@ def test_runner_matches_the_slot_oracle(n, seed, p, data):
         ended_b = oracle.finish_round(t, r, (pol_b, r))
         assert runner.events == oracle.events
         assert [(e.uid, e.reward_sum) for e in ended_a] == [(e.uid, e.reward_sum) for e in ended_b]
+    runner.cut(3 + rounds - 1)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("kappa", [1e-5, 3e-4, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_control_loop_matches_the_slot_oracle(monkeypatch, kappa, seed):
+    # blocks cut by restarts and by end_t: the same log, and the same sched
+    # stream state after each call, as with per-round draws
+    T = 256
+    env = make_env({"kind": "mab", "T": T, "segments": [
+        {"length": 100, "means": [0.9, 0.1]}, {"length": T - 100, "means": [0.1, 0.9]}]})
+    rate = ucb1_rate(2, T, 1.0 / T)
+
+    def run():
+        log, rng_env, rng_sched = master.RunLog(), seed_derive(seed, 0, "env"), seed_derive(seed, 0, "sched")
+        states = []
+        for start, end in [(1, 77), (78, 200), (201, T)]:
+            master.master_core(master.BanditWorld(env), make_factory(T), rate, T, 1.0 / T, kappa,
+                               rng_env, rng_sched, log, start_t=start, end_t=end)
+            states.append(rng_sched.bit_generator.state)
+        return log, states
+
+    log, states = run()
+    monkeypatch.setattr(master, "MalgRunner", SlotRunner)
+    oracle_log, oracle_states = run()
+    assert log.to_csv_text() == oracle_log.to_csv_text()
+    assert states == oracle_states
+    if kappa < 1.0:
+        assert any(ev.block > 0 for ev in log.restarts), "no block was cut by a restart"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
+import csv
 import hashlib
+import io
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonstat.base import Ucb1
 from nonstat.envs import make_env
@@ -11,6 +16,7 @@ from nonstat.malg import MalgRunner, n_hat, rho_hat
 from nonstat.master import (
     BanditWorld,
     RunLog,
+    ThresholdTable,
     dynamic_regret,
     master_core,
     run_bare,
@@ -18,7 +24,7 @@ from nonstat.master import (
 )
 from nonstat.master import test1_fails as order_test_fails
 from nonstat.master import test2_fails as block_test_fails
-from nonstat.rates import RateFunction, ucb1_rate
+from nonstat.rates import RateFunction, ucb1_rate, ucrl_rate
 
 SQRT_RATE = RateFunction(c1=1.0, c2=0.0, p=0.5, c3=1.0, horizon=1 << 20)
 
@@ -96,28 +102,65 @@ def run_scripted(g_values, rewards, kappa, T=None, rate=SQRT_RATE):
     return log
 
 
+def order_threshold(order, T, kappa):
+    return 9.0 * rho_hat(float(1 << order), SQRT_RATE, T, 1 / T, kappa)
+
+
+def length_threshold(length, T, kappa):
+    return 3.0 * rho_hat(float(length), SQRT_RATE, T, 1 / T, kappa)
+
+
 def test_test1_predicate_arithmetic():
     # kappa tuned so 9*rho_hat(1) = 0.09: avg 0.62 vs U=0.5 fails
     T = 16
     kappa = 0.09 / (9.0 * 6.0 * n_hat(T) * math.log(T * T))
-    assert order_test_fails(0.62, 0.5, 0, SQRT_RATE, T, 1 / T, kappa)
+    assert order_test_fails(0.62, 0.5, order_threshold(0, T, kappa))
     # boundary: avg == U passes because the threshold adds 9*rho_hat > 0
-    assert not order_test_fails(0.5, 0.5, 0, SQRT_RATE, T, 1 / T, kappa)
+    assert not order_test_fails(0.5, 0.5, order_threshold(0, T, kappa))
     # kappa large enough that 9*rho_hat >= 1 can never fail when U >= 0
-    assert not order_test_fails(1.0, 0.0, 0, SQRT_RATE, T, 1 / T, kappa=1.0)
+    assert not order_test_fails(1.0, 0.0, order_threshold(0, T, 1.0))
 
 
 def test_test2_predicate_arithmetic():
     T = 16
     # g~ = R everywhere: sum zero passes at any threshold
-    assert not block_test_fails(0.0, 8, SQRT_RATE, T, 1 / T, kappa=1.0)
+    assert not block_test_fails(0.0, 8, length_threshold(8, T, 1.0))
     # g~=1, R=0 with 3*rho_hat(len) tuned to 0.5 fails at every length
     length = 4
     kappa = 0.5 / (3.0 * 6.0 * n_hat(T) * math.log(T * T) * SQRT_RATE.rho(length))
-    assert block_test_fails(float(length), length, SQRT_RATE, T, 1 / T, kappa)
+    assert block_test_fails(float(length), length, length_threshold(length, T, kappa))
     # single round with gap 0.2 against 3*rho_hat(1) = 0.3 passes
     kappa1 = 0.3 / (3.0 * 6.0 * n_hat(T) * math.log(T * T))
-    assert not block_test_fails(0.2, 1, SQRT_RATE, T, 1 / T, kappa1)
+    assert not block_test_fails(0.2, 1, length_threshold(1, T, kappa1))
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kappa=st.sampled_from([0.0, 1e-5, 1.0, math.inf]),
+    average_reward=st.booleans(),
+    log2_horizon=st.integers(1, 24),
+    covers=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 3000)), min_size=1, max_size=4),
+)
+def test_threshold_table_equals_the_rho_hat_expressions_bitwise(kappa, average_reward, log2_horizon, covers):
+    T = 1 << log2_horizon
+    delta = 1.0 / T
+    if average_reward:
+        rate, factor = ucrl_rate(3, 2, T, delta, 2.0), 18.0
+    else:
+        rate, factor = ucb1_rate(2, T, delta), 6.0
+    table = ThresholdTable(rate, T, delta, kappa, factor)
+    for n, length in covers:
+        table.cover(n, length)
+    assert len(table.order) == 1 + max(n for n, _ in covers)
+    assert len(table.length) == max(length for _, length in covers)
+    for m, value in enumerate(table.order):
+        assert bits(value) == bits(9.0 * rho_hat(float(1 << m), rate, T, delta, kappa, factor))
+    for length, value in enumerate(table.length, start=1):
+        assert bits(value) == bits(3.0 * rho_hat(float(length), rate, T, delta, kappa, factor))
 
 
 def test_test2_single_round_boundary():
@@ -337,6 +380,58 @@ def test_csv_roundtrip_keeps_restart_blocks():
     log = run_master(env, factory, rate, T, delta, kappa=1e-4, seed=31)
     assert any(ev.block > 0 for ev in log.restarts)
     assert RunLog.from_csv(log.to_csv_text()).restarts == log.restarts
+
+
+_INT_COLUMNS = {"t", "block", "epoch", "active_order", "policy", "episode", "borl_arm"}
+
+
+def rowwise_csv(log):
+    """Reference writer: one csv.writer row per log row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(log.columns)
+    for row in zip(*(log.column(name) for name in log.columns)):
+        writer.writerow([
+            value if name == "event" else str(int(value)) if name in _INT_COLUMNS else repr(float(value))
+            for name, value in zip(log.columns, row)
+        ])
+    return buf.getvalue()
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308 / 3, 1.0]
+csv_ints = st.integers(-(2**63), 2**63 - 1).flatmap(lambda i: st.sampled_from([i, np.int64(i)]))
+csv_floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)).flatmap(
+    lambda x: st.sampled_from([x, np.float64(x)])
+)
+csv_events = st.text(st.one_of(st.sampled_from(',"\r\n; '), st.characters()))
+
+
+@st.composite
+def csv_logs(draw):
+    log = RunLog(mdp_columns=draw(st.booleans()))
+    for _ in range(draw(st.integers(0, 6))):
+        log.append(**{
+            name: draw(csv_events) if name == "event" else draw(csv_ints if name in _INT_COLUMNS else csv_floats)
+            for name in log.columns
+        })
+    return log
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_logs())
+def test_csv_writer_equals_rowwise_csv_writer(log):
+    # event text with commas, quotes, CR/LF and empty strings; numpy scalars,
+    # -0.0, nan, +-inf and subnormals in the number columns
+    assert log.to_csv_text() == rowwise_csv(log)
+
+
+def test_csv_file_equals_rowwise_csv_writer(tmp_path):
+    log = RunLog()
+    for t, event in enumerate(["", "spawn m0#0@[1,1]", 'a "b"', "x\ny", "c\rd"], start=1):
+        log.append(t=t, block=0, epoch=np.int64(2), active_order=0, policy=1, reward=np.float64(0.5),
+                   f_star=-0.0, g_tilde=math.inf, u_min=math.nan, event=event)
+    log.to_csv(str(tmp_path / "log.csv"))
+    assert (tmp_path / "log.csv").read_bytes() == rowwise_csv(log).encode()
 
 
 def test_empty_log_regret_raises():
