@@ -113,14 +113,47 @@ def _check_round(env, t):
 
 
 # ---------------------------------------------------------------------------
+# sampling tables for MDP environments
+
+# the tolerance Generator.choice allows on the sum of p
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _check_transitions(trans, axes):
+    """Raise ValueError unless each row of trans (its last axis) passes the
+    check Generator.choice makes on p; axes names the leading indexes."""
+    sums = trans.sum(axis=-1)
+    bad = ~((trans >= 0.0).all(axis=-1) & (np.abs(sums - 1.0) <= _CHOICE_ATOL))  # nan fails both
+    if bad.any():
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        name = ", ".join(f"{axis} {i}" for axis, i in zip(axes, where))
+        raise ValueError(f"transitions at {name} are not a probability vector (sum={float(sums[where]):.6g})")
+
+
+def _sampling_tables(rewards, trans, axes):
+    """(reward rows, next-state CDF rows) of one segment, as nested lists.
+
+    The CDF rows are the ones Generator.choice builds from p, so that
+    bisect.bisect_right(cdf[...], rng.random()) draws the same uniform and
+    returns the same index as rng.choice(S, p=trans[...]).
+    """
+    rewards = np.asarray(rewards, dtype=np.float64)
+    trans = np.asarray(trans, dtype=np.float64)
+    _check_transitions(trans, axes)
+    cdf = trans.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return rewards.tolist(), cdf.tolist()
+
+
+# ---------------------------------------------------------------------------
 # policy index encodings for MDP environments
 
 
 def encode_policy(table, n_actions: int) -> int:
     """Stationary policy (state -> action) to a single integer id."""
     pid = 0
-    for s in range(len(table) - 1, -1, -1):
-        pid = pid * n_actions + int(table[s])
+    for a in reversed(np.asarray(table).tolist()):
+        pid = pid * n_actions + int(a)
     return pid
 
 
@@ -261,6 +294,9 @@ class EpisodicEnv:
         self._segments = segments  # payload: (rewards (H,S,A), transitions (H,S,A,S))
         self.n_policies = n_actions ** (n_states * n_layers)
         self._opt_cache = {}
+        self._tables = [_sampling_tables(r, p, ("layer", "state", "action")) for r, p in segments.payloads]
+        # place value of digit h*S + s of a policy id: decode_layer_policy's table[h, s]
+        self._places = [self.n_actions**i for i in range(self.n_layers * self.n_states)]
 
     def params(self, t: int):
         return self._segments.at(t)
@@ -296,15 +332,16 @@ class EpisodicEnv:
         return self.policy_value(t, pid)
 
     def play(self, t: int, pid: int, rng):
-        rewards, trans = self.params(t)
-        table = decode_layer_policy(pid, self.n_layers, self.n_states, self.n_actions)
+        rewards, cdf = self._tables[self._segments.index_of(t)]
+        pid = int(pid)
+        n_states, n_actions, places = self.n_states, self.n_actions, self._places
         s = self.init_state
         total = 0.0
         traj = []
         for h in range(self.n_layers):
-            a = int(table[h, s])
-            r = float(rewards[h, s, a])
-            nxt = int(rng.choice(self.n_states, p=trans[h, s, a]))
+            a = pid // places[h * n_states + s] % n_actions
+            r = rewards[h][s][a]
+            nxt = bisect.bisect_right(cdf[h][s][a], rng.random())  # rng.choice(S, p=P_h(.|s, a))
             traj.append((h, s, a, r, nxt))
             total += r
             s = nxt
@@ -325,9 +362,15 @@ class InfiniteEnv:
         self.n_policies = n_actions**n_states
         self._gain_cache = {}
         self._diameter_cache = {}
+        self._tables = [_sampling_tables(r, p, ("state", "action")) for r, p in segments.payloads]
+        self._places = [self.n_actions**i for i in range(self.n_states)]  # place value of each policy-id digit
 
     def params(self, t: int):
         return self._segments.at(t)
+
+    def policy_action(self, pid: int, state: int) -> int:
+        """The action policy pid takes in state: decode_policy(pid, S, A)[state]."""
+        return int(pid) // self._places[state] % self.n_actions
 
     def optimal_value(self, t: int) -> float:
         """Optimal gain J*_t, from exact-model extended value iteration."""
@@ -347,11 +390,16 @@ class InfiniteEnv:
         return policy_gain(trans, rewards, decode_policy(pid, self.n_states, self.n_actions), self.init_state)
 
     def step(self, t: int, state: int, action: int, rng):
-        """One transition: Bernoulli reward with mean r_t(s, a), sampled next state."""
-        rewards, trans = self.params(t)
-        r = 1.0 if rng.random() < rewards[state, action] else 0.0
-        nxt = int(rng.choice(self.n_states, p=trans[state, action]))
-        return r, nxt
+        """One transition: Bernoulli reward with mean r_t(s, a), sampled next state.
+
+        Draws what rng.random() < r_t(s, a) and then rng.choice(S, p=P_t(.|s, a))
+        draw, and returns the same values.
+        """
+        rewards, cdf = self._tables[self._segments.index_of(t)]
+        return (
+            1.0 if rng.random() < rewards[state][action] else 0.0,
+            bisect.bisect_right(cdf[state][action], rng.random()),
+        )
 
     def diameter(self, t: int) -> float:
         _check_round(self, t)
@@ -570,9 +618,11 @@ def _load_segments(spec, path, horizon, loader):
     return _Segments(lengths, payloads)
 
 
-def _check_prob_vector(v, path, atol=1e-9):
-    if np.any(v < -atol) or abs(float(v.sum()) - 1.0) > 1e-6:
-        _fail(path, f"not a probability vector (sum={float(v.sum()):.6g})")
+def _check_spec_transitions(trans, path, axes):
+    try:
+        _check_transitions(trans, axes)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _check_unit_interval(a, path):
@@ -701,10 +751,7 @@ def _make_episodic(spec, horizon):
         if trans.shape != (h, s, a, s):
             _fail(f"{path}.transitions", f"shape {trans.shape} != {(h, s, a, s)}")
         _check_unit_interval(rewards, f"{path}.rewards")
-        for hh in range(h):
-            for ss in range(s):
-                for aa in range(a):
-                    _check_prob_vector(trans[hh, ss, aa], f"{path}.transitions[{hh}][{ss}][{aa}]")
+        _check_spec_transitions(trans, f"{path}.transitions", ("layer", "state", "action"))
         return (rewards, trans)
 
     return EpisodicEnv(horizon, s, a, h, _load_segments(spec, "spec", horizon, load), init_state=s1)
@@ -725,9 +772,7 @@ def _make_infinite(spec, horizon):
         if trans.shape != (s, a, s):
             _fail(f"{path}.transitions", f"shape {trans.shape} != {(s, a, s)}")
         _check_unit_interval(rewards, f"{path}.rewards")
-        for ss in range(s):
-            for aa in range(a):
-                _check_prob_vector(trans[ss, aa], f"{path}.transitions[{ss}][{aa}]")
+        _check_spec_transitions(trans, f"{path}.transitions", ("state", "action"))
         return (rewards, trans)
 
     env = InfiniteEnv(horizon, s, a, _load_segments(spec, "spec", horizon, load), init_state=s0)

@@ -37,12 +37,12 @@ import io
 import itertools
 import math
 import operator
+import re
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import decode_policy
 from .malg import MalgRunner, rho_hat
 from .rates import RateFunction
 
@@ -73,6 +73,7 @@ _BASE_COLUMNS = (
 )
 _MDP_COLUMNS = ("episode", "eta", "gamma_budget", "dbar", "borl_arm")
 _INT_COLUMNS = {"t", "block", "epoch", "active_order", "policy", "episode", "borl_arm"}
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")  # one line of text with its "\n", or a last unterminated one
 
 
 def _csv_field(text: str) -> str:
@@ -169,11 +170,15 @@ class RunLog:
 
     @classmethod
     def from_csv(cls, path_or_text: str) -> "RunLog":
-        text = path_or_text
-        if "\n" not in text:
+        """Read a log from a CSV file path or from CSV text, one line at a time."""
+        if "\n" not in path_or_text:
             with open(path_or_text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        reader = csv.reader(io.StringIO(text))
+                return cls._from_csv_reader(csv.reader(fh))
+        # the lines io.StringIO(text) would give, without its copy of the text
+        return cls._from_csv_reader(csv.reader(map(re.Match.group, _LINE.finditer(path_or_text))))
+
+    @classmethod
+    def _from_csv_reader(cls, reader) -> "RunLog":
         header = next(reader)
         log = cls(mdp_columns="episode" in header)
         if tuple(header) != log.columns:
@@ -235,8 +240,7 @@ class AverageRewardWorld:
 
     def play(self, t, policy, rng):
         s = self.state
-        table = decode_policy(policy, self.env.n_states, self.env.n_actions)
-        action = int(table[s])
+        action = self.env.policy_action(policy, s)
         reward, nxt = self.env.step(t, s, action, rng)
         self.state = nxt
         return reward, (s, action, reward, nxt), self.env.optimal_value(t)

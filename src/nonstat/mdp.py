@@ -231,6 +231,7 @@ class UcrlAcw(_Learner):
         self.eta = 1.0 / horizon
         self.gain = 1.0
         self.policy_table = np.zeros(n_states, dtype=np.int64)
+        self._policy_id = None  # encode_policy(policy_table), at the first act() after a solve
         self.needs_solve = True
         self.signaled = False
 
@@ -247,6 +248,10 @@ class UcrlAcw(_Learner):
     def restart_signaled(self) -> bool:
         return self.signaled
 
+    def _load_state(self, state: dict):
+        super()._load_state(state)
+        self._policy_id = None
+
     def _solve_episode(self):
         self.episode += 1
         if self.t_int == 0 and not self.visit_total.any():
@@ -259,6 +264,7 @@ class UcrlAcw(_Learner):
         self.eta = eta
         self.gain = out.gain
         self.policy_table = out.policy.astype(np.int64)
+        self._policy_id = None
         self.needs_solve = False
 
     def _ensure_solved(self):
@@ -271,7 +277,9 @@ class UcrlAcw(_Learner):
 
     def act(self) -> int:
         self._ensure_solved()
-        return encode_policy(self.policy_table, self.n_actions)
+        if self._policy_id is None:
+            self._policy_id = encode_policy(self.policy_table, self.n_actions)
+        return self._policy_id
 
     def update(self, feedback):
         self._ensure_solved()

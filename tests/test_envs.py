@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import json
 import math
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 
 from nonstat.envs import (
     EnvSpecError,
+    EpisodicEnv,
+    InfiniteEnv,
     _Segments,
+    _sampling_tables,
     decode_layer_policy,
     decode_policy,
     encode_layer_policy,
@@ -261,6 +265,190 @@ def test_sample_reward_episodic_mean_matches_f():
     draws = np.array([env.play(1, pid, rng)[0] for _ in range(20_000)])
     assert np.all((draws >= 0) & (draws <= 1))
     assert abs(draws.mean() - f) <= 4.0 * draws.std() / math.sqrt(len(draws)) + 1e-3
+
+
+# ---------------------------------------------------------------------------
+# MDP sampling tables against rng.choice
+
+
+def choice_step(env, t, s, a, rng):
+    """Reference: InfiniteEnv.step drawn with rng.choice."""
+    rewards, trans = env.params(t)
+    r = 1.0 if rng.random() < rewards[s, a] else 0.0
+    return r, int(rng.choice(env.n_states, p=trans[s, a]))
+
+
+def choice_play(env, t, pid, rng):
+    """Reference: EpisodicEnv.play drawn with rng.choice on the decoded table."""
+    rewards, trans = env.params(t)
+    table = decode_layer_policy(pid, env.n_layers, env.n_states, env.n_actions)
+    s, total, traj = env.init_state, 0.0, []
+    for h in range(env.n_layers):
+        a = int(table[h, s])
+        r = float(rewards[h, s, a])
+        nxt = int(rng.choice(env.n_states, p=trans[h, s, a]))
+        traj.append((h, s, a, r, nxt))
+        total += r
+        s = nxt
+    return total / env.n_layers, traj
+
+
+@st.composite
+def prob_rows(draw, n_rows, n_states):
+    """Rows of random weights, some entries zeroed, normalised as specs are."""
+    rows = []
+    for _ in range(n_rows):
+        w = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=n_states, max_size=n_states)))
+        keep = draw(st.integers(0, n_states - 1))  # one entry stays positive
+        zeros = draw(st.sets(st.integers(0, n_states - 1), max_size=n_states - 1))
+        w[[i for i in zeros if i != keep]] = 0.0
+        rows.append(w / w.sum())
+    return np.array(rows)
+
+
+def edge_rows(n_states):
+    """Zero first, middle and last; one-hot at each position; uniform; one
+    summing to 1 - 1e-9, which choice accepts and renormalises."""
+    rows = []
+    for zero in (0, n_states // 2, n_states - 1) if n_states > 1 else ():
+        w = np.linspace(1.0, 2.0, n_states)
+        w[zero] = 0.0
+        rows.append(w / w.sum())
+    rows.extend(np.eye(n_states))
+    rows.append(np.full(n_states, 1.0 / n_states))
+    rows.append(np.full(n_states, (1.0 - 1e-9) / n_states))
+    return np.array(rows)
+
+
+def assert_kernel_matches_choice(rows, seed, n_draws):
+    _, cdf = _sampling_tables(np.zeros(len(rows)), rows, ("row",))
+    for row, table in zip(rows, cdf):  # the CDF choice builds from p, bit for bit
+        assert table == (np.cumsum(row) / np.cumsum(row)[-1]).tolist()
+    lib, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in range(n_draws):
+        i = k % len(rows)
+        assert bisect.bisect_right(cdf[i], lib.random()) == ref.choice(len(rows[i]), p=rows[i])
+    assert lib.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n_states", [1, 2, 3, 8])
+def test_cdf_kernel_matches_choice_on_edge_rows(n_states):
+    assert_kernel_matches_choice(edge_rows(n_states), seed=n_states, n_draws=2000)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: prob_rows(4, n)), st.integers(0, 2**63))
+def test_cdf_kernel_matches_choice_on_random_rows(rows, seed):
+    assert_kernel_matches_choice(rows, seed, n_draws=200)
+
+
+def infinite_env(rewards, trans, lengths):
+    n_states, n_actions = rewards[0].shape
+    return InfiniteEnv(sum(lengths), n_states, n_actions, _Segments(lengths, list(zip(rewards, trans))))
+
+
+def test_policy_action_reads_the_decoded_table():
+    n_states, n_actions = 4, 3
+    trans = np.full((n_states, n_actions, n_states), 1.0 / n_states)
+    env = infinite_env([np.zeros((n_states, n_actions))], [trans], [1])
+    for pid in range(env.n_policies):
+        table = decode_policy(pid, n_states, n_actions).tolist()
+        assert [env.policy_action(pid, s) for s in range(n_states)] == table
+        assert [env.policy_action(np.int64(pid), s) for s in range(n_states)] == table
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_step_draws_what_choice_draws(data):
+    n_states, n_actions = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    lengths = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    trans = [data.draw(prob_rows(n_states * n_actions, n_states)).reshape(n_states, n_actions, n_states)
+             for _ in lengths]
+    rewards = [np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 0.6180339887]),
+                                           min_size=n_states * n_actions, max_size=n_states * n_actions)))
+               .reshape(n_states, n_actions) for _ in lengths]
+    env = infinite_env(rewards, trans, lengths)
+    seed = data.draw(st.integers(0, 2**63))
+    lib, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    s = 0
+    for t in range(1, env.horizon + 1):
+        a = t % n_actions
+        got = env.step(t, s, a, lib)
+        assert got == choice_step(env, t, s, a, ref)
+        assert (type(got[0]), type(got[1])) == (float, int)
+        s = got[1]
+    assert lib.bit_generator.state == ref.bit_generator.state
+
+
+def test_step_on_one_hot_and_zero_edged_rows_draws_what_choice_draws():
+    n_states = 4
+    rows = edge_rows(n_states)[:8]  # 3 zero-edged, 4 one-hot, 1 uniform
+    env = infinite_env([np.full((n_states, 2), 0.5)], [rows.reshape(n_states, 2, n_states)], [500])
+    lib, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for t in range(1, 501):
+        s, a = t % n_states, (t // n_states) % 2
+        assert env.step(t, s, a, lib) == choice_step(env, t, s, a, ref)
+    assert lib.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_episodic_play_draws_what_choice_draws(data):
+    n_states, n_actions, n_layers = (data.draw(st.integers(1, n)) for n in (4, 3, 4))
+    lengths = data.draw(st.lists(st.integers(1, 10), min_size=1, max_size=3))
+    n_rows = n_layers * n_states * n_actions
+    payloads = [
+        (np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_rows, max_size=n_rows)))
+         .reshape(n_layers, n_states, n_actions),
+         data.draw(prob_rows(n_rows, n_states)).reshape(n_layers, n_states, n_actions, n_states))
+        for _ in lengths
+    ]
+    init = data.draw(st.integers(0, n_states - 1))
+    segments = _Segments(lengths, payloads)
+    env = EpisodicEnv(sum(lengths), n_states, n_actions, n_layers, segments, init_state=init)
+    seed = data.draw(st.integers(0, 2**63))
+    lib, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for t in range(1, env.horizon + 1):
+        pid = data.draw(st.integers(0, env.n_policies - 1))
+        got = env.play(t, pid, lib)
+        assert got == choice_play(env, t, pid, ref)
+        assert all(type(x) is int for step in got[1] for x in (step[0], step[1], step[2], step[4]))
+    assert lib.bit_generator.state == ref.bit_generator.state
+
+
+def test_direct_construction_checks_every_transition_row():
+    rewards = np.full((2, 2), 0.5)
+    good = np.full((2, 2, 2), 0.5)
+    negative, short = good.copy(), good.copy()
+    negative[1, 0] = [1.25, -0.25]
+    short[0, 1] = [0.45, 0.45]  # sums to 0.9
+    with pytest.raises(ValueError, match="state 1, action 0 .*sum=1"):
+        infinite_env([rewards], [negative], [4])
+    with pytest.raises(ValueError, match="state 0, action 1 .*sum=0.9"):
+        infinite_env([rewards, rewards], [good, short], [2, 2])
+    layered = np.stack([good, good])
+    bad_layer = layered.copy()
+    bad_layer[1, 0, 1] = [0.45, 0.45]
+    with pytest.raises(ValueError, match="layer 1, state 0, action 1 .*sum=0.9"):
+        EpisodicEnv(4, 2, 2, 2, _Segments([4], [(np.stack([rewards, rewards]), bad_layer)]))
+    bad_layer = layered.copy()
+    bad_layer[0, 1, 0] = [1.25, -0.25]
+    with pytest.raises(ValueError, match="layer 0, state 1, action 0 "):
+        EpisodicEnv(4, 2, 2, 2, _Segments([4], [(np.stack([rewards, rewards]), bad_layer)]))
+    nan = good.copy()
+    nan[1, 1] = [math.nan, 1.0]
+    with pytest.raises(ValueError, match="state 1, action 1 "):
+        infinite_env([rewards], [nan], [4])
+
+
+def test_loader_applies_the_sampler_row_check():
+    # a row off by 1e-7 passed the loader's old 1e-6 check and then failed
+    # at its first draw; a tiny negative entry likewise
+    for row in ([0.5, 0.5 + 1e-7], [1.0 + 1e-10, -1e-10]):
+        spec = {"kind": "infinite", "T": 4, "S": 2, "A": 1,
+                "segments": [{"length": 4, "rewards": [[0.5], [0.5]], "transitions": [[row], [[0.5, 0.5]]]}]}
+        with pytest.raises(EnvSpecError, match=r"segments\[0\].transitions: .* state 0, action 0 .* probability"):
+            make_env(spec)
 
 
 # ---------------------------------------------------------------------------

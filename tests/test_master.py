@@ -2,7 +2,9 @@ import csv
 import hashlib
 import io
 import math
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -432,6 +434,59 @@ def test_csv_file_equals_rowwise_csv_writer(tmp_path):
                    f_star=-0.0, g_tilde=math.inf, u_min=math.nan, event=event)
     log.to_csv(str(tmp_path / "log.csv"))
     assert (tmp_path / "log.csv").read_bytes() == rowwise_csv(log).encode()
+
+
+def csv_cells(log):
+    """A log's rows as the cells csv.reader gives for its CSV text."""
+    return [list(log.columns)] + [
+        [value if name == "event" else str(int(value)) if name in _INT_COLUMNS else repr(float(value))
+         for name, value in zip(log.columns, row)]
+        for row in zip(*(log.column(name) for name in log.columns))
+    ]
+
+
+def read_outcome(read, source):
+    try:
+        return read(source)
+    except Exception as exc:  # the reference and the library must fail alike
+        return type(exc), str(exc)
+
+
+def stringio_cells(path_or_text):
+    """Reference reader: csv.reader over one io.StringIO of the whole text."""
+    text = path_or_text
+    if "\n" not in text:
+        with open(path_or_text, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return csv_cells(RunLog._from_csv_reader(csv.reader(io.StringIO(text))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_logs())
+def test_csv_reader_reads_what_a_stringio_reader_reads(log):
+    # line by line from a path or from the text, the cells are those of a
+    # csv.reader over one StringIO of the whole text, CR and LF included
+    text = log.to_csv_text()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.csv")
+        log.to_csv(path)
+        for source in (text, path):
+            got = read_outcome(lambda x: csv_cells(RunLog.from_csv(x)), source)
+            assert got == read_outcome(stringio_cells, source)
+
+
+def test_csv_roundtrip_through_a_file_with_multiline_events(tmp_path):
+    log = RunLog(mdp_columns=True)
+    for t, event in enumerate(["", "x\ny\nz", 'q "r", s', "\n", "restart test2"], start=1):
+        log.append(t=t, block=t // 2, epoch=0, active_order=1, policy=t, reward=0.1 * t, f_star=1.0 / 3,
+                   g_tilde=-0.0, u_min=5e-324, event=event, episode=t, eta=0.5, gamma_budget=2.0,
+                   dbar=1.0, borl_arm=-1)
+    path = str(tmp_path / "log.csv")
+    log.to_csv(path)
+    text = log.to_csv_text()
+    assert RunLog.from_csv(path).to_csv_text() == text
+    assert RunLog.from_csv(text).to_csv_text() == text
+    assert RunLog.from_csv(text.rstrip("\n")).to_csv_text() == text  # a last line without its LF
 
 
 def test_empty_log_regret_raises():

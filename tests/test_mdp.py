@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from nonstat.envs import decode_policy, make_env, policy_gain
+from nonstat.envs import decode_policy, encode_policy, make_env, policy_gain
 from nonstat.harness import seed_derive
 import nonstat.mdp
 from nonstat.base import restore, snapshot_to_json
@@ -267,6 +267,27 @@ def test_learner_with_data_never_takes_the_prior_solution(monkeypatch):
     assert clone.act() == inst.act()
     assert clone.eta == inst.eta
     assert snapshot_to_json(clone) == snapshot_to_json(inst)
+
+
+def test_policy_id_follows_each_solve_and_a_snapshot_round_trip():
+    # enough data that action 1 (reward 1) beats action 0 (reward 0) even
+    # optimistically: the solved policy id is 1 + 1*2 = 3, not the initial 0
+    inst = UcrlAcw(2, 2, 64, 1.0 / 64, dbar=1.0)
+    assert inst.act() == 0  # the data-free solve; a later solve replaces its id
+    for _ in range(3000):
+        for s in range(2):
+            inst.update((s, 0, 0.0, s))
+            inst.update((s, 1, 1.0, s))
+    assert inst.act() == 3 and not inst.needs_solve
+    clone = restore(snapshot_to_json(inst))
+    assert not clone.needs_solve  # act() reads the loaded table, no new solve
+    assert clone.act() == 3 == encode_policy(clone.policy_table, 2)
+    assert snapshot_to_json(clone) == snapshot_to_json(inst)
+    # loading into a learner that has already acted drops its old policy id
+    other = UcrlAcw(2, 2, 64, 1.0 / 64, dbar=1.0)
+    assert other.act() == 0
+    other._load_state(inst.snapshot()["state"])
+    assert other.act() == 3
 
 
 def test_gamma_threshold_arithmetic():
