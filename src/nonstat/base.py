@@ -4,10 +4,13 @@ Each learner exposes, before every round, a clamped optimistic value
 predict() in [0, 1] and a policy act(); after the environment responds it
 consumes update(feedback), which is the only call that advances internal
 time.  predict/act never change observable state, but may fill a cache that
-update clears: read-side state (score vectors, the GLM fit) is computed at
-most once per update, and only when something reads it.  Calling them
-repeatedly between updates returns identical results, and a learner can be
-paused, snapshotted to JSON, restored, and resumed with a bitwise-identical
+update clears: read-side state (a score vector with the value and action it
+decides, the GLM fit) is computed at most once per update, and only when
+something reads it.  Ucb1 and GlmUcb learners without data share one
+read-only decision per parameter set, since the scheduler builds such a
+learner for up to every round.  Calling predict/act repeatedly between
+updates returns identical results, and a learner can be paused,
+snapshotted to JSON, restored, and resumed with a bitwise-identical
 trajectory.
 
 Implemented learners and their feedback payloads:
@@ -92,26 +95,52 @@ class _Learner:
                 setattr(self, key, type(current)(val))
 
 
+def _all_zero(*arrays: np.ndarray) -> bool:
+    """No array has a nonzero entry (nan counts as one), as `not a.any()` for
+    each; count_nonzero costs a fifth of any() on arrays this small."""
+    return not any(map(np.count_nonzero, arrays))
+
+
+def _decision(scores: np.ndarray) -> tuple:
+    """(scores, predict(), act()) of an index learner with this score vector.
+
+    The entry at the argmax is the max, nan included (both take the first
+    nan), and the clamp maps a max of -0.0 or 0.0 to 0.0.
+    """
+    best = int(scores.argmax())
+    return scores, _clamp01(float(scores[best])), best
+
+
 class _IndexLearner(_Learner):
     """Plays the argmax of a score vector and predicts its clamped max.
 
     The vector is a function of the state fields; it is computed at the
-    first read after an update and cached until the next one, so update
-    (and anything else that changes the fields) must reset _score_cache.
+    first read after an update and cached, with the two reads it decides
+    (the _decision entry), until the next one, so update (and anything else
+    that changes the fields) must reset _score_cache.  _compute_decision
+    builds the entry; Ucb1 and GlmUcb learners without data take a shared,
+    read-only one instead.
     """
 
-    _score_cache = None
+    _score_cache = None  # (scores, predict(), act()), or None when stale
+
+    def _decided(self) -> tuple:
+        entry = self._score_cache
+        if entry is None:
+            entry = self._score_cache = self._compute_decision()
+        return entry
+
+    def _compute_decision(self) -> tuple:
+        return _decision(self._compute_scores())
 
     def _scores(self) -> np.ndarray:
-        if self._score_cache is None:
-            self._score_cache = self._compute_scores()
-        return self._score_cache
+        return self._decided()[0]
 
     def predict(self) -> float:
-        return _clamp01(float(self._scores().max()))
+        return self._decided()[1]
 
     def act(self) -> int:
-        return int(np.argmax(self._scores()))
+        return self._decided()[2]
 
     def _load_state(self, state: dict):
         super()._load_state(state)
@@ -142,6 +171,11 @@ class Ucb1(_IndexLearner):
             "bonus_scale": self.bonus_scale,
         }
 
+    def _compute_decision(self) -> tuple:
+        if self.t_int == 0 and _all_zero(self.counts, self.sums):
+            return _ucb1_prior_scores(self.n_arms, self.horizon, self.delta, self.bonus_scale)
+        return _decision(self._compute_scores())
+
     def _compute_scores(self) -> np.ndarray:
         nplus = np.maximum(self.counts, 1.0)
         return self.sums / nplus + self.bonus_scale * np.sqrt(self._log_term / nplus)
@@ -152,6 +186,19 @@ class Ucb1(_IndexLearner):
         self.sums[arm] += reward
         self.t_int += 1
         self._score_cache = None
+
+
+@functools.lru_cache(maxsize=64)
+def _ucb1_prior_scores(n_arms: int, horizon: int, delta: float, bonus_scale: float) -> tuple:
+    """The _decision entry of a UCB1 learner that has no data, shared by all such learners.
+
+    Without data the scores depend on these parameters only, and the
+    scheduler builds a fresh learner with them up to every round.  The
+    cached array is read-only.
+    """
+    scores = Ucb1(n_arms, horizon, delta, bonus_scale)._compute_scores()
+    scores.flags.writeable = False
+    return _decision(scores)
 
 
 class Oful(_IndexLearner):
@@ -300,7 +347,7 @@ class GlmUcb(_IndexLearner):
     """GLM-UCB.  update only accumulates the per-action statistics; the
     estimate theta is refit by glm_solve at its first read after that.  A
     learner with no data (no update, zero counts and theta) reads its
-    scores from _glm_prior_scores, shared by all such learners."""
+    scores and decision from _glm_prior_scores, shared by all such learners."""
 
     name = "glm"
     _fields = ("counts", "rsums", "t_int", "theta")
@@ -351,14 +398,14 @@ class GlmUcb(_IndexLearner):
         lam_mat = self.lam * np.eye(self.dim) + (self.actions.T * self.counts) @ self.actions
         return np.linalg.inv(lam_mat)
 
-    def _compute_scores(self) -> np.ndarray:
-        if self.t_int == 0 and not self._fit_stale and not self.counts.any() and not self._theta.any():
+    def _compute_decision(self) -> tuple:
+        if self.t_int == 0 and not self._fit_stale and _all_zero(self.counts, self._theta):
             return _glm_prior_scores(
                 self.actions.tobytes(), self.actions.shape, self.horizon, self.delta, self.link_name, self.lam
             )
-        return self._fitted_scores()
+        return _decision(self._compute_scores())
 
-    def _fitted_scores(self) -> np.ndarray:
+    def _compute_scores(self) -> np.ndarray:
         lam_inv = self._lam_inv()
         widths = np.sqrt(np.einsum("kd,de,ke->k", self.actions, lam_inv, self.actions))
         return np.asarray(self.link.mu(self.actions @ self.theta)) + 2.0 * self.beta * widths
@@ -373,17 +420,17 @@ class GlmUcb(_IndexLearner):
 
 
 @functools.lru_cache(maxsize=64)
-def _glm_prior_scores(actions: bytes, shape: tuple, horizon: int, delta: float, link: str, lam: float):
-    """The score vector of a GLM-UCB learner that has no data, shared by all such learners.
+def _glm_prior_scores(actions: bytes, shape: tuple, horizon: int, delta: float, link: str, lam: float) -> tuple:
+    """The _decision entry of a GLM-UCB learner that has no data, shared by all such learners.
 
     Without data the scores depend on these parameters only, and the
-    scheduler spawns a fresh learner with them up to every round.  The
+    scheduler builds a fresh learner with them up to every round.  The
     cached array is read-only.
     """
     fresh = GlmUcb(np.frombuffer(actions).reshape(shape), horizon, delta, link, lam)
-    scores = fresh._fitted_scores()
+    scores = fresh._compute_scores()
     scores.flags.writeable = False
-    return scores
+    return _decision(scores)
 
 
 class QUcb(_Learner):

@@ -16,6 +16,11 @@ optimistic value g~_t, chooses the policy, and is the only instance whose
 learner state is updated.  Every covering instance accumulates the
 learner's reward into its interval sum, which the order-level
 stationarity test reads when the instance ends.
+
+An instance's learner is built at its first active round, by one factory()
+call: until then its record holds None, and an instance that never plays
+(every round it covers is taken by one of smaller order) builds none.
+Factories draw no randomness, so when they are called changes no stream.
 """
 
 from __future__ import annotations
@@ -120,7 +125,7 @@ class InstanceRecord:
     order: int
     start: int  # absolute rounds, inclusive
     end: int
-    learner: object
+    learner: object = None  # built at the first active round
     reward_sum: float = 0.0  # all learner rewards in [start, end], active or not
     active_rounds: int = 0
 
@@ -172,20 +177,23 @@ class MalgRunner:
             m = self._spawn_orders[i]
             assert not live or live[-1].order > m, "overlapping same-order instances"
             uid, end = self._next_uid, t + (1 << m) - 1
-            live.append(InstanceRecord(uid, m, t, end, self.factory()))
+            live.append(InstanceRecord(uid, m, t, end))
             events.append(f"spawn m{m}#{uid}@[{t},{end}]")
             self._next_uid = uid + 1
             i += 1
         self._next_spawn = i
         assert live, f"no covering instance at round {t}"  # order n always covers
         rec = self._active = live[-1]
+        learner = rec.learner
+        if learner is None:
+            learner = rec.learner = self.factory()
         prev = self._prev
         if rec is not prev:
             if prev is not None and prev.end >= t:
                 events.append(f"pause m{prev.order}#{prev.uid}")
             if rec.active_rounds > 0:
                 events.append(f"resume m{rec.order}#{rec.uid}")
-        return rec.learner.predict(), rec.learner.act(), rec
+        return learner.predict(), learner.act(), rec
 
     # -- phase 2 -----------------------------------------------------------
 
@@ -216,4 +224,6 @@ class MalgRunner:
     # -- introspection ------------------------------------------------------
 
     def live_instances(self) -> list[InstanceRecord]:
+        """The instances covering the current round, orders descending.  Those
+        that have not played yet hold no learner (learner is None)."""
         return list(self._live)

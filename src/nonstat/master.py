@@ -77,10 +77,11 @@ _LINE = re.compile(r"[^\n]*\n|[^\n]+")  # one line of text with its "\n", or a l
 
 
 def _csv_field(text: str) -> str:
-    """text as csv.writer (minimal quoting, "\n" line terminator) writes it in
-    a row of several fields: quoted, with inner quotes doubled, when it holds
-    a comma, a quote or the line terminator; a lone CR is left bare."""
-    if "," in text or '"' in text or "\n" in text:
+    """text as csv.writer (minimal quoting, "\r\n" line terminator) writes it
+    in a row of several fields: quoted, with inner quotes doubled, when it
+    holds a comma, a quote, a LF or a CR (csv.reader rejects a CR in an
+    unquoted field)."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -172,7 +173,8 @@ class RunLog:
     def from_csv(cls, path_or_text: str) -> "RunLog":
         """Read a log from a CSV file path or from CSV text, one line at a time."""
         if "\n" not in path_or_text:
-            with open(path_or_text, "r", encoding="utf-8") as fh:
+            # newline="" as to_csv writes: a CR inside a quoted field stays a CR
+            with open(path_or_text, "r", encoding="utf-8", newline="") as fh:
                 return cls._from_csv_reader(csv.reader(fh))
         # the lines io.StringIO(text) would give, without its copy of the text
         return cls._from_csv_reader(csv.reader(map(re.Match.group, _LINE.finditer(path_or_text))))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _Learner, register_learner
+from .base import _all_zero, _Learner, register_learner
 from .envs import InfiniteEnv, encode_policy
 from .master import AverageRewardWorld, RunLog, master_core, seed_derive
 from .rates import ucrl_rate
@@ -172,10 +172,11 @@ def _optimistic_solve(visit_total, trans_counts, reward_sums, t_int, log_term, d
 
 @functools.lru_cache(maxsize=64)
 def _prior_solution(n_states: int, n_actions: int, horizon: int, delta: float, dbar: float):
-    """The first solve of a learner that has no data, shared by all such learners.
+    """The first solve of a learner that has no data, shared by all such learners:
+    (EVI output, eta, encoded policy id).
 
     Without data the solved model depends on these five parameters only,
-    and the scheduler spawns a fresh learner with them up to every round.
+    and the scheduler builds a fresh learner with them up to every round.
     The cached arrays are read-only.
     """
     zeros = np.zeros((n_states, n_actions))
@@ -183,7 +184,7 @@ def _prior_solution(n_states: int, n_actions: int, horizon: int, delta: float, d
     out, eta = _optimistic_solve(zeros, np.zeros((n_states, n_actions, n_states)), zeros, 0, log_term, dbar, horizon)
     out.policy.flags.writeable = False
     out.bias.flags.writeable = False
-    return out, eta
+    return out, eta, encode_policy(out.policy, n_actions)
 
 
 class UcrlAcw(_Learner):
@@ -231,7 +232,9 @@ class UcrlAcw(_Learner):
         self.eta = 1.0 / horizon
         self.gain = 1.0
         self.policy_table = np.zeros(n_states, dtype=np.int64)
-        self._policy_id = None  # encode_policy(policy_table), at the first act() after a solve
+        # encode_policy(policy_table): shared by the data-free solve, else made
+        # at the first act() after a solve
+        self._policy_id = None
         self.needs_solve = True
         self.signaled = False
 
@@ -254,17 +257,19 @@ class UcrlAcw(_Learner):
 
     def _solve_episode(self):
         self.episode += 1
-        if self.t_int == 0 and not self.visit_total.any():
-            out, eta = _prior_solution(self.n_states, self.n_actions, self.horizon, self.delta, self.dbar)
+        if self.t_int == 0 and _all_zero(self.visit_total):
+            out, eta, self._policy_id = _prior_solution(
+                self.n_states, self.n_actions, self.horizon, self.delta, self.dbar
+            )
         else:
             out, eta = _optimistic_solve(
                 self.visit_total, self.trans_counts, self.reward_sums,
                 self.t_int, self._log_term, self.dbar, self.horizon,
             )
+            self._policy_id = None
         self.eta = eta
         self.gain = out.gain
         self.policy_table = out.policy.astype(np.int64)
-        self._policy_id = None
         self.needs_solve = False
 
     def _ensure_solved(self):

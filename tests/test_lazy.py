@@ -23,8 +23,10 @@ from nonstat.base import (
     Oful,
     Ucb1,
     _clamp01,
+    _decision,
     _glm_prior_scores,
     _Learner,
+    _ucb1_prior_scores,
     glm_solve,
     restore,
     snapshot_to_json,
@@ -235,6 +237,19 @@ def test_glm_fit_never_read_never_raises(monkeypatch):
     inst.update((1, 1.0))  # then the instance is discarded unread
 
 
+@pytest.mark.parametrize(
+    "scores",
+    [[0.3, 0.7, 0.7], [-0.0, 0.0], [0.0, -0.0], [-1.0, -0.0], [math.nan, 1.0, math.nan], [1.0, math.nan],
+     [2.0, 1.5], [-0.5, -0.25], [math.inf, math.inf], [0.5]],
+)
+def test_decision_reads_what_max_and_argmax_read(scores):
+    scores = np.array(scores)
+    entry = _decision(scores)
+    assert entry[0] is scores
+    assert repr(entry[1]) == repr(_clamp01(float(scores.max())))
+    assert entry[2] == int(np.argmax(scores))
+
+
 # ---------------------------------------------------------------------------
 # the shared score vector of GLM-UCB learners without data
 
@@ -256,10 +271,12 @@ def glm_params(draw):
 @settings(max_examples=100, deadline=None)
 @given(glm_params())
 def test_glm_prior_scores_equal_fresh_eager_scores(params):
-    cached = GlmUcb(**params)._compute_scores()
-    eager = EagerGlm(**params)._scores()
-    assert cached.dtype == eager.dtype
-    assert cached.tobytes() == eager.tobytes()
+    inst, eager = GlmUcb(**params), EagerGlm(**params)
+    cached = inst._scores()
+    assert cached.dtype == eager._scores().dtype
+    assert cached.tobytes() == eager._scores().tobytes()
+    assert inst.predict() == eager.predict()
+    assert inst.act() == eager.act()
     with pytest.raises(ValueError):
         cached[0] = 0.0  # one array serves every such learner: it is read-only
 
@@ -331,4 +348,95 @@ def test_glm_learner_with_state_never_takes_the_prior(monkeypatch, make_state):
     eager.counts, eager.t_int, eager.theta = inst.counts.copy(), inst.t_int, inst.theta.copy()
     assert inst.predict() == eager.predict()
     assert inst.act() == eager.act()
+    assert inst._scores().flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the shared decision of UCB1 learners without data
+
+
+@st.composite
+def ucb1_params(draw):
+    return dict(
+        n_arms=draw(st.integers(1, 8)),
+        horizon=draw(st.integers(16, 4096)),
+        delta=draw(st.floats(1e-4, 0.5)),
+        bonus_scale=draw(st.floats(0.0, 4.0)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(ucb1_params())
+def test_ucb1_prior_scores_equal_fresh_eager_scores(params):
+    inst, eager = Ucb1(**params), EagerUcb1(**params)
+    cached = inst._scores()
+    assert cached is _ucb1_prior_scores(
+        params["n_arms"], params["horizon"], params["delta"], params["bonus_scale"]
+    )[0]
+    assert cached.dtype == eager._indexes().dtype
+    assert cached.tobytes() == eager._indexes().tobytes()
+    assert inst.predict() == eager.predict()
+    assert inst.act() == eager.act()
+    with pytest.raises(ValueError):
+        cached[0] = 0.0  # one array serves every such learner: it is read-only
+
+
+def test_fresh_ucb1_learners_share_the_prior_scores():
+    _ucb1_prior_scores.cache_clear()
+    first, second = Ucb1(4, 512, 1 / 512), Ucb1(4, 512, 1 / 512)
+    assert first.predict() == second.predict()
+    assert first._scores() is second._scores()
+    info = _ucb1_prior_scores.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # a learner restored from a data-free snapshot is data-free too
+    assert restore(snapshot_to_json(first))._scores() is first._scores()
+
+
+BASE_UCB1 = dict(n_arms=4, horizon=512, delta=1 / 512, bonus_scale=2.0)
+
+
+@pytest.mark.parametrize(
+    "change", [dict(n_arms=3), dict(horizon=1024), dict(delta=1 / 1024), dict(bonus_scale=1.0)]
+)
+def test_ucb1_prior_scores_key_on_every_parameter(change):
+    base = Ucb1(**BASE_UCB1)._scores()  # the base entry is cached
+    params = dict(BASE_UCB1, **change)
+    scores = Ucb1(**params)._scores()
+    assert scores is not base
+    assert scores.tobytes() == EagerUcb1(**params)._indexes().tobytes()
+
+
+def _ucb1_counts_only(inst):
+    inst.counts[1] = 1.0
+
+
+def _ucb1_sums_only(inst):
+    inst.sums[1] = 0.5
+
+
+def _ucb1_time_only(inst):
+    inst.t_int = 1
+
+
+def _ucb1_restored_with_data(inst):
+    inst.update((2, 1.0))
+    return restore(snapshot_to_json(inst))
+
+
+@pytest.mark.parametrize(
+    "make_state", [_ucb1_counts_only, _ucb1_sums_only, _ucb1_time_only, _ucb1_restored_with_data]
+)
+def test_ucb1_learner_with_state_never_takes_the_prior(monkeypatch, make_state):
+    inst = Ucb1(4, 512, 1 / 512)
+    inst = make_state(inst) or inst
+
+    def no_prior(*args):
+        raise AssertionError("a learner with state took the data-free scores")
+
+    monkeypatch.setattr(nonstat.base, "_ucb1_prior_scores", no_prior)
+    eager = EagerUcb1(4, 512, 1 / 512)
+    eager.counts, eager.sums, eager.t_int = inst.counts.copy(), inst.sums.copy(), inst.t_int
+    assert inst.predict() == eager.predict()
+    assert inst.act() == eager.act()
+    assert inst._scores().tobytes() == eager._indexes().tobytes()
     assert inst._scores().flags.writeable

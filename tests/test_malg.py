@@ -332,10 +332,49 @@ def test_every_instance_matches_a_bare_run_on_its_active_rounds():
         reward = float(seed_derive(10, t, "r").random())
         mirror.update((pol, reward))
         for ended in runner.finish_round(t, reward, (pol, reward)):
-            finals[ended.uid] = snapshot_to_json(ended.learner)
+            if ended.active_rounds:
+                finals[ended.uid] = snapshot_to_json(ended.learner)
+            else:  # an instance that never played never built a learner
+                assert ended.learner is None
     assert len(mirrors) > 2, "schedule too sparse to exercise the property"
+    assert finals.keys() == mirrors.keys()
     for uid, mirror in mirrors.items():
         assert finals[uid] == snapshot_to_json(mirror)
+
+
+ALL_SPAWN_RATE = RateFunction(c1=64.0, c2=0.0, p=0.5, c3=1.0, horizon=1 << 10)  # rho = 1 up to 4096
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.sampled_from([SQRT_RATE, ALL_SPAWN_RATE]), st.data())
+def test_learner_is_built_at_the_first_active_round(n, seed, rate, data):
+    # the factory runs once per instance that plays, at its first active
+    # round, and never for an instance that does not
+    rounds = data.draw(st.integers(1, 1 << n))
+    built = []  # (round, learner) of each factory call
+
+    def factory():
+        learner = Ucb1(3, 64, 1.0 / 64)
+        built.append((t, learner))  # t: the round the runner is beginning
+        return learner
+
+    runner = MalgRunner(3, n, rate, factory, np.random.default_rng(seed))
+    spawned = {}
+    first_rounds = []
+    for t in range(3, 3 + rounds):
+        calls = len(built)
+        _, pol, rec = runner.begin_round(t)
+        spawned.update((other.uid, other) for other in runner.live_instances())
+        if rec.active_rounds == 0:
+            first_rounds.append((t, rec))
+        assert len(built) == calls + (rec.active_rounds == 0)
+        runner.finish_round(t, 0.5, (pol, 0.5))
+    assert [t for t, _ in built] == [t for t, _ in first_rounds]
+    assert all(learner is rec.learner for (_, learner), (_, rec) in zip(built, first_rounds))
+    for rec in spawned.values():
+        assert (rec.learner is None) == (rec.active_rounds == 0)
+    if rate is ALL_SPAWN_RATE:  # orders n..1 of offset 0 never play
+        assert sum(rec.learner is None for rec in spawned.values()) >= n
 
 
 def test_consecutive_order_zero_instances_are_fresh():

@@ -388,16 +388,20 @@ _INT_COLUMNS = {"t", "block", "epoch", "active_order", "policy", "episode", "bor
 
 
 def rowwise_csv(log):
-    """Reference writer: one csv.writer row per log row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(log.columns)
-    for row in zip(*(log.column(name) for name in log.columns)):
-        writer.writerow([
-            value if name == "event" else str(int(value)) if name in _INT_COLUMNS else repr(float(value))
-            for name, value in zip(log.columns, row)
-        ])
-    return buf.getvalue()
+    """Reference writer: one csv.writer row per log row.  The rows are written
+    with a "\r\n" terminator, so that a field holding a CR is quoted as one
+    holding a LF is, and each row's terminator is then swapped for "\n"."""
+    rows = [log.columns] + [
+        [value if name == "event" else str(int(value)) if name in _INT_COLUMNS else repr(float(value))
+         for name, value in zip(log.columns, row)]
+        for row in zip(*(log.column(name) for name in log.columns))
+    ]
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
 
 
 _EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308 / 3, 1.0]
@@ -456,7 +460,7 @@ def stringio_cells(path_or_text):
     """Reference reader: csv.reader over one io.StringIO of the whole text."""
     text = path_or_text
     if "\n" not in text:
-        with open(path_or_text, "r", encoding="utf-8") as fh:
+        with open(path_or_text, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     return csv_cells(RunLog._from_csv_reader(csv.reader(io.StringIO(text))))
 
@@ -487,6 +491,23 @@ def test_csv_roundtrip_through_a_file_with_multiline_events(tmp_path):
     assert RunLog.from_csv(path).to_csv_text() == text
     assert RunLog.from_csv(text).to_csv_text() == text
     assert RunLog.from_csv(text.rstrip("\n")).to_csv_text() == text  # a last line without its LF
+
+
+@pytest.mark.parametrize("event", ["a\rb", "\r", "a\r", "\rb", "a\r\nb", "a,\rb"])
+def test_csv_roundtrip_with_a_cr_in_an_event(tmp_path, event):
+    # a CR is quoted like a LF, and reads back as a CR from the text and from a file
+    log = RunLog()
+    for t, ev in enumerate([event, "spawn m0#1@[2,2]"], start=1):
+        log.append(t=t, block=0, epoch=0, active_order=0, policy=0, reward=0.5,
+                   f_star=1.0, g_tilde=1.0, u_min=1.0, event=ev)
+    text = log.to_csv_text()
+    assert f'"{event}"' in text
+    path = str(tmp_path / "log.csv")
+    log.to_csv(path)
+    for source in (text, path):
+        reread = RunLog.from_csv(source)
+        assert reread.column("event") == [event, "spawn m0#1@[2,2]"]
+        assert reread.to_csv_text() == text
 
 
 def test_empty_log_regret_raises():
