@@ -3,8 +3,8 @@
 The hidden parameter rotates smoothly between two directions, so every
 round moves the reward function a little.  Both learners keep optimistic
 value estimates that dominate the moving optimum almost always, and the
-drift summary gives the exact algorithm-matched non-stationarity totals
-that the regret normalizers use.
+drift summary gives the exact non-stationarity totals, in the measure of
+the learner the environment kind takes, that the regret normalizers use.
 """
 
 import numpy as np
@@ -41,11 +41,11 @@ glm = make_env(
 )
 
 delta = 1.0 / T
-for name, env, learner, algo in (
-    ("linear / optimistic least squares", linear, Oful(linear.actions, T, delta), "oful"),
-    ("generalized linear / logistic link", glm, GlmUcb(glm.actions, T, delta, link="logistic"), "glm"),
+for name, env, learner in (
+    ("linear / optimistic least squares", linear, Oful(linear.actions, T, delta)),
+    ("generalized linear / logistic link", glm, GlmUcb(glm.actions, T, delta, link="logistic")),
 ):
-    summary = nonstat_summary(env, algo, delta)
+    summary = nonstat_summary(env, delta)
     log = run_bare(env, learner, T, seed=0)
     f_star = np.asarray(log.column("f_star"))
     g = np.asarray(log.column("g_tilde"))

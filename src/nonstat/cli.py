@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -31,13 +32,13 @@ def _cmd_run(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        if args.seeds is not None:
+            spec["seeds"] = _parse_seeds(args.seeds)
+        if args.kappa is not None:
+            spec["kappa"] = float(args.kappa) if args.kappa != "inf" else "inf"
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seeds is not None:
-        spec["seeds"] = _parse_seeds(args.seeds)
-    if args.kappa is not None:
-        spec["kappa"] = float(args.kappa) if args.kappa != "inf" else "inf"
     if args.out is not None:
         spec["out"] = args.out
     try:
@@ -59,7 +60,7 @@ def _cmd_regret(args) -> int:
     try:
         log = RunLog.from_csv(args.log)
         print(repr(dynamic_regret(log)))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, csv.Error) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     return 0
@@ -69,6 +70,8 @@ def _cmd_plot(args) -> int:
     try:
         with open(args.agg, "r", encoding="utf-8") as fh:
             report = json.load(fh)
+        if not isinstance(report, dict):
+            raise TypeError("the aggregate must be a JSON object")
         curve = report["mean_curve"]
         svg = render_regret_svg(
             [(curve["t"], curve["regret"])],
@@ -76,7 +79,7 @@ def _cmd_plot(args) -> int:
         )
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return 0

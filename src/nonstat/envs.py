@@ -14,9 +14,10 @@ drifting bandits, which have no segments, compute it every round.
 Environments are immutable after construction: building twice from the same
 spec yields bitwise-identical objects, and sampling takes an external RNG.
 
-Per-round drift traces Delta(t) are algorithm-matched (the measure under
-which each base algorithm satisfies its near-stationarity contract), with
-the displayed log prefactors kept and all hidden Theta constants set to 1.
+Per-round drift traces Delta(t) are matched to the base learner each kind
+takes (the measure under which it satisfies its near-stationarity
+contract), with the displayed log prefactors kept and all hidden Theta
+constants set to 1.
 Episodic quantities are divided by the layer count H so rewards and values
 live in [0, 1].
 """
@@ -478,7 +479,7 @@ def policy_gain(trans, rewards, table, init_state: int) -> float:
 # ---------------------------------------------------------------------------
 # module-level operations
 
-# the "ucrl" drift measure takes the largest gain change over every stationary
+# the average-reward drift measure takes the largest gain change over every stationary
 # policy, so it enumerates them and stops at this many
 MAX_GAIN_DRIFT_POLICIES = 4096
 
@@ -493,12 +494,15 @@ def _boundary_rows(env):
         yield t, segs.payloads[i], segs.payloads[i + 1]
 
 
-def nonstat_summary(env, algo: str, delta: float | None = None, dbar: float = 1.0) -> NonstatSummary:
-    """Algorithm-matched drift trace Delta(t) and its aggregates.
+def nonstat_summary(env, delta: float | None = None, dbar: float = 1.0) -> NonstatSummary:
+    """Drift trace Delta(t) and its aggregates, in the measure of the base
+    learner the environment kind takes.
 
-    algo selects the measure: "ucb1" (sup-norm of mean drift), "oful" /
-    "glm" (scaled parameter drift), "qucb" (layered reward/transition
-    drift, divided by H), "ucrl" (reward + 2*dbar*transition + gain drift).
+    The kind selects the measure: "mab" (sup-norm of mean drift), "linear"
+    / "glm" (parameter drift, at OFUL's scale without a link and GLM-UCB's
+    with one), "episodic" (layered reward/transition drift, divided by H),
+    "infinite" (reward + 2*dbar*transition + gain drift; dbar is the
+    average-reward learner's diameter guess).
     """
     T = env.horizon
     if delta is None:
@@ -506,8 +510,6 @@ def nonstat_summary(env, algo: str, delta: float | None = None, dbar: float = 1.
     trace = np.zeros(T)
 
     if isinstance(env, MabEnv):
-        if algo != "ucb1":
-            raise ValueError(f"algo {algo!r} does not match a MAB environment")
         if env._drift is not None:
             for t in range(1, T):
                 trace[t - 1] = float(np.abs(env.means(t) - env.means(t + 1)).max())
@@ -515,14 +517,8 @@ def nonstat_summary(env, algo: str, delta: float | None = None, dbar: float = 1.
             for t, lo, hi in _boundary_rows(env):
                 trace[t - 1] = float(np.abs(lo - hi).max())
     elif isinstance(env, LinearEnv):
-        if algo not in ("oful", "glm"):
-            raise ValueError(f"algo {algo!r} does not match a linear environment")
-        d = env.dim
-        if algo == "oful":
-            scale = d * math.sqrt(math.log(T / delta))
-        else:
-            link = env.link if env.link is not None else LINKS["identity"]
-            scale = (link.k_mu**2 * d / link.c_mu) * math.sqrt(math.log(T / delta))
+        d, link = env.dim, env.link
+        scale = (d if link is None else link.k_mu**2 * d / link.c_mu) * math.sqrt(math.log(T / delta))
         if env._drift is not None:
             for t in range(1, T):
                 trace[t - 1] = scale * float(np.linalg.norm(env.theta(t) - env.theta(t + 1)))
@@ -530,8 +526,6 @@ def nonstat_summary(env, algo: str, delta: float | None = None, dbar: float = 1.
             for t, lo, hi in _boundary_rows(env):
                 trace[t - 1] = scale * float(np.linalg.norm(lo - hi))
     elif isinstance(env, EpisodicEnv):
-        if algo != "qucb":
-            raise ValueError(f"algo {algo!r} does not match an episodic environment")
         h = env.n_layers
         for t, (r0, p0), (r1, p1) in _boundary_rows(env):
             dr = np.abs(r0 - r1).max(axis=(1, 2)).sum()
@@ -539,8 +533,6 @@ def nonstat_summary(env, algo: str, delta: float | None = None, dbar: float = 1.
             # displayed measure H*sum dr + H^2*sum dp, scaled down by H
             trace[t - 1] = float(dr + h * dp)
     elif isinstance(env, InfiniteEnv):
-        if algo != "ucrl":
-            raise ValueError(f"algo {algo!r} does not match an infinite-horizon environment")
         n_pol = env.n_policies
         if n_pol > MAX_GAIN_DRIFT_POLICIES:
             raise ValueError(f"gain-drift oracle needs |Pi| <= {MAX_GAIN_DRIFT_POLICIES}")

@@ -12,7 +12,8 @@ Randomness is derived, not shared: every stream comes from seed_derive, so
 any run is reproducible from its spec alone, on any platform.
 
 Everything the harness knows about an algorithm name sits in its
-ALGORITHMS entry.
+ALGORITHMS row: the environment kind, which fixes the base learner, and the
+run function.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -50,9 +49,10 @@ class SpecError(ValueError):
 # ---------------------------------------------------------------------------
 # the algorithm table
 #
-# A learner function maps (env, T, delta, spec.algo) to the (factory, rate)
-# of the base learner; a run function maps (learner, env, spec, seed, run_index)
-# to the run log.
+# An algorithm is an environment kind and a run function (env, spec, seed,
+# run_index) -> run log.  The kind fixes the base learner, whose function maps
+# (env, T, delta, spec.algo) to its (factory, rate), the round adapter and the
+# drift measure.
 
 
 def _ucb1(env, horizon, delta, algo):
@@ -95,22 +95,25 @@ def _ucrl(env, horizon, delta, algo):
     return mdp.ucrl_learner(env, horizon, delta, algo.get("dbar", 1.0))
 
 
-def _master(learner, env, spec, seed, run_index):
-    factory, rate = learner(env, spec["T"], spec["delta"], spec.get("algo", {}))
+# the base learner of each environment kind
+_LEARNERS = {"mab": _ucb1, "linear": _oful, "glm": _glm, "episodic": _qucb, "infinite": _ucrl}
+
+
+def _learner(env, spec):
+    return _LEARNERS[env.kind](env, spec["T"], spec["delta"], spec.get("algo", {}))
+
+
+def _master(env, spec, seed, run_index):
+    factory, rate = _learner(env, spec)
     return run_master(env, factory, rate, spec["T"], spec["delta"], spec["kappa"], seed, run_index)
 
 
-def _bare(learner, env, spec, seed, run_index):
-    factory, _ = learner(env, spec["T"], spec["delta"], spec.get("algo", {}))
+def _bare(env, spec, seed, run_index):
+    factory, _ = _learner(env, spec)
     return run_bare(env, factory(), spec["T"], seed, run_index)
 
 
-def _master_ucrl(learner, env, spec, seed, run_index):
-    dbar = spec.get("algo", {}).get("dbar", 1.0)
-    return mdp.run_master_ucrl(env, dbar, spec["T"], spec["delta"], spec["kappa"], seed, run_index)
-
-
-def _doubling_dbar(learner, env, spec, seed, run_index):
+def _doubling_dbar(env, spec, seed, run_index):
     algo = spec.get("algo", {})
     return mdp.doubling_dbar(
         env, spec["T"], algo.get("known_l"), algo.get("known_delta"), spec["delta"], spec["kappa"],
@@ -118,33 +121,24 @@ def _doubling_dbar(learner, env, spec, seed, run_index):
     )
 
 
-def _borl(learner, env, spec, seed, run_index):
+def _borl(env, spec, seed, run_index):
     return mdp.borl(env, spec["T"], spec["delta"], spec["kappa"], seed, run_index)
 
 
-@dataclass(frozen=True)
-class Algorithm:
-    env_kind: str  # the environment kind it runs on
-    learner: Callable  # its base learner's (factory, rate)
-    drift: str  # the drift measure nonstat_summary computes for it
-    run: Callable  # runs one seed
-    bare: str | None  # its paired baseline without the scheduler, if it has one
-
-
+# name -> (the environment kind it runs on, its run function)
 ALGORITHMS = {
-    "master+ucb1": Algorithm("mab", _ucb1, "ucb1", _master, "ucb1"),
-    "master+oful": Algorithm("linear", _oful, "oful", _master, "oful"),
-    "master+glm": Algorithm("glm", _glm, "glm", _master, "glm"),
-    "master+qucb": Algorithm("episodic", _qucb, "qucb", _master, "qucb"),
-    "master-ucrl": Algorithm("infinite", _ucrl, "ucrl", _master_ucrl, "ucrl"),
-    # a restart-free learner would need the diameter guess neither is given
-    "doubling-dbar": Algorithm("infinite", _ucrl, "ucrl", _doubling_dbar, None),
-    "borl": Algorithm("infinite", _ucrl, "ucrl", _borl, None),
-    "ucb1": Algorithm("mab", _ucb1, "ucb1", _bare, "ucb1"),
-    "oful": Algorithm("linear", _oful, "oful", _bare, "oful"),
-    "glm": Algorithm("glm", _glm, "glm", _bare, "glm"),
-    "qucb": Algorithm("episodic", _qucb, "qucb", _bare, "qucb"),
-    "ucrl": Algorithm("infinite", _ucrl, "ucrl", _bare, "ucrl"),
+    "master+ucb1": ("mab", _master),
+    "master+oful": ("linear", _master),
+    "master+glm": ("glm", _master),
+    "master+qucb": ("episodic", _master),
+    "master-ucrl": ("infinite", _master),
+    "doubling-dbar": ("infinite", _doubling_dbar),
+    "borl": ("infinite", _borl),
+    "ucb1": ("mab", _bare),
+    "oful": ("linear", _bare),
+    "glm": ("glm", _bare),
+    "qucb": ("episodic", _bare),
+    "ucrl": ("infinite", _bare),
 }
 
 
@@ -200,7 +194,7 @@ def validate_spec(spec: dict) -> dict:
         raise SpecError(f"spec.T: expected an integer, got {horizon!r}")
     if horizon != env.horizon:
         raise SpecError(f"spec.T: {horizon} does not match env horizon {env.horizon}")
-    expected_kind = ALGORITHMS[algorithm].env_kind
+    expected_kind, _ = ALGORITHMS[algorithm]
     if env.kind != expected_kind:
         raise SpecError(
             f"spec.algorithm: {algorithm!r} needs a {expected_kind!r} environment, got {env.kind!r}"
@@ -244,20 +238,20 @@ def validate_spec(spec: dict) -> dict:
 
 def run_single(spec: dict, seed: int, run_index: int = 0) -> RunLog:
     """One seeded run of the spec's algorithm; returns the run log."""
-    env = make_env(spec["env"])
-    entry = ALGORITHMS[spec["algorithm"]]
-    return entry.run(entry.learner, env, spec, seed, run_index)
+    _, run = ALGORITHMS[spec["algorithm"]]
+    return run(make_env(spec["env"]), spec, seed, run_index)
 
 
 def baseline_run(spec: dict, seed: int, run_index: int = 0) -> RunLog:
-    """The spec's base algorithm with no scheduling wrapper (paired baseline).
+    """The spec's base learner with no scheduling wrapper (paired baseline).
 
-    Raises SpecError for doubling-dbar and borl, which have none.
+    Raises SpecError for doubling-dbar and borl: a restart-free learner would
+    need the diameter guess neither is given.
     """
-    name = ALGORITHMS[spec["algorithm"]].bare
-    if name is None:
+    _, run = ALGORITHMS[spec["algorithm"]]
+    if run not in (_master, _bare):
         raise SpecError(f"spec.algorithm: {spec['algorithm']!r} has no restart-free counterpart")
-    return run_single(dict(spec, algorithm=name), seed, run_index)
+    return _bare(make_env(spec["env"]), spec, seed, run_index)
 
 
 # ---------------------------------------------------------------------------
@@ -273,28 +267,19 @@ def _downsample(values: np.ndarray, limit: int = MAX_CURVE_POINTS):
     return idx.tolist(), values[idx].tolist()
 
 
-def aggregate(spec: dict, logs: dict[int, RunLog]) -> dict:
+def aggregate(spec: dict, per_seed: list[dict], curve_sum: np.ndarray) -> dict:
+    """The report of a run's per-seed rows ({"seed", "regret", "restarts"}, in
+    seed order) and the sum of their cumulative regret curves."""
     env = make_env(spec["env"])
     horizon = spec["T"]
     dbar = spec.get("algo", {}).get("dbar", 1.0)  # read by the average-reward measure only
-    summary = nonstat_summary(env, ALGORITHMS[spec["algorithm"]].drift, spec["delta"], dbar)
+    summary = nonstat_summary(env, spec["delta"], dbar)
     reg_l_star = math.sqrt(summary.switch_count * horizon)
     reg_d_star = summary.delta_total ** (1.0 / 3.0) * horizon ** (2.0 / 3.0) + math.sqrt(horizon)
 
-    per_seed = []
-    curves = []
-    for seed in spec["seeds"]:
-        log = logs[seed]
-        regret = dynamic_regret(log)
-        gaps = np.asarray(log.column("f_star")) - np.asarray(log.column("reward"))
-        curves.append(np.cumsum(gaps))
-        per_seed.append(
-            {"seed": seed, "regret": regret, "restarts": len(log.restarts)}
-        )
     regrets = np.array([row["regret"] for row in per_seed])
     q25, q50, q75 = np.quantile(regrets, [0.25, 0.5, 0.75])
-    mean_curve = np.mean(curves, axis=0)
-    idx, vals = _downsample(mean_curve)
+    idx, vals = _downsample(curve_sum / len(per_seed))
     report = {
         "algorithm": spec["algorithm"],
         "T": horizon,
@@ -385,13 +370,24 @@ def render_regret_svg(curves: list[tuple[list, list]], title: str) -> str:
 
 
 def _run_and_persist(args):
+    """One seed: writes its CSV (with an output directory) and returns its
+    aggregate row and its cumulative regret curve, not the log."""
     spec, seed, run_index, out_dir = args
     log = run_single(spec, seed, run_index)
     if out_dir is not None:
         log.to_csv(os.path.join(out_dir, f"seed_{seed}.csv"))
     gaps = np.asarray(log.column("f_star")) - np.asarray(log.column("reward"))
-    idx, vals = _downsample(np.cumsum(gaps))
-    return seed, log, idx, vals
+    row = {"seed": seed, "regret": dynamic_regret(log), "restarts": len(log.restarts)}
+    return row, np.cumsum(gaps)
+
+
+def _seed_results(jobs, workers):
+    """_run_and_persist of each job, in job order."""
+    if workers <= 1:
+        yield from map(_run_and_persist, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_run_and_persist, jobs)
 
 
 def run_experiment(spec: dict, workers: int | None = None) -> dict:
@@ -404,7 +400,8 @@ def run_experiment(spec: dict, workers: int | None = None) -> dict:
     spec = validate_spec(spec)
     # aggregate's drift measure must be computable before any seed runs; not
     # in validate_spec, which accepts such specs for run_single
-    if ALGORITHMS[spec["algorithm"]].drift == "ucrl":
+    kind, _ = ALGORITHMS[spec["algorithm"]]
+    if kind == "infinite":
         n_policies = make_env(spec["env"]).n_policies
         if n_policies > MAX_GAIN_DRIFT_POLICIES:
             raise SpecError(
@@ -417,19 +414,20 @@ def run_experiment(spec: dict, workers: int | None = None) -> dict:
     if workers is None:
         workers = int(os.environ.get("NONSTAT_WORKERS", "1"))
     jobs = [(spec, seed, i, out_dir) for i, seed in enumerate(spec["seeds"])]
-    results = {}
-    curves = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for seed, log, idx, vals in pool.map(_run_and_persist, jobs):
-                results[seed] = log
-                curves.append(([i + 1 for i in idx], vals))
-    else:
-        for job in jobs:
-            seed, log, idx, vals = _run_and_persist(job)
-            results[seed] = log
-            curves.append(([i + 1 for i in idx], vals))
-    report = aggregate(spec, results)
+    per_seed = []
+    curves = []  # downsampled, for the SVG
+    curve_sum = None
+    for row, curve in _seed_results(jobs, workers):
+        per_seed.append(row)
+        idx, vals = _downsample(curve)
+        curves.append(([i + 1 for i in idx], vals))
+        # from the first curve, not from zeros, which would turn a -0.0 into 0.0:
+        # divided by the seed count this is np.mean(curves, axis=0), bit for bit
+        if curve_sum is None:
+            curve_sum = curve
+        else:
+            curve_sum += curve
+    report = aggregate(spec, per_seed, curve_sum)
     if out_dir is not None:
         with open(os.path.join(out_dir, "aggregate.json"), "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -59,8 +59,10 @@ def rho_hat(
     """Inflated rate used by the stationarity tests.
 
     kappa scales the whole threshold (1.0 reproduces the analysis constants,
-    which are conservative at small horizons); factor is 6 for the generic
-    reduction and 18 for the average-reward one.
+    which are conservative at small horizons); the control loop passes its
+    round adapter's rho_factor as factor: 6 for bandits and episodic MDPs
+    (master.BanditWorld), 18 for the average-reward learner
+    (master.AverageRewardWorld).
     """
     if kappa == 0.0:
         return 0.0

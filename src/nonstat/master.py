@@ -12,7 +12,9 @@ are performed:
 
 Both thresholds depend only on the order or on the block length, so each
 control-loop call tables them (ThresholdTable) and the tests compare
-against the tabled values.
+against the tabled values.  run_master and run_bare serve every
+environment kind through its round adapter, which carries the MDP log
+columns and rho_hat's factor: 6 (BanditWorld), or 18 (AverageRewardWorld).
 
 A failed test aborts the epoch: everything restarts from scratch at the
 next round (block order back to 0, all instances discarded).  A third
@@ -181,11 +183,15 @@ class RunLog:
 
     @classmethod
     def _from_csv_reader(cls, reader) -> "RunLog":
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("line 1: empty input, expected the header")
         log = cls(mdp_columns="episode" in header)
         if tuple(header) != log.columns:
             raise ValueError(f"unexpected log columns {header}")
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"line {reader.line_num}: {len(row)} cells, expected {len(header)}")
             values = {}
             for name, cell in zip(header, row):
                 if name == "event":
@@ -212,6 +218,7 @@ class BanditWorld:
     """Round-per-decision environments (bandits and episodic MDPs)."""
 
     mdp_columns = False
+    rho_factor = 6.0
 
     def __init__(self, env):
         self.env = env
@@ -234,6 +241,7 @@ class AverageRewardWorld:
     """
 
     mdp_columns = True
+    rho_factor = 18.0
 
     def __init__(self, env):
         self.env = env
@@ -301,7 +309,6 @@ def master_core(
     rng_sched,
     log: RunLog,
     *,
-    rho_factor: float = 6.0,
     start_t: int = 1,
     end_t: int | None = None,
     max_epochs: int | None = None,
@@ -312,13 +319,13 @@ def master_core(
     always sets the test thresholds).  stop_reason is "done" when the range
     is exhausted or "epoch_overflow" when starting one more epoch would
     exceed max_epochs (the doubling-guess strategy reacts to that).
-    kappa = +inf disables both tests.
+    kappa = +inf disables both tests; world.rho_factor inflates both thresholds.
     """
     if end_t is None:
         end_t = horizon
     t = start_t
     epochs_done = 0
-    thresholds = ThresholdTable(rate, horizon, delta, kappa, rho_factor)
+    thresholds = ThresholdTable(rate, horizon, delta, kappa, world.rho_factor)
     order_thresholds, length_thresholds = thresholds.order, thresholds.length
     while t <= end_t:
         epoch = epochs_done
@@ -379,6 +386,11 @@ def master_core(
     return t, "done"
 
 
+def _world_for(env):
+    """The round adapter of env's kind."""
+    return AverageRewardWorld(env) if env.kind == "infinite" else BanditWorld(env)
+
+
 def run_master(
     env,
     factory,
@@ -389,20 +401,14 @@ def run_master(
     seed: int = 0,
     run_index: int = 0,
 ) -> RunLog:
-    """Full run of the reduction over a bandit-style environment."""
+    """Full run of the reduction over an environment of any kind."""
     if delta is None:
         delta = 1.0 / horizon
-    log = RunLog()
+    world = _world_for(env)
+    log = RunLog(mdp_columns=world.mdp_columns)
     master_core(
-        BanditWorld(env),
-        factory,
-        rate,
-        horizon,
-        delta,
-        kappa,
-        seed_derive(seed, run_index, "env"),
-        seed_derive(seed, run_index, "sched"),
-        log,
+        world, factory, rate, horizon, delta, kappa,
+        seed_derive(seed, run_index, "env"), seed_derive(seed, run_index, "sched"), log,
     )
     return log
 
@@ -413,7 +419,7 @@ def run_bare(env, learner, horizon: int, seed: int = 0, run_index: int = 0) -> R
     Restart signals of the average-reward learner are ignored.
     """
     rng_env = seed_derive(seed, run_index, "env")
-    world = AverageRewardWorld(env) if env.kind == "infinite" else BanditWorld(env)
+    world = _world_for(env)
     log = RunLog(mdp_columns=world.mdp_columns)
     for t in range(1, horizon + 1):
         g_tilde = learner.predict()

@@ -15,6 +15,12 @@ inflated by eta, doubled from 1/T until the bias span fits within twice the
 diameter guess.  The cumulative widening budget is tracked and the learner
 signals a restart when it crosses 4*S*sqrt(A*t*log(SAT/delta)), t being the
 learner's own active-round count.
+
+The reduction over this learner is the generic one: run_master_ucrl is
+master.run_master with ucrl_learner's (factory, rate), and doubling_dbar and
+borl call master.master_core on round ranges of one trajectory.  The
+average-reward round adapter (master.AverageRewardWorld) carries what the
+kind fixes: the MDP log columns and the test factor 18.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from .base import _all_zero, _Learner, register_learner
 from .envs import InfiniteEnv, encode_policy
-from .master import AverageRewardWorld, RunLog, master_core, seed_derive
+from .master import AverageRewardWorld, RunLog, master_core, run_master, seed_derive
 from .rates import ucrl_rate
 
 __all__ = [
@@ -314,20 +320,6 @@ def ucrl_learner(env: InfiniteEnv, horizon: int, delta: float, dbar: float):
     return (lambda: UcrlAcw(n_states, n_actions, horizon, delta, dbar)), rate
 
 
-def _reduce(world, dbar, horizon, delta, kappa, rng_env, rng_sched, log, **rounds):
-    """The reduction over ucrl_learner(dbar); returns what master_core returns.
-
-    The generic control loop with the test inflation factor at 18; the
-    learner's restart signal (its widening budget running out) is the
-    loop's third restart cause.
-    """
-    factory, rate = ucrl_learner(world.env, horizon, delta, dbar)
-    return master_core(
-        world, factory, rate, horizon, delta, kappa, rng_env, rng_sched, log,
-        rho_factor=18.0, **rounds,
-    )
-
-
 def run_master_ucrl(
     env: InfiniteEnv,
     dbar: float,
@@ -341,12 +333,7 @@ def run_master_ucrl(
     horizon = env.horizon if horizon is None else horizon
     if delta is None:
         delta = 1.0 / horizon
-    log = RunLog(mdp_columns=True)
-    _reduce(
-        AverageRewardWorld(env), dbar, horizon, delta, kappa,
-        seed_derive(seed, run_index, "env"), seed_derive(seed, run_index, "sched"), log,
-    )
-    return log
+    return run_master(env, *ucrl_learner(env, horizon, delta, dbar), horizon, delta, kappa, seed, run_index)
 
 
 def nbar(
@@ -392,8 +379,9 @@ def doubling_dbar(
     dbar = 1.0
     t = 1
     while t <= horizon:
-        t, reason = _reduce(
-            world, dbar, horizon, delta, kappa, rng_env, rng_sched, log, start_t=t, max_epochs=cap
+        t, reason = master_core(
+            world, *ucrl_learner(env, horizon, delta, dbar), horizon, delta, kappa, rng_env, rng_sched, log,
+            start_t=t, max_epochs=cap,
         )
         if reason == "epoch_overflow":
             dbar *= 2.0
@@ -478,7 +466,10 @@ def borl(
         arm = world.borl_arm = picker.sample(rng_borl)
         end = min(t + block - 1, horizon)
         first = len(log)
-        _reduce(world, float(1 << arm), horizon, delta, kappa, rng_env, rng_sched, log, start_t=t, end_t=end)
+        master_core(
+            world, *ucrl_learner(env, horizon, delta, float(1 << arm)), horizon, delta, kappa, rng_env, rng_sched,
+            log, start_t=t, end_t=end,
+        )
         total = 0.0
         for reward in log.column("reward")[first:]:
             total += reward

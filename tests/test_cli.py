@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from nonstat.cli import main
+from nonstat.master import RunLog
 
 
 def write_config(tmp_path, T=64):
@@ -108,3 +109,42 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "regret_mean" in proc.stdout
+
+
+@pytest.mark.parametrize("flag, value", [("--seeds", "a"), ("--seeds", "1..b"), ("--kappa", "abc")])
+def test_run_rejects_a_malformed_override(tmp_path, capsys, flag, value):
+    assert main(["run", "--config", write_config(tmp_path), flag, value]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def one_row_log_text():
+    log = RunLog()
+    log.append(t=1, block=0, epoch=0, active_order=0, policy=0, reward=0.5,
+               f_star=1.0, g_tilde=1.0, u_min=1.0, event="")
+    return log.to_csv_text()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 1: empty input"),
+        # a row one cell short of the header, and one a cell too long
+        (one_row_log_text().replace(",1.0,\n", ",1.0\n"), "line 2: 9 cells, expected 10"),
+        (one_row_log_text().replace(",1.0,\n", ",1.0,,x\n"), "line 2: 11 cells, expected 10"),
+        # csv.reader's field size limit
+        (one_row_log_text().replace(",1.0,\n", ",1.0," + "e" * 200_000 + "\n"), "field larger than field limit"),
+    ],
+    ids=["empty", "short-row", "long-row", "field-limit"],
+)
+def test_regret_rejects_a_malformed_log(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert main(["regret", "--log", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_plot_rejects_an_aggregate_that_is_not_an_object(tmp_path, capsys):
+    agg = tmp_path / "agg.json"
+    agg.write_text("[1, 2]")
+    assert main(["plot", "--agg", str(agg), "--out", str(tmp_path / "out.svg")]) == 2
+    assert "config error" in capsys.readouterr().err

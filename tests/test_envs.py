@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonstat.envs import (
+    LINKS,
     EnvSpecError,
     EpisodicEnv,
     InfiniteEnv,
@@ -156,7 +157,7 @@ def test_drift_env_optimal_value_bypasses_the_cache(spec):
 
 
 def test_summary_stationary():
-    s = nonstat_summary(make_env(mab_spec()), "ucb1")
+    s = nonstat_summary(make_env(mab_spec()))
     assert s.delta_total == 0.0
     assert s.switch_count == 1
 
@@ -171,7 +172,7 @@ def test_summary_one_switch():
             ],
         )
     )
-    s = nonstat_summary(env, "ucb1")
+    s = nonstat_summary(env)
     assert s.switch_count == 2
     assert np.count_nonzero(s.delta_trace) == 1
     assert s.delta_trace[31] == pytest.approx(0.8)
@@ -184,7 +185,7 @@ def test_summary_drifting_mab_direct_summation():
     env = make_env(
         {"kind": "mab", "T": T, "drift": {"means_start": lo.tolist(), "means_end": hi.tolist()}}
     )
-    s = nonstat_summary(env, "ucb1")
+    s = nonstat_summary(env)
     # oracle: direct summation of sup-norm steps
     expected = sum(
         float(np.abs(env.means(t) - env.means(t + 1)).max()) for t in range(1, T)
@@ -202,7 +203,7 @@ def test_summary_dominates_value_drift_exhaustive():
     second["segments"][0]["length"] = 3
     spec["segments"].append(second["segments"][0])
     env = make_env(spec)
-    s = nonstat_summary(env, "qucb")
+    s = nonstat_summary(env)
     for t in range(1, env.horizon):
         drift = max(
             abs(env.f(t, pid) - env.f(t + 1, pid)) for pid in range(env.n_policies)
@@ -224,15 +225,10 @@ def test_summary_ucrl_components():
             ],
         }
     )
-    s = nonstat_summary(env, "ucrl", dbar=2.0)
+    s = nonstat_summary(env, dbar=2.0)
     # dr = 1, dp = 0, dJ = 0 (all policies still earn 0.5)
     assert s.delta_trace[3] == pytest.approx(1.0)
     assert s.switch_count == 2
-
-
-def test_summary_algo_env_mismatch():
-    with pytest.raises(ValueError):
-        nonstat_summary(make_env(mab_spec()), "oful")
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +639,19 @@ def test_linear_drift_env():
     assert env.optimal_value(1) == pytest.approx(0.6)
     assert env.optimal_value(11) == pytest.approx(0.7)
     assert env.theta(6).tolist() == [pytest.approx(0.45), pytest.approx(0.35)]
-    s = nonstat_summary(env, "oful")
+    s = nonstat_summary(env)
     assert s.switch_count == 11
     step = math.hypot(0.05, -0.05)
     scale = 2 * math.sqrt(math.log(11 * 11))
     assert s.delta_trace[0] == pytest.approx(scale * step)
+
+
+def test_summary_scale_follows_the_link():
+    # the same parameter drift: OFUL's scale without a link, GLM-UCB's with one
+    drift = {"theta_start": [0.2, 0.6], "theta_end": [0.7, 0.1]}
+    linear = make_env({"kind": "linear", "T": 11, "actions": [[1.0, 0.0], [0.0, 1.0]], "drift": drift})
+    glm = make_env({"kind": "glm", "T": 11, "link": "logistic", "actions": [[1.0, 0.0], [0.0, 1.0]],
+                    "drift": drift})
+    link = LINKS["logistic"]
+    ratio = nonstat_summary(glm).delta_trace[0] / nonstat_summary(linear).delta_trace[0]
+    assert ratio == pytest.approx(link.k_mu**2 / link.c_mu)

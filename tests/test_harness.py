@@ -453,6 +453,47 @@ def test_every_algorithm_log_is_pinned(algorithm):
     assert hashlib.sha256(text.encode()).hexdigest() == LOG_DIGESTS[algorithm]
 
 
+# SHA-256 of (aggregate.json, regret.svg) of each algorithm's tiny spec at
+# seeds [0, 1, 2]: the report and the plot, like the logs, are what the
+# library computes
+ARTIFACT_DIGESTS = {
+    "borl": ("43a16b584aa9d9031903a44a48b0d212c85ffa85b6b931e912f61a50706b0e8d",
+             "fe8e3629c7a4680ce19fea477f7c7e11dae1b6ea3502df009fc5346d623b9af9"),
+    "doubling-dbar": ("ca83de9f0f9c55d6b10caa4292ed9a32af4e5e3a79a078b665325bbdee2e2522",
+                      "f1c8829d11a2ba5063380634164ec3e86ede49438a99e0dcb8e6fb6246aa51a8"),
+    "glm": ("c7832b121b818232da8e2b87c25226b9810baa6a64938a05b6464529f684257a",
+            "d41060a0e346650c748cbb28c40c4095a0b5d2a80335ee148f8e7f989f27ea36"),
+    "master+glm": ("de097678bcab5136afb4e3e12c742b3e3784b683483b4a15b522579ec0c12466",
+                   "bd363dea39f2d985c119bb5e7357331a446e174288471bb9e091911bc162e003"),
+    "master+oful": ("a26d6d26e14c73416fb7faef4bceaa5ab339a6dfd36f1f562269b32f21d52bfb",
+                    "ef0ff12a4acd797786414e4fc418d33acf035b4d9b5dac52dcf1b8486c472f00"),
+    "master+qucb": ("e0d67b24437ca2f2ba4940d526abcc2bd1692012bf39fa3a596a0a1a0df944b1",
+                    "15d83980b4de424e1a1fc62ca238c33188ae0db65624b03da9382731a16ca625"),
+    "master+ucb1": ("766e2807e54645e5c6b14f169b9cfe0afa4819f83f09f4d3fc6d646b3111acf4",
+                    "a8f431cf588b06d0cb646fb9762d9f7b4db08560a3285d228da1a2e93801e558"),
+    "master-ucrl": ("18e5bc88d58abcad9a85bc30d701fe0b91fb7f404e768366617d6cec374afb5f",
+                    "e6a4ec0b71e1aad9f30351273858a39b76c1875394fc233ad2d520aee4cea741"),
+    "oful": ("49783ff08be81480848dbc8a0a9e176e2c22f7217453b523efb36bfb5d1e414e",
+             "df18f0262191908f687957dbf884c6ee8a0244b4ef1920917d4b7919b0ea9e4e"),
+    "qucb": ("87378f9e5a581d15dbc19421f46240f30def48f10017aab577773ebdaf7be1c8",
+             "20bfaaaa86928eb6d6c951d81e76e9d887f1cbb424768aa4e6f6a8054fc55780"),
+    "ucb1": ("2510da468619e761cfa570d8e090f5d377002966ecfcf4c51eae8d2a4a04214a",
+             "5a5311aaefb481c30ea718483875140bc371d6b06bc35dbb6be96f78dba23967"),
+    "ucrl": ("87bb9a7900db5f27cdd52f71a71dce5441343965443c6c145a1f5904b110bfab",
+             "cd72bfff2286e7d8836e0ab97b78a6364d535621ce6d44001643ec385034b85b"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("algorithm", sorted(ARTIFACT_DIGESTS))
+def test_every_algorithm_report_and_plot_are_pinned(algorithm, workers, tmp_path):
+    run_experiment(dict(tiny_spec(algorithm), seeds=[0, 1, 2], out=str(tmp_path)), workers=workers)
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("aggregate.json", "regret.svg")
+    )
+    assert digests == ARTIFACT_DIGESTS[algorithm]
+
+
 def test_benchmark_tracer_sees_every_layer(monkeypatch):
     # perfbench/tracing.py swaps wrappers onto module and class attributes by
     # name; a layer it can no longer reach would silently drop out of the split
