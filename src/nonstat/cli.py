@@ -32,6 +32,8 @@ def _cmd_run(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
+        if not isinstance(spec, dict):  # the overrides below index it
+            raise ValueError("spec: expected an object")
         if args.seeds is not None:
             spec["seeds"] = _parse_seeds(args.seeds)
         if args.kappa is not None:

@@ -10,7 +10,9 @@ All parameters are stored per stationary segment (length, payload) so that
 million-round traces stay cheap; per-round quantities are resolved lazily.
 Every kind caches its oracle (the optimum f*_t, and the diameter of a
 continuing MDP) per segment, computed at the first round that asks for it;
-drifting bandits, which have no segments, compute it every round.
+linear and GLM bandits likewise cache each action's mean per segment at its
+first play.  Drifting bandits, which have no segments, compute both every
+round.  A segment lookup tries the last segment found before it bisects.
 Environments are immutable after construction: building twice from the same
 spec yields bitwise-identical objects, and sampling takes an external RNG.
 
@@ -93,15 +95,21 @@ class _Segments:
         self.payloads = payloads
         self.bounds = np.concatenate([[0], np.cumsum(self.lengths)])  # bounds[i] rounds before seg i
         self._bound_list = self.bounds.tolist()  # bisect on a list is cheaper per round than searchsorted
+        self._last = (0, 0, 0)  # (bounds[i], bounds[i+1], i) of the last segment found; none yet
 
     def __len__(self):
         return len(self.payloads)
 
     def index_of(self, t: int) -> int:
-        # t is 1-based; segment i covers rounds bounds[i]+1 .. bounds[i+1]
+        # t is 1-based; segment i covers rounds bounds[i]+1 .. bounds[i+1].  Every env
+        # call of a round asks for the same segment, so the last one found is tried first.
+        lo, hi, i = self._last
+        if lo < t <= hi:
+            return i
         i = bisect.bisect_left(self._bound_list, t) - 1
         if i < 0 or i >= len(self.payloads):
             raise ValueError(f"round {t} outside horizon {int(self.bounds[-1])}")
+        self._last = (self._bound_list[i], self._bound_list[i + 1], i)
         return i
 
     def at(self, t: int):
@@ -244,6 +252,8 @@ class LinearEnv:
         self.lam = float(lam)
         self.kind = "glm" if link is not None else "linear"
         self._opt_cache = {}
+        # per segment, the mean of each action played there, filled at its first play
+        self._means = None if segments is None else [{} for _ in segments.payloads]
 
     def theta(self, t: int) -> np.ndarray:
         _check_round(self, t)
@@ -254,6 +264,16 @@ class LinearEnv:
         return self._segments.at(t)
 
     def f(self, t: int, pid: int) -> float:
+        if self._means is not None and 1 <= t <= self.horizon:
+            means = self._means[self._segments.index_of(t)]
+            m = means.get(pid)
+            if m is None:
+                m = means[pid] = self._mean(t, pid)
+            return m
+        return self._mean(t, pid)
+
+    def _mean(self, t: int, pid: int) -> float:
+        # the per-row dot: a gemv over all actions may round differently
         v = float(self.actions[pid] @ self.theta(t))
         return float(self.link.mu(v)) if self.link is not None else v
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -213,6 +214,9 @@ def validate_spec(spec: dict) -> dict:
     seeds = spec["seeds"]
     if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
         raise SpecError("spec.seeds: expected a non-empty list of integers")
+    repeated = sorted(s for s, n in Counter(seeds).items() if n > 1)
+    if repeated:  # each run writes seed_<seed>.csv
+        raise SpecError(f"spec.seeds: repeated seeds {repeated}")
     algo = spec.get("algo", {})
     if not isinstance(algo, dict) or set(algo) - _ALGO_KEYS:
         raise SpecError(f"spec.algo: unknown keys {sorted(set(algo) - _ALGO_KEYS)}")

@@ -1,23 +1,21 @@
 """Average-regret rate functions for base algorithms.
 
-A rate function is the pair rho(t) (average regret after t rounds of a
-near-stationary run) and C(t) = t * rho(t) (cumulative regret).  Every rate
+A rate function rho(t) is the average regret after t rounds of a
+near-stationary run, so t * rho(t) is its cumulative regret.  Every rate
 here has the shape
 
-    rho(t) = min(c1 * t**(p - 1) + c2 / t, c3),    C(t) = t * rho(t),
+    rho(t) = min(c1 * t**(p - 1) + c2 / t, c3),
 
-with p in [1/2, 1) and c3 >= 1, which makes rho non-increasing and C
-non-decreasing by construction.  The scheduler and the stationarity tests
-additionally rely on rho(t) >= 1 / sqrt(t) over the whole horizon, so that
-is checked exactly at construction time.
+with p in [1/2, 1) and c3 >= 1, which makes rho non-increasing and
+t * rho(t) non-decreasing by construction.  The scheduler and the
+stationarity tests additionally rely on rho(t) >= 1 / sqrt(t) over the whole
+horizon, so that is checked exactly at construction time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "RateFunction",
@@ -31,7 +29,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RateFunction:
-    """rho(t) = min(c1 * t**(p-1) + c2 / t, c3) with C(t) = t * rho(t)."""
+    """rho(t) = min(c1 * t**(p-1) + c2 / t, c3)."""
 
     c1: float
     c2: float
@@ -71,13 +69,6 @@ class RateFunction:
         if t < 1:
             raise ValueError(f"rho(t) needs t >= 1, got {t}")
         return min(self.c1 * t ** (self.p - 1.0) + self.c2 / t, self.c3)
-
-    def rho_array(self, t: np.ndarray) -> np.ndarray:
-        return np.minimum(self.c1 * t ** (self.p - 1.0) + self.c2 / t, self.c3)
-
-    def capacity(self, t: float) -> float:
-        """C(t) = t * rho(t), the cumulative-regret budget."""
-        return t * self.rho(t)
 
 
 def ucb1_rate(n_arms: int, horizon: int, delta: float) -> RateFunction:

@@ -117,6 +117,22 @@ def test_run_rejects_a_malformed_override(tmp_path, capsys, flag, value):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--seeds", "0"), ("--kappa", "0.5"), ("--out", "out")])
+def test_run_rejects_a_config_that_is_not_an_object(tmp_path, capsys, flag, value):
+    # each override indexes the spec, which must be a JSON object first
+    cfg = tmp_path / "list.json"
+    cfg.write_text(json.dumps([{"algorithm": "master+ucb1"}]))
+    assert main(["run", "--config", str(cfg), flag, value]) == 2
+    assert "config error: spec: expected an object" in capsys.readouterr().err
+
+
+def test_run_rejects_repeated_seeds(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path), "--seeds", "0,0", "--out", str(out)]) == 2
+    assert "config error: spec.seeds: repeated seeds [0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def one_row_log_text():
     log = RunLog()
     log.append(t=1, block=0, epoch=0, active_order=0, policy=0, reward=0.5,

@@ -84,17 +84,21 @@ def test_optimal_value_out_of_range():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 12), min_size=1, max_size=8))
-def test_index_of_matches_searchsorted(lengths):
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=8), st.data())
+def test_index_of_matches_searchsorted(lengths, data):
     segs = _Segments(lengths, list(range(len(lengths))))
     T = sum(lengths)
-    for t in range(1, T + 1):
-        expected = int(np.searchsorted(segs.bounds, t, side="left")) - 1
-        assert segs.index_of(t) == expected
-        assert segs.index_of(np.int64(t)) == expected
-    for t in (-1, 0, T + 1):
-        with pytest.raises(ValueError):
-            segs.index_of(t)
+    edges = [t for b in segs.bounds.tolist() for t in (b, b + 1)]  # both sides of every boundary
+    # rounds in any order: the last segment found must answer for no other round
+    ts = data.draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(-2, T + 2)), max_size=60))
+    for t in list(range(1, T + 1)) + ts + edges[::-1]:
+        if 1 <= t <= T:
+            expected = int(np.searchsorted(segs.bounds, t, side="left")) - 1
+            assert segs.index_of(t) == expected
+            assert segs.index_of(np.int64(t)) == expected
+        else:
+            with pytest.raises(ValueError, match=f"^round {t} outside horizon {T}$"):
+                segs.index_of(t)
 
 
 def _segment_env(kind, lengths, rng):
@@ -150,6 +154,66 @@ def test_drift_env_optimal_value_bypasses_the_cache(spec):
     for t in range(1, env.horizon + 1):
         assert env.optimal_value(t).hex() == _uncached_optimum(env, t).hex()
     assert env._opt_cache == {}
+
+
+# ---------------------------------------------------------------------------
+# per-segment memo of linear/GLM action means
+
+
+def _linear_env(link, lengths, drift, rng):
+    """A 5-action env in d=3; without a link, nonnegative vectors in the unit
+    ball keep every a^T theta in [0, 1]."""
+
+    def vector(scale):
+        v = rng.random(3) if link is None else rng.normal(size=3)
+        return (scale * v / np.linalg.norm(v)).tolist()
+
+    spec = {"kind": "linear"} if link is None else {"kind": "glm", "link": link}
+    spec["T"] = sum(lengths)
+    spec["actions"] = [vector(rng.uniform(0.5, 1.0)) for _ in range(5)]
+    if drift:
+        spec["drift"] = {"theta_start": vector(rng.uniform(0.1, 1.0)), "theta_end": vector(rng.uniform(0.1, 1.0))}
+    else:
+        spec["segments"] = [{"length": n, "theta": vector(rng.uniform(0.1, 1.0))} for n in lengths]
+    return make_env(spec)
+
+
+def _row_mean(env, t, pid):
+    """Reference: f_t(pid) from the per-row dot, computed afresh at every call."""
+    v = float(env.actions[pid] @ env.theta(t))
+    return float(env.link.mu(v)) if env.link is not None else v
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([None, "identity", "logistic"]),
+    st.lists(st.integers(1, 6), min_size=1, max_size=5),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_linear_mean_memo_is_bitwise_the_row_formula(link, lengths, drift, seed):
+    rng = np.random.default_rng(seed)
+    env = _linear_env(link, lengths, drift, rng)
+    K = env.n_policies
+    # rounds and action ids in any order, bad ones among them (-K..K-1 index an action)
+    rounds = rng.integers(-1, env.horizon + 3, size=120).tolist()
+    pids = rng.integers(-K - 2, K + 2, size=120).tolist()
+    played = set()
+    for t, pid in zip(rounds, pids):
+        assert _outcome(env.f, t, pid) == _outcome(_row_mean, env, t, pid)
+        if not drift and 1 <= t <= env.horizon and -K <= pid < K:
+            played.add((env._segments.index_of(t), pid))
+    if drift:
+        assert env._means is None
+    else:
+        assert sum(len(means) for means in env._means) <= len(played)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,15 @@ def test_validate_rejects_non_integer_seeds(seeds):
     # isinstance(True, int) holds; a boolean seed would name its file seed_True.csv
     with pytest.raises(SpecError, match=r"spec\.seeds"):
         validate_spec(experiment(seeds=seeds))
+
+
+@pytest.mark.parametrize("seeds, repeated", [([0, 0], [0]), ([3, 1, 3, 2, 1], [1, 3])])
+def test_run_experiment_rejects_repeated_seeds_before_the_output_directory(tmp_path, seeds, repeated):
+    # both runs of seed 0 would write seed_0.csv, the second over the first
+    out = tmp_path / "out"
+    with pytest.raises(SpecError, match=rf"^spec\.seeds: repeated seeds {re.escape(str(repeated))}$"):
+        run_experiment(experiment(seeds=seeds, out=str(out)))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("horizon", [128.0, True, "128", None])

