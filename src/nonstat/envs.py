@@ -8,11 +8,12 @@ algorithm consumes.
 
 All parameters are stored per stationary segment (length, payload) so that
 million-round traces stay cheap; per-round quantities are resolved lazily.
-Every kind caches its oracle (the optimum f*_t, and the diameter of a
-continuing MDP) per segment, computed at the first round that asks for it;
-linear and GLM bandits likewise cache each action's mean per segment at its
-first play.  Drifting bandits, which have no segments, compute both every
-round.  A segment lookup tries the last segment found before it bisects.
+Every kind keeps its optimum f*_t in one memo per segment, computed at the
+first round that asks from the segment's optimum the kind supplies.  The
+three bandit kinds share one body, which memoizes each action's mean per
+segment at its first play.  Drifting bandits, which have no segments,
+compute both every round.  A segment lookup tries the last segment found
+before it bisects.
 Environments are immutable after construction: building twice from the same
 spec yields bitwise-identical objects, and sampling takes an external RNG.
 
@@ -116,11 +117,6 @@ class _Segments:
         return self.payloads[self.index_of(t)]
 
 
-def _check_round(env, t):
-    if not (1 <= t <= env.horizon):
-        raise ValueError(f"round {t} outside [1, {env.horizon}]")
-
-
 # ---------------------------------------------------------------------------
 # sampling tables for MDP environments
 
@@ -198,39 +194,59 @@ class NonstatSummary:
     switch_count: int  # L = 1 + #{t < T : Delta(t) != 0}
 
 
-class MabEnv:
-    kind = "mab"
+class _Env:
+    """What every kind shares: the parameter of a round and the per-segment memo
+    of the optimum f*_t.  A kind supplies _optimum(parameter)."""
 
     def __init__(self, horizon, segments, drift=None):
         self.horizon = int(horizon)
-        self._drift = drift  # (means_start, means_end) or None
         self._segments = segments
-        if drift is not None:
-            self.n_arms = len(drift[0])
-        else:
-            self.n_arms = len(segments.payloads[0])
-        self.n_policies = self.n_arms
-        self._opt_cache = {}
+        self._drift = drift  # (start, end) parameters of a drifting bandit, which has no segments
+        self._opt_cache = {}  # segment index -> f*, filled at the first round that asks
 
-    def means(self, t: int) -> np.ndarray:
-        _check_round(self, t)
-        if self._drift is not None:
-            lo, hi = self._drift
-            w = 0.0 if self.horizon == 1 else (t - 1) / (self.horizon - 1)
-            return (1.0 - w) * lo + w * hi
-        return self._segments.at(t)
-
-    def f(self, t: int, pid: int) -> float:
-        return float(self.means(t)[pid])
+    def _param(self, t: int):
+        """The parameter of round t: its segment's payload, or (1-w)*start + w*end on a drift."""
+        if not (1 <= t <= self.horizon):
+            raise ValueError(f"round {t} outside [1, {self.horizon}]")
+        if self._drift is None:
+            return self._segments.at(t)
+        lo, hi = self._drift
+        w = 0.0 if self.horizon == 1 else (t - 1) / (self.horizon - 1)
+        return (1.0 - w) * lo + w * hi
 
     def optimal_value(self, t: int) -> float:
-        if self._drift is not None:
-            return float(self.means(t).max())
-        _check_round(self, t)
-        i = self._segments.index_of(t)
-        if i not in self._opt_cache:
-            self._opt_cache[i] = float(self._segments.payloads[i].max())
-        return self._opt_cache[i]
+        if self._drift is None and 1 <= t <= self.horizon:
+            i = self._segments.index_of(t)
+            opt = self._opt_cache.get(i)
+            if opt is None:
+                opt = self._opt_cache[i] = self._optimum(self._segments.payloads[i])
+            return opt
+        return self._optimum(self._param(t))
+
+
+class _BanditEnv(_Env):
+    """A bandit whose policies are its actions.  A kind supplies _mean(t, pid),
+    one action's mean at round t, and _values(parameter), every action's."""
+
+    def __init__(self, horizon, segments, drift):
+        super().__init__(horizon, segments, drift)
+        # per segment, the mean of each action played there, filled at its first play
+        self._means = None if segments is None else [{} for _ in segments.payloads]
+
+    def f(self, t: int, pid: int) -> float:
+        # int ids only: a float id equal to a played one must raise as the formula does
+        if self._means is not None and 1 <= t <= self.horizon and type(pid) is int:
+            means = self._means[self._segments.index_of(t)]
+            try:
+                return means[pid]
+            except KeyError:
+                pass
+            m = means[pid] = self._mean(t, pid)
+            return m
+        return self._mean(t, pid)
+
+    def _optimum(self, param) -> float:
+        return float(self._values(param).max())
 
     def play(self, t: int, pid: int, rng):
         m = self.f(t, pid)
@@ -238,65 +254,48 @@ class MabEnv:
         return r, (pid, r)
 
 
-class LinearEnv:
+class MabEnv(_BanditEnv):
+    kind = "mab"
+
+    def __init__(self, horizon, segments, drift=None):
+        super().__init__(horizon, segments, drift)  # drift: (means_start, means_end) or None
+        self.n_arms = len(drift[0] if drift is not None else segments.payloads[0])
+        self.n_policies = self.n_arms
+
+    means = _Env._param
+
+    def _mean(self, t: int, pid: int) -> float:
+        return float(self.means(t)[pid])
+
+    def _values(self, means) -> np.ndarray:
+        return means
+
+
+class LinearEnv(_BanditEnv):
     """Finite-action linear bandit; the GLM variant adds a link function."""
 
     def __init__(self, horizon, actions, segments, drift=None, link=None, lam=1.0):
-        self.horizon = int(horizon)
+        super().__init__(horizon, segments, drift)  # drift: (theta_start, theta_end) or None
         self.actions = actions  # (K, d)
         self.dim = actions.shape[1]
         self.n_policies = actions.shape[0]
-        self._segments = segments
-        self._drift = drift  # (theta_start, theta_end) or None
         self.link = link
         self.lam = float(lam)
         self.kind = "glm" if link is not None else "linear"
-        self._opt_cache = {}
-        # per segment, the mean of each action played there, filled at its first play
-        self._means = None if segments is None else [{} for _ in segments.payloads]
 
-    def theta(self, t: int) -> np.ndarray:
-        _check_round(self, t)
-        if self._drift is not None:
-            lo, hi = self._drift
-            w = 0.0 if self.horizon == 1 else (t - 1) / (self.horizon - 1)
-            return (1.0 - w) * lo + w * hi
-        return self._segments.at(t)
-
-    def f(self, t: int, pid: int) -> float:
-        if self._means is not None and 1 <= t <= self.horizon:
-            means = self._means[self._segments.index_of(t)]
-            m = means.get(pid)
-            if m is None:
-                m = means[pid] = self._mean(t, pid)
-            return m
-        return self._mean(t, pid)
+    theta = _Env._param
 
     def _mean(self, t: int, pid: int) -> float:
         # the per-row dot: a gemv over all actions may round differently
         v = float(self.actions[pid] @ self.theta(t))
         return float(self.link.mu(v)) if self.link is not None else v
 
-    def _values(self, t: int) -> np.ndarray:
-        v = self.actions @ self.theta(t)
+    def _values(self, theta) -> np.ndarray:
+        v = self.actions @ theta
         return self.link.mu(v) if self.link is not None else v
 
-    def optimal_value(self, t: int) -> float:
-        if self._drift is not None:
-            return float(self._values(t).max())
-        _check_round(self, t)
-        i = self._segments.index_of(t)
-        if i not in self._opt_cache:
-            self._opt_cache[i] = float(self._values(t).max())
-        return self._opt_cache[i]
 
-    def play(self, t: int, pid: int, rng):
-        m = self.f(t, pid)
-        r = 1.0 if rng.random() < m else 0.0
-        return r, (pid, r)
-
-
-class EpisodicEnv:
+class EpisodicEnv(_Env):
     """Layered tabular MDP; one framework round = one H-step episode.
 
     Values fed to the reduction are divided by H so that f_t(pi) lies in
@@ -307,14 +306,12 @@ class EpisodicEnv:
     kind = "episodic"
 
     def __init__(self, horizon, n_states, n_actions, n_layers, segments, init_state=0):
-        self.horizon = int(horizon)
+        super().__init__(horizon, segments)  # payload: (rewards (H,S,A), transitions (H,S,A,S))
         self.n_states = int(n_states)
         self.n_actions = int(n_actions)
         self.n_layers = int(n_layers)
         self.init_state = int(init_state)
-        self._segments = segments  # payload: (rewards (H,S,A), transitions (H,S,A,S))
         self.n_policies = n_actions ** (n_states * n_layers)
-        self._opt_cache = {}
         self._tables = [_sampling_tables(r, p, ("layer", "state", "action")) for r, p in segments.payloads]
         # place value of digit h*S + s of a policy id: decode_layer_policy's table[h, s]
         self._places = [self.n_actions**i for i in range(self.n_layers * self.n_states)]
@@ -322,25 +319,18 @@ class EpisodicEnv:
     def params(self, t: int):
         return self._segments.at(t)
 
-    def _backward_induction(self, seg_idx: int) -> float:
-        rewards, trans = self._segments.payloads[seg_idx]
+    def _optimum(self, param) -> float:
+        """Optimal value of the initial state, by backward induction."""
+        rewards, trans = param
         v = np.zeros(self.n_states)
         for h in range(self.n_layers - 1, -1, -1):
             q = rewards[h] + trans[h] @ v  # (S, A)
             v = q.max(axis=1)
         return float(v[self.init_state]) / self.n_layers
 
-    def optimal_value(self, t: int) -> float:
-        _check_round(self, t)
-        i = self._segments.index_of(t)
-        if i not in self._opt_cache:
-            self._opt_cache[i] = self._backward_induction(i)
-        return self._opt_cache[i]
-
     def policy_value(self, t: int, pid: int) -> float:
         """Exact f_t(pi) for an encoded layer policy, by policy evaluation."""
-        _check_round(self, t)
-        rewards, trans = self.params(t)
+        rewards, trans = self._param(t)
         table = decode_layer_policy(pid, self.n_layers, self.n_states, self.n_actions)
         v = np.zeros(self.n_states)
         idx = np.arange(self.n_states)
@@ -349,8 +339,7 @@ class EpisodicEnv:
             v = rewards[h, idx, a] + trans[h, idx, a] @ v
         return float(v[self.init_state]) / self.n_layers
 
-    def f(self, t: int, pid: int) -> float:
-        return self.policy_value(t, pid)
+    f = policy_value
 
     def play(self, t: int, pid: int, rng):
         rewards, cdf = self._tables[self._segments.index_of(t)]
@@ -369,20 +358,17 @@ class EpisodicEnv:
         return total / self.n_layers, traj
 
 
-class InfiniteEnv:
+class InfiniteEnv(_Env):
     """Continuing tabular MDP; one framework round = one state transition."""
 
     kind = "infinite"
 
     def __init__(self, horizon, n_states, n_actions, segments, init_state=0):
-        self.horizon = int(horizon)
+        super().__init__(horizon, segments)  # payload: (rewards (S,A), transitions (S,A,S))
         self.n_states = int(n_states)
         self.n_actions = int(n_actions)
         self.init_state = int(init_state)
-        self._segments = segments  # payload: (rewards (S,A), transitions (S,A,S))
         self.n_policies = n_actions**n_states
-        self._gain_cache = {}
-        self._diameter_cache = {}
         self._tables = [_sampling_tables(r, p, ("state", "action")) for r, p in segments.payloads]
         self._places = [self.n_actions**i for i in range(self.n_states)]  # place value of each policy-id digit
 
@@ -393,21 +379,16 @@ class InfiniteEnv:
         """The action policy pid takes in state: decode_policy(pid, S, A)[state]."""
         return int(pid) // self._places[state] % self.n_actions
 
-    def optimal_value(self, t: int) -> float:
-        """Optimal gain J*_t, from exact-model extended value iteration."""
-        _check_round(self, t)
-        i = self._segments.index_of(t)
-        if i not in self._gain_cache:
-            from .mdp import optimal_gain
+    def _optimum(self, param) -> float:
+        """Optimal gain J*, from exact-model extended value iteration."""
+        from .mdp import optimal_gain
 
-            rewards, trans = self._segments.payloads[i]
-            self._gain_cache[i] = optimal_gain(trans, rewards)
-        return self._gain_cache[i]
+        rewards, trans = param
+        return optimal_gain(trans, rewards)
 
     def f(self, t: int, pid: int) -> float:
         """Gain of the encoded stationary policy starting from init_state."""
-        _check_round(self, t)
-        rewards, trans = self.params(t)
+        rewards, trans = self._param(t)
         return policy_gain(trans, rewards, decode_policy(pid, self.n_states, self.n_actions), self.init_state)
 
     def step(self, t: int, state: int, action: int, rng):
@@ -423,14 +404,10 @@ class InfiniteEnv:
         )
 
     def diameter(self, t: int) -> float:
-        _check_round(self, t)
-        i = self._segments.index_of(t)
-        if i not in self._diameter_cache:
-            from .mdp import compute_diameter
+        from .mdp import compute_diameter
 
-            rewards, trans = self._segments.payloads[i]
-            self._diameter_cache[i] = compute_diameter(trans)
-        return self._diameter_cache[i]
+        rewards, trans = self._param(t)
+        return compute_diameter(trans)
 
     def max_diameter(self) -> float:
         return max(self.diameter(int(b) + 1) for b in self._segments.bounds[:-1])
@@ -504,11 +481,14 @@ def policy_gain(trans, rewards, table, init_state: int) -> float:
 MAX_GAIN_DRIFT_POLICIES = 4096
 
 
-def _boundary_rows(env):
-    """Yield (t, payload_t, payload_t1) for rounds where the segment changes."""
-    segs = env._segments
-    if segs is None:
+def _parameter_changes(env):
+    """Yield (t, parameter_t, parameter_t1) for each round t < T after which the
+    parameter changes: every round of a drift, the last round of each segment."""
+    if env._drift is not None:
+        for t in range(1, env.horizon):
+            yield t, env._param(t), env._param(t + 1)
         return
+    segs = env._segments
     for i in range(len(segs) - 1):
         t = int(segs.bounds[i + 1])  # last round of segment i
         yield t, segs.payloads[i], segs.payloads[i + 1]
@@ -529,25 +509,18 @@ def nonstat_summary(env, delta: float | None = None, dbar: float = 1.0) -> Nonst
         delta = 1.0 / T
     trace = np.zeros(T)
 
-    if isinstance(env, MabEnv):
-        if env._drift is not None:
-            for t in range(1, T):
-                trace[t - 1] = float(np.abs(env.means(t) - env.means(t + 1)).max())
+    if isinstance(env, _BanditEnv):
+        if isinstance(env, MabEnv):
+            scale, norm = 1.0, lambda x: np.abs(x).max()  # sup-norm, unscaled (1.0 * x == x exactly)
         else:
-            for t, lo, hi in _boundary_rows(env):
-                trace[t - 1] = float(np.abs(lo - hi).max())
-    elif isinstance(env, LinearEnv):
-        d, link = env.dim, env.link
-        scale = (d if link is None else link.k_mu**2 * d / link.c_mu) * math.sqrt(math.log(T / delta))
-        if env._drift is not None:
-            for t in range(1, T):
-                trace[t - 1] = scale * float(np.linalg.norm(env.theta(t) - env.theta(t + 1)))
-        else:
-            for t, lo, hi in _boundary_rows(env):
-                trace[t - 1] = scale * float(np.linalg.norm(lo - hi))
+            d, link = env.dim, env.link
+            scale = (d if link is None else link.k_mu**2 * d / link.c_mu) * math.sqrt(math.log(T / delta))
+            norm = np.linalg.norm
+        for t, lo, hi in _parameter_changes(env):
+            trace[t - 1] = scale * float(norm(lo - hi))
     elif isinstance(env, EpisodicEnv):
         h = env.n_layers
-        for t, (r0, p0), (r1, p1) in _boundary_rows(env):
+        for t, (r0, p0), (r1, p1) in _parameter_changes(env):
             dr = np.abs(r0 - r1).max(axis=(1, 2)).sum()
             dp = np.abs(p0 - p1).sum(axis=3).max(axis=(1, 2)).sum()
             # displayed measure H*sum dr + H^2*sum dp, scaled down by H
@@ -556,7 +529,7 @@ def nonstat_summary(env, delta: float | None = None, dbar: float = 1.0) -> Nonst
         n_pol = env.n_policies
         if n_pol > MAX_GAIN_DRIFT_POLICIES:
             raise ValueError(f"gain-drift oracle needs |Pi| <= {MAX_GAIN_DRIFT_POLICIES}")
-        for t, (r0, p0), (r1, p1) in _boundary_rows(env):
+        for t, (r0, p0), (r1, p1) in _parameter_changes(env):
             dr = float(np.abs(r0 - r1).max())
             dp = float(np.abs(p0 - p1).sum(axis=2).max())
             dj = 0.0
@@ -630,13 +603,6 @@ def _load_segments(spec, path, horizon, loader):
     return _Segments(lengths, payloads)
 
 
-def _check_spec_transitions(trans, path, axes):
-    try:
-        _check_transitions(trans, axes)
-    except ValueError as exc:
-        _fail(path, str(exc))
-
-
 def _check_unit_interval(a, path):
     if np.any(a < 0.0) or np.any(a > 1.0):
         _fail(path, "values must lie in [0, 1]")
@@ -667,35 +633,46 @@ def make_env(spec: dict):
     return _make_infinite(spec, horizon)
 
 
-def _make_mab(spec, horizon):
+def _bandit_params(spec, horizon, name, check):
+    """(segments, drift) of a bandit spec, exactly one of them given: a vector
+    under key name in each segment, validated by check(vector, path), or the
+    drift pair (start, end) under name_start and name_end, left to the caller."""
     if ("segments" in spec) == ("drift" in spec):
         _fail("spec", "exactly one of 'segments' or 'drift' is required")
-    if "drift" in spec:
-        drift = spec["drift"]
-        if not isinstance(drift, dict) or set(drift) != {"means_start", "means_end"}:
-            _fail("spec.drift", "expected keys means_start, means_end")
-        lo = _freeze(drift["means_start"])
-        hi = _freeze(drift["means_end"])
+    if "segments" in spec:
+
+        def load(seg, path):
+            vector = _freeze(_need(seg, name, path))
+            check(vector, f"{path}.{name}")
+            return vector
+
+        return _load_segments(spec, "spec", horizon, load), None
+    drift, keys = spec["drift"], (f"{name}_start", f"{name}_end")
+    if not isinstance(drift, dict) or set(drift) != set(keys):
+        _fail("spec.drift", f"expected keys {keys[0]}, {keys[1]}")
+    return None, (_freeze(drift[keys[0]]), _freeze(drift[keys[1]]))
+
+
+def _make_mab(spec, horizon):
+    n_arms = [None]
+
+    def check(means, path):
+        if means.ndim != 1:
+            _fail(path, "expected a vector")
+        if n_arms[0] is None:
+            n_arms[0] = means.shape[0]
+        elif means.shape[0] != n_arms[0]:
+            _fail(path, f"arm count {means.shape[0]} != {n_arms[0]}")
+        _check_unit_interval(means, path)
+
+    segments, drift = _bandit_params(spec, horizon, "means", check)
+    if drift is not None:
+        lo, hi = drift
         if lo.ndim != 1 or lo.shape != hi.shape:
             _fail("spec.drift", "means_start and means_end must be equal-length vectors")
         _check_unit_interval(lo, "spec.drift.means_start")
         _check_unit_interval(hi, "spec.drift.means_end")
-        return MabEnv(horizon, None, drift=(lo, hi))
-
-    n_arms = [None]
-
-    def load(seg, path):
-        means = _freeze(_need(seg, "means", path))
-        if means.ndim != 1:
-            _fail(f"{path}.means", "expected a vector")
-        if n_arms[0] is None:
-            n_arms[0] = means.shape[0]
-        elif means.shape[0] != n_arms[0]:
-            _fail(f"{path}.means", f"arm count {means.shape[0]} != {n_arms[0]}")
-        _check_unit_interval(means, f"{path}.means")
-        return means
-
-    return MabEnv(horizon, _load_segments(spec, "spec", horizon, load))
+    return MabEnv(horizon, segments, drift)
 
 
 def _make_linear(spec, horizon, kind):
@@ -725,26 +702,33 @@ def _make_linear(spec, horizon, kind):
         if link is None and (np.any(vals < -1e-9) or np.any(vals > 1.0 + 1e-9)):
             _fail(path, "linear rewards a^T theta must lie in [0, 1] for every action")
 
-    if ("segments" in spec) == ("drift" in spec):
-        _fail("spec", "exactly one of 'segments' or 'drift' is required")
-    if "drift" in spec:
-        drift = spec["drift"]
-        if not isinstance(drift, dict) or set(drift) != {"theta_start", "theta_end"}:
-            _fail("spec.drift", "expected keys theta_start, theta_end")
-        lo = _freeze(drift["theta_start"])
-        hi = _freeze(drift["theta_end"])
-        check_theta(lo, "spec.drift.theta_start")
-        check_theta(hi, "spec.drift.theta_end")
-        return LinearEnv(horizon, actions, None, drift=(lo, hi), link=link, lam=lam)
+    segments, drift = _bandit_params(spec, horizon, "theta", check_theta)
+    if drift is not None:
+        check_theta(drift[0], "spec.drift.theta_start")
+        check_theta(drift[1], "spec.drift.theta_end")
+    return LinearEnv(horizon, actions, segments, drift=drift, link=link, lam=lam)
+
+
+def _mdp_segments(spec, horizon, shape, axes):
+    """Segments of (rewards, transitions) pairs: rewards of the given shape, and
+    transitions with one more axis, over next states; axes names shape's axes."""
+    trans_shape = shape + (shape[-2],)  # shape ends (S, A)
 
     def load(seg, path):
-        theta = _freeze(_need(seg, "theta", path))
-        check_theta(theta, f"{path}.theta")
-        return theta
+        rewards = _freeze(_need(seg, "rewards", path))
+        trans = _freeze(_need(seg, "transitions", path))
+        if rewards.shape != shape:
+            _fail(f"{path}.rewards", f"shape {rewards.shape} != {shape}")
+        if trans.shape != trans_shape:
+            _fail(f"{path}.transitions", f"shape {trans.shape} != {trans_shape}")
+        _check_unit_interval(rewards, f"{path}.rewards")
+        try:
+            _check_transitions(trans, axes)
+        except ValueError as exc:
+            _fail(f"{path}.transitions", str(exc))
+        return (rewards, trans)
 
-    return LinearEnv(
-        horizon, actions, _load_segments(spec, "spec", horizon, load), link=link, lam=lam
-    )
+    return _load_segments(spec, "spec", horizon, load)
 
 
 def _make_episodic(spec, horizon):
@@ -754,19 +738,8 @@ def _make_episodic(spec, horizon):
     s1 = spec.get("s1", 0)
     if not isinstance(s1, int) or not (0 <= s1 < s):
         _fail("spec.s1", f"initial state must lie in [0, {s})")
-
-    def load(seg, path):
-        rewards = _freeze(_need(seg, "rewards", path))
-        trans = _freeze(_need(seg, "transitions", path))
-        if rewards.shape != (h, s, a):
-            _fail(f"{path}.rewards", f"shape {rewards.shape} != {(h, s, a)}")
-        if trans.shape != (h, s, a, s):
-            _fail(f"{path}.transitions", f"shape {trans.shape} != {(h, s, a, s)}")
-        _check_unit_interval(rewards, f"{path}.rewards")
-        _check_spec_transitions(trans, f"{path}.transitions", ("layer", "state", "action"))
-        return (rewards, trans)
-
-    return EpisodicEnv(horizon, s, a, h, _load_segments(spec, "spec", horizon, load), init_state=s1)
+    segments = _mdp_segments(spec, horizon, (h, s, a), ("layer", "state", "action"))
+    return EpisodicEnv(horizon, s, a, h, segments, init_state=s1)
 
 
 def _make_infinite(spec, horizon):
@@ -775,19 +748,8 @@ def _make_infinite(spec, horizon):
     s0 = spec.get("s0", 0)
     if not isinstance(s0, int) or not (0 <= s0 < s):
         _fail("spec.s0", f"initial state must lie in [0, {s})")
-
-    def load(seg, path):
-        rewards = _freeze(_need(seg, "rewards", path))
-        trans = _freeze(_need(seg, "transitions", path))
-        if rewards.shape != (s, a):
-            _fail(f"{path}.rewards", f"shape {rewards.shape} != {(s, a)}")
-        if trans.shape != (s, a, s):
-            _fail(f"{path}.transitions", f"shape {trans.shape} != {(s, a, s)}")
-        _check_unit_interval(rewards, f"{path}.rewards")
-        _check_spec_transitions(trans, f"{path}.transitions", ("state", "action"))
-        return (rewards, trans)
-
-    env = InfiniteEnv(horizon, s, a, _load_segments(spec, "spec", horizon, load), init_state=s0)
+    segments = _mdp_segments(spec, horizon, (s, a), ("state", "action"))
+    env = InfiniteEnv(horizon, s, a, segments, init_state=s0)
     for b in env._segments.bounds[:-1]:
         t = int(b) + 1
         try:
@@ -797,14 +759,11 @@ def _make_infinite(spec, horizon):
     return env
 
 
-def load_env(path_or_text):
-    """Load an environment spec from a JSON file path or a JSON string."""
-    text = path_or_text
-    if not text.lstrip().startswith("{"):
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        spec = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise EnvSpecError(f"spec: invalid JSON ({exc})") from None
+def load_env(path):
+    """Load an environment spec from a JSON file; make_env(json.loads(text)) takes JSON text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise EnvSpecError(f"spec: invalid JSON ({exc})") from None
     return make_env(spec)

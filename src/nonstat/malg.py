@@ -222,10 +222,3 @@ class MalgRunner:
         bits = self._rng.bit_generator
         bits.state = self._rng_state
         bits.advance(_draws_before(self._order_n, t - self._block_start + 1))
-
-    # -- introspection ------------------------------------------------------
-
-    def live_instances(self) -> list[InstanceRecord]:
-        """The instances covering the current round, orders descending.  Those
-        that have not played yet hold no learner (learner is None)."""
-        return list(self._live)

@@ -139,11 +139,6 @@ class RunLog:
             if token.startswith("restart ")
         ]
 
-    def amend_event(self, extra: str):
-        """Append a token to the most recent row's event field."""
-        ev = self._data["event"]
-        ev[-1] = f"{ev[-1]};{extra}" if ev[-1] else extra
-
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path_or_buf):

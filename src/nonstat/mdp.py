@@ -385,8 +385,10 @@ def doubling_dbar(
         )
         if reason == "epoch_overflow":
             dbar *= 2.0
-            if len(log):
-                log.amend_event(f"double_dbar {dbar:g}")
+            if len(log):  # the token joins the last row's event
+                token = f"double_dbar {dbar:g}"
+                events = log.column("event")
+                events[-1] = f"{events[-1]};{token}" if events[-1] else token
     return log
 
 

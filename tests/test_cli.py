@@ -22,7 +22,7 @@ def write_config(tmp_path, T=64):
     return str(path)
 
 
-def write_mdp(tmp_path):
+def write_mdp(tmp_path, name="mdp.json"):
     spec = {
         "kind": "infinite",
         "T": 8,
@@ -36,7 +36,7 @@ def write_mdp(tmp_path):
             }
         ],
     }
-    path = tmp_path / "mdp.json"
+    path = tmp_path / name
     path.write_text(json.dumps(spec))
     return str(path)
 
@@ -87,6 +87,14 @@ def test_diameter_command(tmp_path, capsys):
     assert main(["diameter", "--mdp", mdp]) == 0
     out = capsys.readouterr().out
     assert "segment 0: diameter 1.000000000" in out
+
+
+def test_diameter_reads_a_file_whose_name_looks_like_json(tmp_path, monkeypatch, capsys):
+    # --mdp is always a path, even one that starts with "{"
+    monkeypatch.chdir(tmp_path)
+    write_mdp(tmp_path, name="{x}.json")
+    assert main(["diameter", "--mdp", "{x}.json"]) == 0
+    assert "segment 0: diameter 1.000000000" in capsys.readouterr().out
 
 
 def test_diameter_rejects_wrong_kind(tmp_path, capsys):

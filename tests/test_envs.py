@@ -119,7 +119,7 @@ def _segment_env(kind, lengths, rng):
 def _uncached_optimum(env, t):
     if env.kind == "mab":
         return float(env.means(t).max())
-    return float(env._values(t).max())
+    return float(env._values(env.theta(t)).max())
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,63 +157,270 @@ def test_drift_env_optimal_value_bypasses_the_cache(spec):
 
 
 # ---------------------------------------------------------------------------
-# per-segment memo of linear/GLM action means
+# per-segment memo of bandit action means
 
 
-def _linear_env(link, lengths, drift, rng):
-    """A 5-action env in d=3; without a link, nonnegative vectors in the unit
-    ball keep every a^T theta in [0, 1]."""
+def _bandit_env(kind, lengths, drift, rng):
+    """A 5-action env: mab, or in d=3 linear (kind None) or GLM with link kind;
+    without a link, nonnegative vectors in the unit ball keep every a^T theta in [0, 1]."""
 
     def vector(scale):
-        v = rng.random(3) if link is None else rng.normal(size=3)
+        if kind == "mab":
+            return rng.random(5).tolist()
+        v = rng.random(3) if kind is None else rng.normal(size=3)
         return (scale * v / np.linalg.norm(v)).tolist()
 
-    spec = {"kind": "linear"} if link is None else {"kind": "glm", "link": link}
-    spec["T"] = sum(lengths)
-    spec["actions"] = [vector(rng.uniform(0.5, 1.0)) for _ in range(5)]
-    if drift:
-        spec["drift"] = {"theta_start": vector(rng.uniform(0.1, 1.0)), "theta_end": vector(rng.uniform(0.1, 1.0))}
+    if kind == "mab":
+        name, spec = "means", {"kind": "mab"}
     else:
-        spec["segments"] = [{"length": n, "theta": vector(rng.uniform(0.1, 1.0))} for n in lengths]
+        name, spec = "theta", {"kind": "linear"} if kind is None else {"kind": "glm", "link": kind}
+        spec["actions"] = [vector(rng.uniform(0.5, 1.0)) for _ in range(5)]
+    spec["T"] = sum(lengths)
+    if drift:
+        spec["drift"] = {f"{name}_start": vector(rng.uniform(0.1, 1.0)), f"{name}_end": vector(rng.uniform(0.1, 1.0))}
+    else:
+        spec["segments"] = [{"length": n, name: vector(rng.uniform(0.1, 1.0))} for n in lengths]
     return make_env(spec)
 
 
 def _row_mean(env, t, pid):
-    """Reference: f_t(pid) from the per-row dot, computed afresh at every call."""
+    """Reference: f_t(pid) from the per-row formula, computed afresh at every call."""
+    if env.kind == "mab":
+        return float(env.means(t)[pid])
     v = float(env.actions[pid] @ env.theta(t))
     return float(env.link.mu(v)) if env.link is not None else v
 
 
+def _exact(x):
+    """x with every float as its type and hex, every array as its bytes."""
+    if isinstance(x, float):
+        return type(x), x.hex()
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, tuple):
+        return tuple(map(_exact, x))
+    return type(x), x
+
+
 def _outcome(fn, *args):
     try:
-        return fn(*args).hex()
-    except (ValueError, IndexError) as exc:
+        return _exact(fn(*args))
+    except (ValueError, IndexError, TypeError) as exc:
         return type(exc), str(exc)
+
+
+def _pids(rng, n_actions, size):
+    """Action ids in any order, bad ones among them: -K..K-1 index an action, and
+    floats equal to an action index do not."""
+    choices = list(range(-n_actions - 2, n_actions + 2)) + [1.0, 0.5, -1.0, float(n_actions - 1)]
+    return [choices[i] for i in rng.integers(len(choices), size=size)]
+
+
+BANDIT_KINDS = ["mab", None, "identity", "logistic"]
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.sampled_from([None, "identity", "logistic"]),
+    st.sampled_from(BANDIT_KINDS),
     st.lists(st.integers(1, 6), min_size=1, max_size=5),
     st.booleans(),
     st.integers(0, 2**16),
 )
-def test_linear_mean_memo_is_bitwise_the_row_formula(link, lengths, drift, seed):
+def test_linear_mean_memo_is_bitwise_the_row_formula(kind, lengths, drift, seed):
     rng = np.random.default_rng(seed)
-    env = _linear_env(link, lengths, drift, rng)
+    env = _bandit_env(kind, lengths, drift, rng)
     K = env.n_policies
-    # rounds and action ids in any order, bad ones among them (-K..K-1 index an action)
-    rounds = rng.integers(-1, env.horizon + 3, size=120).tolist()
-    pids = rng.integers(-K - 2, K + 2, size=120).tolist()
+    # rounds in any order, bad ones among them; then a float id after its action was played
+    rounds = rng.integers(-1, env.horizon + 3, size=120).tolist() + [1, 1, 1]
+    pids = _pids(rng, K, 120) + [1, 1.0, 0.5]
     played = set()
     for t, pid in zip(rounds, pids):
         assert _outcome(env.f, t, pid) == _outcome(_row_mean, env, t, pid)
-        if not drift and 1 <= t <= env.horizon and -K <= pid < K:
+        if not drift and 1 <= t <= env.horizon and type(pid) is int and -K <= pid < K:
             played.add((env._segments.index_of(t), pid))
     if drift:
         assert env._means is None
     else:
         assert sum(len(means) for means in env._means) <= len(played)
+
+
+# ---------------------------------------------------------------------------
+# the bandit envs and summary branches before they shared one body, kept as oracles
+
+
+def _check_round(env, t):
+    if not (1 <= t <= env.horizon):
+        raise ValueError(f"round {t} outside [1, {env.horizon}]")
+
+
+class ParentMabEnv:
+    kind = "mab"
+
+    def __init__(self, horizon, segments, drift=None):
+        self.horizon = int(horizon)
+        self._drift = drift  # (means_start, means_end) or None
+        self._segments = segments
+        if drift is not None:
+            self.n_arms = len(drift[0])
+        else:
+            self.n_arms = len(segments.payloads[0])
+        self.n_policies = self.n_arms
+        self._opt_cache = {}
+
+    def means(self, t: int) -> np.ndarray:
+        _check_round(self, t)
+        if self._drift is not None:
+            lo, hi = self._drift
+            w = 0.0 if self.horizon == 1 else (t - 1) / (self.horizon - 1)
+            return (1.0 - w) * lo + w * hi
+        return self._segments.at(t)
+
+    def f(self, t: int, pid: int) -> float:
+        return float(self.means(t)[pid])
+
+    def optimal_value(self, t: int) -> float:
+        if self._drift is not None:
+            return float(self.means(t).max())
+        _check_round(self, t)
+        i = self._segments.index_of(t)
+        if i not in self._opt_cache:
+            self._opt_cache[i] = float(self._segments.payloads[i].max())
+        return self._opt_cache[i]
+
+    def play(self, t: int, pid: int, rng):
+        m = self.f(t, pid)
+        r = 1.0 if rng.random() < m else 0.0
+        return r, (pid, r)
+
+
+class ParentLinearEnv:
+    """Finite-action linear bandit; the GLM variant adds a link function."""
+
+    def __init__(self, horizon, actions, segments, drift=None, link=None, lam=1.0):
+        self.horizon = int(horizon)
+        self.actions = actions  # (K, d)
+        self.dim = actions.shape[1]
+        self.n_policies = actions.shape[0]
+        self._segments = segments
+        self._drift = drift  # (theta_start, theta_end) or None
+        self.link = link
+        self.lam = float(lam)
+        self.kind = "glm" if link is not None else "linear"
+        self._opt_cache = {}
+        # per segment, the mean of each action played there, filled at its first play
+        self._means = None if segments is None else [{} for _ in segments.payloads]
+
+    def theta(self, t: int) -> np.ndarray:
+        _check_round(self, t)
+        if self._drift is not None:
+            lo, hi = self._drift
+            w = 0.0 if self.horizon == 1 else (t - 1) / (self.horizon - 1)
+            return (1.0 - w) * lo + w * hi
+        return self._segments.at(t)
+
+    def f(self, t: int, pid: int) -> float:
+        if self._means is not None and 1 <= t <= self.horizon:
+            means = self._means[self._segments.index_of(t)]
+            m = means.get(pid)
+            if m is None:
+                m = means[pid] = self._mean(t, pid)
+            return m
+        return self._mean(t, pid)
+
+    def _mean(self, t: int, pid: int) -> float:
+        # the per-row dot: a gemv over all actions may round differently
+        v = float(self.actions[pid] @ self.theta(t))
+        return float(self.link.mu(v)) if self.link is not None else v
+
+    def _values(self, t: int) -> np.ndarray:
+        v = self.actions @ self.theta(t)
+        return self.link.mu(v) if self.link is not None else v
+
+    def optimal_value(self, t: int) -> float:
+        if self._drift is not None:
+            return float(self._values(t).max())
+        _check_round(self, t)
+        i = self._segments.index_of(t)
+        if i not in self._opt_cache:
+            self._opt_cache[i] = float(self._values(t).max())
+        return self._opt_cache[i]
+
+    def play(self, t: int, pid: int, rng):
+        m = self.f(t, pid)
+        r = 1.0 if rng.random() < m else 0.0
+        return r, (pid, r)
+
+
+def _parent_boundary_rows(env):
+    """Yield (t, payload_t, payload_t1) for rounds where the segment changes."""
+    segs = env._segments
+    if segs is None:
+        return
+    for i in range(len(segs) - 1):
+        t = int(segs.bounds[i + 1])  # last round of segment i
+        yield t, segs.payloads[i], segs.payloads[i + 1]
+
+
+def parent_bandit_trace(env, delta=None):
+    """The bandit branches of nonstat_summary's drift trace, on a parent env."""
+    T = env.horizon
+    if delta is None:
+        delta = 1.0 / T
+    trace = np.zeros(T)
+
+    if isinstance(env, ParentMabEnv):
+        if env._drift is not None:
+            for t in range(1, T):
+                trace[t - 1] = float(np.abs(env.means(t) - env.means(t + 1)).max())
+        else:
+            for t, lo, hi in _parent_boundary_rows(env):
+                trace[t - 1] = float(np.abs(lo - hi).max())
+    elif isinstance(env, ParentLinearEnv):
+        d, link = env.dim, env.link
+        scale = (d if link is None else link.k_mu**2 * d / link.c_mu) * math.sqrt(math.log(T / delta))
+        if env._drift is not None:
+            for t in range(1, T):
+                trace[t - 1] = scale * float(np.linalg.norm(env.theta(t) - env.theta(t + 1)))
+        else:
+            for t, lo, hi in _parent_boundary_rows(env):
+                trace[t - 1] = scale * float(np.linalg.norm(lo - hi))
+    return trace
+
+
+def _parent_env(env):
+    """The parent class built from env's parsed spec, with segments of its own."""
+    segs = env._segments
+    segs = None if segs is None else _Segments(segs.lengths, segs.payloads)
+    if env.kind == "mab":
+        return ParentMabEnv(env.horizon, segs, drift=env._drift)
+    return ParentLinearEnv(env.horizon, env.actions, segs, drift=env._drift, link=env.link, lam=env.lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(BANDIT_KINDS),
+    st.lists(st.integers(1, 6), min_size=1, max_size=5),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_bandit_envs_match_the_parent_classes(kind, lengths, drift, seed):
+    rng = np.random.default_rng(seed)
+    env = _bandit_env(kind, lengths, drift, rng)
+    parent = _parent_env(env)
+    param, parent_param = (env.means, parent.means) if kind == "mab" else (env.theta, parent.theta)
+    lib, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    rounds = rng.integers(-1, env.horizon + 3, size=80).tolist()
+    # int ids only: the parent's linear memo answered a float id equal to a played one
+    pids = rng.integers(-env.n_policies - 2, env.n_policies + 2, size=80).tolist()
+    for t, pid in zip(rounds, pids):
+        assert _outcome(env.f, t, pid) == _outcome(parent.f, t, pid)
+        assert _outcome(env.optimal_value, t) == _outcome(parent.optimal_value, t)
+        assert _outcome(param, t) == _outcome(parent_param, t)
+        assert _outcome(env.play, t, pid, lib) == _outcome(parent.play, t, pid, ref)
+        assert lib.bit_generator.state == ref.bit_generator.state
+    for delta in (None, float(rng.uniform(1e-3, 1.0))):
+        got = nonstat_summary(env, delta).delta_trace
+        assert _exact(got) == _exact(parent_bandit_trace(parent, delta))
 
 
 # ---------------------------------------------------------------------------

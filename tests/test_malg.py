@@ -61,7 +61,7 @@ def test_odd_offsets_only_spawn_order_zero():
     runner.begin_round(1)
     runner.finish_round(1, 0.0, (0, 0.0))
     runner.begin_round(2)  # offset 1: only m=0 eligible
-    for rec in runner.live_instances():
+    for rec in runner._live:
         assert rec.order == 0 or rec.start == 1
     runner.finish_round(2, 0.0, (0, 0.0))
 
@@ -264,7 +264,7 @@ def test_active_instance_is_minimum_order():
     runner = MalgRunner(1, 4, SQRT_RATE, make_factory(), rng)
     for t in range(1, 17):
         _, pol, rec = runner.begin_round(t)
-        covering = [r.order for r in runner.live_instances() if r.start <= t <= r.end]
+        covering = [r.order for r in runner._live if r.start <= t <= r.end]
         assert rec.order == min(covering)
         runner.finish_round(t, 0.3, (pol, 0.3))
 
@@ -290,7 +290,7 @@ def test_reward_interval_sum_counts_every_covered_round():
     for t, r in zip(range(1, 9), rewards):
         _, pol, _ = runner.begin_round(t)
         if top is None:
-            top = [rec for rec in runner.live_instances() if rec.order == 3][0]
+            top = [rec for rec in runner._live if rec.order == 3][0]
         ended = runner.finish_round(t, r, (pol, r))
     assert top.reward_sum == pytest.approx(sum(rewards))
     assert top in ended
@@ -364,7 +364,7 @@ def test_learner_is_built_at_the_first_active_round(n, seed, rate, data):
     for t in range(3, 3 + rounds):
         calls = len(built)
         _, pol, rec = runner.begin_round(t)
-        spawned.update((other.uid, other) for other in runner.live_instances())
+        spawned.update((other.uid, other) for other in runner._live)
         if rec.active_rounds == 0:
             first_rounds.append((t, rec))
         assert len(built) == calls + (rec.active_rounds == 0)
