@@ -10,7 +10,7 @@ restart, so the whole schedule can be reconstructed afterwards.
 
 import numpy as np
 
-from nonstat import Ucb1, dynamic_regret, make_env, run_bare, run_master, ucb1_rate
+from nonstat import Ucb1, dynamic_regret, make_env, run_bare, run_master
 
 T = 1 << 14
 SWITCH = int(0.6 * T)
@@ -27,13 +27,12 @@ env = make_env(
     }
 )
 delta = 1.0 / T
-rate = ucb1_rate(2, T, delta)
 
 print(f"switching 2-armed bandit, T={T}, optimal arm flips after round {SWITCH}")
 print(f"test threshold scale kappa={KAPPA}\n")
 
 for seed in range(5):
-    log = run_master(env, lambda: Ucb1(2, T, delta), rate, T, delta, kappa=KAPPA, seed=seed)
+    log = run_master(env, lambda: Ucb1(2, T, delta), T, delta, kappa=KAPPA, seed=seed)
     bare = run_bare(env, Ucb1(2, T, delta), T, seed=seed)
     restarts = [ev.round for ev in log.restarts]
     post = [r for r in restarts if r > SWITCH]
@@ -44,7 +43,7 @@ for seed in range(5):
     )
 
 print("\nschedule anatomy of the first 12 rounds (seed 0):")
-log = run_master(env, lambda: Ucb1(2, T, delta), rate, T, delta, kappa=KAPPA, seed=0)
+log = run_master(env, lambda: Ucb1(2, T, delta), T, delta, kappa=KAPPA, seed=0)
 for i in range(12):
     print(
         f"  t={log.column('t')[i]:>3} block={log.column('block')[i]} "

@@ -9,7 +9,7 @@ The MDP's transition kernel flips mid-horizon.
 
 import numpy as np
 
-from nonstat import QUcb, dynamic_regret, make_env, qucb_rate, run_master
+from nonstat import QUcb, dynamic_regret, make_env, run_master
 
 S, A, H = 2, 2, 3
 T = 2048
@@ -46,16 +46,7 @@ for t in (1, T):
           f"{env.n_policies} policies: {brute:.4f})")
 
 delta = 1.0 / T
-rate = qucb_rate(S, A, H, T, delta)
-log = run_master(
-    env,
-    lambda: QUcb(S, A, H, T, delta),
-    rate,
-    T,
-    delta,
-    kappa=1.0,
-    seed=0,
-)
+log = run_master(env, lambda: QUcb(S, A, H, T, delta), T, delta, kappa=1.0, seed=0)
 regret = dynamic_regret(log)
 curve = np.cumsum(np.asarray(log.column("f_star")) - np.asarray(log.column("reward")))
 print(f"\nreduction over Q-learning bonuses: regret {regret:.1f} over {T} episodes")

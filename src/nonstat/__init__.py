@@ -23,7 +23,7 @@ from .mdp import (
     run_master_ucrl,
     widen_to_span,
 )
-from .rates import RateFunction, glm_rate, oful_rate, qucb_rate, ucb1_rate, ucrl_rate
+from .rates import RateFunction
 
 __version__ = "0.1.0"
 
@@ -46,15 +46,12 @@ __all__ = [
     "dynamic_regret",
     "evi",
     "fork_fresh",
-    "glm_rate",
     "glm_solve",
     "load_env",
     "make_env",
     "nbar",
     "nonstat_summary",
-    "oful_rate",
     "optimal_gain",
-    "qucb_rate",
     "restore",
     "rho_hat",
     "run_bare",
@@ -67,7 +64,5 @@ __all__ = [
     "spawn_probability",
     "test1_fails",
     "test2_fails",
-    "ucb1_rate",
-    "ucrl_rate",
     "widen_to_span",
 ]

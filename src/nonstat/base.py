@@ -3,7 +3,10 @@
 Each learner exposes, before every round, a clamped optimistic value
 predict() in [0, 1] and a policy act(); after the environment responds it
 consumes update(feedback), which is the only call that advances internal
-time.  predict/act never change observable state, but may fill a cache that
+time.  rate() returns the RateFunction rho(t) of the learner's
+near-stationary regret, built from its constructor parameters alone (the
+reduction reads it from one fresh learner per control-loop call).
+predict/act never change observable state, but may fill a cache that
 update clears: read-side state (a score vector with the value and action it
 decides, the GLM fit) is computed at most once per update, and only when
 something reads it.  Ucb1 and GlmUcb learners without data share one
@@ -33,6 +36,7 @@ import math
 import numpy as np
 
 from .envs import LINKS, encode_layer_policy
+from .rates import RateFunction
 
 __all__ = [
     "GlmSolveError",
@@ -171,6 +175,11 @@ class Ucb1(_IndexLearner):
             "bonus_scale": self.bonus_scale,
         }
 
+    def rate(self) -> RateFunction:
+        return RateFunction(
+            c1=math.sqrt(self.n_arms * self._log_term), c2=self.n_arms * self._log_term, horizon=self.horizon
+        )
+
     def _compute_decision(self) -> tuple:
         if self.t_int == 0 and _all_zero(self.counts, self.sums):
             return _ucb1_prior_scores(self.n_arms, self.horizon, self.delta, self.bonus_scale)
@@ -212,7 +221,8 @@ class Oful(_IndexLearner):
         self.horizon = horizon
         self.delta = delta
         self.refactor_every = refactor_every
-        self.beta = 4.0 * math.sqrt(self.dim * math.log(horizon / delta))
+        self._log_term = math.log(horizon / delta)
+        self.beta = 4.0 * math.sqrt(self.dim * self._log_term)
         self.lam_mat = np.eye(self.dim)
         self.lam_inv = np.eye(self.dim)
         self.bvec = np.zeros(self.dim)
@@ -226,6 +236,9 @@ class Oful(_IndexLearner):
             "delta": self.delta,
             "refactor_every": self.refactor_every,
         }
+
+    def rate(self) -> RateFunction:
+        return RateFunction(c1=self.beta * math.sqrt(self.dim * self._log_term), c2=0.0, horizon=self.horizon)
 
     def theta_hat(self) -> np.ndarray:
         return self.lam_inv @ self.bvec
@@ -361,6 +374,7 @@ class GlmUcb(_IndexLearner):
         self.link_name = link
         self.link = LINKS[link]
         self.lam = lam
+        self._log_term = math.log(horizon / delta)
         k_mu, c_mu = self.link.k_mu, self.link.c_mu
         self.beta = (4.0 * k_mu / c_mu) * (
             math.sqrt(self.dim * math.log(c_mu * horizon / (lam * delta)))
@@ -393,6 +407,8 @@ class GlmUcb(_IndexLearner):
             "link": self.link_name,
             "lam": self.lam,
         }
+
+    rate = Oful.rate  # OFUL's rate, in GLM-UCB's beta
 
     def _lam_inv(self) -> np.ndarray:
         lam_mat = self.lam * np.eye(self.dim) + (self.actions.T * self.counts) @ self.actions
@@ -472,6 +488,12 @@ class QUcb(_Learner):
             "bonus_scale": self.bonus_scale,
         }
 
+    def rate(self) -> RateFunction:
+        # Rewards fed to the reduction are divided by the layer count, so the
+        # rate is the episodic one scaled down by the same factor.
+        h, s, a, lg = self.n_layers, self.n_states, self.n_actions, self._log_term
+        return RateFunction(c1=math.sqrt(h**3 * s * a * lg), c2=h**2 * s * a * lg, horizon=self.horizon)
+
     def predict(self) -> float:
         return _clamp01(float(self.v[0, self.init_state]) / self.n_layers)
 
@@ -504,11 +526,7 @@ def fork_fresh(algo: str, **params):
 
         if algo not in _REGISTRY:
             raise ValueError(f"unknown base algorithm {algo!r}")
-    cls = _REGISTRY[algo]
-    if algo in ("oful", "glm"):
-        params = dict(params)
-        params["actions"] = np.asarray(params["actions"], dtype=np.float64)
-    return cls(**params)
+    return _REGISTRY[algo](**params)
 
 
 def register_learner(name: str, cls):

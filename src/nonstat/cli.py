@@ -18,7 +18,6 @@ import sys
 from .envs import EnvSpecError, load_env
 from .harness import SpecError, render_regret_svg, run_experiment
 from .master import RunLog, dynamic_regret
-from .mdp import compute_diameter
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -93,15 +92,11 @@ def _cmd_diameter(args) -> int:
     except (OSError, EnvSpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        if env.kind != "infinite":
-            print("config error: diameter needs an infinite-horizon MDP spec", file=sys.stderr)
-            return 2
-        for i, (_, trans) in enumerate(env._segments.payloads):
-            print(f"segment {i}: diameter {compute_diameter(trans):.9f}")
-    except ValueError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
+    if env.kind != "infinite":
+        print("config error: diameter needs an infinite-horizon MDP spec", file=sys.stderr)
+        return 2
+    for i, b in enumerate(env._segments.bounds[:-1]):
+        print(f"segment {i}: diameter {env.diameter(int(b) + 1):.9f}")
     return 0
 
 

@@ -316,9 +316,6 @@ class EpisodicEnv(_Env):
         # place value of digit h*S + s of a policy id: decode_layer_policy's table[h, s]
         self._places = [self.n_actions**i for i in range(self.n_layers * self.n_states)]
 
-    def params(self, t: int):
-        return self._segments.at(t)
-
     def _optimum(self, param) -> float:
         """Optimal value of the initial state, by backward induction."""
         rewards, trans = param
@@ -371,9 +368,7 @@ class InfiniteEnv(_Env):
         self.n_policies = n_actions**n_states
         self._tables = [_sampling_tables(r, p, ("state", "action")) for r, p in segments.payloads]
         self._places = [self.n_actions**i for i in range(self.n_states)]  # place value of each policy-id digit
-
-    def params(self, t: int):
-        return self._segments.at(t)
+        self._diameters = {}  # segment index -> diameter, filled at the first round that asks
 
     def policy_action(self, pid: int, state: int) -> int:
         """The action policy pid takes in state: decode_policy(pid, S, A)[state]."""
@@ -404,10 +399,15 @@ class InfiniteEnv(_Env):
         )
 
     def diameter(self, t: int) -> float:
+        """Diameter of round t's segment, computed once per segment: the
+        loader's communicating check asks for every segment first."""
         from .mdp import compute_diameter
 
-        rewards, trans = self._param(t)
-        return compute_diameter(trans)
+        _, trans = self._param(t)
+        i = self._segments.index_of(t)
+        if i not in self._diameters:
+            self._diameters[i] = compute_diameter(trans)
+        return self._diameters[i]
 
     def max_diameter(self) -> float:
         return max(self.diameter(int(b) + 1) for b in self._segments.bounds[:-1])
@@ -581,6 +581,12 @@ def _as_positive_int(value, path):
     return value
 
 
+def _as_state(value, n_states, path):
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < n_states:
+        _fail(path, f"initial state must lie in [0, {n_states}), got {value!r}")
+    return value
+
+
 def _freeze(a):
     a = np.array(a, dtype=np.float64)
     a.setflags(write=False)
@@ -689,9 +695,9 @@ def _make_linear(spec, horizon, kind):
         if name not in LINKS:
             _fail("spec.link", f"unknown link {name!r} (have {sorted(LINKS)})")
         link = LINKS[name]
-        lam = float(spec.get("lam", 1.0))
-        if lam <= 0:
-            _fail("spec.lam", "regularization must be positive")
+        lam = spec.get("lam", 1.0)
+        if not isinstance(lam, (int, float)) or isinstance(lam, bool) or not 0 < lam < math.inf:
+            _fail("spec.lam", f"regularization must be a finite positive number, got {lam!r}")
 
     def check_theta(theta, path):
         if theta.shape != (actions.shape[1],):
@@ -735,9 +741,7 @@ def _make_episodic(spec, horizon):
     s = _as_positive_int(_need(spec, "S", "spec"), "spec.S")
     a = _as_positive_int(_need(spec, "A", "spec"), "spec.A")
     h = _as_positive_int(_need(spec, "H", "spec"), "spec.H")
-    s1 = spec.get("s1", 0)
-    if not isinstance(s1, int) or not (0 <= s1 < s):
-        _fail("spec.s1", f"initial state must lie in [0, {s})")
+    s1 = _as_state(spec.get("s1", 0), s, "spec.s1")
     segments = _mdp_segments(spec, horizon, (h, s, a), ("layer", "state", "action"))
     return EpisodicEnv(horizon, s, a, h, segments, init_state=s1)
 
@@ -745,9 +749,7 @@ def _make_episodic(spec, horizon):
 def _make_infinite(spec, horizon):
     s = _as_positive_int(_need(spec, "S", "spec"), "spec.S")
     a = _as_positive_int(_need(spec, "A", "spec"), "spec.A")
-    s0 = spec.get("s0", 0)
-    if not isinstance(s0, int) or not (0 <= s0 < s):
-        _fail("spec.s0", f"initial state must lie in [0, {s})")
+    s0 = _as_state(spec.get("s0", 0), s, "spec.s0")
     segments = _mdp_segments(spec, horizon, (s, a), ("state", "action"))
     env = InfiniteEnv(horizon, s, a, segments, init_state=s0)
     for b in env._segments.bounds[:-1]:

@@ -18,6 +18,7 @@ run function.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import base, mdp, rates
+from . import base, mdp
 from .envs import MAX_GAIN_DRIFT_POLICIES, EnvSpecError, make_env, nonstat_summary
 from .master import RunLog, dynamic_regret, run_bare, run_master, seed_derive
 
@@ -52,29 +53,26 @@ class SpecError(ValueError):
 #
 # An algorithm is an environment kind and a run function (env, spec, seed,
 # run_index) -> run log.  The kind fixes the base learner, whose function maps
-# (env, T, delta, spec.algo) to its (factory, rate), the round adapter and the
-# drift measure.
+# (env, T, delta, spec.algo) to its factory, the round adapter and the drift
+# measure.
 
 
 def _ucb1(env, horizon, delta, algo):
     params = dict(n_arms=env.n_arms, horizon=horizon, delta=delta)
     if "c" in algo:
         params["bonus_scale"] = algo["c"]
-    return (lambda: base.Ucb1(**params)), rates.ucb1_rate(env.n_arms, horizon, delta)
+    return functools.partial(base.Ucb1, **params)
 
 
 def _oful(env, horizon, delta, algo):
     params = dict(actions=env.actions, horizon=horizon, delta=delta)
     if "refactor_every" in algo:
         params["refactor_every"] = algo["refactor_every"]
-    return (lambda: base.Oful(**params)), rates.oful_rate(env.dim, horizon, delta)
+    return functools.partial(base.Oful, **params)
 
 
 def _glm(env, horizon, delta, algo):
-    link = env.link
-    params = dict(actions=env.actions, horizon=horizon, delta=delta, link=link.name, lam=env.lam)
-    rate = rates.glm_rate(env.dim, horizon, delta, link.k_mu, link.c_mu, env.lam)
-    return (lambda: base.GlmUcb(**params)), rate
+    return functools.partial(base.GlmUcb, env.actions, horizon, delta, env.link.name, env.lam)
 
 
 def _qucb(env, horizon, delta, algo):
@@ -88,12 +86,11 @@ def _qucb(env, horizon, delta, algo):
     )
     if "c" in algo:
         params["bonus_scale"] = algo["c"]
-    rate = rates.qucb_rate(env.n_states, env.n_actions, env.n_layers, horizon, delta)
-    return (lambda: base.QUcb(**params)), rate
+    return functools.partial(base.QUcb, **params)
 
 
 def _ucrl(env, horizon, delta, algo):
-    return mdp.ucrl_learner(env, horizon, delta, algo.get("dbar", 1.0))
+    return functools.partial(mdp.UcrlAcw, env.n_states, env.n_actions, horizon, delta, algo.get("dbar", 1.0))
 
 
 # the base learner of each environment kind
@@ -105,13 +102,11 @@ def _learner(env, spec):
 
 
 def _master(env, spec, seed, run_index):
-    factory, rate = _learner(env, spec)
-    return run_master(env, factory, rate, spec["T"], spec["delta"], spec["kappa"], seed, run_index)
+    return run_master(env, _learner(env, spec), spec["T"], spec["delta"], spec["kappa"], seed, run_index)
 
 
 def _bare(env, spec, seed, run_index):
-    factory, _ = _learner(env, spec)
-    return run_bare(env, factory(), spec["T"], seed, run_index)
+    return run_bare(env, _learner(env, spec)(), spec["T"], seed, run_index)
 
 
 def _doubling_dbar(env, spec, seed, run_index):

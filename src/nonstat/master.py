@@ -296,7 +296,6 @@ class ThresholdTable:
 def master_core(
     world,
     factory,
-    rate: RateFunction,
     horizon: int,
     delta: float,
     kappa: float,
@@ -310,16 +309,19 @@ def master_core(
 ):
     """Shared control loop; returns (next_round, stop_reason).
 
-    Rounds run over [start_t, end_t] (end_t defaults to the horizon, which
-    always sets the test thresholds).  stop_reason is "done" when the range
-    is exhausted or "epoch_overflow" when starting one more epoch would
-    exceed max_epochs (the doubling-guess strategy reacts to that).
+    factory() builds a fresh base learner; the scheduler and both tests read
+    the rate() of one learner built before the first round.  Rounds run over
+    [start_t, end_t] (end_t defaults to the horizon, which always sets the
+    test thresholds).  stop_reason is "done" when the range is exhausted or
+    "epoch_overflow" when starting one more epoch would exceed max_epochs
+    (the doubling-guess strategy reacts to that).
     kappa = +inf disables both tests; world.rho_factor inflates both thresholds.
     """
     if end_t is None:
         end_t = horizon
     t = start_t
     epochs_done = 0
+    rate = factory().rate()
     thresholds = ThresholdTable(rate, horizon, delta, kappa, world.rho_factor)
     order_thresholds, length_thresholds = thresholds.order, thresholds.length
     while t <= end_t:
@@ -389,7 +391,6 @@ def _world_for(env):
 def run_master(
     env,
     factory,
-    rate: RateFunction,
     horizon: int,
     delta: float | None = None,
     kappa: float = 1.0,
@@ -402,7 +403,7 @@ def run_master(
     world = _world_for(env)
     log = RunLog(mdp_columns=world.mdp_columns)
     master_core(
-        world, factory, rate, horizon, delta, kappa,
+        world, factory, horizon, delta, kappa,
         seed_derive(seed, run_index, "env"), seed_derive(seed, run_index, "sched"), log,
     )
     return log

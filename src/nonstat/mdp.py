@@ -17,8 +17,8 @@ signals a restart when it crosses 4*S*sqrt(A*t*log(SAT/delta)), t being the
 learner's own active-round count.
 
 The reduction over this learner is the generic one: run_master_ucrl is
-master.run_master with ucrl_learner's (factory, rate), and doubling_dbar and
-borl call master.master_core on round ranges of one trajectory.  The
+master.run_master over UcrlAcw, and doubling_dbar and borl call
+master.master_core on round ranges of one trajectory.  The
 average-reward round adapter (master.AverageRewardWorld) carries what the
 kind fixes: the MDP log columns and the test factor 18.
 """
@@ -34,14 +34,13 @@ import numpy as np
 from .base import _all_zero, _Learner, register_learner
 from .envs import InfiniteEnv, encode_policy
 from .master import AverageRewardWorld, RunLog, master_core, run_master, seed_derive
-from .rates import ucrl_rate
+from .rates import RateFunction
 
 __all__ = [
     "EviOutput",
     "evi",
     "widen_to_span",
     "UcrlAcw",
-    "ucrl_learner",
     "run_master_ucrl",
     "nbar",
     "doubling_dbar",
@@ -253,6 +252,15 @@ class UcrlAcw(_Learner):
             "dbar": self.dbar,
         }
 
+    def rate(self) -> RateFunction:
+        s, a, lg = self.n_states, self.n_actions, self._log_term
+        return RateFunction(
+            c1=self.dbar * s * math.sqrt(a * lg),
+            c2=self.dbar * s * a * lg,
+            c3=max(1.0, self.dbar),
+            horizon=self.horizon,
+        )
+
     @property
     def restart_signaled(self) -> bool:
         return self.signaled
@@ -313,13 +321,6 @@ class UcrlAcw(_Learner):
 register_learner("ucrl", UcrlAcw)
 
 
-def ucrl_learner(env: InfiniteEnv, horizon: int, delta: float, dbar: float):
-    """(factory, rate) of the average-reward learner with diameter guess dbar."""
-    n_states, n_actions = env.n_states, env.n_actions
-    rate = ucrl_rate(n_states, n_actions, horizon, delta, dbar)
-    return (lambda: UcrlAcw(n_states, n_actions, horizon, delta, dbar)), rate
-
-
 def run_master_ucrl(
     env: InfiniteEnv,
     dbar: float,
@@ -333,7 +334,8 @@ def run_master_ucrl(
     horizon = env.horizon if horizon is None else horizon
     if delta is None:
         delta = 1.0 / horizon
-    return run_master(env, *ucrl_learner(env, horizon, delta, dbar), horizon, delta, kappa, seed, run_index)
+    factory = functools.partial(UcrlAcw, env.n_states, env.n_actions, horizon, delta, dbar)
+    return run_master(env, factory, horizon, delta, kappa, seed, run_index)
 
 
 def nbar(
@@ -379,9 +381,9 @@ def doubling_dbar(
     dbar = 1.0
     t = 1
     while t <= horizon:
+        factory = functools.partial(UcrlAcw, env.n_states, env.n_actions, horizon, delta, dbar)
         t, reason = master_core(
-            world, *ucrl_learner(env, horizon, delta, dbar), horizon, delta, kappa, rng_env, rng_sched, log,
-            start_t=t, max_epochs=cap,
+            world, factory, horizon, delta, kappa, rng_env, rng_sched, log, start_t=t, max_epochs=cap,
         )
         if reason == "epoch_overflow":
             dbar *= 2.0
@@ -468,10 +470,8 @@ def borl(
         arm = world.borl_arm = picker.sample(rng_borl)
         end = min(t + block - 1, horizon)
         first = len(log)
-        master_core(
-            world, *ucrl_learner(env, horizon, delta, float(1 << arm)), horizon, delta, kappa, rng_env, rng_sched,
-            log, start_t=t, end_t=end,
-        )
+        factory = functools.partial(UcrlAcw, env.n_states, env.n_actions, horizon, delta, float(1 << arm))
+        master_core(world, factory, horizon, delta, kappa, rng_env, rng_sched, log, start_t=t, end_t=end)
         total = 0.0
         for reward in log.column("reward")[first:]:
             total += reward

@@ -26,7 +26,7 @@ from nonstat.mdp import (
     optimal_gain,
     widen_to_span,
 )
-from nonstat.rates import RateFunction, ucb1_rate
+from nonstat.rates import RateFunction
 
 # the whole module takes about ten minutes; `-m "not acceptance"` leaves it out
 pytestmark = pytest.mark.acceptance
@@ -135,10 +135,9 @@ def test_acceptance_03_no_false_restarts():
     env = make_env(
         {"kind": "mab", "T": T, "segments": [{"length": T, "means": [0.5, 0.45, 0.3, 0.6, 0.2]}]}
     )
-    rate = ucb1_rate(5, T, delta)
     clean = 0
     for seed in range(50):
-        log = run_master(env, lambda: Ucb1(5, T, delta), rate, T, delta, kappa=1.0, seed=seed)
+        log = run_master(env, lambda: Ucb1(5, T, delta), T, delta, kappa=1.0, seed=seed)
         clean += not log.restarts
     elapsed = time.time() - t_start
     ok = clean >= 48 and elapsed < 120.0
@@ -163,12 +162,11 @@ def test_acceptance_04_detection_and_benefit():
             ],
         }
     )
-    rate = ucb1_rate(2, T, delta)
     detected = 0
     master_regrets = []
     bare_regrets = []
     for seed in range(50):
-        log = run_master(env, lambda: Ucb1(2, T, delta), rate, T, delta, kappa=0.05, seed=seed)
+        log = run_master(env, lambda: Ucb1(2, T, delta), T, delta, kappa=0.05, seed=seed)
         master_regrets.append(dynamic_regret(log))
         if any(T // 2 < ev.round <= T // 2 + 2048 for ev in log.restarts):
             detected += 1
@@ -208,11 +206,10 @@ def test_acceptance_05_sqrt_lt_scaling():
         for T in (1 << 12, 1 << 14, 1 << 16):
             env = _rotating_mab(T, L)
             delta = 1.0 / T
-            rate = ucb1_rate(5, T, delta)
             regrets = []
             for seed in range(seeds):
                 log = run_master(
-                    env, lambda: Ucb1(5, T, delta), rate, T, delta, kappa=0.05, seed=seed
+                    env, lambda: Ucb1(5, T, delta), T, delta, kappa=0.05, seed=seed
                 )
                 regrets.append(dynamic_regret(log))
             table[(L, T)] = float(np.mean(regrets)) / math.sqrt(L * T)
@@ -464,9 +461,8 @@ def test_acceptance_09_regret_exactness():
             ],
         }
     )
-    rate = ucb1_rate(2, 2048, 1 / 2048)
     for seed in range(5):
-        runs.append(run_master(env, lambda: Ucb1(2, 2048, 1 / 2048), rate, 2048, kappa=1.0, seed=seed))
+        runs.append(run_master(env, lambda: Ucb1(2, 2048, 1 / 2048), 2048, kappa=1.0, seed=seed))
     swap = {
         "kind": "infinite",
         "T": 512,

@@ -273,9 +273,7 @@ def test_ucb1_optimism_and_average_regret_stationary():
     optimistic = 0
     gap_sum = 0.0
     checkpoints = {}
-    from nonstat.rates import ucb1_rate
-
-    rate = ucb1_rate(3, T, delta)
+    rate = inst.rate()
     for t in range(1, T + 1):
         f_tilde = inst.predict()
         if f_tilde >= 0.7 - 1e-12:

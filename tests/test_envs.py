@@ -540,14 +540,14 @@ def test_sample_reward_episodic_mean_matches_f():
 
 def choice_step(env, t, s, a, rng):
     """Reference: InfiniteEnv.step drawn with rng.choice."""
-    rewards, trans = env.params(t)
+    rewards, trans = env._param(t)
     r = 1.0 if rng.random() < rewards[s, a] else 0.0
     return r, int(rng.choice(env.n_states, p=trans[s, a]))
 
 
 def choice_play(env, t, pid, rng):
     """Reference: EpisodicEnv.play drawn with rng.choice on the decoded table."""
-    rewards, trans = env.params(t)
+    rewards, trans = env._param(t)
     table = decode_layer_policy(pid, env.n_layers, env.n_states, env.n_actions)
     s, total, traj = env.init_state, 0.0, []
     for h in range(env.n_layers):
@@ -775,6 +775,19 @@ def test_loader_field_level_messages():
                 ],
             }
         )
+    # values of the wrong type or out of range fail by name, not by coercion or
+    # by an error deep in a run
+    glm = {"kind": "glm", "T": 4, "link": "logistic", "actions": [[1.0, 0.0]],
+           "segments": [{"length": 4, "theta": [0.5, 0.0]}]}
+    swap = {"kind": "infinite", "T": 4, "S": 2, "A": 1,
+            "segments": [{"length": 4, "rewards": [[0.5], [0.5]], "transitions": [[[0, 1]], [[1, 0]]]}]}
+    episodic = episodic_spec(np.random.default_rng(0))
+    for spec, key, value in [
+        (glm, "lam", "2"), (glm, "lam", True), (glm, "lam", math.nan), (glm, "lam", math.inf), (glm, "lam", 0.0),
+        (swap, "s0", True), (swap, "s0", 1.0), (swap, "s0", 2), (episodic, "s1", True), (episodic, "s1", -1),
+    ]:
+        with pytest.raises(EnvSpecError, match=rf"spec\.{key}: "):
+            make_env(dict(spec, **{key: value}))
 
 
 def test_loader_rejects_noncommunicating():
@@ -794,6 +807,28 @@ def test_loader_rejects_noncommunicating():
                 ],
             }
         )
+
+
+def test_each_segment_diameter_is_computed_once(monkeypatch):
+    # the loader's communicating check computes them; max_diameter, diameter(t)
+    # and the diameter command read what it kept
+    import nonstat.mdp
+    from nonstat.cli import main
+
+    calls = []
+    compute = nonstat.mdp.compute_diameter
+    monkeypatch.setattr(nonstat.mdp, "compute_diameter", lambda trans: calls.append(1) or compute(trans))
+    seg = {"rewards": [[0.5], [0.5]], "transitions": [[[0, 1]], [[1, 0]]]}
+    spec = {"kind": "infinite", "T": 6, "S": 2, "A": 1, "segments": [dict(seg, length=2), dict(seg, length=4)]}
+    env = make_env(spec)
+    assert len(calls) == 2
+    assert env.max_diameter() == env.diameter(6) == 1.0
+    with pytest.raises(ValueError, match=r"round 7 outside \[1, 6\]"):
+        env.diameter(7)
+    assert len(calls) == 2
+    monkeypatch.setattr("nonstat.cli.load_env", lambda path: make_env(spec))
+    assert main(["diameter", "--mdp", "spec.json"]) == 0
+    assert len(calls) == 4  # one fresh load
 
 
 def test_glm_loader_and_values():

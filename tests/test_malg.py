@@ -18,7 +18,7 @@ from nonstat.malg import (
     schedule_upfront,
     spawn_probability,
 )
-from nonstat.rates import RateFunction, ucb1_rate
+from nonstat.rates import RateFunction
 
 SQRT_RATE = RateFunction(c1=1.0, c2=0.0, p=0.5, c3=1.0, horizon=1 << 20)
 
@@ -226,13 +226,11 @@ def test_control_loop_matches_the_slot_oracle(monkeypatch, kappa, seed):
     T = 256
     env = make_env({"kind": "mab", "T": T, "segments": [
         {"length": 100, "means": [0.9, 0.1]}, {"length": T - 100, "means": [0.1, 0.9]}]})
-    rate = ucb1_rate(2, T, 1.0 / T)
-
     def run():
         log, rng_env, rng_sched = master.RunLog(), seed_derive(seed, 0, "env"), seed_derive(seed, 0, "sched")
         states = []
         for start, end in [(1, 77), (78, 200), (201, T)]:
-            master.master_core(master.BanditWorld(env), make_factory(T), rate, T, 1.0 / T, kappa,
+            master.master_core(master.BanditWorld(env), make_factory(T), T, 1.0 / T, kappa,
                                rng_env, rng_sched, log, start_t=start, end_t=end)
             states.append(rng_sched.bit_generator.state)
         return log, states

@@ -26,7 +26,8 @@ from nonstat.master import (
 )
 from nonstat.master import test1_fails as order_test_fails
 from nonstat.master import test2_fails as block_test_fails
-from nonstat.rates import RateFunction, ucb1_rate, ucrl_rate
+from nonstat.mdp import UcrlAcw
+from nonstat.rates import RateFunction
 
 SQRT_RATE = RateFunction(c1=1.0, c2=0.0, p=0.5, c3=1.0, horizon=1 << 20)
 
@@ -41,7 +42,14 @@ def stationary(T, means=(0.2, 0.8)):
 
 def ucb1_stack(env, T):
     delta = 1.0 / T
-    return (lambda: Ucb1(env.n_arms, T, delta)), ucb1_rate(env.n_arms, T, delta), delta
+    return (lambda: Ucb1(env.n_arms, T, delta)), delta
+
+
+class SqrtRateUcb1(Ucb1):
+    """UCB1 under the scripted rate SQRT_RATE."""
+
+    def rate(self):
+        return SQRT_RATE
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +79,9 @@ class ScriptedLearner:
         self.values = values
         self.i = 0
 
+    def rate(self):
+        return SQRT_RATE
+
     def predict(self):
         return self.values[self.i]
 
@@ -81,7 +92,7 @@ class ScriptedLearner:
         self.i += 1
 
 
-def run_scripted(g_values, rewards, kappa, T=None, rate=SQRT_RATE):
+def run_scripted(g_values, rewards, kappa, T=None):
     T = T or len(rewards)
     log = RunLog()
     learners = [ScriptedLearner(list(g_values))]
@@ -95,7 +106,6 @@ def run_scripted(g_values, rewards, kappa, T=None, rate=SQRT_RATE):
     master_core(
         ScriptedWorld(rewards),
         factory,
-        rate,
         T,
         1.0 / T,
         kappa,
@@ -153,9 +163,9 @@ def test_threshold_table_equals_the_rho_hat_expressions_bitwise(kappa, average_r
     T = 1 << log2_horizon
     delta = 1.0 / T
     if average_reward:
-        rate, factor = ucrl_rate(3, 2, T, delta, 2.0), 18.0
+        rate, factor = UcrlAcw(3, 2, T, delta, 2.0).rate(), 18.0
     else:
-        rate, factor = ucb1_rate(2, T, delta), 6.0
+        rate, factor = Ucb1(2, T, delta).rate(), 6.0
     table = ThresholdTable(rate, T, delta, kappa, factor)
     for n, length in covers:
         table.cover(n, length)
@@ -205,8 +215,8 @@ def test_test1_pass_at_exact_boundary():
 def test_kappa_infinite_disables_tests():
     T = 64
     env = stationary(T)
-    factory, rate, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, rate, T, delta, kappa=math.inf, seed=3)
+    factory, delta = ucb1_stack(env, T)
+    log = run_master(env, factory, T, delta, kappa=math.inf, seed=3)
     assert log.restarts == []
     blocks = log.column("block")
     # doubling layout: block orders 0,1,1,2,2,2,2,...
@@ -221,8 +231,8 @@ def test_kappa_infinite_disables_tests():
 def test_kappa_one_no_false_restarts_smoke():
     T = 2048
     env = stationary(T, (0.3, 0.6, 0.5))
-    factory, rate, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, rate, T, delta, kappa=1.0, seed=5)
+    factory, delta = ucb1_stack(env, T)
+    log = run_master(env, factory, T, delta, kappa=1.0, seed=5)
     assert log.restarts == []
 
 
@@ -233,8 +243,8 @@ def test_kappa_one_no_false_restarts_smoke():
 def test_u_min_is_running_minimum():
     T = 256
     env = stationary(T)
-    factory, rate, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, rate, T, delta, kappa=math.inf, seed=7)
+    factory, delta = ucb1_stack(env, T)
+    log = run_master(env, factory, T, delta, kappa=math.inf, seed=7)
     blocks = np.asarray(log.column("block"))
     g = np.asarray(log.column("g_tilde"))
     u = np.asarray(log.column("u_min"))
@@ -257,14 +267,13 @@ def test_restart_erases_state_suffix_equality():
     T = 32
     env = stationary(T, (0.9, 0.1))
     delta = 1.0 / T
-    factory = lambda: Ucb1(2, T, delta)
+    factory = lambda: SqrtRateUcb1(2, T, delta)
 
     rng_env_a = seed_derive(11, 0, "env")
     rng_sched_a = seed_derive(11, 0, "sched")
     log_a = RunLog()
     # kappa=0 makes test 1 fire at round 1 (avg >= u_min + 0)
-    master_core(BanditWorld(env), factory, SQRT_RATE, T, delta, 0.0,
-                rng_env_a, rng_sched_a, log_a)
+    master_core(BanditWorld(env), factory, T, delta, 0.0, rng_env_a, rng_sched_a, log_a)
     assert log_a.restarts and log_a.restarts[0].round == 1
 
     # replicate: one manual round with the same stream, then a fresh core
@@ -275,8 +284,7 @@ def test_restart_erases_state_suffix_equality():
     r, fb = env.play(1, pol, rng_env_b)
     runner.finish_round(1, r, fb)
     log_b = RunLog()
-    master_core(BanditWorld(env), factory, SQRT_RATE, T, delta, 0.0,
-                rng_env_b, rng_sched_b, log_b, start_t=2)
+    master_core(BanditWorld(env), factory, T, delta, 0.0, rng_env_b, rng_sched_b, log_b, start_t=2)
     assert log_a.column("policy")[1:] == log_b.column("policy")
     assert log_a.column("reward")[1:] == log_b.column("reward")
     assert log_a.column("g_tilde")[1:] == log_b.column("g_tilde")
@@ -287,14 +295,14 @@ def test_tests_disabled_master_equals_malg():
     # driven by the same derived streams
     T = 31  # blocks 1,2,4,8,16 exactly
     env = stationary(T)
-    factory, rate, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, rate, T, delta, kappa=math.inf, seed=13)
+    factory, delta = ucb1_stack(env, T)
+    log = run_master(env, factory, T, delta, kappa=math.inf, seed=13)
 
     rng_env = seed_derive(13, 0, "env")
     rng_sched = seed_derive(13, 0, "sched")
     t = 1
     for n in range(5):
-        runner = MalgRunner(t, n, rate, factory, rng_sched)
+        runner = MalgRunner(t, n, factory().rate(), factory, rng_sched)
         for _ in range(1 << n):
             g, pol, rec = runner.begin_round(t)
             r, fb = env.play(t, pol, rng_env)
@@ -310,9 +318,9 @@ def test_tests_disabled_master_equals_malg():
 def test_block_orders_reset_after_restart():
     T = 64
     env = stationary(T, (0.9, 0.1))
-    factory, rate, delta = ucb1_stack(env, T)
+    factory, delta = ucb1_stack(env, T)
     log = RunLog()
-    master_core(BanditWorld(env), factory, rate, T, delta, 0.0,
+    master_core(BanditWorld(env), factory, T, delta, 0.0,
                 seed_derive(17, 0, "env"), seed_derive(17, 0, "sched"), log)
     # kappa=0 restarts every round: every row is block 0 of a new epoch
     assert log.column("block") == [0] * T
@@ -323,9 +331,9 @@ def test_block_orders_reset_after_restart():
 def test_at_most_one_restart_event_per_round():
     T = 64
     env = stationary(T, (0.9, 0.1))
-    factory, rate, delta = ucb1_stack(env, T)
+    factory, delta = ucb1_stack(env, T)
     log = RunLog()
-    master_core(BanditWorld(env), factory, rate, T, delta, 1e-9,
+    master_core(BanditWorld(env), factory, T, delta, 1e-9,
                 seed_derive(19, 0, "env"), seed_derive(19, 0, "sched"), log)
     rounds = [ev.round for ev in log.restarts]
     assert len(rounds) == len(set(rounds))
@@ -354,8 +362,8 @@ def test_dynamic_regret_matches_second_pass_exactly():
         {"length": 256, "means": [0.9, 0.1]},
         {"length": 256, "means": [0.1, 0.9]},
     ])
-    factory, rate, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, rate, T, delta, kappa=1.0, seed=23)
+    factory, delta = ucb1_stack(env, T)
+    log = run_master(env, factory, T, delta, kappa=1.0, seed=23)
     text = log.to_csv_text()
     reread = RunLog.from_csv(text)
     total = 0.0
@@ -367,8 +375,8 @@ def test_dynamic_regret_matches_second_pass_exactly():
 def test_csv_roundtrip_bit_exact():
     T = 128
     env = stationary(T)
-    factory, rate, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, rate, T, delta, kappa=1.0, seed=29)
+    factory, delta = ucb1_stack(env, T)
+    log = run_master(env, factory, T, delta, kappa=1.0, seed=29)
     text = log.to_csv_text()
     again = RunLog.from_csv(text).to_csv_text()
     assert text == again
@@ -380,8 +388,8 @@ def test_csv_roundtrip_keeps_restart_blocks():
         {"length": 256, "means": [0.9, 0.1]},
         {"length": 256, "means": [0.1, 0.9]},
     ])
-    factory, rate, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, rate, T, delta, kappa=1e-4, seed=31)
+    factory, delta = ucb1_stack(env, T)
+    log = run_master(env, factory, T, delta, kappa=1e-4, seed=31)
     assert any(ev.block > 0 for ev in log.restarts)
     assert RunLog.from_csv(log.to_csv_text()).restarts == log.restarts
 
@@ -558,8 +566,8 @@ def test_kappa_zero_log_is_pinned():
     # test causes, so it pins the test-1 token too
     T = 32
     env = mab(T, [{"length": 16, "means": [0.9, 0.1]}, {"length": 16, "means": [0.1, 0.9]}])
-    factory, rate, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, rate, T, delta, kappa=0.0, seed=0)
+    factory, delta = ucb1_stack(env, T)
+    log = run_master(env, factory, T, delta, kappa=0.0, seed=0)
     text = log.to_csv_text()
     test2 = {8, 16, *range(17, 28), 29, 30, 32}
     expected = [(t, "test2" if t in test2 else "test1 m0#0", 0) for t in range(1, T + 1)]
@@ -581,6 +589,9 @@ class SignalingLearner:
     def __init__(self, k, updates):
         self.k = k
         self.updates = updates
+
+    def rate(self):
+        return SQRT_RATE
 
     def predict(self):
         return 0.5
@@ -604,7 +615,7 @@ def test_signal_restart_through_the_control_loop():
     updates = [0]
     log = RunLog()
     master_core(
-        ScriptedWorld([0.5] * T), lambda: SignalingLearner(k, updates), SQRT_RATE, T, 1.0 / T,
+        ScriptedWorld([0.5] * T), lambda: SignalingLearner(k, updates), T, 1.0 / T,
         math.inf, seed_derive(0, 0, "env"), seed_derive(0, 0, "sched"), log,
     )
     expected = [(k, "mdp_signal", 2)] + [(t, "mdp_signal", 0) for t in range(k + 1, T + 1)]

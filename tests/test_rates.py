@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonstat.rates import RateFunction, glm_rate, oful_rate, qucb_rate, ucb1_rate, ucrl_rate
+from nonstat.base import GlmUcb, Oful, QUcb, Ucb1
+from nonstat.envs import LINKS
+from nonstat.mdp import UcrlAcw
+from nonstat.rates import RateFunction
 
 
 def test_rho_and_capacity_shapes():
@@ -25,6 +28,10 @@ def test_construction_rejects_bad_parameters():
     # rho dips below 1/sqrt(t): c1 too small
     with pytest.raises(ValueError):
         RateFunction(c1=0.1, c2=0.0, horizon=1024)
+    # nan fails every comparison, so each coefficient's check must reject it
+    for name in ("c1", "c2", "c3"):
+        with pytest.raises(ValueError, match=f"{name}=nan"):
+            RateFunction(**dict(dict(c1=1.0, c2=0.0, c3=1.0), **{name: math.nan}), horizon=16)
 
 
 @settings(max_examples=50, deadline=None)
@@ -47,7 +54,7 @@ def test_monotonicity_properties(c1, c2, p, horizon):
 
 def test_ucb1_rate_matches_formula():
     T, delta, arms = 1024, 1 / 1024, 5
-    rf = ucb1_rate(arms, T, delta)
+    rf = Ucb1(arms, T, delta).rate()
     lg = math.log(T / delta)
     t = 64.0
     expected = min(math.sqrt(arms * lg / t) + arms * lg / t, 1.0)
@@ -56,23 +63,26 @@ def test_ucb1_rate_matches_formula():
 
 def test_oful_rate_beta_inside():
     T, delta, d = 4096, 1 / 4096, 3
-    rf = oful_rate(d, T, delta)
+    rf = Oful(np.eye(d), T, delta).rate()
     lg = math.log(T / delta)
     beta = 4 * math.sqrt(d * lg)
     assert rf.rho(16.0) == pytest.approx(min(beta * math.sqrt(d * lg / 16.0), 1.0), rel=1e-12)
 
 
 def test_glm_rate_uses_link_constants():
-    rf = glm_rate(2, 1024, 1 / 1024, k_mu=0.25, c_mu=0.19661193324148185, lam=1.0)
+    T, delta, d = 1024, 1 / 1024, 2
+    rf = GlmUcb(np.eye(d), T, delta, "logistic", lam=1.0).rate()
+    k_mu, c_mu = 0.25, 0.19661193324148185
+    beta = (4.0 * k_mu / c_mu) * (math.sqrt(d * math.log(c_mu * T / delta)) + c_mu)
     assert rf.c2 == 0.0
-    assert rf.c1 > 0
+    assert rf.c1 == pytest.approx(beta * math.sqrt(d * math.log(T / delta)), rel=1e-12)
 
 
 def test_qucb_rate_is_h_scaled():
     # after the 1/H scaling: rho(t) = sqrt(H^3*S*A*log/t) + H^2*S*A*log/t
     S, A, H, T = 2, 2, 3, 2048
     delta = 1 / T
-    rf = qucb_rate(S, A, H, T, delta)
+    rf = QUcb(S, A, H, T, delta).rate()
     lg = math.log(S * A * T / delta)
     t = 512.0
     expected = min(math.sqrt(H**3 * S * A * lg / t) + H**2 * S * A * lg / t, 1.0)
@@ -80,24 +90,126 @@ def test_qucb_rate_is_h_scaled():
 
 
 def test_ucrl_rate_cap_is_dbar():
-    rf = ucrl_rate(2, 2, 4096, 1 / 4096, dbar=3.0)
+    rf = UcrlAcw(2, 2, 4096, 1 / 4096, dbar=3.0).rate()
     assert rf.c3 == 3.0
     assert rf.rho(1.0) == 3.0  # cap binds at tiny t
 
 
 def test_ucrl_rate_cap_binds():
     lg = math.log(2 * 2 * 4096 / (1 / 4096))
-    val = ucrl_rate(2, 2, 4096, 1 / 4096, dbar=2.0).rho(64)
+    val = UcrlAcw(2, 2, 4096, 1 / 4096, dbar=2.0).rate().rho(64)
     unc = 2 * 2 * math.sqrt(2 * lg / 64) + 2 * 2 * 2 * lg / 64
     assert unc > 2.0
     assert val == 2.0
 
 
 def test_ucrl_rate_decays():
-    rf = ucrl_rate(2, 2, 10**6, 1e-6, 2.0)
+    rf = UcrlAcw(2, 2, 10**6, 1e-6, 2.0).rate()
     v1 = rf.rho(10**6)
     v2 = rf.rho(10**8)
     assert v2 < v1 < 2.0
+
+
+# ---------------------------------------------------------------------------
+# each learner's rate() against the standalone rate constructors it replaced,
+# kept here verbatim as the reference
+
+
+def ucb1_rate(n_arms: int, horizon: int, delta: float) -> RateFunction:
+    lg = math.log(horizon / delta)
+    return RateFunction(
+        c1=math.sqrt(n_arms * lg), c2=n_arms * lg, p=0.5, c3=1.0, horizon=horizon
+    )
+
+
+def oful_rate(dim: int, horizon: int, delta: float) -> RateFunction:
+    lg = math.log(horizon / delta)
+    beta = 4.0 * math.sqrt(dim * lg)
+    return RateFunction(c1=beta * math.sqrt(dim * lg), c2=0.0, p=0.5, c3=1.0, horizon=horizon)
+
+
+def glm_rate(
+    dim: int,
+    horizon: int,
+    delta: float,
+    k_mu: float,
+    c_mu: float,
+    lam: float = 1.0,
+) -> RateFunction:
+    beta = (4.0 * k_mu / c_mu) * (
+        math.sqrt(dim * math.log(c_mu * horizon / (lam * delta)))
+        + c_mu * math.sqrt(lam)
+    )
+    lg = math.log(horizon / delta)
+    return RateFunction(c1=beta * math.sqrt(dim * lg), c2=0.0, p=0.5, c3=1.0, horizon=horizon)
+
+
+def qucb_rate(
+    n_states: int, n_actions: int, n_layers: int, horizon: int, delta: float
+) -> RateFunction:
+    # Rewards fed to the reduction are divided by the layer count, so the
+    # rate is the episodic one scaled down by the same factor.
+    lg = math.log(n_states * n_actions * horizon / delta)
+    h, s, a = n_layers, n_states, n_actions
+    return RateFunction(
+        c1=math.sqrt(h**3 * s * a * lg),
+        c2=h**2 * s * a * lg,
+        p=0.5,
+        c3=1.0,
+        horizon=horizon,
+    )
+
+
+def ucrl_rate(
+    n_states: int, n_actions: int, horizon: int, delta: float, dbar: float
+) -> RateFunction:
+    lg = math.log(n_states * n_actions * horizon / delta)
+    s, a = n_states, n_actions
+    return RateFunction(
+        c1=dbar * s * math.sqrt(a * lg),
+        c2=dbar * s * a * lg,
+        p=0.5,
+        c3=max(1.0, dbar),
+        horizon=horizon,
+    )
+
+
+def rate_outcome(build):
+    """The fields of build()'s rate as float hex, or its exception's type and message."""
+    try:
+        rf = build()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(float(getattr(rf, name)).hex() for name in ("c1", "c2", "p", "c3", "horizon"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    horizon=st.integers(1, 1 << 24),
+    delta=st.one_of(st.floats(1e-9, 1.0), st.just(None)),
+    n_arms=st.integers(1, 20),
+    dim=st.integers(1, 6),
+    link=st.sampled_from(sorted(LINKS)),
+    lam=st.one_of(st.floats(1e-3, 100.0), st.integers(1, 10)),
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 4), st.integers(1, 6)),
+    dbar=st.one_of(st.integers(1, 64), st.floats(1.0, 64.0)),
+)
+def test_learner_rates_equal_the_rate_constructors(horizon, delta, n_arms, dim, link, lam, shape, dbar):
+    delta = 1.0 / horizon if delta is None else delta
+    s, a, h = shape
+    actions = np.zeros((3, dim))
+    pairs = [
+        (lambda: Ucb1(n_arms, horizon, delta).rate(), lambda: ucb1_rate(n_arms, horizon, delta)),
+        (lambda: Oful(actions, horizon, delta).rate(), lambda: oful_rate(dim, horizon, delta)),
+        (
+            lambda: GlmUcb(actions, horizon, delta, link, lam).rate(),
+            lambda: glm_rate(dim, horizon, delta, LINKS[link].k_mu, LINKS[link].c_mu, lam),
+        ),
+        (lambda: QUcb(s, a, h, horizon, delta).rate(), lambda: qucb_rate(s, a, h, horizon, delta)),
+        (lambda: UcrlAcw(s, a, horizon, delta, dbar).rate(), lambda: ucrl_rate(s, a, horizon, delta, dbar)),
+    ]
+    for learner_rate, reference in pairs:
+        assert rate_outcome(learner_rate) == rate_outcome(reference)
 
 
 # ---------------------------------------------------------------------------
