@@ -15,7 +15,10 @@ instance — the one of smallest order — is active: it emits the block's
 optimistic value g~_t, chooses the policy, and is the only instance whose
 learner state is updated.  Every covering instance accumulates the
 learner's reward into its interval sum, which the order-level
-stationarity test reads when the instance ends.
+stationarity test reads when the instance ends.  An instance's uid is its
+index among the block's spawns.  Slots nest, so no instance ends at a
+round where the active one does not: finish_round then returns the empty
+tuple without scanning the stack.
 
 An instance's learner is built at its first active round, by one factory()
 call: until then its record holds None, and an instance that never plays
@@ -145,11 +148,11 @@ class MalgRunner:
         ... play the environment ...
         ended = runner.finish_round(t, reward, feedback)
 
-    ended lists the instances whose interval closed at t, for the caller's
-    order-level test; runner.events holds this round's schedule events.  A
-    block that stops before its last round must be closed with cut(t), t its
-    last round played, so that rng is left as the per-round draws would
-    leave it.
+    ended holds the instances whose interval closed at t, for the caller's
+    order-level test (the shared empty tuple in a round where none closes);
+    runner.events lists this round's schedule events.  A block that stops
+    before its last round must be closed with cut(t), t its last round
+    played, so that rng is left as the per-round draws would leave it.
     """
 
     def __init__(self, block_start: int, order_n: int, rate: RateFunction, factory, rng):
@@ -159,56 +162,64 @@ class MalgRunner:
         self._rng = rng
         self._rng_state = rng.bit_generator.state
         self._spawn_starts, self._spawn_orders = _spawned_slots(order_n, rate, rng)
-        self._next_spawn = 0  # the first of them not yet spawned
+        # order n always spawns, at offset 0, and covers the whole block
+        assert self._spawn_orders[:1] == array("i", [order_n]), f"no covering instance at round {block_start}"
+        self._next_spawn = 0  # the first of them not yet spawned, and its uid
+        self._spawn_at = block_start  # its round
         # the instances covering the current round, orders descending: aligned
         # slots nest, so each spawn has the smallest order and the active
         # instance is always last
         self._live: list[InstanceRecord] = []
-        self._next_uid = 0
-        self._active: InstanceRecord | None = None
-        self._prev: InstanceRecord | None = None
+        self._active: InstanceRecord | None = None  # live[-1] since the last begin_round
         self.events: list[str] = []
 
     # -- phase 1 -----------------------------------------------------------
 
     def begin_round(self, t: int):
         self.events = events = []
-        live = self._live
-        tau, i = t - self._block_start, self._next_spawn
-        while self._spawn_starts[i] == tau:
-            m = self._spawn_orders[i]
+        if t == self._spawn_at:
+            self._spawn(t, events)
+        rec = self._live[-1]
+        if rec is not self._active:
+            self._switch(rec, t, events)
+        learner = rec.learner
+        return learner.predict(), learner.act(), rec
+
+    def _spawn(self, t: int, events: list[str]):
+        """Push the instances whose slots start at t, orders descending."""
+        live, starts, orders = self._live, self._spawn_starts, self._spawn_orders
+        tau, uid = t - self._block_start, self._next_spawn
+        while starts[uid] == tau:
+            m = orders[uid]
             assert not live or live[-1].order > m, "overlapping same-order instances"
-            uid, end = self._next_uid, t + (1 << m) - 1
+            end = t + (1 << m) - 1
             live.append(InstanceRecord(uid, m, t, end))
             events.append(f"spawn m{m}#{uid}@[{t},{end}]")
-            self._next_uid = uid + 1
-            i += 1
-        self._next_spawn = i
-        assert live, f"no covering instance at round {t}"  # order n always covers
-        rec = self._active = live[-1]
-        learner = rec.learner
-        if learner is None:
-            learner = rec.learner = self.factory()
-        prev = self._prev
-        if rec is not prev:
-            if prev is not None and prev.end >= t:
-                events.append(f"pause m{prev.order}#{prev.uid}")
-            if rec.active_rounds > 0:
-                events.append(f"resume m{rec.order}#{rec.uid}")
-        return learner.predict(), learner.act(), rec
+            uid += 1
+        self._next_spawn = uid
+        self._spawn_at = self._block_start + starts[uid]
+
+    def _switch(self, rec: InstanceRecord, t: int, events: list[str]):
+        """Make rec the active instance, building its learner at its first active round."""
+        prev, self._active = self._active, rec
+        if prev is not None and prev.end >= t:
+            events.append(f"pause m{prev.order}#{prev.uid}")
+        if rec.active_rounds > 0:
+            events.append(f"resume m{rec.order}#{rec.uid}")
+        if rec.learner is None:
+            rec.learner = self.factory()
 
     # -- phase 2 -----------------------------------------------------------
 
-    def finish_round(self, t: int, reward: float, feedback) -> list[InstanceRecord]:
+    def finish_round(self, t: int, reward: float, feedback) -> list[InstanceRecord] | tuple[()]:
         rec = self._active
-        assert rec is not None, "finish_round before begin_round"
         rec.learner.update(feedback)
         rec.active_rounds += 1
-        self._prev = rec
-        self._active = None
-        live = self._live
-        for other in live:
+        for other in self._live:
             other.reward_sum += reward
+        if rec.end != t:  # slots nest: when the active (shortest) instance goes on, all do
+            return ()
+        live = self._live
         ended = []
         while live and live[-1].end == t:
             other = live.pop()

@@ -29,6 +29,10 @@ event field; RunLog.restarts is read from the event and block columns.
 
 The per-round log stores the environment oracle's f*_t captured at
 simulation time, so dynamic regret is an exact second pass over the rows.
+Each row is one RunLog.append call with its values in RunLog.columns
+order; the round adapter's extras(learner) gives the MDP columns' values
+as a tuple, () for bandits.  The control loop binds the runner's, the
+adapter's and the log's methods once per block.
 """
 
 from __future__ import annotations
@@ -115,14 +119,16 @@ class RunLog:
         self.has_mdp_columns = mdp_columns
         self.columns = _BASE_COLUMNS + _MDP_COLUMNS if mdp_columns else _BASE_COLUMNS
         self._data = {name: [] for name in self.columns}
-        self._appends = [(name, self._data[name].append) for name in self.columns]
+        self._lists = tuple(self._data.values())
 
     def __len__(self):
         return len(self._data["t"])
 
-    def append(self, **values):
-        for name, push in self._appends:
-            push(values[name])
+    def append(self, *row):
+        """Add one row, its values in self.columns order."""
+        if len(row) != len(self._lists):
+            raise ValueError(f"row of {len(row)} values, expected {len(self._lists)} (the log's columns)")
+        any(map(list.append, self._lists, row))  # list.append returns None: any() runs it on every pair
 
     def column(self, name):
         return self._data[name]
@@ -184,18 +190,11 @@ class RunLog:
         log = cls(mdp_columns="episode" in header)
         if tuple(header) != log.columns:
             raise ValueError(f"unexpected log columns {header}")
+        parsers = [str if name == "event" else int if name in _INT_COLUMNS else float for name in header]
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(f"line {reader.line_num}: {len(row)} cells, expected {len(header)}")
-            values = {}
-            for name, cell in zip(header, row):
-                if name == "event":
-                    values[name] = cell
-                elif name in _INT_COLUMNS:
-                    values[name] = int(cell)
-                else:
-                    values[name] = float(cell)
-            log.append(**values)
+            log.append(*[parse(cell) for parse, cell in zip(parsers, row)])
         return log
 
 
@@ -223,7 +222,7 @@ class BanditWorld:
         return reward, feedback, self.env.optimal_value(t)
 
     def extras(self, learner):
-        return {}
+        return ()
 
 
 class AverageRewardWorld:
@@ -251,13 +250,8 @@ class AverageRewardWorld:
         return reward, (s, action, reward, nxt), self.env.optimal_value(t)
 
     def extras(self, learner):
-        return {
-            "episode": learner.episode,
-            "eta": learner.eta,
-            "gamma_budget": learner.gamma_budget,
-            "dbar": learner.dbar,
-            "borl_arm": self.borl_arm,
-        }
+        """The _MDP_COLUMNS values of a row."""
+        return learner.episode, learner.eta, learner.gamma_budget, learner.dbar, self.borl_arm
 
 
 def test1_fails(interval_average: float, u_min: float, threshold: float) -> bool:
@@ -333,16 +327,19 @@ def master_core(
             block_end = min(t_n + (1 << n) - 1, end_t)
             thresholds.cover(n, block_end - t_n + 1)
             runner = MalgRunner(t_n, n, rate, factory, rng_sched)
+            begin, finish, play, extras, append = (
+                runner.begin_round, runner.finish_round, world.play, world.extras, log.append)
             u_min = math.inf
             gap_sum = 0.0
+            length = 0
             while t <= block_end:
-                g_tilde, policy, active = runner.begin_round(t)
-                reward, feedback, f_star = world.play(t, policy, rng_env)
-                ended = runner.finish_round(t, reward, feedback)
+                g_tilde, policy, active = begin(t)
+                reward, feedback, f_star = play(t, policy, rng_env)
+                ended = finish(t, reward, feedback)
                 if g_tilde < u_min:  # min(u_min, g_tilde) without the call, nan included
                     u_min = g_tilde
                 gap_sum += g_tilde - reward
-                length = t - t_n + 1
+                length += 1
 
                 cause = None
                 for rec in ended:
@@ -351,23 +348,15 @@ def master_core(
                         break
                 if cause is None and test2_fails(gap_sum, length, length_thresholds[length - 1]):
                     cause = "test2"
-                if cause is None and active.learner.restart_signaled:
+                learner = active.learner
+                if cause is None and learner.restart_signaled:
                     cause = "mdp_signal"
 
-                events = runner.events if cause is None else [*runner.events, f"restart {cause}"]
-                log.append(
-                    t=t,
-                    block=n,
-                    epoch=epoch,
-                    active_order=active.order,
-                    policy=policy,
-                    reward=reward,
-                    f_star=f_star,
-                    g_tilde=g_tilde,
-                    u_min=u_min,
-                    event=";".join(events),
-                    **world.extras(active.learner),
-                )
+                events = runner.events
+                if cause is not None:
+                    events = [*events, f"restart {cause}"]
+                append(t, n, epoch, active.order, policy, reward, f_star, g_tilde, u_min,
+                       ";".join(events) if events else "", *extras(learner))
 
                 t += 1
                 if cause is not None:
@@ -422,17 +411,5 @@ def run_bare(env, learner, horizon: int, seed: int = 0, run_index: int = 0) -> R
         policy = learner.act()
         reward, feedback, f_star = world.play(t, policy, rng_env)
         learner.update(feedback)
-        log.append(
-            t=t,
-            block=0,
-            epoch=0,
-            active_order=-1,
-            policy=policy,
-            reward=reward,
-            f_star=f_star,
-            g_tilde=g_tilde,
-            u_min=0.0,
-            event="",
-            **world.extras(learner),
-        )
+        log.append(t, 0, 0, -1, policy, reward, f_star, g_tilde, 0.0, "", *world.extras(learner))
     return log

@@ -219,8 +219,8 @@ class UcrlAcw(_Learner):
     )
 
     def __init__(self, n_states: int, n_actions: int, horizon: int, delta: float, dbar: float = 1.0):
-        if dbar < 1.0:
-            raise ValueError("diameter guess must be >= 1")
+        if not dbar >= 1.0:  # written so that nan fails it
+            raise ValueError(f"diameter guess dbar={dbar} must be >= 1")
         self.n_states = n_states
         self.n_actions = n_actions
         self.horizon = horizon

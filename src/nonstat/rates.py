@@ -16,6 +16,7 @@ horizon, so that is checked exactly at construction time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = ["RateFunction"]
@@ -40,8 +41,8 @@ class RateFunction:
             raise ValueError(f"rate exponent p={self.p} outside [1/2, 1)")
         if not self.c3 >= 1.0:
             raise ValueError(f"rate cap c3={self.c3} must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral) or self.horizon < 1:
+            raise ValueError(f"horizon={self.horizon!r} must be an integer >= 1")
         self._validate_sqrt_floor()
 
     def _validate_sqrt_floor(self):

@@ -143,8 +143,7 @@ def test_run_rejects_repeated_seeds(tmp_path, capsys):
 
 def one_row_log_text():
     log = RunLog()
-    log.append(t=1, block=0, epoch=0, active_order=0, policy=0, reward=0.5,
-               f_star=1.0, g_tilde=1.0, u_min=1.0, event="")
+    log.append(1, 0, 0, 0, 0, 0.5, 1.0, 1.0, 1.0, "")  # t .. event, in log.columns order
     return log.to_csv_text()
 
 

@@ -69,7 +69,7 @@ class ScriptedWorld:
         return self.rewards[t - 1], (0, self.rewards[t - 1]), 1.0
 
     def extras(self, learner):
-        return {}
+        return ()
 
 
 class ScriptedLearner:
@@ -346,14 +346,25 @@ def test_at_most_one_restart_event_per_round():
 def test_dynamic_regret_trivial_cases():
     log = RunLog()
     for t in range(1, 11):
-        log.append(t=t, block=0, epoch=0, active_order=0, policy=0,
-                   reward=0.0, f_star=1.0, g_tilde=1.0, u_min=1.0, event="")
+        log.append(t, 0, 0, 0, 0, 0.0, 1.0, 1.0, 1.0, "")
     assert dynamic_regret(log) == 10.0
     log2 = RunLog()
     for t in range(1, 11):
-        log2.append(t=t, block=0, epoch=0, active_order=0, policy=0,
-                    reward=0.7, f_star=0.7, g_tilde=1.0, u_min=1.0, event="")
+        log2.append(t, 0, 0, 0, 0, 0.7, 0.7, 1.0, 1.0, "")
     assert dynamic_regret(log2) == 0.0
+
+
+@pytest.mark.parametrize("mdp_columns", [False, True])
+def test_append_rejects_a_row_of_the_wrong_length(mdp_columns):
+    # a positional row one value short or long would shift the columns
+    log = RunLog(mdp_columns=mdp_columns)
+    width = len(log.columns)
+    row = (1, 0, 0, 0, 0, 0.5, 1.0, 1.0, 1.0, "") + (2, 0.5, 0.0, 1.0, -1)[: width - 10]
+    log.append(*row)
+    for bad in (row[:-1], row + (0,), ()):
+        with pytest.raises(ValueError, match=f"expected {width}"):
+            log.append(*bad)
+    assert len(log) == 1 and all(len(log.column(name)) == 1 for name in log.columns)
 
 
 def test_dynamic_regret_matches_second_pass_exactly():
@@ -429,10 +440,10 @@ csv_file_events = st.text(st.one_of(st.sampled_from(',"\r\n; '), st.characters(c
 def csv_logs(draw, events=csv_events):
     log = RunLog(mdp_columns=draw(st.booleans()))
     for _ in range(draw(st.integers(0, 6))):
-        log.append(**{
-            name: draw(events) if name == "event" else draw(csv_ints if name in _INT_COLUMNS else csv_floats)
+        log.append(*[
+            draw(events) if name == "event" else draw(csv_ints if name in _INT_COLUMNS else csv_floats)
             for name in log.columns
-        })
+        ])
     return log
 
 
@@ -447,8 +458,7 @@ def test_csv_writer_equals_rowwise_csv_writer(log):
 def test_csv_file_equals_rowwise_csv_writer(tmp_path):
     log = RunLog()
     for t, event in enumerate(["", "spawn m0#0@[1,1]", 'a "b"', "x\ny", "c\rd"], start=1):
-        log.append(t=t, block=0, epoch=np.int64(2), active_order=0, policy=1, reward=np.float64(0.5),
-                   f_star=-0.0, g_tilde=math.inf, u_min=math.nan, event=event)
+        log.append(t, 0, np.int64(2), 0, 1, np.float64(0.5), -0.0, math.inf, math.nan, event)
     log.to_csv(str(tmp_path / "log.csv"))
     assert (tmp_path / "log.csv").read_bytes() == rowwise_csv(log).encode()
 
@@ -495,8 +505,7 @@ def test_csv_reader_reads_what_a_stringio_reader_reads(log):
 def test_csv_text_roundtrip_keeps_a_lone_surrogate():
     # text is not encoded, so an event no UTF-8 file can hold still reads back
     log = RunLog()
-    log.append(t=1, block=0, epoch=0, active_order=0, policy=0, reward=0.5,
-               f_star=1.0, g_tilde=1.0, u_min=1.0, event="a\ud800,b")
+    log.append(1, 0, 0, 0, 0, 0.5, 1.0, 1.0, 1.0, "a\ud800,b")
     text = log.to_csv_text()
     reread = RunLog.from_csv(text)
     assert reread.column("event") == ["a\ud800,b"]
@@ -506,9 +515,7 @@ def test_csv_text_roundtrip_keeps_a_lone_surrogate():
 def test_csv_roundtrip_through_a_file_with_multiline_events(tmp_path):
     log = RunLog(mdp_columns=True)
     for t, event in enumerate(["", "x\ny\nz", 'q "r", s', "\n", "restart test2"], start=1):
-        log.append(t=t, block=t // 2, epoch=0, active_order=1, policy=t, reward=0.1 * t, f_star=1.0 / 3,
-                   g_tilde=-0.0, u_min=5e-324, event=event, episode=t, eta=0.5, gamma_budget=2.0,
-                   dbar=1.0, borl_arm=-1)
+        log.append(t, t // 2, 0, 1, t, 0.1 * t, 1.0 / 3, -0.0, 5e-324, event, t, 0.5, 2.0, 1.0, -1)
     path = str(tmp_path / "log.csv")
     log.to_csv(path)
     text = log.to_csv_text()
@@ -522,8 +529,7 @@ def test_csv_roundtrip_with_a_cr_in_an_event(tmp_path, event):
     # a CR is quoted like a LF, and reads back as a CR from the text and from a file
     log = RunLog()
     for t, ev in enumerate([event, "spawn m0#1@[2,2]"], start=1):
-        log.append(t=t, block=0, epoch=0, active_order=0, policy=0, reward=0.5,
-                   f_star=1.0, g_tilde=1.0, u_min=1.0, event=ev)
+        log.append(t, 0, 0, 0, 0, 0.5, 1.0, 1.0, 1.0, ev)
     text = log.to_csv_text()
     assert f'"{event}"' in text
     path = str(tmp_path / "log.csv")

@@ -217,6 +217,13 @@ def test_fresh_learner_state():
     assert inst.predict() == 1.0
 
 
+@pytest.mark.parametrize("dbar", [math.nan, 0.5, -math.inf])
+def test_learner_rejects_a_diameter_guess_below_one(dbar):
+    # nan fails every comparison, so the guard must be one that nan fails
+    with pytest.raises(ValueError, match="dbar="):
+        UcrlAcw(2, 2, 256, 1.0 / 256, dbar=dbar)
+
+
 def test_prior_solution_equals_fresh_widening():
     S, A, T, dbar = 3, 2, 256, 2.0
     delta = 1.0 / T

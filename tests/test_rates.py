@@ -32,6 +32,11 @@ def test_construction_rejects_bad_parameters():
     for name in ("c1", "c2", "c3"):
         with pytest.raises(ValueError, match=f"{name}=nan"):
             RateFunction(**dict(dict(c1=1.0, c2=0.0, c3=1.0), **{name: math.nan}), horizon=16)
+    # the horizon is a count of rounds: a bool, a float or a count below 1 is not one
+    for horizon in (math.nan, 2.5, 16.0, True, 0, -4):
+        with pytest.raises(ValueError, match="horizon="):
+            RateFunction(c1=1.0, c2=0.0, horizon=horizon)
+    assert RateFunction(c1=1.0, c2=0.0, horizon=np.int64(16)).horizon == 16
 
 
 @settings(max_examples=50, deadline=None)
