@@ -9,9 +9,11 @@ reduction reads it from one fresh learner per control-loop call).
 predict/act never change observable state, but may fill a cache that
 update clears: read-side state (a score vector with the value and action it
 decides, the GLM fit) is computed at most once per update, and only when
-something reads it.  Ucb1 and GlmUcb learners without data share one
-read-only decision per parameter set, since the scheduler builds such a
-learner for up to every round.  Calling predict/act repeatedly between
+something reads it.  Ucb1 builds its score vector once, at the first read
+with data, and update then keeps it current by rewriting the one entry it
+changes.  Ucb1 and GlmUcb learners without data share one read-only
+decision per parameter set, since the scheduler builds such a learner for
+up to every round.  Calling predict/act repeatedly between
 updates returns identical results, and a learner can be paused,
 snapshotted to JSON, restored, and resumed with a bitwise-identical
 trajectory.
@@ -118,12 +120,13 @@ def _decision(scores: np.ndarray) -> tuple:
 class _IndexLearner(_Learner):
     """Plays the argmax of a score vector and predicts its clamped max.
 
-    The vector is a function of the state fields; it is computed at the
-    first read after an update and cached, with the two reads it decides
-    (the _decision entry), until the next one, so update (and anything else
-    that changes the fields) must reset _score_cache.  _compute_decision
-    builds the entry; Ucb1 and GlmUcb learners without data take a shared,
-    read-only one instead.
+    The vector is a function of the state fields; the _decision entry (the
+    vector with the two reads it decides) is computed at the first read
+    after an update and cached until the next one, so update (and anything
+    else that changes the fields) must reset _score_cache.
+    _compute_decision builds the entry.  Oful and GlmUcb compute a new
+    vector for it; Ucb1 reuses its own, which update keeps current; Ucb1
+    and GlmUcb learners without data take a shared, read-only entry instead.
     """
 
     _score_cache = None  # (scores, predict(), act()), or None when stale
@@ -152,12 +155,25 @@ class _IndexLearner(_Learner):
 
 
 class Ucb1(_IndexLearner):
+    """UCB1.  The score vector is built with the vector formula at the first
+    read with data (or the first after _load_state) and kept current from
+    then on: update rewrites the one entry it changes, in scalar arithmetic
+    with the formula's operations in the same order, so the bits are the
+    formula's.  A learner without data reads _ucb1_prior_scores, shared by
+    all such learners, and its first update builds nothing."""
+
     name = "ucb1"
     _fields = ("counts", "sums", "t_int")
+
+    _vector = None  # the learner's own score vector once built, kept current by update
 
     def __init__(self, n_arms: int, horizon: int, delta: float, bonus_scale: float = 2.0):
         if n_arms < 1:
             raise ValueError("need at least one arm")
+        if not horizon / delta >= 1.0:  # written so that nan fails it
+            raise ValueError(f"horizon={horizon} / delta={delta} must be >= 1 (log(horizon / delta) >= 0)")
+        if math.isnan(bonus_scale):
+            raise ValueError(f"bonus_scale={bonus_scale} must not be nan")
         self.n_arms = n_arms
         self.horizon = horizon
         self.delta = delta
@@ -181,9 +197,12 @@ class Ucb1(_IndexLearner):
         )
 
     def _compute_decision(self) -> tuple:
-        if self.t_int == 0 and _all_zero(self.counts, self.sums):
-            return _ucb1_prior_scores(self.n_arms, self.horizon, self.delta, self.bonus_scale)
-        return _decision(self._compute_scores())
+        scores = self._vector
+        if scores is None:
+            if self.t_int == 0 and _all_zero(self.counts, self.sums):
+                return _ucb1_prior_scores(self.n_arms, self.horizon, self.delta, self.bonus_scale)
+            scores = self._vector = self._compute_scores()
+        return _decision(scores)
 
     def _compute_scores(self) -> np.ndarray:
         nplus = np.maximum(self.counts, 1.0)
@@ -191,10 +210,19 @@ class Ucb1(_IndexLearner):
 
     def update(self, feedback):
         arm, reward = feedback
-        self.counts[arm] += 1.0
-        self.sums[arm] += reward
+        counts, sums = self.counts, self.sums
+        counts[arm] += 1.0
+        sums[arm] += reward
         self.t_int += 1
         self._score_cache = None
+        scores = self._vector
+        if scores is not None:  # _compute_scores' formula at one arm, in float64 scalars
+            n = max(float(counts[arm]), 1.0)
+            scores[arm] = float(sums[arm]) / n + self.bonus_scale * math.sqrt(self._log_term / n)
+
+    def _load_state(self, state: dict):
+        super()._load_state(state)
+        self._vector = None
 
 
 @functools.lru_cache(maxsize=64)

@@ -92,6 +92,51 @@ def _csv_field(text: str) -> str:
     return text
 
 
+_SAMPLE = 64  # the first rows of a number column, which decide how it is formatted
+
+
+class _Texts(dict):
+    """A number column's texts keyed by value: each distinct value is
+    formatted once, at its first cell."""
+
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, value):
+        text = self[value] = self.fmt(value)
+        return text
+
+
+def _int_text(value) -> str:
+    return str(int(value))
+
+
+def _float_text(value) -> str:
+    return repr(float(value))
+
+
+def _has_negative_zero(data: list) -> bool:
+    values = np.array(data, dtype=np.float64)
+    return bool(np.signbit(values[values == 0.0]).any())
+
+
+def _number_texts(data: list, is_int: bool):
+    """The cells of a number column, str(int(v)) or repr(float(v)), in row order.
+
+    Each distinct value is formatted once, through a _Texts memo, unless
+    more than half of the column's first _SAMPLE values are distinct, or it
+    is a float column that holds a -0.0: -0.0 and 0.0 are one key but two
+    texts (in an int column both read "0").  Those columns are formatted
+    per cell.  A nan is a key only to itself, so each nan object is
+    formatted at its first cell.
+    """
+    sample = data[:_SAMPLE]
+    if len(set(sample)) * 2 > len(sample) or (not is_int and 0.0 in data and _has_negative_zero(data)):
+        return map(str, map(int, data)) if is_int else map(repr, map(float, data))
+    return map(_Texts(_int_text if is_int else _float_text).__getitem__, data)
+
+
 def seed_derive(master_seed: int, run_index: int, purpose: str) -> np.random.Generator:
     """Counter-based stream derivation, platform-independent.
 
@@ -149,7 +194,9 @@ class RunLog:
 
     def to_csv(self, path_or_buf):
         """Write the log as CSV, each column formatted in one pass: ints with
-        str, floats with repr, the event text quoted as csv.writer quotes it."""
+        str(int(v)), floats with repr(float(v)), each distinct value of a
+        column that repeats its values once (_number_texts), and the event
+        text per cell, quoted as csv.writer quotes it."""
         if not hasattr(path_or_buf, "write"):
             with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
                 return self.to_csv(fh)
@@ -158,10 +205,8 @@ class RunLog:
             data = self._data[name]
             if name == "event":
                 cells.append(map(_csv_field, data))
-            elif name in _INT_COLUMNS:
-                cells.append(map(str, map(int, data)))
             else:
-                cells.append(map(repr, map(float, data)))
+                cells.append(_number_texts(data, name in _INT_COLUMNS))
         rows = map(",".join, zip(*cells))
         path_or_buf.write(",".join(self.columns) + "\n")
         path_or_buf.writelines(map(operator.add, rows, itertools.repeat("\n")))

@@ -62,6 +62,28 @@ def test_ucb1_update():
     assert inst.t_int == 1
 
 
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        (dict(horizon=16, delta=32.0), "delta"),  # log(horizon / delta) < 0
+        (dict(horizon=16, delta=16.000001), "delta"),
+        (dict(horizon=16, delta=math.nan), "delta"),
+        (dict(horizon=16, delta=-0.5), "delta"),
+        (dict(horizon=16, delta=0.01, bonus_scale=math.nan), "bonus_scale"),
+        (dict(horizon=16, delta=0.01, bonus_scale=np.float64("nan")), "bonus_scale"),
+    ],
+)
+def test_ucb1_rejects_bad_parameters(params, field):
+    # with nan scores such a learner would predict 0.0 and play arm 0 for ever
+    with pytest.raises(ValueError, match=field):
+        Ucb1(2, **params)
+
+
+def test_ucb1_accepts_boundary_parameters():
+    assert Ucb1(2, 16, 16.0).predict() == 0.0  # log(horizon / delta) = 0: no bonus
+    assert Ucb1(2, 16, 0.01, bonus_scale=0.0).predict() == 0.0
+
+
 def test_predict_act_are_const():
     inst = make_ucb1()
     inst.update((0, 1.0))

@@ -440,3 +440,58 @@ def test_ucb1_learner_with_state_never_takes_the_prior(monkeypatch, make_state):
     assert inst.act() == eager.act()
     assert inst._scores().tobytes() == eager._indexes().tobytes()
     assert inst._scores().flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# UCB1's score vector, kept current by update once it is built
+
+_UCB1_REWARDS = st.one_of(
+    st.sampled_from([0.0, 1.0, -0.0, math.nan, math.inf, -math.inf, 1e300]), st.floats(0.0, 1.0)
+)
+
+
+@st.composite
+def ucb1_scripts(draw):
+    """Parameters, then (reads before the update, arm, reward) steps and the
+    step before which the learner is snapshotted and restored."""
+    params = draw(ucb1_params())
+    step = st.tuples(st.integers(0, 3), st.integers(0, params["n_arms"] - 1), _UCB1_REWARDS)
+    steps = draw(st.lists(step, max_size=200))
+    return params, steps, draw(st.integers(0, len(steps)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the eager sums
+@settings(max_examples=150, deadline=None)
+@given(ucb1_scripts())
+def test_ucb1_patched_scores_equal_eager_scores(script):
+    params, steps, restore_at = script
+    inst, eager = Ucb1(**params), EagerUcb1(**params)
+
+    def reads_agree():
+        assert inst._scores().tobytes() == eager._indexes().tobytes()
+        assert repr(inst.predict()) == repr(eager.predict())
+        assert inst.act() == eager.act()
+
+    for i, (reads, arm, reward) in enumerate(steps + [(1, None, None)]):
+        if i == restore_at:
+            # JSON keeps no nan sign or payload, so the reference goes through it too
+            inst = restore(snapshot_to_json(inst))
+            eager._load_state(json.loads(snapshot_to_json(eager))["state"])
+        for _ in range(reads):
+            reads_agree()
+        if arm is not None:
+            inst.update((arm, reward))
+            eager.update((arm, reward))
+
+
+def test_ucb1_first_update_without_data_builds_no_vector():
+    inst, eager = Ucb1(2, 512, 1 / 512), EagerUcb1(2, 512, 1 / 512)
+    inst.predict()
+    for learner in (inst, eager):
+        learner.update((1, 1.0))
+    assert inst._vector is None  # a learner that plays once and is dropped pays nothing more
+    vector = inst._scores()
+    for learner in (inst, eager):
+        learner.update((0, 0.25))
+    assert inst._scores() is vector  # patched in place, not rebuilt
+    assert vector.tobytes() == eager._indexes().tobytes()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nonstat.master
 from nonstat.base import Ucb1
 from nonstat.envs import make_env
 from nonstat.harness import seed_derive
@@ -461,6 +462,90 @@ def test_csv_file_equals_rowwise_csv_writer(tmp_path):
         log.append(t, 0, np.int64(2), 0, 1, np.float64(0.5), -0.0, math.inf, math.nan, event)
     log.to_csv(str(tmp_path / "log.csv"))
     assert (tmp_path / "log.csv").read_bytes() == rowwise_csv(log).encode()
+
+
+# number cells from a small pool, so that to_csv formats each distinct value
+# once: signed zeros, one shared nan and fresh nan objects, +-inf, a
+# subnormal, numpy twins of Python numbers, and True beside 1 in int columns
+_FRESH_NAN = object()  # stands for a new nan object at every draw
+_SHARED_NAN = float("nan")
+_POOL_FLOATS = [0.0, -0.0, _SHARED_NAN, _FRESH_NAN, np.float64("nan"), math.inf, -math.inf, 5e-324, 0.5,
+                np.float64(0.5), 2, np.int64(2)]
+_POOL_INTS = [0, 1, np.int64(1), True, False, -3, np.int64(-3), 2**62]
+
+
+def _pool(values):
+    return st.sampled_from(values).map(lambda v: float("nan") if v is _FRESH_NAN else v)
+
+
+@st.composite
+def pooled_logs(draw):
+    log = RunLog(mdp_columns=draw(st.booleans()))
+    n = draw(st.integers(20, 200))
+    cells = [
+        draw(st.lists(st.sampled_from(["", "x,y", 'a "b"']) if name == "event"
+                      else _pool(_POOL_INTS if name in _INT_COLUMNS else _POOL_FLOATS), min_size=n, max_size=n))
+        for name in log.columns
+    ]
+    for row in zip(*cells):
+        log.append(*row)
+    return log
+
+
+@settings(max_examples=60, deadline=None)
+@given(pooled_logs())
+def test_csv_writer_with_repeated_values_equals_rowwise_csv_writer(log):
+    assert log.to_csv_text() == rowwise_csv(log)
+
+
+@pytest.mark.parametrize("zeros", [[0.0, -0.0], [-0.0, 0.0], [0, -0.0], [np.float64(-0.0), False]])
+def test_csv_writer_keeps_the_sign_of_each_zero(zeros):
+    log = RunLog()
+    for t in range(40):
+        zero = zeros[t >= 30]  # the other zero comes after the first rows
+        log.append(t, 0, 0, 0, 1, zero, 0.5, zero, 1.0, "")
+    text = log.to_csv_text()
+    assert text == rowwise_csv(log)
+    assert "-0.0" in text
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the memo and the per-cell writer must fail alike
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
+@pytest.mark.parametrize("column", ["t", "block", "policy"])
+def test_csv_writer_raises_on_a_non_finite_int_cell_as_the_cell_writer_does(column, bad):
+    log = RunLog()
+    for t in range(40):
+        log.append(t, 0, 0, 0, t % 2, 0.5, 0.9, 1.0, 1.0, "")
+    log.column(column)[30] = bad
+    got = _outcome(log.to_csv_text)
+    assert isinstance(got, tuple)
+    assert got == _outcome(lambda: rowwise_csv(log))
+
+
+def test_csv_writer_formats_each_repeated_value_once(monkeypatch):
+    formatted = []
+
+    def counting(fmt):
+        def wrapped(value):
+            formatted.append(value)
+            return fmt(value)
+        return wrapped
+
+    monkeypatch.setattr(nonstat.master, "_int_text", counting(nonstat.master._int_text))
+    monkeypatch.setattr(nonstat.master, "_float_text", counting(nonstat.master._float_text))
+    log = RunLog()
+    for t in range(100):  # t is distinct in every row: formatted per cell, not through the memo
+        log.append(t, t // 50, 0, t % 3, t % 2, float(t % 2), 0.9, 1.0, 0.25, "")
+    assert log.to_csv_text() == rowwise_csv(log)
+    assert sorted(map(repr, formatted)) == sorted(
+        ["0", "1", "0", "0", "1", "2", "0", "1", "0.0", "1.0", "0.9", "1.0", "0.25"]
+    )
 
 
 def csv_cells(log):
