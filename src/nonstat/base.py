@@ -6,16 +6,24 @@ consumes update(feedback), which is the only call that advances internal
 time.  rate() returns the RateFunction rho(t) of the learner's
 near-stationary regret, built from its constructor parameters alone (the
 reduction reads it from one fresh learner per control-loop call).
-predict/act never change observable state, but may fill a cache that
-update clears: read-side state (a score vector with the value and action it
-decides, the GLM fit) is computed at most once per update, and only when
-something reads it.  Ucb1 builds its score vector once, at the first read
-with data, and update then keeps it current by rewriting the one entry it
-changes.  Ucb1 and GlmUcb learners without data share one read-only
-decision per parameter set, since the scheduler builds such a learner for
-up to every round.  Calling predict/act repeatedly between
-updates returns identical results, and a learner can be paused,
-snapshotted to JSON, restored, and resumed with a bitwise-identical
+
+The reduction relies on two more facts.  predict/act are pure reads: they
+never change observable state, so any number of callers may read one fresh
+learner and each sees what a learner of its own would show.  And an update
+is observable only through later reads of the same learner, so an update
+that nothing reads afterwards may be left out.  The scheduler does both
+under the bandit and episodic adapter (nonstat.malg): one-round instances
+share one fresh learner, and an instance's last update is skipped.
+
+Reads may fill a cache that update clears: read-side state (a score vector
+with the value and action it decides, the GLM fit) is computed at most once
+per update, and only when something reads it.  Ucb1 builds its score
+vector once, at the first read with data, and update then keeps it current
+by rewriting the one entry it changes.  Ucb1 and GlmUcb learners without
+data share one read-only decision per parameter set, since the scheduler
+can build such a learner for up to every round.  Calling predict/act
+repeatedly between updates returns identical results, and a learner can be
+paused, snapshotted to JSON, restored, and resumed with a bitwise-identical
 trajectory.
 
 Implemented learners and their feedback payloads:
@@ -491,6 +499,8 @@ class QUcb(_Learner):
         init_state: int = 0,
         bonus_scale: float = 2.0,
     ):
+        if math.isnan(bonus_scale):
+            raise ValueError(f"bonus_scale={bonus_scale} must not be nan")
         self.n_states = n_states
         self.n_actions = n_actions
         self.n_layers = n_layers

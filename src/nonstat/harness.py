@@ -155,9 +155,10 @@ def _is_number(value) -> bool:
 
 def _check_algo(algo: dict):
     """Type checks of the algo values a run reads; SpecError names the key."""
-    for key in ("c", "known_delta"):
-        if key in algo and not _is_number(algo[key]):
-            raise SpecError(f"spec.algo.{key}: expected a number, got {algo[key]!r}")
+    if "known_delta" in algo and not _is_number(algo["known_delta"]):
+        raise SpecError(f"spec.algo.known_delta: expected a number, got {algo['known_delta']!r}")
+    if "c" in algo and not (_is_number(algo["c"]) and math.isfinite(algo["c"])):
+        raise SpecError(f"spec.algo.c: expected a finite number, got {algo['c']!r}")
     dbar = algo.get("dbar", 1.0)
     if not (_is_number(dbar) and 1.0 <= dbar < math.inf):
         raise SpecError(f"spec.algo.dbar: expected a finite number >= 1, got {dbar!r}")

@@ -14,7 +14,8 @@ Both thresholds depend only on the order or on the block length, so each
 control-loop call tables them (ThresholdTable) and the tests compare
 against the tabled values.  run_master and run_bare serve every
 environment kind through its round adapter, which carries the MDP log
-columns and rho_hat's factor: 6 (BanditWorld), or 18 (AverageRewardWorld).
+columns, rho_hat's factor: 6 (BanditWorld), or 18 (AverageRewardWorld),
+and last_update_read, which the scheduler reads (nonstat.malg).
 
 A failed test aborts the epoch: everything restarts from scratch at the
 next round (block order back to 0, all instances discarded).  A third
@@ -254,10 +255,15 @@ def dynamic_regret(log: RunLog) -> float:
 
 
 class BanditWorld:
-    """Round-per-decision environments (bandits and episodic MDPs)."""
+    """Round-per-decision environments (bandits and episodic MDPs).
+
+    Their learners never signal and log no columns, so nothing reads a
+    learner after its instance's last update.
+    """
 
     mdp_columns = False
     rho_factor = 6.0
+    last_update_read = False
 
     def __init__(self, env):
         self.env = env
@@ -276,11 +282,13 @@ class AverageRewardWorld:
     The physical state persists across instance switches, blocks, and
     restarts; a newly resumed learner simply continues from wherever the
     trajectory currently is.  borl_arm is the diameter-guess arm BORL is
-    playing (-1 outside BORL), logged with every row.
+    playing (-1 outside BORL), logged with every row.  Every row reads the
+    learner after its update: extras, and the loop's restart_signaled.
     """
 
     mdp_columns = True
     rho_factor = 18.0
+    last_update_read = True
 
     def __init__(self, env):
         self.env = env
@@ -372,6 +380,7 @@ def master_core(
             block_end = min(t_n + (1 << n) - 1, end_t)
             thresholds.cover(n, block_end - t_n + 1)
             runner = MalgRunner(t_n, n, rate, factory, rng_sched)
+            runner.last_update_read = world.last_update_read
             begin, finish, play, extras, append = (
                 runner.begin_round, runner.finish_round, world.play, world.extras, log.append)
             u_min = math.inf

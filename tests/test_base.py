@@ -164,6 +164,13 @@ def test_qucb_fresh_optimistic_init():
     assert inst.predict() == 1.0
 
 
+@pytest.mark.parametrize("bonus_scale", [math.nan, np.float64("nan")])
+def test_qucb_rejects_a_nan_bonus_scale(bonus_scale):
+    # with it the first update would write nan into q
+    with pytest.raises(ValueError, match="bonus_scale"):
+        make_qucb(bonus_scale=bonus_scale)
+
+
 def test_qucb_first_visit_fully_replaces():
     inst = make_qucb()
     lg = inst._log_term

@@ -197,6 +197,10 @@ def average_reward_spec(algorithm, algo):
         ("master+ucb1", {"c": False}, "c"),
         ("master+oful", {"refactor_every": 10.5}, "refactor_every"),
         ("master+oful", {"refactor_every": "10"}, "refactor_every"),
+        # numbers, but not finite
+        ("master+ucb1", {"c": math.nan}, "c"),
+        ("master+ucb1", {"c": math.inf}, "c"),
+        ("master+qucb", {"c": -math.inf}, "c"),
     ],
 )
 def test_validate_rejects_mistyped_algo_values(algorithm, algo, field):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonstat.base import Ucb1, restore, snapshot_to_json
+from nonstat.base import GlmUcb, QUcb, Ucb1, restore, snapshot_to_json
 from nonstat.envs import make_env
+from nonstat.mdp import UcrlAcw
 from nonstat import master
 from nonstat.harness import seed_derive
 from nonstat.malg import (
@@ -218,19 +219,18 @@ def test_runner_matches_the_slot_oracle(n, seed, p, data):
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-@pytest.mark.parametrize("kappa", [1e-5, 3e-4, 1.0])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_control_loop_matches_the_slot_oracle(monkeypatch, kappa, seed):
+def assert_control_loop_matches_the_slot_oracle(monkeypatch, env, factory, kappa, seed):
     # blocks cut by restarts and by end_t: the same log, and the same sched
-    # stream state after each call, as with per-round draws
-    T = 256
-    env = make_env({"kind": "mab", "T": T, "segments": [
-        {"length": 100, "means": [0.9, 0.1]}, {"length": T - 100, "means": [0.1, 0.9]}]})
+    # stream state after each call, as with per-round draws.  SlotRunner
+    # builds a learner for every instance and makes every update, so the
+    # same log also shows that what BanditWorld lets the runner skip is
+    # never read.
+    T = env.horizon
     def run():
         log, rng_env, rng_sched = master.RunLog(), seed_derive(seed, 0, "env"), seed_derive(seed, 0, "sched")
         states = []
-        for start, end in [(1, 77), (78, 200), (201, T)]:
-            master.master_core(master.BanditWorld(env), make_factory(T), T, 1.0 / T, kappa,
+        for start, end in [(1, T * 77 // 256), (T * 77 // 256 + 1, T * 200 // 256), (T * 200 // 256 + 1, T)]:
+            master.master_core(master.BanditWorld(env), factory, T, 1.0 / T, kappa,
                                rng_env, rng_sched, log, start_t=start, end_t=end)
             states.append(rng_sched.bit_generator.state)
         return log, states
@@ -242,6 +242,154 @@ def test_control_loop_matches_the_slot_oracle(monkeypatch, kappa, seed):
     assert states == oracle_states
     if kappa < 1.0:
         assert any(ev.block > 0 for ev in log.restarts), "no block was cut by a restart"
+
+
+@pytest.mark.parametrize("kappa", [1e-5, 3e-4, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_control_loop_matches_the_slot_oracle(monkeypatch, kappa, seed):
+    T = 256
+    env = make_env({"kind": "mab", "T": T, "segments": [
+        {"length": 100, "means": [0.9, 0.1]}, {"length": T - 100, "means": [0.1, 0.9]}]})
+    assert_control_loop_matches_the_slot_oracle(monkeypatch, env, make_factory(T), kappa, seed)
+
+
+def glm_env(T):
+    rng = np.random.default_rng(3)
+    actions = rng.normal(size=(5, 3))
+    actions /= np.linalg.norm(actions, axis=1, keepdims=True)
+    theta = 0.8 * actions[0]
+    return make_env({"kind": "glm", "T": T, "link": "logistic", "actions": actions.tolist(), "segments": [
+        {"length": T // 2, "theta": theta.tolist()}, {"length": T - T // 2, "theta": (-theta).tolist()}]})
+
+
+def episodic_env(T, S=2, A=2, H=2):
+    rng = np.random.default_rng(4)
+    segments = [{"length": length, "rewards": rng.uniform(size=(H, S, A)).tolist(),
+                 "transitions": rng.dirichlet(np.ones(S), size=(H, S, A)).tolist()}
+                for length in (T // 2, T - T // 2)]
+    return make_env({"kind": "episodic", "T": T, "S": S, "A": A, "H": H, "segments": segments})
+
+
+def glm_case(T):
+    env = glm_env(T)
+    return env, lambda: GlmUcb(env.actions, T, 1.0 / T)
+
+
+def episodic_case(T):
+    return episodic_env(T), lambda: QUcb(2, 2, 2, T, 1.0 / T)
+
+
+ORACLE_KINDS = {"glm": glm_case, "episodic": episodic_case}
+
+
+def with_sqrt_rate(factory):
+    """factory's learners, reporting SQRT_RATE: at T = 64 their own rate sits
+    at its cap, every order spawns at every slot, and only order 0 plays."""
+    def build():
+        learner = factory()
+        learner.rate = lambda: SQRT_RATE
+        return learner
+    return build
+
+
+# the learners' own rates, and SQRT_RATE, under which instances of higher
+# order play and hold data; each kappa < 1 cuts blocks by restarts (below
+# 2e-4 the episodic tests fail at every round, so no restart cuts a block)
+@pytest.mark.parametrize("kind, sqrt_rate, kappa", [
+    ("glm", False, 3e-4), ("glm", False, 1.0), ("glm", True, 1e-3), ("glm", True, 1.0),
+    ("episodic", False, 5e-4), ("episodic", False, 1.0), ("episodic", True, 1e-3), ("episodic", True, 1.0)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_control_loop_matches_the_slot_oracle_on_glm_and_episodic(monkeypatch, kind, sqrt_rate, kappa, seed):
+    env, factory = ORACLE_KINDS[kind](64)
+    if sqrt_rate:
+        factory = with_sqrt_rate(factory)
+    assert_control_loop_matches_the_slot_oracle(monkeypatch, env, factory, kappa, seed)
+
+
+class RecordingRunner(MalgRunner):
+    """MalgRunner that keeps every runner built, and the rounds each instance played."""
+
+    runners = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.played = {}  # uid -> (record, [rounds it was active])
+        RecordingRunner.runners.append(self)
+
+    def begin_round(self, t):
+        out = super().begin_round(t)
+        self.played.setdefault(out[2].uid, (out[2], []))[1].append(t)
+        return out
+
+
+def recorded_runners(monkeypatch, world, factory, kappa, seed=5):
+    monkeypatch.setattr(RecordingRunner, "runners", [])
+    monkeypatch.setattr(master, "MalgRunner", RecordingRunner)
+    T = world.env.horizon
+    log = master.RunLog(mdp_columns=world.mdp_columns)
+    master.master_core(world, factory, T, 1.0 / T, kappa, seed_derive(seed, 0, "env"),
+                       seed_derive(seed, 0, "sched"), log)
+    assert len(log) == T
+    return RecordingRunner.runners
+
+
+def mab_case(T):
+    return make_env({"kind": "mab", "T": T, "segments": [
+        {"length": T // 3, "means": [0.9, 0.1]}, {"length": T - T // 3, "means": [0.1, 0.9]}]}), make_factory(T)
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 1.0])
+@pytest.mark.parametrize("kind", ["mab", "glm", "episodic"])
+def test_bandit_world_skips_the_last_update_and_shares_a_data_free_learner(monkeypatch, kind, kappa):
+    # an instance that plays only its end round plays the block's shared
+    # learner, which no update reaches, so it stays a fresh factory()
+    # learner; every other instance has its own learner, updated at each of
+    # its active rounds but its end round
+    env, factory = {"mab": mab_case, **ORACLE_KINDS}[kind](64)
+    fresh = snapshot_to_json(factory())
+    runners = recorded_runners(monkeypatch, master.BanditWorld(env), with_sqrt_rate(factory), kappa)
+    assert any(rec.learner.t_int > 0 for runner in runners for rec, _ in runner.played.values())
+    for runner in runners:
+        shared = runner._data_free
+        own = []
+        for rec, rounds in runner.played.values():
+            if rounds == [rec.end]:
+                assert rec.learner is shared
+            else:
+                own.append(rec.learner)
+                assert rec.learner.t_int == sum(t != rec.end for t in rounds)
+        assert len({id(learner) for learner in own}) == len(own)
+        assert shared is None or snapshot_to_json(shared) == fresh
+    assert any(runner._data_free is not None for runner in runners)
+
+
+class CountingUcrl(UcrlAcw):
+    updates = 0
+
+    def update(self, feedback):
+        self.updates += 1
+        super().update(feedback)
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 1.0])
+def test_average_reward_world_updates_every_active_round_with_its_own_learner(monkeypatch, kappa):
+    # extras and restart_signaled read the learner after each update, so
+    # nothing is skipped or shared
+    T = 64
+    env = make_env({"kind": "infinite", "T": T, "S": 2, "A": 2, "segments": [
+        {"length": T // 2, "rewards": [[0.9, 0.1], [0.2, 0.6]],
+         "transitions": [[[0.7, 0.3], [0.4, 0.6]], [[0.5, 0.5], [0.2, 0.8]]]},
+        {"length": T - T // 2, "rewards": [[0.1, 0.9], [0.6, 0.2]],
+         "transitions": [[[0.3, 0.7], [0.6, 0.4]], [[0.5, 0.5], [0.8, 0.2]]]}]})
+    runners = recorded_runners(monkeypatch, master.AverageRewardWorld(env),
+                               with_sqrt_rate(lambda: CountingUcrl(2, 2, T, 1.0 / T, 2.0)), kappa)
+    assert any(len(rounds) > 1 for runner in runners for _, rounds in runner.played.values())
+    learners = [rec.learner for runner in runners for rec, _ in runner.played.values()]
+    assert len({id(learner) for learner in learners}) == len(learners)
+    for runner in runners:
+        assert runner._data_free is None
+        for rec, rounds in runner.played.values():
+            assert rec.learner.updates == len(rounds) == rec.active_rounds
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ class ScriptedWorld:
     scripted learner; used to hit exact threshold boundaries."""
 
     rho_factor = 6.0
+    last_update_read = True  # SignalingLearner's restart_signaled is read after its update
 
     def __init__(self, rewards):
         self.rewards = rewards
