@@ -16,15 +16,15 @@ under the bandit and episodic adapter (nonstat.malg): one-round instances
 share one fresh learner, and an instance's last update is skipped.
 
 Reads may fill a cache that update clears: read-side state (a score vector
-with the value and action it decides, the GLM fit) is computed at most once
-per update, and only when something reads it.  Ucb1 builds its score
-vector once, at the first read with data, and update then keeps it current
-by rewriting the one entry it changes.  Ucb1 and GlmUcb learners without
-data share one read-only decision per parameter set, since the scheduler
-can build such a learner for up to every round.  Calling predict/act
-repeatedly between updates returns identical results, and a learner can be
-paused, snapshotted to JSON, restored, and resumed with a bitwise-identical
-trajectory.
+with the value and action it decides, the GLM fit, QUcb's encoded greedy
+policy) is computed at most once per update, and only when something reads
+it.  Ucb1 builds its score vector once, at the first read with data, and
+update then keeps it current by rewriting the one entry it changes.  Ucb1
+and GlmUcb learners without data share one read-only decision per
+parameter set, since the scheduler can build such a learner for up to
+every round.  Calling predict/act repeatedly between updates returns
+identical results, and a learner can be paused, snapshotted to JSON,
+restored, and resumed with a bitwise-identical trajectory.
 
 Implemented learners and their feedback payloads:
 
@@ -109,6 +109,17 @@ class _Learner:
                 setattr(self, key, type(current)(val))
 
 
+def _check_horizon_delta(horizon, delta):
+    """Raise ValueError, naming the field, unless horizon >= 1 and delta > 0
+    with horizon / delta >= 1, so that log(horizon / delta) is finite and
+    >= 0.  Plain comparisons, each written so that nan fails it: the
+    scheduler can build a learner for up to every round."""
+    if not horizon >= 1:
+        raise ValueError(f"horizon={horizon!r} must be >= 1")
+    if not (delta > 0 and horizon / delta >= 1.0):
+        raise ValueError(f"delta={delta!r} must be > 0 with horizon={horizon} / delta >= 1 (log(horizon / delta) >= 0)")
+
+
 def _all_zero(*arrays: np.ndarray) -> bool:
     """No array has a nonzero entry (nan counts as one), as `not a.any()` for
     each; count_nonzero costs a fifth of any() on arrays this small."""
@@ -178,8 +189,7 @@ class Ucb1(_IndexLearner):
     def __init__(self, n_arms: int, horizon: int, delta: float, bonus_scale: float = 2.0):
         if n_arms < 1:
             raise ValueError("need at least one arm")
-        if not horizon / delta >= 1.0:  # written so that nan fails it
-            raise ValueError(f"horizon={horizon} / delta={delta} must be >= 1 (log(horizon / delta) >= 0)")
+        _check_horizon_delta(horizon, delta)
         if math.isnan(bonus_scale):
             raise ValueError(f"bonus_scale={bonus_scale} must not be nan")
         self.n_arms = n_arms
@@ -251,6 +261,7 @@ class Oful(_IndexLearner):
     _fields = ("lam_mat", "lam_inv", "bvec", "t_int", "_since_refactor")
 
     def __init__(self, actions: np.ndarray, horizon: int, delta: float, refactor_every: int = 1024):
+        _check_horizon_delta(horizon, delta)
         actions = np.asarray(actions, dtype=np.float64)
         self.actions = actions
         self.dim = actions.shape[1]
@@ -402,6 +413,7 @@ class GlmUcb(_IndexLearner):
     _fields = ("counts", "rsums", "t_int", "theta")
 
     def __init__(self, actions: np.ndarray, horizon: int, delta: float, link: str = "logistic", lam: float = 1.0):
+        _check_horizon_delta(horizon, delta)
         actions = np.asarray(actions, dtype=np.float64)
         self.actions = actions
         self.dim = actions.shape[1]
@@ -486,8 +498,14 @@ def _glm_prior_scores(actions: bytes, shape: tuple, horizon: int, delta: float, 
 
 
 class QUcb(_Learner):
+    """Optimistic Q-learning on a layered MDP.  act() encodes the greedy layer
+    policy at its first call after an update (or _load_state) and returns
+    the cached id until the next one."""
+
     name = "qucb"
     _fields = ("q", "visits", "v", "t_int")
+
+    _policy_id = None  # act()'s encoded greedy policy, or None when stale
 
     def __init__(
         self,
@@ -499,6 +517,7 @@ class QUcb(_Learner):
         init_state: int = 0,
         bonus_scale: float = 2.0,
     ):
+        _check_horizon_delta(horizon, delta)
         if math.isnan(bonus_scale):
             raise ValueError(f"bonus_scale={bonus_scale} must not be nan")
         self.n_states = n_states
@@ -536,10 +555,13 @@ class QUcb(_Learner):
         return _clamp01(float(self.v[0, self.init_state]) / self.n_layers)
 
     def act(self) -> int:
-        table = np.argmax(self.q, axis=2)
-        return encode_layer_policy(table, self.n_actions)
+        policy_id = self._policy_id
+        if policy_id is None:
+            policy_id = self._policy_id = encode_layer_policy(np.argmax(self.q, axis=2), self.n_actions)
+        return policy_id
 
     def update(self, feedback):
+        self._policy_id = None
         h_total = float(self.n_layers)
         for h, s, a, reward, nxt in feedback:
             tau = self.visits[h, s, a] + 1.0
@@ -551,6 +573,10 @@ class QUcb(_Learner):
             )
             self.v[h, s] = min(h_total, float(self.q[h, s].max()))
         self.t_int += 1
+
+    def _load_state(self, state: dict):
+        super()._load_state(state)
+        self._policy_id = None
 
 
 _REGISTRY = {"ucb1": Ucb1, "oful": Oful, "glm": GlmUcb, "qucb": QUcb}

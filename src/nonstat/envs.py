@@ -17,6 +17,16 @@ before it bisects.
 Environments are immutable after construction: building twice from the same
 spec yields bitwise-identical objects, and sampling takes an external RNG.
 
+The continuing MDP's segment oracles, J* (extended value iteration) and the
+diameter (the loader's communicating check), are pure functions of the
+segment's payload, a C-ordered float64 array that its shape and bytes
+determine.  So they are memoized per process under that key
+(_segment_gain, _segment_diameter): a later build of the spec, or of any
+spec with an equal segment, solves neither again and reads the bits a
+fresh solve gives.  Each memo keeps at most SEGMENT_MEMO_SIZE segments,
+least recently used first out; a failure is not memoized, so a bad spec
+raises on every build.
+
 Per-round drift traces Delta(t) are matched to the base learner each kind
 takes (the measure under which it satisfies its near-stationarity
 contract), with the displayed log prefactors kept and all hidden Theta
@@ -28,6 +38,7 @@ live in [0, 1].
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -148,6 +159,49 @@ def _sampling_tables(rewards, trans, axes):
     cdf = trans.cumsum(axis=-1)
     cdf /= cdf[..., -1:]
     return rewards.tolist(), cdf.tolist()
+
+
+# ---------------------------------------------------------------------------
+# process-wide memos of the continuing MDP's segment oracles
+
+SEGMENT_MEMO_SIZE = 64
+
+
+def _bytes(a) -> bytes:
+    """The bytes of a as a float64 array in C order: with its shape, a memo key."""
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def _thaw(data: bytes, shape: tuple) -> np.ndarray:
+    """A fresh C-ordered float64 array of shape holding data: a payload as _freeze made it."""
+    return np.frombuffer(data).reshape(shape).copy()
+
+
+@functools.lru_cache(maxsize=SEGMENT_MEMO_SIZE)
+def _segment_gain(shape: tuple, trans: bytes, rewards: bytes) -> float:
+    """mdp.optimal_gain of the segment whose (S, A, S) transitions and (S, A)
+    rewards have these bytes, shape being the transitions' shape.
+
+    A key holds the payload's 8*S*A*(S+1) bytes, so the memo holds at most
+    SEGMENT_MEMO_SIZE times that: 111 KB for segments with S=8, A=3, and
+    17 MB for segments with S=64, A=8.
+    """
+    from . import mdp
+
+    return mdp.optimal_gain(_thaw(trans, shape), _thaw(rewards, shape[:2]))
+
+
+@functools.lru_cache(maxsize=SEGMENT_MEMO_SIZE)
+def _segment_diameter(shape: tuple, trans: bytes) -> float:
+    """mdp.compute_diameter of the (S, A, S) transitions with this shape and these bytes.
+
+    A key holds the transitions' 8*S*A*S bytes, so the memo holds at most
+    SEGMENT_MEMO_SIZE times that: 98 KB for segments with S=8, A=3, and
+    17 MB for segments with S=64, A=8.
+    """
+    from . import mdp
+
+    return mdp.compute_diameter(_thaw(trans, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +422,15 @@ class InfiniteEnv(_Env):
         self.n_policies = n_actions**n_states
         self._tables = [_sampling_tables(r, p, ("state", "action")) for r, p in segments.payloads]
         self._places = [self.n_actions**i for i in range(self.n_states)]  # place value of each policy-id digit
-        self._diameters = {}  # segment index -> diameter, filled at the first round that asks
 
     def policy_action(self, pid: int, state: int) -> int:
         """The action policy pid takes in state: decode_policy(pid, S, A)[state]."""
         return int(pid) // self._places[state] % self.n_actions
 
     def _optimum(self, param) -> float:
-        """Optimal gain J*, from exact-model extended value iteration."""
-        from .mdp import optimal_gain
-
+        """Optimal gain J*, from exact-model extended value iteration (memoized per process)."""
         rewards, trans = param
-        return optimal_gain(trans, rewards)
+        return _segment_gain(trans.shape, _bytes(trans), _bytes(rewards))
 
     def f(self, t: int, pid: int) -> float:
         """Gain of the encoded stationary policy starting from init_state."""
@@ -399,15 +450,10 @@ class InfiniteEnv(_Env):
         )
 
     def diameter(self, t: int) -> float:
-        """Diameter of round t's segment, computed once per segment: the
-        loader's communicating check asks for every segment first."""
-        from .mdp import compute_diameter
-
+        """Diameter of round t's segment (memoized per process): the loader's
+        communicating check asks for every segment first."""
         _, trans = self._param(t)
-        i = self._segments.index_of(t)
-        if i not in self._diameters:
-            self._diameters[i] = compute_diameter(trans)
-        return self._diameters[i]
+        return _segment_diameter(trans.shape, _bytes(trans))
 
     def max_diameter(self) -> float:
         return max(self.diameter(int(b) + 1) for b in self._segments.bounds[:-1])
@@ -588,7 +634,7 @@ def _as_state(value, n_states, path):
 
 
 def _freeze(a):
-    a = np.array(a, dtype=np.float64)
+    a = np.array(a, dtype=np.float64, order="C")
     a.setflags(write=False)
     return a
 

@@ -10,12 +10,19 @@ are performed:
     test 2 (every round, over the block so far):
         fail iff  mean(g~ - R)      >=  3 * rho_hat(t - t_n + 1)
 
-Both thresholds depend only on the order or on the block length, so each
-control-loop call tables them (ThresholdTable) and the tests compare
-against the tabled values.  run_master and run_bare serve every
-environment kind through its round adapter, which carries the MDP log
-columns, rho_hat's factor: 6 (BanditWorld), or 18 (AverageRewardWorld),
-and last_update_read, which the scheduler reads (nonstat.malg).
+Both thresholds depend only on the order or on the block length, so they
+are tabled (ThresholdTable) and the tests compare against the tabled
+values.  Each entry is a pure function of its index and of (rate, horizon,
+delta, kappa, rho_factor), so every control-loop call with that key (the
+seed-runs of a spec, borl's intervals, doubling_dbar's epochs) shares and
+extends one process-wide table, which holds exactly the values a fresh one
+would.  At most THRESHOLD_MEMO_SIZE tables are kept, least recently used
+first out.
+
+run_master and run_bare serve every environment kind through its round
+adapter, which carries the MDP log columns, rho_hat's factor: 6
+(BanditWorld), or 18 (AverageRewardWorld), and last_update_read, which the
+scheduler reads (nonstat.malg).
 
 A failed test aborts the epoch: everything restarts from scratch at the
 next round (block order back to 0, all instances discarded).  A third
@@ -39,12 +46,14 @@ adapter's and the log's methods once per block.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import itertools
 import math
 import operator
 import re
+import threading
 from array import array
 from dataclasses import dataclass
 
@@ -324,20 +333,37 @@ class ThresholdTable:
     """The two tests' thresholds, which depend only on the order or the block
     length: order[m] = 9 * rho_hat(2^m) and length[l - 1] = 3 * rho_hat(l),
     computed once each, when a block first needs them.  Held as float64
-    arrays, which store them without a Python object per entry."""
+    arrays, which store them without a Python object per entry.  The tables
+    only grow, under a lock, so callers may share one."""
 
     def __init__(self, rate: RateFunction, horizon: int, delta: float, kappa: float, rho_factor: float):
         self._rho_hat_args = (rate, horizon, delta, kappa, rho_factor)
         self.order = array("d")
         self.length = array("d")
+        self._lock = threading.Lock()
 
     def cover(self, n: int, length: int):
         """Extend the tables to orders 0..n and block lengths 1..length."""
         args = self._rho_hat_args
-        while len(self.order) <= n:
-            self.order.append(9.0 * rho_hat(float(1 << len(self.order)), *args))
-        while len(self.length) < length:
-            self.length.append(3.0 * rho_hat(float(len(self.length) + 1), *args))
+        with self._lock:
+            while len(self.order) <= n:
+                self.order.append(9.0 * rho_hat(float(1 << len(self.order)), *args))
+            while len(self.length) < length:
+                self.length.append(3.0 * rho_hat(float(len(self.length) + 1), *args))
+
+
+THRESHOLD_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=THRESHOLD_MEMO_SIZE)
+def _shared_thresholds(rate, horizon, delta, kappa, rho_factor) -> ThresholdTable:
+    """The process's one ThresholdTable for these arguments, extended by every caller.
+
+    A control-loop call covers block lengths up to (T + 1) / 2 and orders up
+    to log2(T), 8 bytes each, so a table takes at most about 4*T bytes, and
+    the memo at most THRESHOLD_MEMO_SIZE times that: 64 MB at T = 2^20.
+    """
+    return ThresholdTable(rate, horizon, delta, kappa, rho_factor)
 
 
 def master_core(
@@ -369,7 +395,7 @@ def master_core(
     t = start_t
     epochs_done = 0
     rate = factory().rate()
-    thresholds = ThresholdTable(rate, horizon, delta, kappa, world.rho_factor)
+    thresholds = _shared_thresholds(rate, horizon, delta, kappa, world.rho_factor)
     order_thresholds, length_thresholds = thresholds.order, thresholds.length
     while t <= end_t:
         epoch = epochs_done

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _all_zero, _Learner, register_learner
+from .base import _all_zero, _check_horizon_delta, _Learner, register_learner
 from .envs import InfiniteEnv, encode_policy
 from .master import AverageRewardWorld, RunLog, master_core, run_master, seed_derive
 from .rates import RateFunction
@@ -219,6 +219,11 @@ class UcrlAcw(_Learner):
     )
 
     def __init__(self, n_states: int, n_actions: int, horizon: int, delta: float, dbar: float = 1.0):
+        if not n_states >= 1:
+            raise ValueError(f"n_states={n_states!r} must be >= 1")
+        if not n_actions >= 1:
+            raise ValueError(f"n_actions={n_actions!r} must be >= 1")
+        _check_horizon_delta(horizon, delta)
         if not dbar >= 1.0:  # written so that nan fails it
             raise ValueError(f"diameter guess dbar={dbar} must be >= 1")
         self.n_states = n_states

@@ -84,6 +84,45 @@ def test_ucb1_accepts_boundary_parameters():
     assert Ucb1(2, 16, 0.01, bonus_scale=0.0).predict() == 0.0
 
 
+ACTIONS_2D = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "algo, params, field",
+    [
+        ("ucrl", dict(n_states=2, n_actions=2, horizon=16, delta=0.0), "delta"),  # was ZeroDivisionError
+        ("ucrl", dict(n_states=2, n_actions=2, horizon=16, delta=-0.1), "delta"),  # was a math domain error
+        ("ucrl", dict(n_states=2, n_actions=2, horizon=16, delta=math.nan), "delta"),  # was "c1=nan" in rate()
+        ("ucrl", dict(n_states=2, n_actions=2, horizon=16, delta=32.0), "delta"),
+        ("ucrl", dict(n_states=0, n_actions=2, horizon=16, delta=0.1), "n_states"),
+        ("ucrl", dict(n_states=2, n_actions=0, horizon=16, delta=0.1), "n_actions"),
+        ("ucrl", dict(n_states=2, n_actions=math.nan, horizon=16, delta=0.1), "n_actions"),
+        ("ucrl", dict(n_states=2, n_actions=2, horizon=0, delta=0.1), "horizon"),
+        ("oful", dict(actions=ACTIONS_2D, horizon=16, delta=0.0), "delta"),
+        ("oful", dict(actions=ACTIONS_2D, horizon=16, delta=math.nan), "delta"),
+        ("oful", dict(actions=ACTIONS_2D, horizon=16, delta=16.5), "delta"),
+        ("oful", dict(actions=ACTIONS_2D, horizon=0, delta=0.1), "horizon"),
+        ("glm", dict(actions=ACTIONS_2D, horizon=16, delta=0.0), "delta"),
+        ("glm", dict(actions=ACTIONS_2D, horizon=16, delta=-1.0), "delta"),
+        ("glm", dict(actions=ACTIONS_2D, horizon=-3, delta=0.1), "horizon"),
+        ("glm", dict(actions=ACTIONS_2D, horizon=16, delta=math.nan), "delta"),
+        ("ucb1", dict(n_arms=2, horizon=16, delta=0.0), "delta"),
+        ("qucb", dict(n_states=2, n_actions=2, n_layers=2, horizon=16, delta=0.0), "delta"),
+        ("qucb", dict(n_states=2, n_actions=2, n_layers=2, horizon=16, delta=math.nan), "delta"),
+    ],
+)
+def test_learners_reject_bad_parameters_by_name(algo, params, field):
+    with pytest.raises(ValueError, match=rf"\b{field}="):
+        fork_fresh(algo, **params)
+
+
+def test_learners_accept_boundary_parameters():
+    # horizon / delta = 1: log(horizon / delta) = 0
+    assert fork_fresh("ucrl", n_states=1, n_actions=1, horizon=1, delta=1.0).act() == 0
+    assert fork_fresh("oful", actions=ACTIONS_2D, horizon=16, delta=16.0).act() == 0
+    assert fork_fresh("glm", actions=ACTIONS_2D, horizon=16, delta=16.0, link="identity").act() == 0
+
+
 def test_predict_act_are_const():
     inst = make_ucb1()
     inst.update((0, 1.0))

@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 
 from nonstat.envs import (
     LINKS,
+    SEGMENT_MEMO_SIZE,
     EnvSpecError,
     EpisodicEnv,
     InfiniteEnv,
     _Segments,
     _sampling_tables,
+    _segment_diameter,
+    _segment_gain,
     decode_layer_policy,
     decode_policy,
     encode_layer_policy,
@@ -809,26 +812,133 @@ def test_loader_rejects_noncommunicating():
         )
 
 
-def test_each_segment_diameter_is_computed_once(monkeypatch):
-    # the loader's communicating check computes them; max_diameter, diameter(t)
-    # and the diameter command read what it kept
+def count_oracle_calls(monkeypatch):
+    """Route mdp.optimal_gain and mdp.compute_diameter through counters, with
+    both segment memos emptied first; returns the counts by name."""
     import nonstat.mdp
+
+    calls = {"gain": 0, "diameter": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(nonstat.mdp, "optimal_gain", counted("gain", nonstat.mdp.optimal_gain))
+    monkeypatch.setattr(nonstat.mdp, "compute_diameter", counted("diameter", nonstat.mdp.compute_diameter))
+    _segment_gain.cache_clear()
+    _segment_diameter.cache_clear()
+    return calls
+
+
+def infinite_spec(rewards, trans, lengths):
+    n_states, n_actions = np.shape(rewards[0])
+    segments = [{"length": n, "rewards": np.asarray(r).tolist(), "transitions": np.asarray(p).tolist()}
+                for n, r, p in zip(lengths, rewards, trans)]
+    return {"kind": "infinite", "T": sum(lengths), "S": n_states, "A": n_actions, "segments": segments}
+
+
+def test_each_distinct_segment_diameter_is_computed_once_per_process(monkeypatch):
+    # the loader's communicating check computes it; max_diameter, diameter(t),
+    # the diameter command and later builds read the process-wide memo
     from nonstat.cli import main
 
-    calls = []
-    compute = nonstat.mdp.compute_diameter
-    monkeypatch.setattr(nonstat.mdp, "compute_diameter", lambda trans: calls.append(1) or compute(trans))
+    calls = count_oracle_calls(monkeypatch)
     seg = {"rewards": [[0.5], [0.5]], "transitions": [[[0, 1]], [[1, 0]]]}
     spec = {"kind": "infinite", "T": 6, "S": 2, "A": 1, "segments": [dict(seg, length=2), dict(seg, length=4)]}
     env = make_env(spec)
-    assert len(calls) == 2
+    assert calls["diameter"] == 1  # two equal segments
     assert env.max_diameter() == env.diameter(6) == 1.0
     with pytest.raises(ValueError, match=r"round 7 outside \[1, 6\]"):
         env.diameter(7)
-    assert len(calls) == 2
     monkeypatch.setattr("nonstat.cli.load_env", lambda path: make_env(spec))
     assert main(["diameter", "--mdp", "spec.json"]) == 0
-    assert len(calls) == 4  # one fresh load
+    assert calls["diameter"] == 1  # one fresh load, no fresh compute
+
+
+@st.composite
+def positive_mdp(draw):
+    """(rewards, transitions, lengths) of a communicating MDP spec: every
+    transition entry positive, some segments copies of the one before."""
+    n_states, n_actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    unit = st.sampled_from([0.0, 1.0, 0.5, 0.1, 0.6180339887, 5e-324]) | st.floats(0.0, 1.0)
+    rewards, trans = [], []
+    for i in range(len(lengths)):
+        if i and draw(st.booleans()):
+            rewards.append(rewards[-1])
+            trans.append(trans[-1])
+            continue
+        n = n_states * n_actions
+        rewards.append(np.array(draw(st.lists(unit, min_size=n, max_size=n))).reshape(n_states, n_actions))
+        w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n * n_states, max_size=n * n_states)))
+        w = w.reshape(n_states, n_actions, n_states)
+        trans.append(w / w.sum(axis=2, keepdims=True))
+    return rewards, trans, lengths
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_mdp())
+def test_segment_memos_are_bitwise_the_direct_oracles(mdp_draw):
+    import nonstat.mdp
+
+    rewards, trans, lengths = mdp_draw
+    spec = infinite_spec(rewards, trans, lengths)
+    _segment_gain.cache_clear()
+    _segment_diameter.cache_clear()
+    starts = np.cumsum([1] + lengths[:-1]).tolist()
+    for _ in range(2):  # the first build fills the memos, the second reads them
+        env = make_env(spec)
+        for t, r, p in zip(starts, rewards, trans):
+            assert env.optimal_value(t).hex() == nonstat.mdp.optimal_gain(p, r).hex()
+            assert env.diameter(t).hex() == nonstat.mdp.compute_diameter(p).hex()
+
+
+def test_second_build_of_a_spec_solves_no_oracle(monkeypatch):
+    calls = count_oracle_calls(monkeypatch)
+    rng = np.random.default_rng(3)
+    trans = [rng.dirichlet(np.ones(3), size=(3, 2)) for _ in range(2)]
+    spec = infinite_spec([rng.random((3, 2)) for _ in range(2)], trans, [4, 4])
+    env = make_env(spec)
+    first = [env.optimal_value(t) for t in range(1, 9)]
+    assert calls == {"gain": 2, "diameter": 2}
+    again = make_env(spec)
+    assert [again.optimal_value(t) for t in range(1, 9)] == first
+    assert again.max_diameter() == env.max_diameter()
+    assert calls == {"gain": 2, "diameter": 2}
+
+
+def test_noncommunicating_spec_raises_on_every_build(monkeypatch):
+    # segment 0 communicates, segment 1 has two absorbing states: a failure is not memoized
+    calls = count_oracle_calls(monkeypatch)
+    rewards = [[[0.5], [0.5]]] * 2
+    spec = infinite_spec(rewards, [[[[0.0, 1.0]], [[1.0, 0.0]]], [[[1.0, 0.0]], [[0.0, 1.0]]]], [2, 2])
+    for build in (1, 2):
+        with pytest.raises(EnvSpecError, match="segment starting at round 3: .*not communicating"):
+            make_env(spec)
+        assert calls["diameter"] == build + 1  # segment 0 once, segment 1 at every build
+
+
+def test_segment_memo_keys_hold_the_shape():
+    # the same 16 zero bytes: one state with 16 actions communicates (diameter 0),
+    # two states with 4 actions do not
+    zeros = bytes(16 * 8)
+    assert _segment_diameter((1, 16, 1), zeros) == 0.0
+    with pytest.raises(ValueError, match="not communicating"):
+        _segment_diameter((2, 4, 2), zeros)
+
+
+def test_segment_memos_hold_at_most_their_bound():
+    _segment_gain.cache_clear()
+    _segment_diameter.cache_clear()
+    for a in range(1, SEGMENT_MEMO_SIZE + 9):  # one state, a actions: a distinct segment each
+        make_env(infinite_spec([np.full((1, a), 0.5)], [np.ones((1, a, 1))], [1])).optimal_value(1)
+        for memo in (_segment_gain, _segment_diameter):
+            assert memo.cache_info().currsize <= SEGMENT_MEMO_SIZE
+    for memo in (_segment_gain, _segment_diameter):
+        assert memo.cache_info().maxsize == memo.cache_info().currsize == SEGMENT_MEMO_SIZE
 
 
 def test_glm_loader_and_values():

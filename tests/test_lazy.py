@@ -1,7 +1,7 @@
 """Lazy read-side state: the learners against their eager reference code.
 
-Ucb1, Oful and GlmUcb compute their score vector (and GlmUcb its fit) at
-the first read after an update.  The reference classes below are the eager
+Ucb1, Oful and GlmUcb compute their score vector (and GlmUcb its fit), and
+QUcb its policy id, at the first read after an update.  The reference classes below are the eager
 implementations: they recompute the scores at every read, and the GLM one
 calls glm_solve after every update.  Everything observable must agree bit
 for bit: predict, act, theta and the snapshot JSON.
@@ -21,6 +21,7 @@ from nonstat.base import (
     GlmSolveError,
     GlmUcb,
     Oful,
+    QUcb,
     Ucb1,
     _clamp01,
     _decision,
@@ -495,3 +496,28 @@ def test_ucb1_first_update_without_data_builds_no_vector():
         learner.update((0, 0.25))
     assert inst._scores() is vector  # patched in place, not rebuilt
     assert vector.tobytes() == eager._indexes().tobytes()
+
+
+def test_qucb_act_encodes_its_current_greedy_policy_once_per_update(monkeypatch):
+    encode = nonstat.base.encode_layer_policy
+    encodes = []
+    monkeypatch.setattr(nonstat.base, "encode_layer_policy", lambda table, n: encodes.append(1) or encode(table, n))
+    S, A, H = 2, 3, 3
+    inst = QUcb(S, A, H, 256, 1 / 256)
+    rng = seed_derive(0, 0, "lazy-qucb")
+    for step in range(80):
+        before = len(encodes)
+        for _ in range(int(rng.integers(0, 4))):  # reads come in any number between updates
+            assert inst.act() == encode(np.argmax(inst.q, axis=2), A)
+        assert len(encodes) - before <= 1
+        if rng.random() < 0.2:
+            inst.act()
+            inst = restore(snapshot_to_json(inst))
+            assert inst._policy_id is None
+        s, traj = 0, []
+        for h in range(H):
+            a, nxt = int(rng.integers(0, A)), int(rng.integers(0, S))
+            traj.append((h, s, a, float(rng.random() < 0.5), nxt))
+            s = nxt
+        inst.update(traj)
+    assert inst.act() == encode(np.argmax(inst.q, axis=2), A)

@@ -4,7 +4,9 @@ import io
 import math
 import os
 import struct
+import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from nonstat.envs import make_env
 from nonstat.harness import seed_derive
 from nonstat.malg import MalgRunner, n_hat, rho_hat
 from nonstat.master import (
+    THRESHOLD_MEMO_SIZE,
     BanditWorld,
     RunLog,
     ThresholdTable,
@@ -177,6 +180,96 @@ def test_threshold_table_equals_the_rho_hat_expressions_bitwise(kappa, average_r
         assert bits(value) == bits(9.0 * rho_hat(float(1 << m), rate, T, delta, kappa, factor))
     for length, value in enumerate(table.length, start=1):
         assert bits(value) == bits(3.0 * rho_hat(float(length), rate, T, delta, kappa, factor))
+
+
+SWITCH_ENV = {"kind": "mab", "T": 512, "segments": [{"length": 256, "means": [0.9, 0.1]},
+                                                    {"length": 256, "means": [0.1, 0.9]}]}
+SWAP_MDP = {"kind": "infinite", "T": 256, "S": 2, "A": 2, "segments": [
+    {"length": 128, "rewards": [[0.9, 0.1], [0.2, 0.6]],
+     "transitions": [[[0.1, 0.9], [0.8, 0.2]], [[0.7, 0.3], [0.4, 0.6]]]},
+    {"length": 128, "rewards": [[0.1, 0.9], [0.6, 0.2]],
+     "transitions": [[[0.8, 0.2], [0.1, 0.9]], [[0.4, 0.6], [0.7, 0.3]]]},
+]}
+
+
+def _shared_table_run(case):
+    from nonstat.mdp import borl, doubling_dbar
+
+    name, kappa = case
+    if name == "borl":
+        return borl(make_env(SWAP_MDP), kappa=kappa, seed=3)
+    if name == "doubling_dbar":
+        return doubling_dbar(make_env(SWAP_MDP), known_l=2, kappa=kappa, seed=3)
+    env = make_env(SWITCH_ENV)
+    return run_master(env, lambda: Ucb1(2, 512, 1 / 512), 512, 1 / 512, kappa=kappa, seed=3)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("master", kappa) for kappa in (1e-4, 3e-3, 1.0, math.inf)] + [("borl", 1e-4), ("doubling_dbar", 1e-4)],
+    ids=str,
+)
+def test_shared_threshold_tables_give_the_logs_of_fresh_ones(case, monkeypatch):
+    # borl and doubling_dbar call master_core once per interval or epoch; the
+    # second run reads and extends the tables the first one grew
+    memo = nonstat.master._shared_thresholds
+    memo.cache_clear()
+    shared = [_shared_table_run(case).to_csv_text() for _ in range(2)]
+    assert memo.cache_info().hits >= 1
+    monkeypatch.setattr(nonstat.master, "_shared_thresholds", ThresholdTable)
+    fresh = _shared_table_run(case).to_csv_text()
+    assert shared == [fresh, fresh]
+    if case[1] == 1e-4:
+        assert "restart" in fresh
+
+
+def test_threshold_memo_keys_on_every_argument():
+    memo = nonstat.master._shared_thresholds
+    memo.cache_clear()
+    key = (SQRT_RATE, 64, 1 / 64, 1.0, 6.0)
+    changed = [(RateFunction(c1=2.0, c2=0.0, horizon=1 << 20), 64, 1 / 64, 1.0, 6.0),
+               (SQRT_RATE, 128, 1 / 64, 1.0, 6.0), (SQRT_RATE, 64, 1 / 32, 1.0, 6.0),
+               (SQRT_RATE, 64, 1 / 64, 2.0, 6.0), (SQRT_RATE, 64, 1 / 64, 1.0, 18.0)]
+    table = memo(*key)
+    assert memo(*key) is table
+    assert len({id(table)} | {id(memo(*args)) for args in changed}) == 1 + len(changed)
+
+
+def test_threshold_memo_holds_at_most_its_bound():
+    memo = nonstat.master._shared_thresholds
+    memo.cache_clear()
+    for i in range(THRESHOLD_MEMO_SIZE + 4):
+        memo(SQRT_RATE, 64, 1 / 64, 1.0 + i, 6.0).cover(6, 32)
+        assert memo.cache_info().currsize <= THRESHOLD_MEMO_SIZE
+    assert memo.cache_info().maxsize == memo.cache_info().currsize == THRESHOLD_MEMO_SIZE
+
+
+def test_a_table_grown_from_many_threads_equals_a_fresh_one():
+    T = 1 << 12
+    args = (UcrlAcw(3, 2, T, 1 / T, 2.0).rate(), T, 1 / T, 1.0, 18.0)
+    shared = ThresholdTable(*args)
+    start = threading.Barrier(8)
+
+    def grow(k):
+        start.wait(timeout=60)
+        for length in range(1, 2001):  # one entry at a time: many check-then-append windows
+            shared.cover(length.bit_length() - 1 + k % 2, length)
+
+    threads = [threading.Thread(target=grow, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    fresh = ThresholdTable(*args)
+    fresh.cover(11, 2000)
+    assert shared.order.tobytes() == fresh.order.tobytes()
+    assert shared.length.tobytes() == fresh.length.tobytes()
 
 
 def test_test2_single_round_boundary():
