@@ -20,13 +20,15 @@ import sys
 
 COUNT_NAMES = ("malg.spawns", "master.test_calls", "master.restarts", "base.instances", "mdp.evi_calls")
 TRACED_COUNTS = {  # at --seed 0, in COUNT_NAMES order
-    # base.instances counts factory calls: under the bandit adapter every
-    # instance that plays only its end round shares its block's one learner.
-    # mdp.evi_calls is 0 everywhere: the data-free learners share one solve,
-    # and the oracle's per-segment J* solves are memoized per process, so the
-    # warm-up operation makes them all before the traced one
+    # base.instances counts factory calls: one fresh learner per block, which
+    # serves every read before an instance's first update, and one per
+    # instance at that update (under the bandit adapter an instance that
+    # plays only its end round makes none).  mdp.evi_calls is 0 everywhere:
+    # the data-free learners share one solve, and the oracle's per-segment
+    # J* solves are memoized per process, so the warm-up operation makes
+    # them all before the traced one
     "mab-switch": (45824, 111231, 30, 11031, 0),
-    "ucrl-evi": (16382, 24550, 0, 8192, 0),
+    "ucrl-evi": (16382, 24550, 0, 8218, 0),
     "glm-newton": (12282, 18366, 0, 66, 0),
 }
 NONZERO = ("malg.self_us", "master.log_append_us")

@@ -11,20 +11,20 @@ The reduction relies on two more facts.  predict/act are pure reads: they
 never change observable state, so any number of callers may read one fresh
 learner and each sees what a learner of its own would show.  And an update
 is observable only through later reads of the same learner, so an update
-that nothing reads afterwards may be left out.  The scheduler does both
-under the bandit and episodic adapter (nonstat.malg): one-round instances
-share one fresh learner, and an instance's last update is skipped.
+that nothing reads afterwards may be left out.  The scheduler
+(nonstat.malg) relies on the first to serve every read of an instance
+without data from one fresh learner per block, and on the second to skip
+an instance's last update under the bandit and episodic adapter; no
+learner knows it is scheduled.
 
 Reads may fill a cache that update clears: read-side state (a score vector
 with the value and action it decides, the GLM fit, QUcb's encoded greedy
 policy) is computed at most once per update, and only when something reads
-it.  Ucb1 builds its score vector once, at the first read with data, and
-update then keeps it current by rewriting the one entry it changes.  Ucb1
-and GlmUcb learners without data share one read-only decision per
-parameter set, since the scheduler can build such a learner for up to
-every round.  Calling predict/act repeatedly between updates returns
-identical results, and a learner can be paused, snapshotted to JSON,
-restored, and resumed with a bitwise-identical trajectory.
+it.  Ucb1 builds its score vector once, at its first read, and update then
+keeps it current by rewriting the one entry it changes.  Calling
+predict/act repeatedly between updates returns identical results, and a
+learner can be paused, snapshotted to JSON, restored, and resumed with a
+bitwise-identical trajectory.
 
 Implemented learners and their feedback payloads:
 
@@ -39,7 +39,6 @@ state; none of these four learners consumes randomness.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 
@@ -120,12 +119,6 @@ def _check_horizon_delta(horizon, delta):
         raise ValueError(f"delta={delta!r} must be > 0 with horizon={horizon} / delta >= 1 (log(horizon / delta) >= 0)")
 
 
-def _all_zero(*arrays: np.ndarray) -> bool:
-    """No array has a nonzero entry (nan counts as one), as `not a.any()` for
-    each; count_nonzero costs a fifth of any() on arrays this small."""
-    return not any(map(np.count_nonzero, arrays))
-
-
 def _decision(scores: np.ndarray) -> tuple:
     """(scores, predict(), act()) of an index learner with this score vector.
 
@@ -144,8 +137,7 @@ class _IndexLearner(_Learner):
     after an update and cached until the next one, so update (and anything
     else that changes the fields) must reset _score_cache.
     _compute_decision builds the entry.  Oful and GlmUcb compute a new
-    vector for it; Ucb1 reuses its own, which update keeps current; Ucb1
-    and GlmUcb learners without data take a shared, read-only entry instead.
+    vector for it; Ucb1 reuses its own, which update keeps current.
     """
 
     _score_cache = None  # (scores, predict(), act()), or None when stale
@@ -175,11 +167,10 @@ class _IndexLearner(_Learner):
 
 class Ucb1(_IndexLearner):
     """UCB1.  The score vector is built with the vector formula at the first
-    read with data (or the first after _load_state) and kept current from
-    then on: update rewrites the one entry it changes, in scalar arithmetic
-    with the formula's operations in the same order, so the bits are the
-    formula's.  A learner without data reads _ucb1_prior_scores, shared by
-    all such learners, and its first update builds nothing."""
+    read (or the first after _load_state) and kept current from then on:
+    update rewrites the one entry it changes, in scalar arithmetic with the
+    formula's operations in the same order, so the bits are the formula's.
+    Updates before the first read build nothing."""
 
     name = "ucb1"
     _fields = ("counts", "sums", "t_int")
@@ -217,8 +208,6 @@ class Ucb1(_IndexLearner):
     def _compute_decision(self) -> tuple:
         scores = self._vector
         if scores is None:
-            if self.t_int == 0 and _all_zero(self.counts, self.sums):
-                return _ucb1_prior_scores(self.n_arms, self.horizon, self.delta, self.bonus_scale)
             scores = self._vector = self._compute_scores()
         return _decision(scores)
 
@@ -241,19 +230,6 @@ class Ucb1(_IndexLearner):
     def _load_state(self, state: dict):
         super()._load_state(state)
         self._vector = None
-
-
-@functools.lru_cache(maxsize=64)
-def _ucb1_prior_scores(n_arms: int, horizon: int, delta: float, bonus_scale: float) -> tuple:
-    """The _decision entry of a UCB1 learner that has no data, shared by all such learners.
-
-    Without data the scores depend on these parameters only, and the
-    scheduler builds a fresh learner with them up to every round.  The
-    cached array is read-only.
-    """
-    scores = Ucb1(n_arms, horizon, delta, bonus_scale)._compute_scores()
-    scores.flags.writeable = False
-    return _decision(scores)
 
 
 class Oful(_IndexLearner):
@@ -405,9 +381,9 @@ def glm_solve(
 
 class GlmUcb(_IndexLearner):
     """GLM-UCB.  update only accumulates the per-action statistics; the
-    estimate theta is refit by glm_solve at its first read after that.  A
-    learner with no data (no update, zero counts and theta) reads its
-    scores and decision from _glm_prior_scores, shared by all such learners."""
+    estimate theta is refit by glm_solve at its first read after that.
+    Raises ValueError, naming lam and delta, unless lam > 0 and
+    c_mu * horizon / (lam * delta) >= 1, so that beta's log is >= 0."""
 
     name = "glm"
     _fields = ("counts", "rsums", "t_int", "theta")
@@ -424,6 +400,9 @@ class GlmUcb(_IndexLearner):
         self.lam = lam
         self._log_term = math.log(horizon / delta)
         k_mu, c_mu = self.link.k_mu, self.link.c_mu
+        if not (lam > 0 and c_mu * horizon / (lam * delta) >= 1.0):
+            raise ValueError(f"lam={lam!r}, delta={delta!r}: need lam > 0 and c_mu * horizon / (lam * delta) >= 1"
+                             f" (c_mu={c_mu!r}, horizon={horizon})")
         self.beta = (4.0 * k_mu / c_mu) * (
             math.sqrt(self.dim * math.log(c_mu * horizon / (lam * delta)))
             + c_mu * math.sqrt(lam)
@@ -462,13 +441,6 @@ class GlmUcb(_IndexLearner):
         lam_mat = self.lam * np.eye(self.dim) + (self.actions.T * self.counts) @ self.actions
         return np.linalg.inv(lam_mat)
 
-    def _compute_decision(self) -> tuple:
-        if self.t_int == 0 and not self._fit_stale and _all_zero(self.counts, self._theta):
-            return _glm_prior_scores(
-                self.actions.tobytes(), self.actions.shape, self.horizon, self.delta, self.link_name, self.lam
-            )
-        return _decision(self._compute_scores())
-
     def _compute_scores(self) -> np.ndarray:
         lam_inv = self._lam_inv()
         widths = np.sqrt(np.einsum("kd,de,ke->k", self.actions, lam_inv, self.actions))
@@ -483,24 +455,11 @@ class GlmUcb(_IndexLearner):
         self._score_cache = None
 
 
-@functools.lru_cache(maxsize=64)
-def _glm_prior_scores(actions: bytes, shape: tuple, horizon: int, delta: float, link: str, lam: float) -> tuple:
-    """The _decision entry of a GLM-UCB learner that has no data, shared by all such learners.
-
-    Without data the scores depend on these parameters only, and the
-    scheduler builds a fresh learner with them up to every round.  The
-    cached array is read-only.
-    """
-    fresh = GlmUcb(np.frombuffer(actions).reshape(shape), horizon, delta, link, lam)
-    scores = fresh._compute_scores()
-    scores.flags.writeable = False
-    return _decision(scores)
-
-
 class QUcb(_Learner):
     """Optimistic Q-learning on a layered MDP.  act() encodes the greedy layer
     policy at its first call after an update (or _load_state) and returns
-    the cached id until the next one."""
+    the cached id until the next one.  Raises ValueError, naming the field,
+    unless n_states, n_actions and n_layers are >= 1."""
 
     name = "qucb"
     _fields = ("q", "visits", "v", "t_int")
@@ -517,6 +476,12 @@ class QUcb(_Learner):
         init_state: int = 0,
         bonus_scale: float = 2.0,
     ):
+        if not n_states >= 1:  # each written so that nan fails it
+            raise ValueError(f"n_states={n_states!r} must be >= 1")
+        if not n_actions >= 1:
+            raise ValueError(f"n_actions={n_actions!r} must be >= 1")
+        if not n_layers >= 1:
+            raise ValueError(f"n_layers={n_layers!r} must be >= 1")
         _check_horizon_delta(horizon, delta)
         if math.isnan(bonus_scale):
             raise ValueError(f"bonus_scale={bonus_scale} must not be nan")

@@ -65,10 +65,7 @@ def _ucb1(env, horizon, delta, algo):
 
 
 def _oful(env, horizon, delta, algo):
-    params = dict(actions=env.actions, horizon=horizon, delta=delta)
-    if "refactor_every" in algo:
-        params["refactor_every"] = algo["refactor_every"]
-    return functools.partial(base.Oful, **params)
+    return functools.partial(base.Oful, actions=env.actions, horizon=horizon, delta=delta)
 
 
 def _glm(env, horizon, delta, algo):
@@ -142,7 +139,7 @@ ALGORITHMS = {
 # spec validation
 
 _SPEC_KEYS = {"env", "algorithm", "T", "delta", "kappa", "seeds", "out", "algo"}
-_ALGO_KEYS = {"c", "dbar", "known_l", "known_delta", "refactor_every"}
+_ALGO_KEYS = {"c", "dbar", "known_l", "known_delta"}
 
 
 def _is_int(value) -> bool:
@@ -165,8 +162,6 @@ def _check_algo(algo: dict):
     known_l = algo.get("known_l", 1)
     if not (_is_int(known_l) and known_l > 0):
         raise SpecError(f"spec.algo.known_l: expected a positive integer, got {known_l!r}")
-    if "refactor_every" in algo and not _is_int(algo["refactor_every"]):
-        raise SpecError(f"spec.algo.refactor_every: expected an integer, got {algo['refactor_every']!r}")
 
 
 def validate_spec(spec: dict) -> dict:

@@ -20,18 +20,17 @@ index among the block's spawns.  Slots nest, so no instance ends at a
 round where the active one does not: finish_round then returns the empty
 tuple without scanning the stack.
 
-An instance gets its learner at its first active round; until then its
-record holds None, and an instance that never plays (every round it covers
-is taken by one of smaller order) gets none.  By default each instance
-builds its own, by one factory() call.  A caller that reads no learner
-after its instance's last update (master.BanditWorld) sets
-last_update_read to False: finish_round then skips the update at the round
-the active instance ends, and an instance whose first active round is its
-last (every order-0 instance) plays the block's shared learner, built by
-one factory() call at the first such round.  No update reaches that
-learner, so by the base-learner contract (nonstat.base) each of its reads
-is a fresh learner's.  Factories draw no randomness, so when and how often
-they are called changes no stream.
+Each block builds one fresh learner, runner.fresh, by one factory() call,
+and no update ever reaches it: every instance plays it until its first
+update, which builds the instance's own learner by one factory() call and
+updates that.  By the base-learner contract (nonstat.base) reads are pure,
+so each read of runner.fresh is what a learner of the instance's own would
+show.  A caller that reads no learner after its instance's last update
+(master.BanditWorld) sets last_update_read to False: finish_round then
+skips the update at the round the active instance ends, so an instance
+whose first active round is its last (every order-0 instance) builds no
+learner.  Factories draw no randomness, so when and how often they are
+called changes no stream.
 """
 
 from __future__ import annotations
@@ -138,7 +137,7 @@ class InstanceRecord:
     order: int
     start: int  # absolute rounds, inclusive
     end: int
-    learner: object = None  # set at the first active round
+    learner: object  # the runner's fresh learner until the instance's first update
     reward_sum: float = 0.0  # all learner rewards in [start, end], active or not
     active_rounds: int = 0
 
@@ -161,15 +160,17 @@ class MalgRunner:
     runner.events lists this round's schedule events.  A block that stops
     before its last round must be closed with cut(t), t its last round
     played, so that rng is left as the per-round draws would leave it.
-    A caller that reads no learner after its instance's last update sets
-    last_update_read to False before the first round (module docstring).
+    Every read before an instance's first update is of runner.fresh, which
+    the constructor builds; a caller that reads no learner after its
+    instance's last update sets last_update_read to False before the first
+    round (module docstring).
     """
 
     last_update_read = True
 
     def __init__(self, block_start: int, order_n: int, rate: RateFunction, factory, rng):
         self.factory = factory
-        self._data_free = None  # the shared learner of one-round instances, once built
+        self.fresh = factory()  # read by every instance until its first update
         self._block_start = block_start
         self._order_n = order_n
         self._rng = rng
@@ -206,34 +207,29 @@ class MalgRunner:
             m = orders[uid]
             assert not live or live[-1].order > m, "overlapping same-order instances"
             end = t + (1 << m) - 1
-            live.append(InstanceRecord(uid, m, t, end))
+            live.append(InstanceRecord(uid, m, t, end, self.fresh))
             events.append(f"spawn m{m}#{uid}@[{t},{end}]")
             uid += 1
         self._next_spawn = uid
         self._spawn_at = self._block_start + starts[uid]
 
     def _switch(self, rec: InstanceRecord, t: int, events: list[str]):
-        """Make rec the active instance, giving it a learner at its first active round."""
+        """Make rec the active instance."""
         prev, self._active = self._active, rec
         if prev is not None and prev.end >= t:
             events.append(f"pause m{prev.order}#{prev.uid}")
         if rec.active_rounds > 0:
             events.append(f"resume m{rec.order}#{rec.uid}")
-        if rec.learner is not None:
-            return
-        if rec.end != t or self.last_update_read:
-            rec.learner = self.factory()
-        else:  # plays this round only, and its update is skipped
-            if self._data_free is None:
-                self._data_free = self.factory()
-            rec.learner = self._data_free
 
     # -- phase 2 -----------------------------------------------------------
 
     def finish_round(self, t: int, reward: float, feedback) -> list[InstanceRecord] | tuple[()]:
         rec = self._active
         if rec.end != t or self.last_update_read:
-            rec.learner.update(feedback)
+            learner = rec.learner
+            if learner is self.fresh:  # its first update: from here on it plays its own
+                learner = rec.learner = self.factory()
+            learner.update(feedback)
         rec.active_rounds += 1
         for other in self._live:
             other.reward_sum += reward

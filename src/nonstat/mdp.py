@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _all_zero, _check_horizon_delta, _Learner, register_learner
+from .base import _check_horizon_delta, _Learner, register_learner
 from .envs import InfiniteEnv, encode_policy
 from .master import AverageRewardWorld, RunLog, master_core, run_master, seed_derive
 from .rates import RateFunction
@@ -178,18 +178,19 @@ def _optimistic_solve(visit_total, trans_counts, reward_sums, t_int, log_term, d
 @functools.lru_cache(maxsize=64)
 def _prior_solution(n_states: int, n_actions: int, horizon: int, delta: float, dbar: float):
     """The first solve of a learner that has no data, shared by all such learners:
-    (EVI output, eta, encoded policy id).
+    (EVI output, eta).
 
-    Without data the solved model depends on these five parameters only,
-    and the scheduler builds a fresh learner with them up to every round.
-    The cached arrays are read-only.
+    Without data the solved model depends on these five parameters only.
+    The scheduler reads one fresh learner per block, and every instance
+    solves again at its first update, which needs the solve's eta.  The
+    cached arrays are read-only.
     """
     zeros = np.zeros((n_states, n_actions))
     log_term = math.log(n_states * n_actions * horizon / delta)
     out, eta = _optimistic_solve(zeros, np.zeros((n_states, n_actions, n_states)), zeros, 0, log_term, dbar, horizon)
     out.policy.flags.writeable = False
     out.bias.flags.writeable = False
-    return out, eta, encode_policy(out.policy, n_actions)
+    return out, eta
 
 
 class UcrlAcw(_Learner):
@@ -242,9 +243,7 @@ class UcrlAcw(_Learner):
         self.eta = 1.0 / horizon
         self.gain = 1.0
         self.policy_table = np.zeros(n_states, dtype=np.int64)
-        # encode_policy(policy_table): shared by the data-free solve, else made
-        # at the first act() after a solve
-        self._policy_id = None
+        self._policy_id = None  # encode_policy(policy_table), made at the first act() after a solve
         self.needs_solve = True
         self.signaled = False
 
@@ -276,16 +275,14 @@ class UcrlAcw(_Learner):
 
     def _solve_episode(self):
         self.episode += 1
-        if self.t_int == 0 and _all_zero(self.visit_total):
-            out, eta, self._policy_id = _prior_solution(
-                self.n_states, self.n_actions, self.horizon, self.delta, self.dbar
-            )
+        if self.t_int == 0 and not np.count_nonzero(self.visit_total):  # cheaper than any() here
+            out, eta = _prior_solution(self.n_states, self.n_actions, self.horizon, self.delta, self.dbar)
         else:
             out, eta = _optimistic_solve(
                 self.visit_total, self.trans_counts, self.reward_sums,
                 self.t_int, self._log_term, self.dbar, self.horizon,
             )
-            self._policy_id = None
+        self._policy_id = None
         self.eta = eta
         self.gain = out.gain
         self.policy_table = out.policy.astype(np.int64)

@@ -109,6 +109,13 @@ ACTIONS_2D = [[1.0, 0.0], [0.0, 1.0]]
         ("ucb1", dict(n_arms=2, horizon=16, delta=0.0), "delta"),
         ("qucb", dict(n_states=2, n_actions=2, n_layers=2, horizon=16, delta=0.0), "delta"),
         ("qucb", dict(n_states=2, n_actions=2, n_layers=2, horizon=16, delta=math.nan), "delta"),
+        ("qucb", dict(n_states=2, n_actions=2, n_layers=0, horizon=16, delta=0.1), "n_layers"),  # was ZeroDivisionError
+        ("qucb", dict(n_states=0, n_actions=2, n_layers=2, horizon=16, delta=0.1), "n_states"),  # was a math domain error
+        ("qucb", dict(n_states=2, n_actions=0, n_layers=2, horizon=16, delta=0.1), "n_actions"),
+        ("qucb", dict(n_states=2, n_actions=2, n_layers=math.nan, horizon=16, delta=0.1), "n_layers"),
+        ("glm", dict(actions=ACTIONS_2D, horizon=16, delta=16.0), "lam"),  # c_mu < 1: was a math domain error
+        ("glm", dict(actions=ACTIONS_2D, horizon=16, delta=0.1, lam=0.0), "lam"),  # was ZeroDivisionError
+        ("glm", dict(actions=ACTIONS_2D, horizon=16, delta=0.1, lam=math.nan), "lam"),
     ],
 )
 def test_learners_reject_bad_parameters_by_name(algo, params, field):

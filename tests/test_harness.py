@@ -115,6 +115,8 @@ def test_validate_rejects_non_integer_horizon(horizon):
 def test_validate_rejects_unknown_keys():
     with pytest.raises(SpecError, match="unknown keys"):
         validate_spec(experiment(bogus=1))
+    with pytest.raises(SpecError, match=r"spec\.algo: unknown keys \['refactor_every'\]"):
+        validate_spec(dict(tiny_spec("master+oful"), algo={"refactor_every": 16}))
 
 
 def test_validate_rejects_bad_algorithm():
@@ -195,8 +197,8 @@ def average_reward_spec(algorithm, algo):
         ("doubling-dbar", {"known_delta": "1"}, "known_delta"),
         ("master+ucb1", {"c": "2"}, "c"),
         ("master+ucb1", {"c": False}, "c"),
-        ("master+oful", {"refactor_every": 10.5}, "refactor_every"),
-        ("master+oful", {"refactor_every": "10"}, "refactor_every"),
+        ("doubling-dbar", {"known_delta": True}, "known_delta"),
+        ("master-ucrl", {"dbar": math.nan}, "dbar"),
         # numbers, but not finite
         ("master+ucb1", {"c": math.nan}, "c"),
         ("master+ucb1", {"c": math.inf}, "c"),
@@ -220,7 +222,6 @@ def test_validate_rejects_mistyped_algo_values(algorithm, algo, field):
         ("doubling-dbar", {"known_l": 3}),
         ("doubling-dbar", {"known_delta": 0}),
         ("master+ucb1", {"c": 1}),
-        ("master+oful", {"refactor_every": 16}),
     ],
 )
 def test_validate_keeps_well_typed_algo_values(algorithm, algo):

@@ -25,9 +25,7 @@ from nonstat.base import (
     Ucb1,
     _clamp01,
     _decision,
-    _glm_prior_scores,
     _Learner,
-    _ucb1_prior_scores,
     glm_solve,
     restore,
     snapshot_to_json,
@@ -252,7 +250,8 @@ def test_decision_reads_what_max_and_argmax_read(scores):
 
 
 # ---------------------------------------------------------------------------
-# the shared score vector of GLM-UCB learners without data
+# GLM-UCB without data, and with partial state: the reads the scheduler
+# serves from one fresh learner per block must be the eager reference's
 
 
 @st.composite
@@ -272,25 +271,15 @@ def glm_params(draw):
 @settings(max_examples=100, deadline=None)
 @given(glm_params())
 def test_glm_prior_scores_equal_fresh_eager_scores(params):
+    # the prior scores: those of a learner without data, on every link
     inst, eager = GlmUcb(**params), EagerGlm(**params)
-    cached = inst._scores()
-    assert cached.dtype == eager._scores().dtype
-    assert cached.tobytes() == eager._scores().tobytes()
+    scores = inst._scores()
+    assert scores.dtype == eager._scores().dtype
+    assert scores.tobytes() == eager._scores().tobytes()
     assert inst.predict() == eager.predict()
     assert inst.act() == eager.act()
-    with pytest.raises(ValueError):
-        cached[0] = 0.0  # one array serves every such learner: it is read-only
-
-
-def test_fresh_glm_learners_share_the_prior_scores():
-    _glm_prior_scores.cache_clear()
-    first, second = GlmUcb(ACTIONS, 512, 1 / 512), GlmUcb(ACTIONS, 512, 1 / 512)
-    assert first.predict() == second.predict()
-    assert first._scores() is second._scores()
-    info = _glm_prior_scores.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    # a learner restored from a data-free snapshot is data-free too
-    assert restore(snapshot_to_json(first))._scores() is first._scores()
+    # a learner restored from a data-free snapshot reads the same
+    assert restore(snapshot_to_json(inst))._scores().tobytes() == scores.tobytes()
 
 
 BASE_GLM = dict(actions=np.array(ACTIONS), horizon=512, delta=1 / 512, link="logistic", lam=1.0)
@@ -308,7 +297,8 @@ BASE_GLM = dict(actions=np.array(ACTIONS), horizon=512, delta=1 / 512, link="log
     ],
 )
 def test_glm_prior_scores_key_on_every_parameter(change):
-    GlmUcb(**BASE_GLM)._scores()  # the base entry is cached
+    # each parameter changes the data-free scores to the eager ones of the
+    # changed set, a shape with the same action bytes included
     params = dict(BASE_GLM, **change)
     assert GlmUcb(**params)._scores().tobytes() == EagerGlm(**params)._scores().tobytes()
 
@@ -337,14 +327,10 @@ def _restored_with_data(inst):
 @pytest.mark.parametrize(
     "make_state", [_with_data, _with_theta, _with_counts_only, _with_time_only, _restored_with_data]
 )
-def test_glm_learner_with_state_never_takes_the_prior(monkeypatch, make_state):
+def test_glm_learner_with_state_never_takes_the_prior(make_state):
+    # any state, however partial, reads as the eager reference with that state
     inst = GlmUcb(ACTIONS, 512, 1 / 512)
     inst = make_state(inst) or inst
-
-    def no_prior(*args):
-        raise AssertionError("a learner with state took the data-free scores")
-
-    monkeypatch.setattr(nonstat.base, "_glm_prior_scores", no_prior)
     eager = EagerGlm(ACTIONS, 512, 1 / 512)
     eager.counts, eager.t_int, eager.theta = inst.counts.copy(), inst.t_int, inst.theta.copy()
     assert inst.predict() == eager.predict()
@@ -353,7 +339,7 @@ def test_glm_learner_with_state_never_takes_the_prior(monkeypatch, make_state):
 
 
 # ---------------------------------------------------------------------------
-# the shared decision of UCB1 learners without data
+# UCB1 without data, and with partial state
 
 
 @st.composite
@@ -369,28 +355,15 @@ def ucb1_params(draw):
 @settings(max_examples=100, deadline=None)
 @given(ucb1_params())
 def test_ucb1_prior_scores_equal_fresh_eager_scores(params):
+    # the prior scores: those of a learner without data
     inst, eager = Ucb1(**params), EagerUcb1(**params)
-    cached = inst._scores()
-    assert cached is _ucb1_prior_scores(
-        params["n_arms"], params["horizon"], params["delta"], params["bonus_scale"]
-    )[0]
-    assert cached.dtype == eager._indexes().dtype
-    assert cached.tobytes() == eager._indexes().tobytes()
+    scores = inst._scores()
+    assert scores.dtype == eager._indexes().dtype
+    assert scores.tobytes() == eager._indexes().tobytes()
     assert inst.predict() == eager.predict()
     assert inst.act() == eager.act()
-    with pytest.raises(ValueError):
-        cached[0] = 0.0  # one array serves every such learner: it is read-only
-
-
-def test_fresh_ucb1_learners_share_the_prior_scores():
-    _ucb1_prior_scores.cache_clear()
-    first, second = Ucb1(4, 512, 1 / 512), Ucb1(4, 512, 1 / 512)
-    assert first.predict() == second.predict()
-    assert first._scores() is second._scores()
-    info = _ucb1_prior_scores.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    # a learner restored from a data-free snapshot is data-free too
-    assert restore(snapshot_to_json(first))._scores() is first._scores()
+    # a learner restored from a data-free snapshot reads the same
+    assert restore(snapshot_to_json(inst))._scores().tobytes() == scores.tobytes()
 
 
 BASE_UCB1 = dict(n_arms=4, horizon=512, delta=1 / 512, bonus_scale=2.0)
@@ -400,10 +373,10 @@ BASE_UCB1 = dict(n_arms=4, horizon=512, delta=1 / 512, bonus_scale=2.0)
     "change", [dict(n_arms=3), dict(horizon=1024), dict(delta=1 / 1024), dict(bonus_scale=1.0)]
 )
 def test_ucb1_prior_scores_key_on_every_parameter(change):
-    base = Ucb1(**BASE_UCB1)._scores()  # the base entry is cached
+    # each parameter changes the data-free scores to the eager ones of the changed set
     params = dict(BASE_UCB1, **change)
     scores = Ucb1(**params)._scores()
-    assert scores is not base
+    assert scores.tobytes() != Ucb1(**BASE_UCB1)._scores().tobytes()
     assert scores.tobytes() == EagerUcb1(**params)._indexes().tobytes()
 
 
@@ -427,14 +400,10 @@ def _ucb1_restored_with_data(inst):
 @pytest.mark.parametrize(
     "make_state", [_ucb1_counts_only, _ucb1_sums_only, _ucb1_time_only, _ucb1_restored_with_data]
 )
-def test_ucb1_learner_with_state_never_takes_the_prior(monkeypatch, make_state):
+def test_ucb1_learner_with_state_never_takes_the_prior(make_state):
+    # any state, however partial, reads as the eager reference with that state
     inst = Ucb1(4, 512, 1 / 512)
     inst = make_state(inst) or inst
-
-    def no_prior(*args):
-        raise AssertionError("a learner with state took the data-free scores")
-
-    monkeypatch.setattr(nonstat.base, "_ucb1_prior_scores", no_prior)
     eager = EagerUcb1(4, 512, 1 / 512)
     eager.counts, eager.sums, eager.t_int = inst.counts.copy(), inst.sums.copy(), inst.t_int
     assert inst.predict() == eager.predict()
@@ -486,11 +455,12 @@ def test_ucb1_patched_scores_equal_eager_scores(script):
 
 
 def test_ucb1_first_update_without_data_builds_no_vector():
+    # the scheduler builds an instance's own learner at its first update,
+    # unread: the vector waits for the first read after it
     inst, eager = Ucb1(2, 512, 1 / 512), EagerUcb1(2, 512, 1 / 512)
-    inst.predict()
     for learner in (inst, eager):
         learner.update((1, 1.0))
-    assert inst._vector is None  # a learner that plays once and is dropped pays nothing more
+    assert inst._vector is None
     vector = inst._scores()
     for learner in (inst, eager):
         learner.update((0, 0.25))

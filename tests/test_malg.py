@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonstat.base import GlmUcb, QUcb, Ucb1, restore, snapshot_to_json
+from nonstat.base import GlmUcb, Oful, QUcb, Ucb1, restore, snapshot_to_json
 from nonstat.envs import make_env
 from nonstat.mdp import UcrlAcw
 from nonstat import master
@@ -307,18 +307,25 @@ def test_control_loop_matches_the_slot_oracle_on_glm_and_episodic(monkeypatch, k
 
 
 class RecordingRunner(MalgRunner):
-    """MalgRunner that keeps every runner built, and the rounds each instance played."""
+    """MalgRunner that keeps every runner built, the rounds each instance
+    played with the learner each read, and the learners its factory built."""
 
     runners = []
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.played = {}  # uid -> (record, [rounds it was active])
+    def __init__(self, block_start, order_n, rate, factory, rng):
+        self.built = []  # every factory() learner, in build order: self.fresh first
+
+        def recording_factory():
+            self.built.append(factory())
+            return self.built[-1]
+
+        super().__init__(block_start, order_n, rate, recording_factory, rng)
+        self.played = {}  # uid -> (record, [(round, learner it read)])
         RecordingRunner.runners.append(self)
 
     def begin_round(self, t):
         out = super().begin_round(t)
-        self.played.setdefault(out[2].uid, (out[2], []))[1].append(t)
+        self.played.setdefault(out[2].uid, (out[2], []))[1].append((t, out[2].learner))
         return out
 
 
@@ -338,29 +345,53 @@ def mab_case(T):
         {"length": T // 3, "means": [0.9, 0.1]}, {"length": T - T // 3, "means": [0.1, 0.9]}]}), make_factory(T)
 
 
+def linear_case(T):
+    env = make_env({"kind": "linear", "T": T, "actions": [[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]], "segments": [
+        {"length": T // 2, "theta": [0.7, 0.1]}, {"length": T - T // 2, "theta": [0.1, 0.7]}]})
+    return env, lambda: Oful(env.actions, T, 1.0 / T)
+
+
+def read_fresh(factory):
+    """A factory() learner after the reads the runner makes of its fresh one."""
+    learner = factory()
+    learner.predict()
+    learner.act()
+    return learner
+
+
+def assert_fresh_serves_reads_before_each_first_update(runner, factory, updated_at_end):
+    # every read before an instance's first update is of runner.fresh, which
+    # no update reaches; the first update builds the instance's own learner
+    # (one factory() call each), and every later read is of that learner
+    own = []
+    for rec, rounds in runner.played.values():
+        updates = [t for t, _ in rounds if updated_at_end or t != rec.end]
+        for t, learner in rounds:
+            assert (learner is runner.fresh) == (not updates or t <= updates[0])
+        if updates:
+            own.append(rec.learner)
+            assert rec.learner is not runner.fresh
+        else:
+            assert rec.learner is runner.fresh
+    assert runner.built == [runner.fresh, *own]  # built in first-update order, each once
+    assert snapshot_to_json(runner.fresh) == snapshot_to_json(read_fresh(factory))
+
+
 @pytest.mark.parametrize("kappa", [1e-3, 1.0])
-@pytest.mark.parametrize("kind", ["mab", "glm", "episodic"])
+@pytest.mark.parametrize("kind", ["mab", "glm", "episodic", "linear"])
 def test_bandit_world_skips_the_last_update_and_shares_a_data_free_learner(monkeypatch, kind, kappa):
-    # an instance that plays only its end round plays the block's shared
-    # learner, which no update reaches, so it stays a fresh factory()
-    # learner; every other instance has its own learner, updated at each of
-    # its active rounds but its end round
-    env, factory = {"mab": mab_case, **ORACLE_KINDS}[kind](64)
-    fresh = snapshot_to_json(factory())
-    runners = recorded_runners(monkeypatch, master.BanditWorld(env), with_sqrt_rate(factory), kappa)
-    assert any(rec.learner.t_int > 0 for runner in runners for rec, _ in runner.played.values())
+    # an instance whose first active round is its end round makes no update
+    # and builds no learner; every other one builds its own at its first
+    # update, which it gets at each of its active rounds but its end round
+    env, factory = {"mab": mab_case, "linear": linear_case, **ORACLE_KINDS}[kind](64)
+    factory = with_sqrt_rate(factory)
+    runners = recorded_runners(monkeypatch, master.BanditWorld(env), factory, kappa)
     for runner in runners:
-        shared = runner._data_free
-        own = []
+        assert_fresh_serves_reads_before_each_first_update(runner, factory, False)
         for rec, rounds in runner.played.values():
-            if rounds == [rec.end]:
-                assert rec.learner is shared
-            else:
-                own.append(rec.learner)
-                assert rec.learner.t_int == sum(t != rec.end for t in rounds)
-        assert len({id(learner) for learner in own}) == len(own)
-        assert shared is None or snapshot_to_json(shared) == fresh
-    assert any(runner._data_free is not None for runner in runners)
+            assert rec.learner.t_int == sum(t != rec.end for t, _ in rounds)
+    assert any(len(runner.built) > 1 for runner in runners)
+    assert any(rounds == [(rec.end, runner.fresh)] for runner in runners for rec, rounds in runner.played.values())
 
 
 class CountingUcrl(UcrlAcw):
@@ -373,21 +404,21 @@ class CountingUcrl(UcrlAcw):
 
 @pytest.mark.parametrize("kappa", [1e-3, 1.0])
 def test_average_reward_world_updates_every_active_round_with_its_own_learner(monkeypatch, kappa):
-    # extras and restart_signaled read the learner after each update, so
-    # nothing is skipped or shared
+    # extras and restart_signaled read the learner after each update, so no
+    # update is skipped: every instance that plays builds its own learner at
+    # its first active round, and runner.fresh serves only that round's reads
     T = 64
     env = make_env({"kind": "infinite", "T": T, "S": 2, "A": 2, "segments": [
         {"length": T // 2, "rewards": [[0.9, 0.1], [0.2, 0.6]],
          "transitions": [[[0.7, 0.3], [0.4, 0.6]], [[0.5, 0.5], [0.2, 0.8]]]},
         {"length": T - T // 2, "rewards": [[0.1, 0.9], [0.6, 0.2]],
          "transitions": [[[0.3, 0.7], [0.6, 0.4]], [[0.5, 0.5], [0.8, 0.2]]]}]})
-    runners = recorded_runners(monkeypatch, master.AverageRewardWorld(env),
-                               with_sqrt_rate(lambda: CountingUcrl(2, 2, T, 1.0 / T, 2.0)), kappa)
+    factory = with_sqrt_rate(lambda: CountingUcrl(2, 2, T, 1.0 / T, 2.0))
+    runners = recorded_runners(monkeypatch, master.AverageRewardWorld(env), factory, kappa)
     assert any(len(rounds) > 1 for runner in runners for _, rounds in runner.played.values())
-    learners = [rec.learner for runner in runners for rec, _ in runner.played.values()]
-    assert len({id(learner) for learner in learners}) == len(learners)
     for runner in runners:
-        assert runner._data_free is None
+        assert runner.fresh.updates == 0
+        assert_fresh_serves_reads_before_each_first_update(runner, factory, True)
         for rec, rounds in runner.played.values():
             assert rec.learner.updates == len(rounds) == rec.active_rounds
 
@@ -481,7 +512,7 @@ def test_every_instance_matches_a_bare_run_on_its_active_rounds():
             if ended.active_rounds:
                 finals[ended.uid] = snapshot_to_json(ended.learner)
             else:  # an instance that never played never built a learner
-                assert ended.learner is None
+                assert ended.learner is runner.fresh
     assert len(mirrors) > 2, "schedule too sparse to exercise the property"
     assert finals.keys() == mirrors.keys()
     for uid, mirror in mirrors.items():
@@ -494,33 +525,34 @@ ALL_SPAWN_RATE = RateFunction(c1=64.0, c2=0.0, p=0.5, c3=1.0, horizon=1 << 10)  
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.sampled_from([SQRT_RATE, ALL_SPAWN_RATE]), st.data())
 def test_learner_is_built_at_the_first_active_round(n, seed, rate, data):
-    # the factory runs once per instance that plays, at its first active
-    # round, and never for an instance that does not
+    # the constructor builds runner.fresh, which serves the reads of an
+    # instance's first active round; with every update made, the factory
+    # then runs once per instance that plays, at that round's update, and
+    # never for an instance that does not
     rounds = data.draw(st.integers(1, 1 << n))
-    built = []  # (round, learner) of each factory call
+    built = []  # the learner of each factory call
 
     def factory():
-        learner = Ucb1(3, 64, 1.0 / 64)
-        built.append((t, learner))  # t: the round the runner is beginning
-        return learner
+        built.append(Ucb1(3, 64, 1.0 / 64))
+        return built[-1]
 
     runner = MalgRunner(3, n, rate, factory, np.random.default_rng(seed))
+    assert built == [runner.fresh]
     spawned = {}
-    first_rounds = []
     for t in range(3, 3 + rounds):
         calls = len(built)
         _, pol, rec = runner.begin_round(t)
+        assert len(built) == calls  # reads build nothing
         spawned.update((other.uid, other) for other in runner._live)
-        if rec.active_rounds == 0:
-            first_rounds.append((t, rec))
-        assert len(built) == calls + (rec.active_rounds == 0)
+        first = rec.active_rounds == 0
+        assert (rec.learner is runner.fresh) == first
         runner.finish_round(t, 0.5, (pol, 0.5))
-    assert [t for t, _ in built] == [t for t, _ in first_rounds]
-    assert all(learner is rec.learner for (_, learner), (_, rec) in zip(built, first_rounds))
+        assert built[calls:] == ([rec.learner] if first else [])
+    assert snapshot_to_json(runner.fresh) == snapshot_to_json(read_fresh(lambda: Ucb1(3, 64, 1.0 / 64)))
     for rec in spawned.values():
-        assert (rec.learner is None) == (rec.active_rounds == 0)
+        assert (rec.learner is runner.fresh) == (rec.active_rounds == 0)
     if rate is ALL_SPAWN_RATE:  # orders n..1 of offset 0 never play
-        assert sum(rec.learner is None for rec in spawned.values()) >= n
+        assert sum(rec.learner is runner.fresh for rec in spawned.values()) >= n
 
 
 def test_consecutive_order_zero_instances_are_fresh():

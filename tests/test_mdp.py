@@ -228,7 +228,7 @@ def test_prior_solution_equals_fresh_widening():
     S, A, T, dbar = 3, 2, 256, 2.0
     delta = 1.0 / T
     _prior_solution.cache_clear()
-    out, eta, policy_id = _prior_solution(S, A, T, delta, dbar)
+    out, eta = _prior_solution(S, A, T, delta, dbar)
     # the zero-data inputs of the first episode, spelled out
     conf = np.full((S, A), 8.0 * math.sqrt(math.log(S * A * T / delta)))
     ref, ref_eta = widen_to_span(
@@ -239,7 +239,6 @@ def test_prior_solution_equals_fresh_widening():
     assert out.iterations == ref.iterations
     assert out.policy.tobytes() == ref.policy.tobytes()
     assert out.bias.tobytes() == ref.bias.tobytes()
-    assert policy_id == encode_policy(ref.policy, A)
     with pytest.raises(ValueError):
         out.policy[0] = 1
     with pytest.raises(ValueError):
@@ -254,35 +253,11 @@ def test_fresh_learners_share_the_prior_solution():
     second.predict()
     info = _prior_solution.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    out, eta, policy_id = _prior_solution(3, 2, 256, 1.0 / 256, 2.0)
+    out, eta = _prior_solution(3, 2, 256, 1.0 / 256, 2.0)
     assert second.gain == out.gain and second.eta == eta
     assert np.array_equal(second.policy_table, out.policy)
-    assert second.act() == policy_id
+    assert second.act() == encode_policy(out.policy, 2)
     second.policy_table[0] = 1  # the learner owns a writable copy
-
-
-def test_data_free_learner_takes_its_policy_id_from_the_prior(monkeypatch):
-    UcrlAcw(3, 2, 256, 1.0 / 256, dbar=2.0).predict()  # the prior solve is cached
-
-    def no_encode(*args):
-        raise AssertionError("a data-free learner encoded its policy")
-
-    monkeypatch.setattr(nonstat.mdp, "encode_policy", no_encode)
-    inst = UcrlAcw(3, 2, 256, 1.0 / 256, dbar=2.0)
-    policy_id = inst.act()
-    monkeypatch.undo()
-    assert policy_id == encode_policy(inst.policy_table, 2)
-    # a re-solve drops the prior's id; the next act() encodes the new table
-    inst.update((0, 1, 1.0, 2))  # a first visit ends the episode
-    inst.predict()
-    assert not inst.needs_solve and inst._policy_id is None
-    assert inst.act() == encode_policy(inst.policy_table, 2)
-    # so does loading a state
-    fresh = UcrlAcw(3, 2, 256, 1.0 / 256, dbar=2.0)
-    assert fresh.act() == policy_id
-    fresh._load_state(inst.snapshot()["state"])
-    assert fresh._policy_id is None
-    assert fresh.act() == inst.act()
 
 
 def test_learner_with_data_never_takes_the_prior_solution(monkeypatch):

@@ -141,6 +141,9 @@ def glm_rate(
     c_mu: float,
     lam: float = 1.0,
 ) -> RateFunction:
+    if not (lam > 0 and c_mu * horizon / (lam * delta) >= 1.0):  # the log below is >= 0
+        raise ValueError(f"lam={lam!r}, delta={delta!r}: need lam > 0 and c_mu * horizon / (lam * delta) >= 1"
+                         f" (c_mu={c_mu!r}, horizon={horizon})")
     beta = (4.0 * k_mu / c_mu) * (
         math.sqrt(dim * math.log(c_mu * horizon / (lam * delta)))
         + c_mu * math.sqrt(lam)
