@@ -1,6 +1,6 @@
 """Black-box restarting reduction for non-stationary bandits and RL."""
 
-from .base import GlmUcb, Oful, QUcb, Ucb1, fork_fresh, glm_solve, restore
+from .base import GlmSolveError, GlmUcb, Oful, QUcb, Ucb1, fork_fresh, glm_solve, restore
 from .envs import (
     EnvSpecError,
     NonstatSummary,
@@ -12,6 +12,7 @@ from .harness import baseline_run, run_experiment, run_single
 from .malg import MalgRunner, rho_hat, schedule_upfront, spawn_probability
 from .master import RunLog, dynamic_regret, run_bare, run_master, seed_derive, test1_fails, test2_fails
 from .mdp import (
+    EviError,
     Exp3P,
     UcrlAcw,
     borl,
@@ -29,7 +30,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EnvSpecError",
+    "EviError",
     "Exp3P",
+    "GlmSolveError",
     "GlmUcb",
     "MalgRunner",
     "NonstatSummary",

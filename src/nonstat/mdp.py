@@ -14,7 +14,10 @@ The learner wraps EVI with adaptive confidence widening: the L1 radius is
 inflated by eta, doubled from 1/T until the bias span fits within twice the
 diameter guess.  The cumulative widening budget is tracked and the learner
 signals a restart when it crosses 4*S*sqrt(A*t*log(SAT/delta)), t being the
-learner's own active-round count.
+learner's own active-round count.  The learner builds its count arrays
+and its integer policy table only when something reads them (UcrlAcw says
+when), so one updated once and read only for its log columns builds no
+array; update() names the field of a transition out of range.
 
 The reduction over this learner is the generic one: run_master_ucrl is
 master.run_master over UcrlAcw, and doubling_dbar and borl call
@@ -37,6 +40,7 @@ from .master import AverageRewardWorld, RunLog, master_core, run_master, seed_de
 from .rates import RateFunction
 
 __all__ = [
+    "EviError",
     "EviOutput",
     "evi",
     "widen_to_span",
@@ -193,6 +197,34 @@ def _prior_solution(n_states: int, n_actions: int, horizon: int, delta: float, d
     return out, eta
 
 
+class _Lazy:
+    """An array attribute of UcrlAcw made at its first read.
+
+    The value lives in the attribute of the same name with a leading
+    underscore, None until the learner method named make sets it; the
+    class reads and writes that plain attribute itself.  A __getattr__
+    hook, or a cache written through the instance __dict__, would instead
+    slow every attribute read of the learner: CPython's specialized reads
+    give up on both.
+    """
+
+    def __init__(self, make: str):
+        self.make = make
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, learner, owner=None):
+        if learner is None:
+            return self
+        if getattr(learner, self.slot) is None:
+            getattr(learner, self.make)()
+        return getattr(learner, self.slot)
+
+    def __set__(self, learner, value):
+        setattr(learner, self.slot, value)
+
+
 class UcrlAcw(_Learner):
     """Optimistic average-reward learner with adaptive confidence widening.
 
@@ -201,6 +233,16 @@ class UcrlAcw(_Learner):
     feedback is whatever pair (s, a, R, s') the caller actually played; the
     learner never assumes continuity of s across updates, which is exactly
     the re-assignment semantics pausing and resuming requires.
+
+    The learner builds no array that nothing reads.  The four count arrays
+    are built together at their first need: a second update, a solve with
+    data, snapshot, _load_state or a direct read.  The first update of a
+    learner without them only records its transition, which the build then
+    counts with update's own in-place operations.  So a learner the
+    scheduler updates once and then reads only for its scalars (episode,
+    eta, gamma_budget, dbar and restart_signaled) never builds them.
+    policy_table, the int64 copy of the last solve's policy, is made at its
+    first read (act or snapshot) and dropped at the next solve.
     """
 
     name = "ucrl"
@@ -218,6 +260,11 @@ class UcrlAcw(_Learner):
         "needs_solve",
         "signaled",
     )
+    visit_total = _Lazy("_build_counts")
+    visit_episode = _Lazy("_build_counts")
+    trans_counts = _Lazy("_build_counts")
+    reward_sums = _Lazy("_build_counts")
+    policy_table = _Lazy("_copy_policy")
 
     def __init__(self, n_states: int, n_actions: int, horizon: int, delta: float, dbar: float = 1.0):
         if not n_states >= 1:
@@ -233,19 +280,33 @@ class UcrlAcw(_Learner):
         self.delta = delta
         self.dbar = float(dbar)
         self._log_term = math.log(n_states * n_actions * horizon / delta)
-        self.visit_total = np.zeros((n_states, n_actions))
-        self.visit_episode = np.zeros((n_states, n_actions))
-        self.trans_counts = np.zeros((n_states, n_actions, n_states))
-        self.reward_sums = np.zeros((n_states, n_actions))
+        self._visit_total = self._visit_episode = self._trans_counts = self._reward_sums = None
+        self._pending = None  # a first update's (s, a, reward, s') while the count arrays are unbuilt
         self.t_int = 0
         self.episode = 0
         self.gamma_budget = 0.0
         self.eta = 1.0 / horizon
         self.gain = 1.0
-        self.policy_table = np.zeros(n_states, dtype=np.int64)
+        self._policy = None  # the last solve's policy, which policy_table copies; None before any
+        self._policy_table = None
         self._policy_id = None  # encode_policy(policy_table), made at the first act() after a solve
         self.needs_solve = True
         self.signaled = False
+
+    def _build_counts(self):
+        """Build the four count arrays and count the recorded first transition."""
+        n_states, n_actions = self.n_states, self.n_actions
+        self._visit_total = np.zeros((n_states, n_actions))
+        self._visit_episode = np.zeros((n_states, n_actions))
+        self._trans_counts = np.zeros((n_states, n_actions, n_states))
+        self._reward_sums = np.zeros((n_states, n_actions))
+        if self._pending is not None:
+            pending, self._pending = self._pending, None
+            self._count(*pending)
+
+    def _copy_policy(self):
+        policy = self._policy
+        self._policy_table = np.zeros(self.n_states, dtype=np.int64) if policy is None else policy.astype(np.int64)
 
     def _params(self):
         return {
@@ -275,7 +336,8 @@ class UcrlAcw(_Learner):
 
     def _solve_episode(self):
         self.episode += 1
-        if self.t_int == 0 and not np.count_nonzero(self.visit_total):  # cheaper than any() here
+        # unbuilt count arrays hold no data; built ones at t_int 0 may (a loaded state)
+        if self.t_int == 0 and (self._visit_total is None or not np.count_nonzero(self._visit_total)):
             out, eta = _prior_solution(self.n_states, self.n_actions, self.horizon, self.delta, self.dbar)
         else:
             out, eta = _optimistic_solve(
@@ -285,7 +347,8 @@ class UcrlAcw(_Learner):
         self._policy_id = None
         self.eta = eta
         self.gain = out.gain
-        self.policy_table = out.policy.astype(np.int64)
+        self._policy = out.policy
+        self._policy_table = None
         self.needs_solve = False
 
     def _ensure_solved(self):
@@ -302,21 +365,43 @@ class UcrlAcw(_Learner):
             self._policy_id = encode_policy(self.policy_table, self.n_actions)
         return self._policy_id
 
+    def _count(self, s, a, reward, nxt) -> bool:
+        """Add one transition to the built count arrays; True when it ends the episode."""
+        visit_episode = self._visit_episode
+        visit_episode[s, a] += 1.0
+        self._trans_counts[s, a, nxt] += 1.0
+        self._reward_sums[s, a] += reward
+        if visit_episode[s, a] >= max(1.0, self._visit_total[s, a]):
+            self._visit_total += visit_episode
+            visit_episode[:] = 0.0
+            return True
+        return False
+
     def update(self, feedback):
-        self._ensure_solved()
         s, a, reward, nxt = feedback
-        self.visit_episode[s, a] += 1.0
+        # plain checks, each written so that nan, a float index or a bool fails it
+        n_states = self.n_states
+        if not (type(s) is int or isinstance(s, np.integer)) or not 0 <= s < n_states:
+            raise ValueError(f"state={s!r} must be an integer in [0, {n_states})")
+        if not (type(a) is int or isinstance(a, np.integer)) or not 0 <= a < self.n_actions:
+            raise ValueError(f"action={a!r} must be an integer in [0, {self.n_actions})")
+        if not (type(nxt) is int or isinstance(nxt, np.integer)) or not 0 <= nxt < n_states:
+            raise ValueError(f"next_state={nxt!r} must be an integer in [0, {n_states})")
+        if not 0.0 <= reward <= 1.0:
+            raise ValueError(f"reward={reward!r} must be in [0, 1]")
+        self._ensure_solved()
         self.gamma_budget += self.eta
         self.t_int += 1
-        if self.gamma_budget > 4.0 * self.n_states * math.sqrt(
-            self.n_actions * self.t_int * self._log_term
-        ):
+        if self.gamma_budget > 4.0 * n_states * math.sqrt(self.n_actions * self.t_int * self._log_term):
             self.signaled = True
-        self.trans_counts[s, a, nxt] += 1.0
-        self.reward_sums[s, a] += reward
-        if self.visit_episode[s, a] >= max(1.0, self.visit_total[s, a]):
-            self.visit_total += self.visit_episode
-            self.visit_episode[:] = 0.0
+        if self._visit_total is None:
+            if self._pending is None:
+                # a learner without data: its first visit ends the first episode
+                self._pending = (s, a, reward, nxt)
+                self.needs_solve = True
+                return
+            self._build_counts()
+        if self._count(s, a, reward, nxt):
             self.needs_solve = True
 
 

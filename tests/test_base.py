@@ -335,6 +335,17 @@ def test_fork_fresh_examples():
         fork_fresh("nope")
 
 
+def test_named_errors_are_importable_from_the_package():
+    import nonstat
+    import nonstat.base
+    import nonstat.mdp
+    from nonstat import EviError, GlmSolveError
+
+    assert EviError is nonstat.mdp.EviError and GlmSolveError is nonstat.base.GlmSolveError
+    assert {"EviError", "GlmSolveError"} <= set(nonstat.__all__)
+    assert "EviError" in nonstat.mdp.__all__ and "GlmSolveError" in nonstat.base.__all__
+
+
 # ---------------------------------------------------------------------------
 # optimism / average-regret properties on a stationary environment
 

@@ -1,18 +1,23 @@
+import copy
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from nonstat.envs import decode_policy, encode_policy, make_env, policy_gain
 from nonstat.harness import seed_derive
 import nonstat.mdp
-from nonstat.base import restore, snapshot_to_json
+from nonstat.base import _check_horizon_delta, _Learner, restore, snapshot_to_json
 from nonstat.mdp import (
     Exp3P,
     UcrlAcw,
     _optimistic_shift,
+    _optimistic_solve,
     _prior_solution,
     borl,
     borl_arm_count,
@@ -358,6 +363,238 @@ def test_signal_fires_when_budget_crossed():
     )
     assert crossed_at == first_cross
     assert inst.gamma_budget == pytest.approx(10.0 * first_cross)
+
+
+# ---------------------------------------------------------------------------
+# the learner's lazy state against its eager reference
+
+
+class EagerUcrlAcw(_Learner):
+    """The learner as it was before its state became lazy, verbatim but for
+    rate(), which nothing here reads: every array is built at construction
+    and policy_table at every solve."""
+
+    name = "ucrl"
+    _fields = (
+        "visit_total",
+        "visit_episode",
+        "trans_counts",
+        "reward_sums",
+        "t_int",
+        "episode",
+        "gamma_budget",
+        "eta",
+        "gain",
+        "policy_table",
+        "needs_solve",
+        "signaled",
+    )
+
+    def __init__(self, n_states: int, n_actions: int, horizon: int, delta: float, dbar: float = 1.0):
+        if not n_states >= 1:
+            raise ValueError(f"n_states={n_states!r} must be >= 1")
+        if not n_actions >= 1:
+            raise ValueError(f"n_actions={n_actions!r} must be >= 1")
+        _check_horizon_delta(horizon, delta)
+        if not dbar >= 1.0:  # written so that nan fails it
+            raise ValueError(f"diameter guess dbar={dbar} must be >= 1")
+        self.n_states = n_states
+        self.n_actions = n_actions
+        self.horizon = horizon
+        self.delta = delta
+        self.dbar = float(dbar)
+        self._log_term = math.log(n_states * n_actions * horizon / delta)
+        self.visit_total = np.zeros((n_states, n_actions))
+        self.visit_episode = np.zeros((n_states, n_actions))
+        self.trans_counts = np.zeros((n_states, n_actions, n_states))
+        self.reward_sums = np.zeros((n_states, n_actions))
+        self.t_int = 0
+        self.episode = 0
+        self.gamma_budget = 0.0
+        self.eta = 1.0 / horizon
+        self.gain = 1.0
+        self.policy_table = np.zeros(n_states, dtype=np.int64)
+        self._policy_id = None  # encode_policy(policy_table), made at the first act() after a solve
+        self.needs_solve = True
+        self.signaled = False
+
+    def _params(self):
+        return {
+            "n_states": self.n_states,
+            "n_actions": self.n_actions,
+            "horizon": self.horizon,
+            "delta": self.delta,
+            "dbar": self.dbar,
+        }
+
+    @property
+    def restart_signaled(self) -> bool:
+        return self.signaled
+
+    def _load_state(self, state: dict):
+        super()._load_state(state)
+        self._policy_id = None
+
+    def _solve_episode(self):
+        self.episode += 1
+        if self.t_int == 0 and not np.count_nonzero(self.visit_total):  # cheaper than any() here
+            out, eta = _prior_solution(self.n_states, self.n_actions, self.horizon, self.delta, self.dbar)
+        else:
+            out, eta = _optimistic_solve(
+                self.visit_total, self.trans_counts, self.reward_sums,
+                self.t_int, self._log_term, self.dbar, self.horizon,
+            )
+        self._policy_id = None
+        self.eta = eta
+        self.gain = out.gain
+        self.policy_table = out.policy.astype(np.int64)
+        self.needs_solve = False
+
+    def _ensure_solved(self):
+        if self.needs_solve:
+            self._solve_episode()
+
+    def predict(self) -> float:
+        self._ensure_solved()
+        return self.gain
+
+    def act(self) -> int:
+        self._ensure_solved()
+        if self._policy_id is None:
+            self._policy_id = encode_policy(self.policy_table, self.n_actions)
+        return self._policy_id
+
+    def update(self, feedback):
+        self._ensure_solved()
+        s, a, reward, nxt = feedback
+        self.visit_episode[s, a] += 1.0
+        self.gamma_budget += self.eta
+        self.t_int += 1
+        if self.gamma_budget > 4.0 * self.n_states * math.sqrt(
+            self.n_actions * self.t_int * self._log_term
+        ):
+            self.signaled = True
+        self.trans_counts[s, a, nxt] += 1.0
+        self.reward_sums[s, a] += reward
+        if self.visit_episode[s, a] >= max(1.0, self.visit_total[s, a]):
+            self.visit_total += self.visit_episode
+            self.visit_episode[:] = 0.0
+            self.needs_solve = True
+
+
+# -0.0 and the least subnormal sum to what they are only through update's +=
+_UCRL_REWARDS = st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0])
+
+
+@st.composite
+def ucrl_scripts(draw):
+    """Parameters, then steps: an update's transition, a read or a reload."""
+    n_states, n_actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    horizon = draw(st.sampled_from([16, 256]))
+    params = {"n_states": n_states, "n_actions": n_actions, "horizon": horizon,
+              "delta": 1.0 / horizon, "dbar": draw(st.sampled_from([1.0, 2.0]))}
+    state = st.integers(0, n_states - 1)
+    update = st.tuples(st.just("update"), st.tuples(state, st.integers(0, n_actions - 1), _UCRL_REWARDS, state))
+    other = st.tuples(st.sampled_from(["predict", "act", "restore", "load"]), st.none())
+    return params, draw(st.lists(st.one_of(update, update, other), max_size=60))
+
+
+def _eager_state(eager):
+    return json.loads(snapshot_to_json(eager))["state"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ucrl_scripts())
+@example(({"n_states": 2, "n_actions": 2, "horizon": 16, "delta": 1 / 16, "dbar": 1.0},
+          [("restore", None)]))  # a never-read learner
+@example(({"n_states": 2, "n_actions": 2, "horizon": 16, "delta": 1 / 16, "dbar": 1.0},
+          [("load", None), ("act", None)]))
+@example(({"n_states": 2, "n_actions": 2, "horizon": 16, "delta": 1 / 16, "dbar": 1.0},
+          [("update", (1, 0, -0.0, 0)), ("restore", None), ("update", (1, 0, 0.5, 1))]))
+@example(({"n_states": 3, "n_actions": 2, "horizon": 256, "delta": 1 / 256, "dbar": 2.0},
+          [("update", (2, 1, 5e-324, 0)), ("load", None), ("predict", None)]))
+@example(({"n_states": 2, "n_actions": 1, "horizon": 16, "delta": 1 / 16, "dbar": 1.0},
+          [("update", (0, 0, -0.0, 1)), ("update", (0, 0, 1.0, 0)), ("update", (0, 0, 0.0, 0)),
+           ("update", (1, 0, 0.5, 1)), ("act", None)]))
+def test_lazy_learner_equals_its_eager_reference(script):
+    params, steps = script
+    inst, eager = UcrlAcw(**params), EagerUcrlAcw(**params)
+
+    def agree():
+        assert (inst.episode, inst.eta, inst.gamma_budget, inst.dbar) == (
+            eager.episode, eager.eta, eager.gamma_budget, eager.dbar)
+        assert inst.restart_signaled == eager.restart_signaled
+        # a copy's snapshot, so the lazy learner itself builds nothing here
+        assert snapshot_to_json(copy.deepcopy(inst)) == snapshot_to_json(eager)
+
+    agree()
+    for kind, transition in steps:
+        if kind == "update":
+            inst.update(transition)
+            eager.update(transition)
+        elif kind == "predict":
+            assert repr(inst.predict()) == repr(eager.predict())
+        elif kind == "act":
+            assert inst.act() == eager.act()
+        elif kind == "restore":
+            inst = restore(snapshot_to_json(inst))
+            eager._load_state(_eager_state(eager))
+        else:  # load the reference's state, which the lazy learner may not have built
+            state = _eager_state(eager)
+            inst._load_state(state)
+            eager._load_state(state)
+        agree()
+    assert inst.act() == eager.act()
+    assert repr(inst.predict()) == repr(eager.predict())
+    assert snapshot_to_json(inst) == snapshot_to_json(eager)
+
+
+def _owned_arrays(learner):
+    """The arrays a learner holds that are its own: the shared solve of
+    learners without data is read-only."""
+    return [v for v in vars(learner).values() if isinstance(v, np.ndarray) and v.flags.writeable]
+
+
+def test_one_update_builds_no_array():
+    inst = UcrlAcw(3, 2, 256, 1.0 / 256, dbar=2.0)
+    inst.update((2, 1, 0.5, 0))
+    # what a row reads of the learner after its update
+    assert (inst.episode, inst.gamma_budget, inst.dbar) == (1, inst.eta, 2.0)
+    assert not inst.restart_signaled
+    assert _owned_arrays(inst) == []
+    assert inst.visit_total[2, 1] == 1.0 and inst.reward_sums[2, 1] == 0.5  # built at this read
+    assert inst.trans_counts[2, 1, 0] == 1.0 and not inst.visit_episode.any()
+    assert len(_owned_arrays(inst)) == 4  # the counts, not yet the policy table
+    assert inst.policy_table.dtype == np.int64 and inst.policy_table.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "transition, name",
+    [
+        ((-1, 0, 0.5, 0), "state="),
+        ((2, 0, 0.5, 0), "state="),
+        ((1.0, 0, 0.5, 0), "state="),
+        ((True, 0, 0.5, 0), "state="),
+        ((0, -1, 0.5, 0), "action="),
+        ((0, 3, 0.5, 0), "action="),
+        ((0, np.float64(1.0), 0.5, 0), "action="),
+        ((0, 0, 0.5, -1), "next_state="),
+        ((0, 0, 0.5, 2), "next_state="),
+        ((0, 0, 0.5, 0.0), "next_state="),
+        ((0, 0, math.nan, 0), "reward="),
+        ((0, 0, -0.5, 0), "reward="),
+        ((0, 0, 1.5, 0), "reward="),
+    ],
+)
+@pytest.mark.parametrize("first", [True, False])
+def test_bad_transition_raises_at_its_update(transition, name, first):
+    inst = UcrlAcw(2, 3, 256, 1.0 / 256, dbar=1.0)
+    if not first:
+        inst.update((np.int64(1), np.int64(2), 1.0, np.int64(0)))  # numpy integers are indices too
+    before = snapshot_to_json(copy.deepcopy(inst))
+    with pytest.raises(ValueError, match=f"^{name}"):
+        inst.update(transition)
+    assert snapshot_to_json(inst) == before  # the rejected update changed nothing
 
 
 # ---------------------------------------------------------------------------
