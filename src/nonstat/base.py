@@ -17,14 +17,17 @@ without data from one fresh learner per block, and on the second to skip
 an instance's last update under the bandit and episodic adapter; no
 learner knows it is scheduled.
 
-Reads may fill a cache that update clears: read-side state (a score vector
-with the value and action it decides, the GLM fit, QUcb's encoded greedy
-policy) is computed at most once per update, and only when something reads
-it.  Ucb1 builds its score vector once, at its first read, and update then
-keeps it current by rewriting the one entry it changes.  Calling
-predict/act repeatedly between updates returns identical results, and a
-learner can be paused, snapshotted to JSON, restored, and resumed with a
-bitwise-identical trajectory.
+Every learner serves predict and act from one read cache, _reads: the
+(value, action) pair its _decide computes at the first read, kept until
+whatever changes it clears it (update; for the average-reward learner only
+an episode end; and _load_state).  So the pair is computed at most once per
+change, and only when something reads it.  Ucb1 builds its score vector
+once, at its first read, and update then keeps it current by rewriting the
+one entry it changes; GlmUcb refits theta at its first read after an
+update.  Calling predict/act repeatedly between updates returns identical
+results, and a learner can be paused, snapshotted to JSON, restored, and
+resumed with a bitwise-identical trajectory.  A snapshot's params are the
+constructor's arguments, read back from the attributes of the same names.
 
 Implemented learners and their feedback payloads:
 
@@ -39,6 +42,7 @@ state; none of these four learners consumes randomness.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 
@@ -76,26 +80,54 @@ def _clamp01(x: float) -> float:
 
 
 class _Learner:
-    """Shared snapshot plumbing; subclasses list their array/scalar fields."""
+    """The read protocol and the snapshot plumbing.
+
+    A subclass computes the (predict(), act()) pair in _decide and resets
+    _reads to None wherever it changes what the pair reads.  It lists its
+    array/scalar state fields, and keeps each constructor argument in the
+    attribute of its name, which _params reads back.
+    """
 
     name = "?"
     _fields: tuple = ()
 
     restart_signaled = False  # only the average-reward learner ever signals
 
-    def snapshot(self) -> dict:
-        state = {}
-        for key in self._fields:
+    _reads = None  # (predict(), act()) as _decide computed them, or None when stale
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._param_names = tuple(inspect.signature(cls).parameters)
+
+    def predict(self) -> float:
+        reads = self._reads
+        if reads is None:
+            reads = self._reads = self._decide()
+        return reads[0]
+
+    def act(self) -> int:
+        reads = self._reads
+        if reads is None:
+            reads = self._reads = self._decide()
+        return reads[1]
+
+    def _plain(self, keys) -> dict:
+        """The named attributes, ndarrays written as lists."""
+        out = {}
+        for key in keys:
             val = getattr(self, key)
-            if isinstance(val, np.ndarray):
-                state[key] = val.tolist()
-            else:
-                state[key] = val
+            out[key] = val.tolist() if isinstance(val, np.ndarray) else val
+        return out
+
+    def _params(self) -> dict:
+        return self._plain(self._param_names)
+
+    def snapshot(self) -> dict:
         return {
             "version": SNAPSHOT_VERSION,
             "algo": self.name,
             "params": self._params(),
-            "state": state,
+            "state": self._plain(self._fields),
         }
 
     def _load_state(self, state: dict):
@@ -106,6 +138,7 @@ class _Learner:
                 setattr(self, key, np.array(val, dtype=current.dtype).reshape(current.shape))
             else:
                 setattr(self, key, type(current)(val))
+        self._reads = None
 
 
 def _check_horizon_delta(horizon, delta):
@@ -120,52 +153,16 @@ def _check_horizon_delta(horizon, delta):
 
 
 def _decision(scores: np.ndarray) -> tuple:
-    """(scores, predict(), act()) of an index learner with this score vector.
+    """(predict(), act()) of an index learner with this score vector.
 
     The entry at the argmax is the max, nan included (both take the first
     nan), and the clamp maps a max of -0.0 or 0.0 to 0.0.
     """
     best = int(scores.argmax())
-    return scores, _clamp01(float(scores[best])), best
+    return _clamp01(float(scores[best])), best
 
 
-class _IndexLearner(_Learner):
-    """Plays the argmax of a score vector and predicts its clamped max.
-
-    The vector is a function of the state fields; the _decision entry (the
-    vector with the two reads it decides) is computed at the first read
-    after an update and cached until the next one, so update (and anything
-    else that changes the fields) must reset _score_cache.
-    _compute_decision builds the entry.  Oful and GlmUcb compute a new
-    vector for it; Ucb1 reuses its own, which update keeps current.
-    """
-
-    _score_cache = None  # (scores, predict(), act()), or None when stale
-
-    def _decided(self) -> tuple:
-        entry = self._score_cache
-        if entry is None:
-            entry = self._score_cache = self._compute_decision()
-        return entry
-
-    def _compute_decision(self) -> tuple:
-        return _decision(self._compute_scores())
-
-    def _scores(self) -> np.ndarray:
-        return self._decided()[0]
-
-    def predict(self) -> float:
-        return self._decided()[1]
-
-    def act(self) -> int:
-        return self._decided()[2]
-
-    def _load_state(self, state: dict):
-        super()._load_state(state)
-        self._score_cache = None
-
-
-class Ucb1(_IndexLearner):
+class Ucb1(_Learner):
     """UCB1.  The score vector is built with the vector formula at the first
     read (or the first after _load_state) and kept current from then on:
     update rewrites the one entry it changes, in scalar arithmetic with the
@@ -192,20 +189,12 @@ class Ucb1(_IndexLearner):
         self.sums = np.zeros(n_arms)
         self.t_int = 0
 
-    def _params(self):
-        return {
-            "n_arms": self.n_arms,
-            "horizon": self.horizon,
-            "delta": self.delta,
-            "bonus_scale": self.bonus_scale,
-        }
-
     def rate(self) -> RateFunction:
         return RateFunction(
             c1=math.sqrt(self.n_arms * self._log_term), c2=self.n_arms * self._log_term, horizon=self.horizon
         )
 
-    def _compute_decision(self) -> tuple:
+    def _decide(self) -> tuple:
         scores = self._vector
         if scores is None:
             scores = self._vector = self._compute_scores()
@@ -221,7 +210,7 @@ class Ucb1(_IndexLearner):
         counts[arm] += 1.0
         sums[arm] += reward
         self.t_int += 1
-        self._score_cache = None
+        self._reads = None
         scores = self._vector
         if scores is not None:  # _compute_scores' formula at one arm, in float64 scalars
             n = max(float(counts[arm]), 1.0)
@@ -232,7 +221,7 @@ class Ucb1(_IndexLearner):
         self._vector = None
 
 
-class Oful(_IndexLearner):
+class Oful(_Learner):
     name = "oful"
     _fields = ("lam_mat", "lam_inv", "bvec", "t_int", "_since_refactor")
 
@@ -252,19 +241,14 @@ class Oful(_IndexLearner):
         self.t_int = 0
         self._since_refactor = 0
 
-    def _params(self):
-        return {
-            "actions": self.actions.tolist(),
-            "horizon": self.horizon,
-            "delta": self.delta,
-            "refactor_every": self.refactor_every,
-        }
-
     def rate(self) -> RateFunction:
         return RateFunction(c1=self.beta * math.sqrt(self.dim * self._log_term), c2=0.0, horizon=self.horizon)
 
     def theta_hat(self) -> np.ndarray:
         return self.lam_inv @ self.bvec
+
+    def _decide(self) -> tuple:
+        return _decision(self._compute_scores())
 
     def _compute_scores(self) -> np.ndarray:
         widths = np.sqrt(np.einsum("kd,de,ke->k", self.actions, self.lam_inv, self.actions))
@@ -286,7 +270,7 @@ class Oful(_IndexLearner):
             self.lam_inv = (self.lam_inv + self.lam_inv.T) / 2.0
             self._since_refactor = 0
         self.t_int += 1
-        self._score_cache = None
+        self._reads = None
 
 
 def glm_solve(
@@ -379,27 +363,30 @@ def glm_solve(
     raise GlmSolveError(f"projection did not converge to {project_tol:g}")
 
 
-class GlmUcb(_IndexLearner):
+class GlmUcb(_Learner):
     """GLM-UCB.  update only accumulates the per-action statistics; the
     estimate theta is refit by glm_solve at its first read after that.
-    Raises ValueError, naming lam and delta, unless lam > 0 and
-    c_mu * horizon / (lam * delta) >= 1, so that beta's log is >= 0."""
+    Raises ValueError, naming the field, unless link is a key of LINKS,
+    lam > 0 and c_mu * horizon / (lam * delta) >= 1, so that beta's log is
+    >= 0."""
 
     name = "glm"
     _fields = ("counts", "rsums", "t_int", "theta")
 
     def __init__(self, actions: np.ndarray, horizon: int, delta: float, link: str = "logistic", lam: float = 1.0):
         _check_horizon_delta(horizon, delta)
+        if link not in LINKS:
+            raise ValueError(f"link={link!r} must be one of {sorted(LINKS)}")
         actions = np.asarray(actions, dtype=np.float64)
         self.actions = actions
         self.dim = actions.shape[1]
         self.horizon = horizon
         self.delta = delta
-        self.link_name = link
-        self.link = LINKS[link]
+        self.link = link
+        self._link = LINKS[link]
         self.lam = lam
         self._log_term = math.log(horizon / delta)
-        k_mu, c_mu = self.link.k_mu, self.link.c_mu
+        k_mu, c_mu = self._link.k_mu, self._link.c_mu
         if not (lam > 0 and c_mu * horizon / (lam * delta) >= 1.0):
             raise ValueError(f"lam={lam!r}, delta={delta!r}: need lam > 0 and c_mu * horizon / (lam * delta) >= 1"
                              f" (c_mu={c_mu!r}, horizon={horizon})")
@@ -416,7 +403,7 @@ class GlmUcb(_IndexLearner):
     def theta(self) -> np.ndarray:
         if self._fit_stale:
             reward_vec = self.rsums @ self.actions
-            _, self._theta = glm_solve(self.actions, self.counts, reward_vec, self.lam, self.link)
+            _, self._theta = glm_solve(self.actions, self.counts, reward_vec, self.lam, self._link)
             self._fit_stale = False
         return self._theta
 
@@ -424,18 +411,10 @@ class GlmUcb(_IndexLearner):
     def theta(self, value: np.ndarray):
         self._theta = value
         self._fit_stale = False
-        self._score_cache = None
-
-    def _params(self):
-        return {
-            "actions": self.actions.tolist(),
-            "horizon": self.horizon,
-            "delta": self.delta,
-            "link": self.link_name,
-            "lam": self.lam,
-        }
+        self._reads = None
 
     rate = Oful.rate  # OFUL's rate, in GLM-UCB's beta
+    _decide = Oful._decide
 
     def _lam_inv(self) -> np.ndarray:
         lam_mat = self.lam * np.eye(self.dim) + (self.actions.T * self.counts) @ self.actions
@@ -444,7 +423,7 @@ class GlmUcb(_IndexLearner):
     def _compute_scores(self) -> np.ndarray:
         lam_inv = self._lam_inv()
         widths = np.sqrt(np.einsum("kd,de,ke->k", self.actions, lam_inv, self.actions))
-        return np.asarray(self.link.mu(self.actions @ self.theta)) + 2.0 * self.beta * widths
+        return np.asarray(self._link.mu(self.actions @ self.theta)) + 2.0 * self.beta * widths
 
     def update(self, feedback):
         arm, reward = feedback
@@ -452,19 +431,17 @@ class GlmUcb(_IndexLearner):
         self.rsums[arm] += reward
         self.t_int += 1
         self._fit_stale = True
-        self._score_cache = None
+        self._reads = None
 
 
 class QUcb(_Learner):
-    """Optimistic Q-learning on a layered MDP.  act() encodes the greedy layer
-    policy at its first call after an update (or _load_state) and returns
-    the cached id until the next one.  Raises ValueError, naming the field,
-    unless n_states, n_actions and n_layers are >= 1."""
+    """Optimistic Q-learning on a layered MDP.  act() is the encoded greedy
+    layer policy.  Raises ValueError, naming the field, unless n_states,
+    n_actions and n_layers are >= 1 and init_state is an integer in
+    [0, n_states)."""
 
     name = "qucb"
     _fields = ("q", "visits", "v", "t_int")
-
-    _policy_id = None  # act()'s encoded greedy policy, or None when stale
 
     def __init__(
         self,
@@ -482,6 +459,8 @@ class QUcb(_Learner):
             raise ValueError(f"n_actions={n_actions!r} must be >= 1")
         if not n_layers >= 1:
             raise ValueError(f"n_layers={n_layers!r} must be >= 1")
+        if not (type(init_state) is int or isinstance(init_state, np.integer)) or not 0 <= init_state < n_states:
+            raise ValueError(f"init_state={init_state!r} must be an integer in [0, {n_states})")
         _check_horizon_delta(horizon, delta)
         if math.isnan(bonus_scale):
             raise ValueError(f"bonus_scale={bonus_scale} must not be nan")
@@ -499,34 +478,18 @@ class QUcb(_Learner):
         self.v = np.concatenate([np.full((n_layers, n_states), h), np.zeros((1, n_states))])
         self.t_int = 0
 
-    def _params(self):
-        return {
-            "n_states": self.n_states,
-            "n_actions": self.n_actions,
-            "n_layers": self.n_layers,
-            "horizon": self.horizon,
-            "delta": self.delta,
-            "init_state": self.init_state,
-            "bonus_scale": self.bonus_scale,
-        }
-
     def rate(self) -> RateFunction:
         # Rewards fed to the reduction are divided by the layer count, so the
         # rate is the episodic one scaled down by the same factor.
         h, s, a, lg = self.n_layers, self.n_states, self.n_actions, self._log_term
         return RateFunction(c1=math.sqrt(h**3 * s * a * lg), c2=h**2 * s * a * lg, horizon=self.horizon)
 
-    def predict(self) -> float:
-        return _clamp01(float(self.v[0, self.init_state]) / self.n_layers)
-
-    def act(self) -> int:
-        policy_id = self._policy_id
-        if policy_id is None:
-            policy_id = self._policy_id = encode_layer_policy(np.argmax(self.q, axis=2), self.n_actions)
-        return policy_id
+    def _decide(self) -> tuple:
+        value = _clamp01(float(self.v[0, self.init_state]) / self.n_layers)
+        return value, encode_layer_policy(np.argmax(self.q, axis=2), self.n_actions)
 
     def update(self, feedback):
-        self._policy_id = None
+        self._reads = None
         h_total = float(self.n_layers)
         for h, s, a, reward, nxt in feedback:
             tau = self.visits[h, s, a] + 1.0
@@ -538,10 +501,6 @@ class QUcb(_Learner):
             )
             self.v[h, s] = min(h_total, float(self.q[h, s].max()))
         self.t_int += 1
-
-    def _load_state(self, state: dict):
-        super()._load_state(state)
-        self._policy_id = None
 
 
 _REGISTRY = {"ucb1": Ucb1, "oful": Oful, "glm": GlmUcb, "qucb": QUcb}

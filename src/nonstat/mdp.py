@@ -242,7 +242,7 @@ class UcrlAcw(_Learner):
     scheduler updates once and then reads only for its scalars (episode,
     eta, gamma_budget, dbar and restart_signaled) never builds them.
     policy_table, the int64 copy of the last solve's policy, is made at its
-    first read (act or snapshot) and dropped at the next solve.
+    first read (predict, act or snapshot) and dropped at the next solve.
     """
 
     name = "ucrl"
@@ -289,7 +289,6 @@ class UcrlAcw(_Learner):
         self.gain = 1.0
         self._policy = None  # the last solve's policy, which policy_table copies; None before any
         self._policy_table = None
-        self._policy_id = None  # encode_policy(policy_table), made at the first act() after a solve
         self.needs_solve = True
         self.signaled = False
 
@@ -308,15 +307,6 @@ class UcrlAcw(_Learner):
         policy = self._policy
         self._policy_table = np.zeros(self.n_states, dtype=np.int64) if policy is None else policy.astype(np.int64)
 
-    def _params(self):
-        return {
-            "n_states": self.n_states,
-            "n_actions": self.n_actions,
-            "horizon": self.horizon,
-            "delta": self.delta,
-            "dbar": self.dbar,
-        }
-
     def rate(self) -> RateFunction:
         s, a, lg = self.n_states, self.n_actions, self._log_term
         return RateFunction(
@@ -330,10 +320,6 @@ class UcrlAcw(_Learner):
     def restart_signaled(self) -> bool:
         return self.signaled
 
-    def _load_state(self, state: dict):
-        super()._load_state(state)
-        self._policy_id = None
-
     def _solve_episode(self):
         self.episode += 1
         # unbuilt count arrays hold no data; built ones at t_int 0 may (a loaded state)
@@ -344,7 +330,7 @@ class UcrlAcw(_Learner):
                 self.visit_total, self.trans_counts, self.reward_sums,
                 self.t_int, self._log_term, self.dbar, self.horizon,
             )
-        self._policy_id = None
+        self._reads = None
         self.eta = eta
         self.gain = out.gain
         self._policy = out.policy
@@ -355,15 +341,9 @@ class UcrlAcw(_Learner):
         if self.needs_solve:
             self._solve_episode()
 
-    def predict(self) -> float:
+    def _decide(self) -> tuple:
         self._ensure_solved()
-        return self.gain
-
-    def act(self) -> int:
-        self._ensure_solved()
-        if self._policy_id is None:
-            self._policy_id = encode_policy(self.policy_table, self.n_actions)
-        return self._policy_id
+        return self.gain, encode_policy(self.policy_table, self.n_actions)
 
     def _count(self, s, a, reward, nxt) -> bool:
         """Add one transition to the built count arrays; True when it ends the episode."""
@@ -398,11 +378,11 @@ class UcrlAcw(_Learner):
             if self._pending is None:
                 # a learner without data: its first visit ends the first episode
                 self._pending = (s, a, reward, nxt)
-                self.needs_solve = True
+                self.needs_solve, self._reads = True, None
                 return
             self._build_counts()
         if self._count(s, a, reward, nxt):
-            self.needs_solve = True
+            self.needs_solve, self._reads = True, None
 
 
 register_learner("ucrl", UcrlAcw)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -116,6 +117,11 @@ ACTIONS_2D = [[1.0, 0.0], [0.0, 1.0]]
         ("glm", dict(actions=ACTIONS_2D, horizon=16, delta=16.0), "lam"),  # c_mu < 1: was a math domain error
         ("glm", dict(actions=ACTIONS_2D, horizon=16, delta=0.1, lam=0.0), "lam"),  # was ZeroDivisionError
         ("glm", dict(actions=ACTIONS_2D, horizon=16, delta=0.1, lam=math.nan), "lam"),
+        ("glm", dict(actions=ACTIONS_2D, horizon=16, delta=0.1, link="probit"), "link"),  # was KeyError
+        ("qucb", dict(n_states=2, n_actions=2, n_layers=2, horizon=16, delta=0.1, init_state=-1), "init_state"),  # read state S-1
+        ("qucb", dict(n_states=2, n_actions=2, n_layers=2, horizon=16, delta=0.1, init_state=2), "init_state"),  # was IndexError
+        ("qucb", dict(n_states=2, n_actions=2, n_layers=2, horizon=16, delta=0.1, init_state=1.0), "init_state"),
+        ("qucb", dict(n_states=2, n_actions=2, n_layers=2, horizon=16, delta=0.1, init_state=True), "init_state"),
     ],
 )
 def test_learners_reject_bad_parameters_by_name(algo, params, field):
@@ -150,7 +156,7 @@ def test_oful_fresh_clamp_example():
     # d=2, T=16, delta=1/16: 2*beta*||a|| = 8*sqrt(2*log 256) >> 1 -> clamp
     inst = Oful(coordinate_actions(), horizon=16, delta=1 / 16)
     raw = 8.0 * math.sqrt(2.0 * math.log(256.0))
-    assert inst._scores().max() == pytest.approx(raw)
+    assert inst._compute_scores().max() == pytest.approx(raw)
     assert inst.predict() == 1.0
 
 
@@ -286,6 +292,8 @@ def test_qucb_optimism_against_backward_induction():
     ("ucb1", dict(n_arms=3, horizon=256, delta=1 / 256)),
     ("oful", dict(actions=[[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]], horizon=256, delta=1 / 256)),
     ("qucb", dict(n_states=2, n_actions=2, n_layers=2, horizon=256, delta=1 / 256)),
+    ("glm", dict(actions=[[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]], horizon=256, delta=1 / 256, lam=0.5)),
+    ("ucrl", dict(n_states=2, n_actions=2, horizon=256, delta=1 / 256)),
 ])
 def test_snapshot_roundtrip_bitwise(algo, params):
     inst = fork_fresh(algo, **params)
@@ -298,12 +306,18 @@ def test_snapshot_roundtrip_bitwise(algo, params):
                     (h, int(rng.integers(0, 2)), int(rng.integers(0, 2)), float(rng.random()), int(rng.integers(0, 2)))
                     for h in range(2)
                 ]
+            elif algo == "ucrl":
+                fb = (int(rng.integers(0, 2)), learner.act() % 2, float(rng.random()), int(rng.integers(0, 2)))
             else:
                 fb = (learner.act(), float(rng.random()))
             learner.update(fb)
 
     feed(inst, 7)
     blob = snapshot_to_json(inst)
+    # params are the constructor's arguments, defaults included, in signature order
+    bound = inspect.signature(type(inst)).bind(**params)
+    bound.apply_defaults()
+    assert list(json.loads(blob)["params"].items()) == list(bound.arguments.items())
     clone = restore(blob)
     assert clone.predict() == inst.predict()
     assert clone.act() == inst.act()
@@ -316,6 +330,8 @@ def test_snapshot_roundtrip_bitwise(algo, params):
         if algo == "qucb":
             fb_a = [(h, 0, 0, ra, 1) for h in range(2)]
             fb_b = [(h, 0, 0, rb, 1) for h in range(2)]
+        elif algo == "ucrl":
+            fb_a, fb_b = (0, 1, ra, 1), (0, 1, rb, 1)
         else:
             fb_a, fb_b = (0, ra), (0, rb)
         inst.update(fb_a)

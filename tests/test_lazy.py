@@ -1,7 +1,8 @@
 """Lazy read-side state: the learners against their eager reference code.
 
-Ucb1, Oful and GlmUcb compute their score vector (and GlmUcb its fit), and
-QUcb its policy id, at the first read after an update.  The reference classes below are the eager
+Every learner computes its (predict, act) pair (Ucb1, Oful and GlmUcb from
+their score vector, GlmUcb with its fit, QUcb with its encoded policy) at
+the first read after an update.  The reference classes below are the eager
 implementations: they recompute the scores at every read, and the GLM one
 calls glm_solve after every update.  Everything observable must agree bit
 for bit: predict, act, theta and the snapshot JSON.
@@ -196,7 +197,7 @@ def test_restored_learner_starts_with_empty_cache(algo):
         inst.update((arm, 1.0))
     blob = snapshot_to_json(inst)
     clone = restore(blob)
-    assert clone._score_cache is None
+    assert clone._reads is None
     assert clone.predict() == inst.predict()
     assert clone.act() == inst.act()
     assert json.loads(snapshot_to_json(clone)) == json.loads(blob)
@@ -243,10 +244,9 @@ def test_glm_fit_never_read_never_raises(monkeypatch):
 )
 def test_decision_reads_what_max_and_argmax_read(scores):
     scores = np.array(scores)
-    entry = _decision(scores)
-    assert entry[0] is scores
-    assert repr(entry[1]) == repr(_clamp01(float(scores.max())))
-    assert entry[2] == int(np.argmax(scores))
+    value, action = _decision(scores)
+    assert repr(value) == repr(_clamp01(float(scores.max())))
+    assert action == int(np.argmax(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +273,13 @@ def glm_params(draw):
 def test_glm_prior_scores_equal_fresh_eager_scores(params):
     # the prior scores: those of a learner without data, on every link
     inst, eager = GlmUcb(**params), EagerGlm(**params)
-    scores = inst._scores()
+    scores = inst._compute_scores()
     assert scores.dtype == eager._scores().dtype
     assert scores.tobytes() == eager._scores().tobytes()
     assert inst.predict() == eager.predict()
     assert inst.act() == eager.act()
     # a learner restored from a data-free snapshot reads the same
-    assert restore(snapshot_to_json(inst))._scores().tobytes() == scores.tobytes()
+    assert restore(snapshot_to_json(inst))._compute_scores().tobytes() == scores.tobytes()
 
 
 BASE_GLM = dict(actions=np.array(ACTIONS), horizon=512, delta=1 / 512, link="logistic", lam=1.0)
@@ -300,7 +300,7 @@ def test_glm_prior_scores_key_on_every_parameter(change):
     # each parameter changes the data-free scores to the eager ones of the
     # changed set, a shape with the same action bytes included
     params = dict(BASE_GLM, **change)
-    assert GlmUcb(**params)._scores().tobytes() == EagerGlm(**params)._scores().tobytes()
+    assert GlmUcb(**params)._compute_scores().tobytes() == EagerGlm(**params)._scores().tobytes()
 
 
 def _with_data(inst):
@@ -335,11 +335,17 @@ def test_glm_learner_with_state_never_takes_the_prior(make_state):
     eager.counts, eager.t_int, eager.theta = inst.counts.copy(), inst.t_int, inst.theta.copy()
     assert inst.predict() == eager.predict()
     assert inst.act() == eager.act()
-    assert inst._scores().flags.writeable
+    assert inst._compute_scores().flags.writeable
 
 
 # ---------------------------------------------------------------------------
 # UCB1 without data, and with partial state
+
+
+def _ucb1_scores(inst):
+    """The score vector Ucb1 decides from: its own, built or patched to date by the read."""
+    inst.predict()
+    return inst._vector
 
 
 @st.composite
@@ -357,13 +363,13 @@ def ucb1_params(draw):
 def test_ucb1_prior_scores_equal_fresh_eager_scores(params):
     # the prior scores: those of a learner without data
     inst, eager = Ucb1(**params), EagerUcb1(**params)
-    scores = inst._scores()
+    scores = _ucb1_scores(inst)
     assert scores.dtype == eager._indexes().dtype
     assert scores.tobytes() == eager._indexes().tobytes()
     assert inst.predict() == eager.predict()
     assert inst.act() == eager.act()
     # a learner restored from a data-free snapshot reads the same
-    assert restore(snapshot_to_json(inst))._scores().tobytes() == scores.tobytes()
+    assert _ucb1_scores(restore(snapshot_to_json(inst))).tobytes() == scores.tobytes()
 
 
 BASE_UCB1 = dict(n_arms=4, horizon=512, delta=1 / 512, bonus_scale=2.0)
@@ -375,8 +381,8 @@ BASE_UCB1 = dict(n_arms=4, horizon=512, delta=1 / 512, bonus_scale=2.0)
 def test_ucb1_prior_scores_key_on_every_parameter(change):
     # each parameter changes the data-free scores to the eager ones of the changed set
     params = dict(BASE_UCB1, **change)
-    scores = Ucb1(**params)._scores()
-    assert scores.tobytes() != Ucb1(**BASE_UCB1)._scores().tobytes()
+    scores = _ucb1_scores(Ucb1(**params))
+    assert scores.tobytes() != _ucb1_scores(Ucb1(**BASE_UCB1)).tobytes()
     assert scores.tobytes() == EagerUcb1(**params)._indexes().tobytes()
 
 
@@ -408,8 +414,8 @@ def test_ucb1_learner_with_state_never_takes_the_prior(make_state):
     eager.counts, eager.sums, eager.t_int = inst.counts.copy(), inst.sums.copy(), inst.t_int
     assert inst.predict() == eager.predict()
     assert inst.act() == eager.act()
-    assert inst._scores().tobytes() == eager._indexes().tobytes()
-    assert inst._scores().flags.writeable
+    assert _ucb1_scores(inst).tobytes() == eager._indexes().tobytes()
+    assert _ucb1_scores(inst).flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +444,7 @@ def test_ucb1_patched_scores_equal_eager_scores(script):
     inst, eager = Ucb1(**params), EagerUcb1(**params)
 
     def reads_agree():
-        assert inst._scores().tobytes() == eager._indexes().tobytes()
+        assert _ucb1_scores(inst).tobytes() == eager._indexes().tobytes()
         assert repr(inst.predict()) == repr(eager.predict())
         assert inst.act() == eager.act()
 
@@ -461,10 +467,10 @@ def test_ucb1_first_update_without_data_builds_no_vector():
     for learner in (inst, eager):
         learner.update((1, 1.0))
     assert inst._vector is None
-    vector = inst._scores()
+    vector = _ucb1_scores(inst)
     for learner in (inst, eager):
         learner.update((0, 0.25))
-    assert inst._scores() is vector  # patched in place, not rebuilt
+    assert _ucb1_scores(inst) is vector  # patched in place, not rebuilt
     assert vector.tobytes() == eager._indexes().tobytes()
 
 
@@ -483,7 +489,7 @@ def test_qucb_act_encodes_its_current_greedy_policy_once_per_update(monkeypatch)
         if rng.random() < 0.2:
             inst.act()
             inst = restore(snapshot_to_json(inst))
-            assert inst._policy_id is None
+            assert inst._reads is None
         s, traj = 0, []
         for h in range(H):
             a, nxt = int(rng.integers(0, A)), int(rng.integers(0, S))
