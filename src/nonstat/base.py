@@ -79,6 +79,35 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
+class _Lazy:
+    """An array field of a learner made at its first read, of a declared
+    dtype and shape (the names of the learner's size attributes).
+
+    The value lives in the attribute of the same name with a leading
+    underscore, None until the learner method named make sets it; the
+    class reads and writes that plain attribute itself.  A __getattr__
+    hook, or a cache written through the instance __dict__, would instead
+    slow every attribute read of the learner: CPython's specialized reads
+    give up on both.
+    """
+
+    def __init__(self, make: str, shape: tuple, dtype=np.float64):
+        self.make, self.shape, self.dtype = make, shape, dtype
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, learner, owner=None):
+        if learner is None:
+            return self
+        if getattr(learner, self.slot) is None:
+            getattr(learner, self.make)()
+        return getattr(learner, self.slot)
+
+    def __set__(self, learner, value):
+        setattr(learner, self.slot, value)
+
+
 class _Learner:
     """The read protocol and the snapshot plumbing.
 
@@ -133,11 +162,14 @@ class _Learner:
     def _load_state(self, state: dict):
         for key in self._fields:
             val = state[key]
-            current = getattr(self, key)
-            if isinstance(current, np.ndarray):
-                setattr(self, key, np.array(val, dtype=current.dtype).reshape(current.shape))
+            lazy = getattr(type(self), key, None)
+            if isinstance(lazy, _Lazy):  # its declared dtype and shape: loading makes nothing
+                val = np.array(val, dtype=lazy.dtype).reshape([getattr(self, name) for name in lazy.shape])
+            elif isinstance(current := getattr(self, key), np.ndarray):
+                val = np.array(val, dtype=current.dtype).reshape(current.shape)
             else:
-                setattr(self, key, type(current)(val))
+                val = type(current)(val)
+            setattr(self, key, val)
         self._reads = None
 
 
@@ -175,11 +207,11 @@ class Ucb1(_Learner):
     _vector = None  # the learner's own score vector once built, kept current by update
 
     def __init__(self, n_arms: int, horizon: int, delta: float, bonus_scale: float = 2.0):
-        if n_arms < 1:
-            raise ValueError("need at least one arm")
+        if not (type(n_arms) is int or isinstance(n_arms, np.integer)) or not n_arms >= 1:
+            raise ValueError(f"n_arms={n_arms!r} must be an integer >= 1")
         _check_horizon_delta(horizon, delta)
-        if math.isnan(bonus_scale):
-            raise ValueError(f"bonus_scale={bonus_scale} must not be nan")
+        if not math.isfinite(bonus_scale):
+            raise ValueError(f"bonus_scale={bonus_scale!r} must be finite")
         self.n_arms = n_arms
         self.horizon = horizon
         self.delta = delta
@@ -462,8 +494,8 @@ class QUcb(_Learner):
         if not (type(init_state) is int or isinstance(init_state, np.integer)) or not 0 <= init_state < n_states:
             raise ValueError(f"init_state={init_state!r} must be an integer in [0, {n_states})")
         _check_horizon_delta(horizon, delta)
-        if math.isnan(bonus_scale):
-            raise ValueError(f"bonus_scale={bonus_scale} must not be nan")
+        if not math.isfinite(bonus_scale):
+            raise ValueError(f"bonus_scale={bonus_scale!r} must be finite")
         self.n_states = n_states
         self.n_actions = n_actions
         self.n_layers = n_layers
@@ -503,22 +535,14 @@ class QUcb(_Learner):
         self.t_int += 1
 
 
-_REGISTRY = {"ucb1": Ucb1, "oful": Oful, "glm": GlmUcb, "qucb": QUcb}
+_REGISTRY = {"ucb1": Ucb1, "oful": Oful, "glm": GlmUcb, "qucb": QUcb}  # mdp adds "ucrl" on import
 
 
 def fork_fresh(algo: str, **params):
     """Zero-knowledge learner factory (also the restore target for snapshots)."""
     if algo not in _REGISTRY:
-        # the average-reward learner registers itself on import
-        from . import mdp  # noqa: F401
-
-        if algo not in _REGISTRY:
-            raise ValueError(f"unknown base algorithm {algo!r}")
+        raise ValueError(f"unknown base algorithm {algo!r}")
     return _REGISTRY[algo](**params)
-
-
-def register_learner(name: str, cls):
-    _REGISTRY[name] = cls
 
 
 def snapshot_to_json(inst) -> str:

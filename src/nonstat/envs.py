@@ -574,7 +574,8 @@ def nonstat_summary(env, delta: float | None = None, dbar: float = 1.0) -> Nonst
     elif isinstance(env, InfiniteEnv):
         n_pol = env.n_policies
         if n_pol > MAX_GAIN_DRIFT_POLICIES:
-            raise ValueError(f"gain-drift oracle needs |Pi| <= {MAX_GAIN_DRIFT_POLICIES}")
+            raise ValueError(f"the average-reward drift measure enumerates every policy and needs "
+                             f"A^S <= {MAX_GAIN_DRIFT_POLICIES}, got {n_pol}")
         for t, (r0, p0), (r1, p1) in _parameter_changes(env):
             dr = float(np.abs(r0 - r1).max())
             dp = float(np.abs(p0 - p1).sum(axis=2).max())

@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import base, mdp
-from .envs import MAX_GAIN_DRIFT_POLICIES, EnvSpecError, make_env, nonstat_summary
+from .envs import EnvSpecError, make_env, nonstat_summary
 from .master import RunLog, dynamic_regret, run_bare, run_master, seed_derive
 
 __all__ = [
@@ -58,10 +58,8 @@ class SpecError(ValueError):
 
 
 def _ucb1(env, horizon, delta, algo):
-    params = dict(n_arms=env.n_arms, horizon=horizon, delta=delta)
-    if "c" in algo:
-        params["bonus_scale"] = algo["c"]
-    return functools.partial(base.Ucb1, **params)
+    bonus = {"bonus_scale": algo["c"]} if "c" in algo else {}
+    return functools.partial(base.Ucb1, n_arms=env.n_arms, horizon=horizon, delta=delta, **bonus)
 
 
 def _oful(env, horizon, delta, algo):
@@ -73,17 +71,11 @@ def _glm(env, horizon, delta, algo):
 
 
 def _qucb(env, horizon, delta, algo):
-    params = dict(
-        n_states=env.n_states,
-        n_actions=env.n_actions,
-        n_layers=env.n_layers,
-        horizon=horizon,
-        delta=delta,
-        init_state=env.init_state,
+    bonus = {"bonus_scale": algo["c"]} if "c" in algo else {}
+    return functools.partial(
+        base.QUcb, n_states=env.n_states, n_actions=env.n_actions, n_layers=env.n_layers, horizon=horizon,
+        delta=delta, init_state=env.init_state, **bonus,
     )
-    if "c" in algo:
-        params["bonus_scale"] = algo["c"]
-    return functools.partial(base.QUcb, **params)
 
 
 def _ucrl(env, horizon, delta, algo):
@@ -186,7 +178,7 @@ def validate_spec(spec: dict) -> dict:
         raise SpecError(f"spec.T: expected an integer, got {horizon!r}")
     if horizon != env.horizon:
         raise SpecError(f"spec.T: {horizon} does not match env horizon {env.horizon}")
-    expected_kind, _ = ALGORITHMS[algorithm]
+    expected_kind, run = ALGORITHMS[algorithm]
     if env.kind != expected_kind:
         raise SpecError(
             f"spec.algorithm: {algorithm!r} needs a {expected_kind!r} environment, got {env.kind!r}"
@@ -200,7 +192,7 @@ def validate_spec(spec: dict) -> dict:
     if kappa == "inf":
         kappa = math.inf
     # kappa = 0 zeroes both test thresholds, so a spec run would restart every round
-    if not (isinstance(kappa, (int, float)) and not isinstance(kappa, bool) and kappa > 0.0):
+    if not (_is_number(kappa) and kappa > 0.0):
         raise SpecError(f"spec.kappa: must be a positive number or 'inf', got {kappa!r}")
     seeds = spec["seeds"]
     if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
@@ -215,7 +207,7 @@ def validate_spec(spec: dict) -> dict:
     if algorithm == "doubling-dbar":
         if ("known_l" in algo) == ("known_delta" in algo):
             raise SpecError("spec.algo: doubling-dbar needs exactly one of known_l / known_delta")
-    return {
+    spec = {
         "env": spec["env"],
         "algorithm": algorithm,
         "T": horizon,
@@ -225,6 +217,16 @@ def validate_spec(spec: dict) -> dict:
         "out": spec.get("out"),
         "algo": dict(algo),
     }
+    # the run's base learner, and its rate where the run reads one, so that a
+    # ValueError of either names the spec before any seed runs; doubling-dbar
+    # and borl start from the diameter guess dbar = 1
+    try:
+        learner = _learner(env, spec if run in (_master, _bare) else dict(spec, algo={}))()
+        if run is not _bare:
+            learner.rate()
+    except ValueError as exc:
+        raise SpecError(f"spec: the {algorithm} base learner rejects it: {exc}") from None
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +264,11 @@ def _downsample(values: np.ndarray, limit: int = MAX_CURVE_POINTS):
     return idx.tolist(), values[idx].tolist()
 
 
-def aggregate(spec: dict, per_seed: list[dict], curve_sum: np.ndarray) -> dict:
+def aggregate(spec: dict, summary, per_seed: list[dict], curve_sum: np.ndarray) -> dict:
     """The report of a run's per-seed rows ({"seed", "regret", "restarts"}, in
-    seed order) and the sum of their cumulative regret curves."""
-    env = make_env(spec["env"])
+    seed order) and the sum of their cumulative regret curves, with the
+    environment's nonstat_summary."""
     horizon = spec["T"]
-    dbar = spec.get("algo", {}).get("dbar", 1.0)  # read by the average-reward measure only
-    summary = nonstat_summary(env, spec["delta"], dbar)
     reg_l_star = math.sqrt(summary.switch_count * horizon)
     reg_d_star = summary.delta_total ** (1.0 / 3.0) * horizon ** (2.0 / 3.0) + math.sqrt(horizon)
 
@@ -393,16 +393,13 @@ def run_experiment(spec: dict, workers: int | None = None) -> dict:
     identical run logs.
     """
     spec = validate_spec(spec)
-    # aggregate's drift measure must be computable before any seed runs; not
-    # in validate_spec, which accepts such specs for run_single
-    kind, _ = ALGORITHMS[spec["algorithm"]]
-    if kind == "infinite":
-        n_policies = make_env(spec["env"]).n_policies
-        if n_policies > MAX_GAIN_DRIFT_POLICIES:
-            raise SpecError(
-                f"spec.env: the average-reward drift measure enumerates every policy and needs "
-                f"A^S <= {MAX_GAIN_DRIFT_POLICIES}, got {n_policies}"
-            )
+    # aggregate's drift measure, before any seed runs; not in validate_spec,
+    # which accepts a spec it cannot measure for run_single
+    dbar = spec["algo"].get("dbar", 1.0)  # read by the average-reward measure only
+    try:
+        summary = nonstat_summary(make_env(spec["env"]), spec["delta"], dbar)
+    except ValueError as exc:
+        raise SpecError(f"spec.env: {exc}") from None
     out_dir = spec.get("out")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -422,7 +419,7 @@ def run_experiment(spec: dict, workers: int | None = None) -> dict:
             curve_sum = curve
         else:
             curve_sum += curve
-    report = aggregate(spec, per_seed, curve_sum)
+    report = aggregate(spec, summary, per_seed, curve_sum)
     if out_dir is not None:
         with open(os.path.join(out_dir, "aggregate.json"), "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -171,7 +171,6 @@ class RunLog:
     """Column-oriented per-round record; serializes to CSV bit-exactly."""
 
     def __init__(self, mdp_columns: bool = False):
-        self.has_mdp_columns = mdp_columns
         self.columns = _BASE_COLUMNS + _MDP_COLUMNS if mdp_columns else _BASE_COLUMNS
         self._data = {name: [] for name in self.columns}
         self._lists = tuple(self._data.values())

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _check_horizon_delta, _Learner, register_learner
+from .base import _REGISTRY, _check_horizon_delta, _Lazy, _Learner
 from .envs import InfiniteEnv, encode_policy
 from .master import AverageRewardWorld, RunLog, master_core, run_master, seed_derive
 from .rates import RateFunction
@@ -197,34 +197,6 @@ def _prior_solution(n_states: int, n_actions: int, horizon: int, delta: float, d
     return out, eta
 
 
-class _Lazy:
-    """An array attribute of UcrlAcw made at its first read.
-
-    The value lives in the attribute of the same name with a leading
-    underscore, None until the learner method named make sets it; the
-    class reads and writes that plain attribute itself.  A __getattr__
-    hook, or a cache written through the instance __dict__, would instead
-    slow every attribute read of the learner: CPython's specialized reads
-    give up on both.
-    """
-
-    def __init__(self, make: str):
-        self.make = make
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, learner, owner=None):
-        if learner is None:
-            return self
-        if getattr(learner, self.slot) is None:
-            getattr(learner, self.make)()
-        return getattr(learner, self.slot)
-
-    def __set__(self, learner, value):
-        setattr(learner, self.slot, value)
-
-
 class UcrlAcw(_Learner):
     """Optimistic average-reward learner with adaptive confidence widening.
 
@@ -236,13 +208,14 @@ class UcrlAcw(_Learner):
 
     The learner builds no array that nothing reads.  The four count arrays
     are built together at their first need: a second update, a solve with
-    data, snapshot, _load_state or a direct read.  The first update of a
-    learner without them only records its transition, which the build then
-    counts with update's own in-place operations.  So a learner the
-    scheduler updates once and then reads only for its scalars (episode,
-    eta, gamma_budget, dbar and restart_signaled) never builds them.
-    policy_table, the int64 copy of the last solve's policy, is made at its
-    first read (predict, act or snapshot) and dropped at the next solve.
+    data, snapshot or a direct read; _load_state sets them unbuilt.  The
+    first update of a learner without them only records its transition,
+    which the build then counts with update's own in-place operations.  So
+    a learner the scheduler updates once and then reads only for its
+    scalars (episode, eta, gamma_budget, dbar and restart_signaled) never
+    builds them.  policy_table, the int64 copy of the last solve's policy,
+    is made at its first read (predict, act or snapshot) and dropped at the
+    next solve.
     """
 
     name = "ucrl"
@@ -260,11 +233,11 @@ class UcrlAcw(_Learner):
         "needs_solve",
         "signaled",
     )
-    visit_total = _Lazy("_build_counts")
-    visit_episode = _Lazy("_build_counts")
-    trans_counts = _Lazy("_build_counts")
-    reward_sums = _Lazy("_build_counts")
-    policy_table = _Lazy("_copy_policy")
+    visit_total = _Lazy("_build_counts", ("n_states", "n_actions"))
+    visit_episode = _Lazy("_build_counts", ("n_states", "n_actions"))
+    trans_counts = _Lazy("_build_counts", ("n_states", "n_actions", "n_states"))
+    reward_sums = _Lazy("_build_counts", ("n_states", "n_actions"))
+    policy_table = _Lazy("_copy_policy", ("n_states",), np.int64)
 
     def __init__(self, n_states: int, n_actions: int, horizon: int, delta: float, dbar: float = 1.0):
         if not n_states >= 1:
@@ -385,7 +358,7 @@ class UcrlAcw(_Learner):
             self.needs_solve, self._reads = True, None
 
 
-register_learner("ucrl", UcrlAcw)
+_REGISTRY["ucrl"] = UcrlAcw  # restore's class for "ucrl" snapshots
 
 
 def run_master_ucrl(

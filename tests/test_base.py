@@ -122,6 +122,14 @@ ACTIONS_2D = [[1.0, 0.0], [0.0, 1.0]]
         ("qucb", dict(n_states=2, n_actions=2, n_layers=2, horizon=16, delta=0.1, init_state=2), "init_state"),  # was IndexError
         ("qucb", dict(n_states=2, n_actions=2, n_layers=2, horizon=16, delta=0.1, init_state=1.0), "init_state"),
         ("qucb", dict(n_states=2, n_actions=2, n_layers=2, horizon=16, delta=0.1, init_state=True), "init_state"),
+        ("ucb1", dict(n_arms=True, horizon=16, delta=0.1), "n_arms"),  # was numpy's unnamed TypeError
+        ("ucb1", dict(n_arms=2.5, horizon=16, delta=0.1), "n_arms"),
+        ("ucb1", dict(n_arms=math.nan, horizon=16, delta=0.1), "n_arms"),
+        ("ucb1", dict(n_arms=0, horizon=16, delta=0.1), "n_arms"),  # was "need at least one arm"
+        ("ucb1", dict(n_arms=2, horizon=16, delta=0.1, bonus_scale=math.inf), "bonus_scale"),
+        ("ucb1", dict(n_arms=2, horizon=16, delta=0.1, bonus_scale=-math.inf), "bonus_scale"),
+        ("qucb", dict(n_states=2, n_actions=2, n_layers=2, horizon=16, delta=0.1, bonus_scale=math.inf), "bonus_scale"),
+        ("qucb", dict(n_states=2, n_actions=2, n_layers=2, horizon=16, delta=0.1, bonus_scale=-math.inf), "bonus_scale"),
     ],
 )
 def test_learners_reject_bad_parameters_by_name(algo, params, field):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import nonstat.harness
 from nonstat.cli import main
 from nonstat.master import RunLog
 
@@ -139,6 +140,45 @@ def test_run_rejects_repeated_seeds(tmp_path, capsys):
     assert main(["run", "--config", write_config(tmp_path), "--seeds", "0,0", "--out", str(out)]) == 2
     assert "config error: spec.seeds: repeated seeds [0]" in capsys.readouterr().err
     assert not out.exists()
+
+
+# specs whose only fault is what their run's learner rejects: GLM-UCB rejects
+# lam=100 at T=16 (c_mu * T / (lam * delta) < 1), and a one-arm UCB1's rate
+# breaks rho(t) >= 1/sqrt(t) at t=1
+LEARNER_REJECTS = {
+    "glm-lam": ({"env": {"kind": "glm", "T": 16, "link": "logistic", "lam": 100,
+                         "actions": [[1.0, 0.0], [0.0, 1.0]],
+                         "segments": [{"length": 16, "theta": [0.3, 0.7]}]},
+                 "algorithm": "master+glm", "seeds": [0, 1]}, "lam=100.0"),
+    "one-arm-rate": ({"env": {"kind": "mab", "T": 1, "segments": [{"length": 1, "means": [0.5]}]},
+                      "algorithm": "master+ucb1", "delta": 0.99, "seeds": [0, 1]},
+                     "rho(t) >= 1/sqrt(t) violated"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEARNER_REJECTS))
+def test_run_rejects_a_spec_its_learner_rejects_before_any_seed(tmp_path, capsys, monkeypatch, name):
+    spec, message = LEARNER_REJECTS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    ran = []
+    monkeypatch.setattr(nonstat.harness, "run_single", lambda *args: ran.append(args))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: spec: ") and message in err
+    assert ran == []
+    assert not out.exists()
+
+
+def test_run_accepts_the_bare_form_of_the_one_arm_spec(tmp_path, capsys):
+    # the bare learner never reads its rate, so nothing rejects this spec
+    spec = dict(LEARNER_REJECTS["one-arm-rate"][0], algorithm="ucb1")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(spec))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out)["restarts_mean"] == 0.0
+    assert sorted(os.listdir(tmp_path / "out")) == ["aggregate.json", "regret.svg", "seed_0.csv", "seed_1.csv"]
 
 
 def one_row_log_text():

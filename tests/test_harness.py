@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nonstat.harness
+import nonstat.mdp
 from nonstat.harness import (
     SpecError,
     aggregate,
@@ -264,6 +265,54 @@ def test_run_experiment_runs_at_the_policy_limit(tmp_path):
     # 4^6 = 4096 policies is the largest count the drift measure enumerates
     report = run_experiment({"env": uniform_mdp_spec(6, 4, T=4), "algorithm": "ucrl", "seeds": [0]})
     assert report["nonstationarity"]["L"] == 1
+
+
+def glm_lam_spec(lam, algorithm="master+glm"):
+    env = {"kind": "glm", "T": 16, "link": "logistic", "lam": lam, "actions": [[1.0, 0.0], [0.0, 1.0]],
+           "segments": [{"length": 16, "theta": [0.3, 0.7]}]}
+    return {"env": env, "algorithm": algorithm, "seeds": [0]}
+
+
+def one_arm_spec(algorithm):
+    return {"env": mab_env_spec(1, [{"length": 1, "means": [0.5]}]), "algorithm": algorithm,
+            "delta": 0.99, "seeds": [0]}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # c_mu * T / (lam * delta) < 1 at T=16: GlmUcb names lam and delta
+        (glm_lam_spec(100), r"lam=100\.0, delta=0\.0625: need lam > 0"),
+        (glm_lam_spec(100, "glm"), r"lam=100\.0, delta=0\.0625: need lam > 0"),
+        # one arm at T=1, delta=0.99: rho(1) = 0.11 < 1
+        (one_arm_spec("master+ucb1"), r"rho\(t\) >= 1/sqrt\(t\) violated at t=1"),
+    ],
+    ids=["master+glm-lam", "glm-lam", "master+ucb1-one-arm"],
+)
+def test_validate_rejects_what_the_runs_learner_rejects(spec, message):
+    with pytest.raises(SpecError, match=rf"^spec: the {re.escape(spec['algorithm'])} base learner rejects it: {message}"):
+        validate_spec(spec)
+
+
+@pytest.mark.parametrize("algorithm", ["doubling-dbar", "borl"])
+def test_validate_checks_doubling_and_borl_at_their_first_guess(algorithm, monkeypatch):
+    algo = {"known_l": 2, "dbar": 8} if algorithm == "doubling-dbar" else {"dbar": 8}  # dbar unread by both
+    spec = average_reward_spec(algorithm, algo)
+    built = []
+    real = nonstat.mdp.UcrlAcw
+    monkeypatch.setattr(nonstat.mdp, "UcrlAcw", lambda *args: built.append(args) or real(*args))
+    validate_spec(spec)
+    assert [args[-1] for args in built] == [1.0]
+
+
+@pytest.mark.parametrize("algorithm", ["master+ucb1", "master-ucrl", "ucrl"])
+def test_run_experiment_builds_the_environment_at_most_once_per_seed_and_twice_more(algorithm, monkeypatch):
+    spec = dict(tiny_spec(algorithm), seeds=[0, 1, 2])
+    builds = []
+    real = nonstat.harness.make_env
+    monkeypatch.setattr(nonstat.harness, "make_env", lambda env_spec: builds.append(env_spec) or real(env_spec))
+    run_experiment(spec)
+    assert len(builds) <= len(spec["seeds"]) + 2
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 
 from nonstat.envs import decode_policy, encode_policy, make_env, policy_gain
 from nonstat.harness import seed_derive
+import nonstat.base
 import nonstat.mdp
 from nonstat.base import _check_horizon_delta, _Learner, restore, snapshot_to_json
 from nonstat.mdp import (
@@ -30,7 +31,7 @@ from nonstat.mdp import (
     run_master_ucrl,
     widen_to_span,
 )
-from nonstat.master import dynamic_regret
+from nonstat.master import RunLog, dynamic_regret
 
 SWAP_TRANS = np.array([[[0.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]])
 SWAP_REWARDS = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -568,6 +569,45 @@ def test_one_update_builds_no_array():
     assert inst.policy_table.dtype == np.int64 and inst.policy_table.flags.writeable
 
 
+class CountingUcrlAcw(UcrlAcw):
+    builds = 0
+
+    def _build_counts(self):
+        type(self).builds += 1
+        super()._build_counts()
+
+
+@pytest.mark.parametrize("solved", [False, True])
+def test_restore_builds_no_count_array(monkeypatch, solved):
+    inst = UcrlAcw(3, 2, 256, 1.0 / 256, dbar=2.0)
+    for s, a in [(0, 1), (2, 0), (2, 0), (1, 1)]:
+        inst.update((s, a, 0.25 * s, (s + 1) % 3))
+    if solved:
+        inst.act()
+    text = snapshot_to_json(inst)
+    monkeypatch.setitem(nonstat.base._REGISTRY, "ucrl", CountingUcrlAcw)
+    monkeypatch.setattr(CountingUcrlAcw, "builds", 0)
+    clone = restore(text)
+    assert type(clone) is CountingUcrlAcw and CountingUcrlAcw.builds == 0
+    assert snapshot_to_json(clone) == text and CountingUcrlAcw.builds == 0
+    assert clone.act() == inst.act() and repr(clone.predict()) == repr(inst.predict())
+
+
+def test_restore_gives_each_array_its_dtype_and_shape():
+    # snapshots are outside input: a loaded array takes the field's dtype and
+    # shape, and one of the wrong size is rejected
+    snap = json.loads(snapshot_to_json(UcrlAcw(3, 2, 256, 1.0 / 256)))
+    snap["state"]["visit_total"] = [0] * 6  # flat ints
+    clone = restore(snap)
+    for field, dtype, shape in [("visit_total", np.float64, (3, 2)), ("visit_episode", np.float64, (3, 2)),
+                                ("trans_counts", np.float64, (3, 2, 3)), ("reward_sums", np.float64, (3, 2)),
+                                ("policy_table", np.int64, (3,))]:
+        assert (getattr(clone, field).dtype, getattr(clone, field).shape) == (dtype, shape), field
+    snap["state"]["trans_counts"] = [[[0.0] * 3] * 2] * 2  # 2 x 2 x 3, not 3 x 2 x 3
+    with pytest.raises(ValueError, match="reshape"):
+        restore(snap)
+
+
 @pytest.mark.parametrize(
     "transition, name",
     [
@@ -690,7 +730,7 @@ def test_run_master_ucrl_stationary_smoke():
     log = run_master_ucrl(env, dbar=1.0, kappa=1.0, seed=5)
     assert len(log) == 512
     assert log.restarts == []
-    assert log.has_mdp_columns
+    assert log.columns == RunLog(mdp_columns=True).columns
 
 
 def test_run_master_ucrl_tests_disabled_differential():
