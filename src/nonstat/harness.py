@@ -207,6 +207,9 @@ def validate_spec(spec: dict) -> dict:
     if algorithm == "doubling-dbar":
         if ("known_l" in algo) == ("known_delta" in algo):
             raise SpecError("spec.algo: doubling-dbar needs exactly one of known_l / known_delta")
+    if algorithm in ("doubling-dbar", "borl") and "dbar" in algo:
+        # its learners never read it, but the aggregate's drift measure would
+        raise SpecError(f"spec.algo.dbar: {algorithm} chooses its own diameter guesses, so it takes none")
     spec = {
         "env": spec["env"],
         "algorithm": algorithm,
@@ -219,9 +222,9 @@ def validate_spec(spec: dict) -> dict:
     }
     # the run's base learner, and its rate where the run reads one, so that a
     # ValueError of either names the spec before any seed runs; doubling-dbar
-    # and borl start from the diameter guess dbar = 1
+    # and borl take no dbar, so their learner is built at their first guess, 1
     try:
-        learner = _learner(env, spec if run in (_master, _bare) else dict(spec, algo={}))()
+        learner = _learner(env, spec)()
         if run is not _bare:
             learner.rate()
     except ValueError as exc:

@@ -31,12 +31,20 @@ skips the update at the round the active instance ends, so an instance
 whose first active round is its last (every order-0 instance) builds no
 learner.  Factories draw no randomness, so when and how often they are
 called changes no stream.
+
+The runner formats no event text.  Its block's spawns are kept as data, a
+BlockSchedule, which a run log stores in place of its rows' event text;
+BlockSchedule.texts renders that text, the spawn, pause, resume and end
+tokens of each round, when the log is read or written.  runner.events is a
+read-only view of the same texts for the round last begun.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 
@@ -45,6 +53,7 @@ import numpy as np
 from .rates import RateFunction
 
 __all__ = [
+    "BlockSchedule",
     "InstanceRecord",
     "MalgRunner",
     "spawn_probability",
@@ -104,6 +113,9 @@ def _slot_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, orders
 
 
+_LAST_OFFSET = [(1 << m) - 1 for m in range(64)]  # of an order-m slot, from its start
+
+
 def _draws_before(n: int, tau: int) -> int:
     """Slots of an order-n block that start at offsets 0..tau-1 (tau <= 2^n):
     n + 1 at offset 0 and v2(s) + 1 at every later offset s."""
@@ -127,6 +139,80 @@ def schedule_upfront(n: int, rate: RateFunction, rng) -> list[tuple[int, int, in
     start: (m, start_offset, end_offset) triples with offsets 0-based relative
     to the block start."""
     return [(m, tau, tau + (1 << m) - 1) for tau, m in zip(*_spawned_slots(n, rate, rng))]
+
+
+class BlockSchedule:
+    """One block's spawns as data: its first round t_n and the start offsets
+    (followed by the sentinel 2^n) and orders of the slots that spawn, in
+    _slot_layout order, so uid i is starts[i], orders[i].  The runner reads
+    its spawns from it, and a run log keeps one per block in place of its
+    rows' event text, which texts() renders.  Nothing changes it after it is
+    built, and it is compared and hashed by identity: each block's schedule
+    is its own.  A plain slotted class: a frozen dataclass would add about
+    0.3 ms to every import of the package."""
+
+    __slots__ = ("t_n", "starts", "orders")
+
+    def __init__(self, t_n: int, starts: array, orders: array):
+        self.t_n = t_n
+        self.starts = starts
+        self.orders = orders
+
+    def texts(self, stop: int, for_csv: bool = False) -> list[str]:
+        """The event text of each of the block's first stop rounds: the
+        round's spawns, orders descending, and a pause of the instance active
+        in the round before if it still covers this round; or, in a round
+        with no spawn, a resume of the instance that becomes active if it
+        was active before; then the ends of the instances that close,
+        shortest first.  Tokens are joined by ";", and a round with none is
+        "".  With for_csv, each text is the cell csv.writer would write for it:
+        quoted when it holds a spawn token, the only one with a comma.
+
+        The runner's stack of covering instances is replayed with integers,
+        only at the rounds where it changes: a spawn, the end of the active
+        instance (slots nest, so every end is one), and the round after.
+        """
+        t_n, starts, orders = self.t_n, self.starts, self.orders
+        count = bisect.bisect_left(starts, stop)  # the spawns before offset stop
+        lasts = list(map(operator.add, starts[:count], map(_LAST_OFFSET.__getitem__, orders)))
+        labels = [f"m{m}#{uid}" for m, uid in zip(orders, range(count))]
+        spawns = [f"spawn {label}@[{t_n + first},{t_n + last}]" for label, first, last in zip(labels, starts, lasts)]
+        out = [""] * stop
+        live = []  # the uids of the covering instances, orders descending
+        was_active = bytearray(count)
+        uid = tau = 0  # the next spawn, and the round's offset
+        active = active_last = -1  # the active instance and its last offset
+        while tau < stop:
+            spawned = starts[uid] == tau
+            if spawned:
+                text = spawns[uid]
+                live.append(uid)
+                uid += 1
+                while starts[uid] == tau:
+                    text += ";" + spawns[uid]
+                    live.append(uid)
+                    uid += 1
+                if active_last >= tau:
+                    text += ";pause " + labels[active]
+                active = uid - 1
+                was_active[active] = 1
+            else:
+                text = ""
+                if live[-1] != active:  # the active instance ended in the round before
+                    active = live[-1]
+                    if was_active[active]:
+                        text = "resume " + labels[active]
+                    was_active[active] = 1
+            active_last = lasts[active]
+            if active_last == tau:
+                while live and lasts[live[-1]] == tau:
+                    text += (";end " if text else "end ") + labels[live.pop()]
+            out[tau] = f'"{text}"' if spawned and for_csv else text
+            if active_last == tau:
+                tau += 1
+            else:  # on to the next spawn, or to the active instance's end
+                tau = starts[uid] if starts[uid] < active_last else active_last
+        return out
 
 
 @dataclass(slots=True)
@@ -157,7 +243,8 @@ class MalgRunner:
 
     ended holds the instances whose interval closed at t, for the caller's
     order-level test (the shared empty tuple in a round where none closes);
-    runner.events lists this round's schedule events.  A block that stops
+    runner.schedule is the block's BlockSchedule, and runner.events lists
+    the schedule events of the round last begun.  A block that stops
     before its last round must be closed with cut(t), t its last round
     played, so that rng is left as the per-round draws would leave it.
     Every read before an instance's first update is of runner.fresh, which
@@ -167,6 +254,8 @@ class MalgRunner:
     """
 
     last_update_read = True
+    _round = None  # the round of the last begin_round, which events shows
+    _texts = None  # the block's event texts, once events is read
 
     def __init__(self, block_start: int, order_n: int, rate: RateFunction, factory, rng):
         self.factory = factory
@@ -175,9 +264,9 @@ class MalgRunner:
         self._order_n = order_n
         self._rng = rng
         self._rng_state = rng.bit_generator.state
-        self._spawn_starts, self._spawn_orders = _spawned_slots(order_n, rate, rng)
+        self.schedule = BlockSchedule(block_start, *_spawned_slots(order_n, rate, rng))
         # order n always spawns, at offset 0, and covers the whole block
-        assert self._spawn_orders[:1] == array("i", [order_n]), f"no covering instance at round {block_start}"
+        assert self.schedule.orders[:1] == array("i", [order_n]), f"no covering instance at round {block_start}"
         self._next_spawn = 0  # the first of them not yet spawned, and its uid
         self._spawn_at = block_start  # its round
         # the instances covering the current round, orders descending: aligned
@@ -185,41 +274,44 @@ class MalgRunner:
         # instance is always last
         self._live: list[InstanceRecord] = []
         self._active: InstanceRecord | None = None  # live[-1] since the last begin_round
-        self.events: list[str] = []
 
     # -- phase 1 -----------------------------------------------------------
 
     def begin_round(self, t: int):
-        self.events = events = []
+        self._round = t
         if t == self._spawn_at:
-            self._spawn(t, events)
+            self._spawn(t)
         rec = self._live[-1]
-        if rec is not self._active:
-            self._switch(rec, t, events)
+        self._active = rec
         learner = rec.learner
         return learner.predict(), learner.act(), rec
 
-    def _spawn(self, t: int, events: list[str]):
+    def _spawn(self, t: int):
         """Push the instances whose slots start at t, orders descending."""
-        live, starts, orders = self._live, self._spawn_starts, self._spawn_orders
+        live, schedule = self._live, self.schedule
+        starts, orders = schedule.starts, schedule.orders
         tau, uid = t - self._block_start, self._next_spawn
         while starts[uid] == tau:
             m = orders[uid]
             assert not live or live[-1].order > m, "overlapping same-order instances"
-            end = t + (1 << m) - 1
-            live.append(InstanceRecord(uid, m, t, end, self.fresh))
-            events.append(f"spawn m{m}#{uid}@[{t},{end}]")
+            live.append(InstanceRecord(uid, m, t, t + (1 << m) - 1, self.fresh))
             uid += 1
         self._next_spawn = uid
         self._spawn_at = self._block_start + starts[uid]
 
-    def _switch(self, rec: InstanceRecord, t: int, events: list[str]):
-        """Make rec the active instance."""
-        prev, self._active = self._active, rec
-        if prev is not None and prev.end >= t:
-            events.append(f"pause m{prev.order}#{prev.uid}")
-        if rec.active_rounds > 0:
-            events.append(f"resume m{rec.order}#{rec.uid}")
+    @property
+    def events(self) -> list[str]:
+        """The schedule events of the round last begun, its end events
+        included: a read-only view of self.schedule.texts(), rendered for
+        the whole block at the first read, so a read costs O(1) amortized
+        over the block's rounds."""
+        t = self._round
+        if t is None:
+            return []
+        if self._texts is None:
+            self._texts = self.schedule.texts(1 << self._order_n)
+        text = self._texts[t - self._block_start]
+        return text.split(";") if text else []
 
     # -- phase 2 -----------------------------------------------------------
 
@@ -238,9 +330,7 @@ class MalgRunner:
         live = self._live
         ended = []
         while live and live[-1].end == t:
-            other = live.pop()
-            ended.append(other)
-            self.events.append(f"end m{other.order}#{other.uid}")
+            ended.append(live.pop())
         return ended
 
     def cut(self, t: int):

@@ -32,8 +32,15 @@ widening budget runs out).  A fail detected at round t takes effect at t+1,
 matching the act / update / test / increment order of the control loop.
 When several causes fire in the same round a single restart is recorded,
 with the order-level test first, then the block test, then the signal.
-The restart is written as a "restart <cause>" token into that round's
-event field; RunLog.restarts is read from the event and block columns.
+
+The scheduler formats no event text: each row's event field holds its
+block's schedule (malg.BlockSchedule), one object shared by the block's
+rows, and the text is rendered from it (BlockSchedule.texts) only when it
+is read: RunLog.column("event") into a new list at each read, and to_csv
+straight into its cells.  A restart row holds the pair of the schedule and its
+"restart <cause>" token, which its text follows; RunLog.restarts reads
+those tokens, and renders nothing.  Logs read back by from_csv, and those
+of run_bare, hold plain text.
 
 The per-round log stores the environment oracle's f*_t captured at
 simulation time, so dynamic regret is an exact second pass over the rows.
@@ -147,6 +154,49 @@ def _number_texts(data: list, is_int: bool):
     return map(_Texts(_int_text if is_int else _float_text).__getitem__, data)
 
 
+def _event_texts(rounds: list, cells: list, for_csv: bool = False):
+    """An iterator over the event text of each row, from its round and its
+    event cell, or with for_csv over the cell to_csv writes for it (_csv_field).
+
+    A str is the text itself.  A block's schedule (malg.BlockSchedule), or a
+    pair of one and the row's own tokens, stands for the schedule's text at
+    that round, followed by the own tokens after a ";" when that text is not
+    empty.  The rows of one schedule follow each other: each schedule is
+    rendered once, up to its last row, just before its first, and each run
+    of equal cells is handled at once.
+    """
+    stops = {}  # schedule -> the offset after its last row
+    row = 0
+    for cell, group in itertools.groupby(cells):
+        row += operator.countOf(group, cell)
+        schedule = cell[0] if cell.__class__ is tuple else cell
+        if schedule.__class__ is not str:
+            stops[schedule] = max(stops.get(schedule, 0), rounds[row - 1] - schedule.t_n + 1)
+
+    def chunks():
+        row = 0
+        texts = rendered = None  # the schedule last rendered, and its texts
+        for cell, group in itertools.groupby(cells):
+            count = operator.countOf(group, cell)
+            if cell.__class__ is str:
+                yield itertools.repeat(_csv_field(cell) if for_csv else cell, count)
+            else:
+                schedule, own = cell if cell.__class__ is tuple else (cell, None)
+                if schedule is not rendered:
+                    rendered, texts = schedule, schedule.texts(stops[schedule], for_csv)
+                part = map(texts.__getitem__, map((-schedule.t_n).__add__, rounds[row:row + count]))
+                if own is not None:
+                    if for_csv:  # the text again, unquoted: a schedule's text has no quote of its own
+                        part = [text[1:-1] if text[:1] == '"' else text for text in part]
+                    part = [f"{text};{own}" if text else own for text in part]
+                    if for_csv:
+                        part = map(_csv_field, part)
+                yield part
+            row += count
+
+    return itertools.chain.from_iterable(chunks())
+
+
 def seed_derive(master_seed: int, run_index: int, purpose: str) -> np.random.Generator:
     """Counter-based stream derivation, platform-independent.
 
@@ -168,7 +218,11 @@ class RestartEvent:
 
 
 class RunLog:
-    """Column-oriented per-round record; serializes to CSV bit-exactly."""
+    """Column-oriented per-round record; serializes to CSV bit-exactly.
+
+    An event cell is its text, a block's schedule, or a pair of a schedule
+    and the row's own tokens (_event_texts); the log keeps no runner and no
+    learner alive."""
 
     def __init__(self, mdp_columns: bool = False):
         self.columns = _BASE_COLUMNS + _MDP_COLUMNS if mdp_columns else _BASE_COLUMNS
@@ -185,19 +239,42 @@ class RunLog:
         any(map(list.append, self._lists, row))  # list.append returns None: any() runs it on every pair
 
     def column(self, name):
-        return self._data[name]
+        """The column's values in row order: the log's own list, except for
+        the event column, whose texts are rendered into a new list at each
+        read, so the log never holds them."""
+        data = self._data[name]
+        return list(_event_texts(self._data["t"], data)) if name == "event" else data
+
+    def amend_event(self, token: str):
+        """Join token to the last row's event, after a ";" if it has one."""
+        cells = self._data["event"]
+        cell = cells[-1]
+        if cell.__class__ is str:
+            cells[-1] = f"{cell};{token}" if cell else token
+        elif cell.__class__ is tuple:
+            cells[-1] = (cell[0], f"{cell[1]};{token}")
+        else:
+            cells[-1] = (cell, token)
 
     @property
     def restarts(self) -> list[RestartEvent]:
-        """The restart tokens of the event column, with their rows' round and block."""
+        """The restart tokens of the event column, with their rows' round and
+        block.  Read from the cells that hold text or a row's own tokens, a
+        run of equal cells at a time; no schedule is rendered, since its
+        events are never restarts."""
         data = self._data
-        return [
-            RestartEvent(round=t, cause=token[len("restart "):], block=block)
-            for t, block, event in zip(data["t"], data["block"], data["event"])
-            if "restart " in event
-            for token in event.split(";")
-            if token.startswith("restart ")
-        ]
+        rounds, blocks = data["t"], data["block"]
+        out = []
+        row = 0
+        for cell, group in itertools.groupby(data["event"]):
+            count = operator.countOf(group, cell)
+            tokens = cell if cell.__class__ is str else cell[1] if cell.__class__ is tuple else ""
+            if "restart " in tokens:
+                causes = [token[len("restart "):] for token in tokens.split(";") if token.startswith("restart ")]
+                out += [RestartEvent(round=t, cause=cause, block=block)
+                        for t, block in zip(rounds[row:row + count], blocks[row:row + count]) for cause in causes]
+            row += count
+        return out
 
     # -- serialization ------------------------------------------------------
 
@@ -213,7 +290,7 @@ class RunLog:
         for name in self.columns:
             data = self._data[name]
             if name == "event":
-                cells.append(map(_csv_field, data))
+                cells.append(_event_texts(self._data["t"], data, for_csv=True))
             else:
                 cells.append(_number_texts(data, name in _INT_COLUMNS))
         rows = map(",".join, zip(*cells))
@@ -406,8 +483,8 @@ def master_core(
             thresholds.cover(n, block_end - t_n + 1)
             runner = MalgRunner(t_n, n, rate, factory, rng_sched)
             runner.last_update_read = world.last_update_read
-            begin, finish, play, extras, append = (
-                runner.begin_round, runner.finish_round, world.play, world.extras, log.append)
+            begin, finish, play, extras, append, schedule = (
+                runner.begin_round, runner.finish_round, world.play, world.extras, log.append, runner.schedule)
             u_min = math.inf
             gap_sum = 0.0
             length = 0
@@ -431,11 +508,8 @@ def master_core(
                 if cause is None and learner.restart_signaled:
                     cause = "mdp_signal"
 
-                events = runner.events
-                if cause is not None:
-                    events = [*events, f"restart {cause}"]
                 append(t, n, epoch, active.order, policy, reward, f_star, g_tilde, u_min,
-                       ";".join(events) if events else "", *extras(learner))
+                       schedule if cause is None else (schedule, f"restart {cause}"), *extras(learner))
 
                 t += 1
                 if cause is not None:

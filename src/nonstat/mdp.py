@@ -245,8 +245,8 @@ class UcrlAcw(_Learner):
         if not n_actions >= 1:
             raise ValueError(f"n_actions={n_actions!r} must be >= 1")
         _check_horizon_delta(horizon, delta)
-        if not dbar >= 1.0:  # written so that nan fails it
-            raise ValueError(f"diameter guess dbar={dbar} must be >= 1")
+        if not 1.0 <= dbar < math.inf:  # written so that nan fails it
+            raise ValueError(f"diameter guess dbar={dbar} must be finite and >= 1")
         self.n_states = n_states
         self.n_actions = n_actions
         self.horizon = horizon
@@ -427,10 +427,8 @@ def doubling_dbar(
         )
         if reason == "epoch_overflow":
             dbar *= 2.0
-            if len(log):  # the token joins the last row's event
-                token = f"double_dbar {dbar:g}"
-                events = log.column("event")
-                events[-1] = f"{events[-1]};{token}" if events[-1] else token
+            if len(log):
+                log.amend_event(f"double_dbar {dbar:g}")
     return log
 
 

@@ -296,13 +296,31 @@ def test_validate_rejects_what_the_runs_learner_rejects(spec, message):
 
 @pytest.mark.parametrize("algorithm", ["doubling-dbar", "borl"])
 def test_validate_checks_doubling_and_borl_at_their_first_guess(algorithm, monkeypatch):
-    algo = {"known_l": 2, "dbar": 8} if algorithm == "doubling-dbar" else {"dbar": 8}  # dbar unread by both
+    algo = {"known_l": 2} if algorithm == "doubling-dbar" else {}
     spec = average_reward_spec(algorithm, algo)
     built = []
     real = nonstat.mdp.UcrlAcw
     monkeypatch.setattr(nonstat.mdp, "UcrlAcw", lambda *args: built.append(args) or real(*args))
     validate_spec(spec)
     assert [args[-1] for args in built] == [1.0]
+
+
+@pytest.mark.parametrize("algorithm", ["doubling-dbar", "borl"])
+@pytest.mark.parametrize("dbar", [1.0, 8])
+def test_validate_rejects_a_dbar_that_doubling_and_borl_never_read(algorithm, dbar, tmp_path, monkeypatch):
+    # the aggregate's drift measure would read it: on switch_mdp_spec(32) its Delta reads 20.58 at
+    # dbar = 8 instead of the 3.78 of the guess these runs start from
+    algo = {"known_l": 2, "dbar": dbar} if algorithm == "doubling-dbar" else {"dbar": dbar}
+    spec = dict(average_reward_spec(algorithm, algo), out=str(tmp_path / "out"))
+    message = rf"^spec\.algo\.dbar: {algorithm} chooses its own diameter guesses, so it takes none$"
+    with pytest.raises(SpecError, match=message):
+        validate_spec(spec)
+    ran = []
+    monkeypatch.setattr(nonstat.harness, "run_single", lambda *args: ran.append(args))
+    with pytest.raises(SpecError, match=message):
+        run_experiment(spec)
+    assert ran == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("algorithm", ["master+ucb1", "master-ucrl", "ucrl"])

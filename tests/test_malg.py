@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 
@@ -140,6 +142,21 @@ def test_runner_spawns_follow_schedule_upfront():
     ]
 
 
+class SlotTexts:
+    """SlotRunner's schedule as the control loop logs it: texts(stop, for_csv)
+    gives the event text of each of the first stop rounds the oracle played,
+    as the oracle wrote it, or with for_csv as csv.writer would write it (its
+    text holds no quote, CR or LF, so only a comma makes it quoted)."""
+
+    def __init__(self, t_n):
+        self.t_n = t_n
+        self.rounds = []
+
+    def texts(self, stop, for_csv=False):
+        assert stop <= len(self.rounds)
+        return [f'"{text}"' if for_csv and "," in text else text for text in self.rounds[:stop]]
+
+
 class SlotRunner:
     """Reference scheduler: one slot per order, scanned each round for the
     covering instance of smallest order."""
@@ -151,6 +168,7 @@ class SlotRunner:
         self.next_uid = 0
         self.prev_uid = -1
         self.events = []
+        self.schedule = SlotTexts(block_start)
 
     def _find(self, uid):
         return next((r for r in self.slots if r is not None and r.uid == uid), None)
@@ -192,6 +210,7 @@ class SlotRunner:
                 ended.append(other)
                 self.events.append(f"end m{m}#{other.uid}")
                 self.slots[m] = None
+        self.schedule.rounds.append(";".join(self.events))
         return ended
 
 
@@ -219,12 +238,34 @@ def test_runner_matches_the_slot_oracle(n, seed, p, data):
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
+def csv_cell(text):
+    """text as csv.writer writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[: -len(",\n")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 2**32 - 1), st.floats(0.5, 0.95), st.data())
+def test_schedule_texts_are_prefixes_and_csv_cells(n, seed, p, data):
+    # each stop renders the first stop rounds of the whole block's texts, and
+    # for_csv gives the cells csv.writer writes for them
+    rate = RateFunction(c1=1.0, c2=0.0, p=p, c3=1.0, horizon=1 << 20)
+    schedule = MalgRunner(5, n, rate, make_factory(), np.random.default_rng(seed)).schedule
+    full = schedule.texts(1 << n)
+    stop = data.draw(st.integers(1, 1 << n))
+    assert schedule.texts(stop) == full[:stop]
+    assert schedule.texts(stop, for_csv=True) == [csv_cell(text) for text in full[:stop]]
+
+
 def assert_control_loop_matches_the_slot_oracle(monkeypatch, env, factory, kappa, seed):
     # blocks cut by restarts and by end_t: the same log, and the same sched
     # stream state after each call, as with per-round draws.  SlotRunner
     # builds a learner for every instance and makes every update, so the
     # same log also shows that what BanditWorld lets the runner skip is
-    # never read.
+    # never read.  Its log holds the text SlotRunner wrote each round, and
+    # the runner's log the text rendered from its block schedules, both as
+    # CSV cells and as the event column.
     T = env.horizon
     def run():
         log, rng_env, rng_sched = master.RunLog(), seed_derive(seed, 0, "env"), seed_derive(seed, 0, "sched")
@@ -239,6 +280,7 @@ def assert_control_loop_matches_the_slot_oracle(monkeypatch, env, factory, kappa
     monkeypatch.setattr(master, "MalgRunner", SlotRunner)
     oracle_log, oracle_states = run()
     assert log.to_csv_text() == oracle_log.to_csv_text()
+    assert log.column("event") == oracle_log.column("event")
     assert states == oracle_states
     if kappa < 1.0:
         assert any(ev.block > 0 for ev in log.restarts), "no block was cut by a restart"

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonstat.master
+import nonstat.mdp
 from nonstat.base import Ucb1
 from nonstat.envs import make_env
 from nonstat.harness import seed_derive
@@ -30,7 +31,7 @@ from nonstat.master import (
 )
 from nonstat.master import test1_fails as order_test_fails
 from nonstat.master import test2_fails as block_test_fails
-from nonstat.mdp import UcrlAcw
+from nonstat.mdp import UcrlAcw, doubling_dbar
 from nonstat.rates import RateFunction
 
 SQRT_RATE = RateFunction(c1=1.0, c2=0.0, p=0.5, c3=1.0, horizon=1 << 20)
@@ -498,6 +499,108 @@ def test_csv_roundtrip_keeps_restart_blocks():
     log = run_master(env, factory, T, delta, kappa=1e-4, seed=31)
     assert any(ev.block > 0 for ev in log.restarts)
     assert RunLog.from_csv(log.to_csv_text()).restarts == log.restarts
+
+
+# ---------------------------------------------------------------------------
+# the event column: each row holds its block's schedule, rendered when read
+
+
+class ReadingLog(RunLog):
+    """A RunLog that reads its event column just before it appends each row
+    whose index is in reads: rows of the block read, and of later blocks,
+    are appended after a read and rendered at a later one."""
+
+    reads = frozenset()
+
+    def append(self, *row):
+        if len(self) in self.reads:
+            self.column("event")
+        super().append(*row)
+
+
+def assert_event_reads_agree(make_log, reading_log):
+    # make_log(log_class) runs once with no read, once reading at the rows of
+    # reading_log: the column matches its CSV round trip, the CSV bytes and
+    # the restarts do not depend on whether or when the column was read
+    log = make_log(RunLog)
+    text = log.to_csv_text()  # no read yet: every master row still holds its schedule
+    restarts = log.restarts
+    events = log.column("event")
+    assert events == RunLog.from_csv(text).column("event")
+    assert log.restarts == restarts
+    assert log.to_csv_text() == text
+    log.column("event")[0] = "written"  # a read is a copy: the log holds no text
+    assert log.column("event") == events
+    read = make_log(reading_log)
+    assert read.restarts == restarts
+    assert read.to_csv_text() == text
+    assert read.column("event") == events
+    return events, restarts
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([1e-4, 6e-4, 3e-3]),
+    st.integers(0, 2**16),
+    st.lists(st.integers(1, 511), max_size=2),
+    st.frozensets(st.integers(0, 511), max_size=6),
+)
+def test_event_column_reads_agree_on_restart_heavy_runs(kappa, seed, cuts, reads):
+    # at T=512 without cuts, kappa 1e-4 restarts about every other round, 6e-4
+    # once, in a long block, and 3e-3 never
+    T = 512
+    env = mab(T, [{"length": 200, "means": [0.9, 0.1]}, {"length": T - 200, "means": [0.1, 0.9]}])
+    factory, delta = ucb1_stack(env, T)
+    bounds = sorted({0, *cuts, T})  # master_core calls over (a, b], each starting fresh blocks
+
+    def make_log(log_class):
+        log, rng_env, rng_sched = log_class(), seed_derive(seed, 0, "env"), seed_derive(seed, 0, "sched")
+        for a, b in zip(bounds, bounds[1:]):
+            master_core(BanditWorld(env), factory, T, delta, kappa, rng_env, rng_sched, log,
+                        start_t=a + 1, end_t=b)
+        return log
+
+    events, restarts = assert_event_reads_agree(make_log, type("Reading", (ReadingLog,), {"reads": reads}))
+    assert [ev.round for ev in restarts] == [t for t, ev in enumerate(events, 1) if "restart " in ev]
+    assert restarts or kappa > 1e-4
+
+
+def switching_mdp(T):
+    rewards = [[[0.9, 0.1], [0.2, 0.3], [0.0, 0.6]], [[0.1, 0.9], [0.6, 0.0], [0.3, 0.2]]]
+    row = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1]]
+    return make_env({"kind": "infinite", "T": T, "S": 3, "A": 2, "segments": [
+        {"length": T // 2, "rewards": rewards[0], "transitions": [row, row[::-1], row]},
+        {"length": T - T // 2, "rewards": rewards[1], "transitions": [row[::-1], row, row[::-1]]},
+    ]})
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from([1e-5, 1e-4]),
+    st.integers(0, 2**16),
+    st.frozensets(st.integers(0, 63), max_size=6),
+)
+def test_event_column_reads_agree_on_doubling_dbar_runs(kappa, seed, reads):
+    # every restart overflows the one-epoch cap, so its row is amended with a
+    # double_dbar token, before or after a read has rendered that row
+    env = switching_mdp(64)
+
+    def make_log(log_class):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nonstat.mdp, "RunLog", log_class)
+            return doubling_dbar(env, known_l=1, kappa=kappa, seed=seed)
+
+    events, restarts = assert_event_reads_agree(make_log, type("Reading", (ReadingLog,), {"reads": reads}))
+    assert restarts
+    assert [t for t, ev in enumerate(events, 1) if "double_dbar" in ev] == [ev.round for ev in restarts]
+
+
+def test_amend_event_joins_a_token_to_each_kind_of_cell():
+    log = RunLog()
+    for event in ("", "x", "y"):
+        log.append(1, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, event)
+        log.amend_event("tok")
+    assert log.column("event") == ["tok", "x;tok", "y;tok"]
 
 
 _INT_COLUMNS = {"t", "block", "epoch", "active_order", "policy", "episode", "borl_arm"}

@@ -230,6 +230,15 @@ def test_learner_rejects_a_diameter_guess_below_one(dbar):
         UcrlAcw(2, 2, 256, 1.0 / 256, dbar=dbar)
 
 
+def test_learner_rejects_an_infinite_diameter_guess():
+    # an infinite guess makes the rate infinite at every order, and the
+    # control loop used to die on its first block with "no covering instance"
+    with pytest.raises(ValueError, match=r"^diameter guess dbar=inf must be finite and >= 1$"):
+        UcrlAcw(2, 2, 256, 1.0 / 256, dbar=math.inf)
+    with pytest.raises(ValueError, match=r"^diameter guess dbar=inf must be finite and >= 1$"):
+        run_master_ucrl(infinite_env(32), math.inf)
+
+
 def test_prior_solution_equals_fresh_widening():
     S, A, T, dbar = 3, 2, 256, 2.0
     delta = 1.0 / T
