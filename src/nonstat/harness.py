@@ -12,8 +12,9 @@ Randomness is derived, not shared: every stream comes from seed_derive, so
 any run is reproducible from its spec alone, on any platform.
 
 Everything the harness knows about an algorithm name sits in its
-ALGORITHMS row: the environment kind, which fixes the base learner, and the
-run function.
+ALGORITHMS row: the environment kind, which fixes the base learner, the
+run function, and the spec.algo keys the run reads; validate_spec rejects
+any other.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ class SpecError(ValueError):
 # ---------------------------------------------------------------------------
 # the algorithm table
 #
-# An algorithm is an environment kind and a run function (env, spec, seed,
-# run_index) -> run log.  The kind fixes the base learner, whose function maps
-# (env, T, delta, spec.algo) to its factory, the round adapter and the drift
-# measure.
+# An algorithm is an environment kind, a run function (env, spec, seed,
+# run_index) -> run log, and the spec.algo keys that run reads.  The kind
+# fixes the base learner, whose function maps (env, T, delta, spec.algo) to
+# its factory, the round adapter and the drift measure.
 
 
 def _ucb1(env, horizon, delta, algo):
@@ -110,20 +111,23 @@ def _borl(env, spec, seed, run_index):
     return mdp.borl(env, spec["T"], spec["delta"], spec["kappa"], seed, run_index)
 
 
-# name -> (the environment kind it runs on, its run function)
+# name -> (the environment kind it runs on, its run function, the spec.algo
+# keys the run reads: c by the UCB1 and Q-UCB bonus, dbar by the
+# average-reward learner and the aggregate's drift measure, known_l and
+# known_delta by the doubling strategy)
 ALGORITHMS = {
-    "master+ucb1": ("mab", _master),
-    "master+oful": ("linear", _master),
-    "master+glm": ("glm", _master),
-    "master+qucb": ("episodic", _master),
-    "master-ucrl": ("infinite", _master),
-    "doubling-dbar": ("infinite", _doubling_dbar),
-    "borl": ("infinite", _borl),
-    "ucb1": ("mab", _bare),
-    "oful": ("linear", _bare),
-    "glm": ("glm", _bare),
-    "qucb": ("episodic", _bare),
-    "ucrl": ("infinite", _bare),
+    "master+ucb1": ("mab", _master, {"c"}),
+    "master+oful": ("linear", _master, set()),
+    "master+glm": ("glm", _master, set()),
+    "master+qucb": ("episodic", _master, {"c"}),
+    "master-ucrl": ("infinite", _master, {"dbar"}),
+    "doubling-dbar": ("infinite", _doubling_dbar, {"known_l", "known_delta"}),
+    "borl": ("infinite", _borl, set()),
+    "ucb1": ("mab", _bare, {"c"}),
+    "oful": ("linear", _bare, set()),
+    "glm": ("glm", _bare, set()),
+    "qucb": ("episodic", _bare, {"c"}),
+    "ucrl": ("infinite", _bare, {"dbar"}),
 }
 
 
@@ -131,7 +135,7 @@ ALGORITHMS = {
 # spec validation
 
 _SPEC_KEYS = {"env", "algorithm", "T", "delta", "kappa", "seeds", "out", "algo"}
-_ALGO_KEYS = {"c", "dbar", "known_l", "known_delta"}
+_ALGO_KEYS = set().union(*(reads for _, _, reads in ALGORITHMS.values()))
 
 
 def _is_int(value) -> bool:
@@ -178,7 +182,7 @@ def validate_spec(spec: dict) -> dict:
         raise SpecError(f"spec.T: expected an integer, got {horizon!r}")
     if horizon != env.horizon:
         raise SpecError(f"spec.T: {horizon} does not match env horizon {env.horizon}")
-    expected_kind, run = ALGORITHMS[algorithm]
+    expected_kind, run, reads = ALGORITHMS[algorithm]
     if env.kind != expected_kind:
         raise SpecError(
             f"spec.algorithm: {algorithm!r} needs a {expected_kind!r} environment, got {env.kind!r}"
@@ -203,13 +207,15 @@ def validate_spec(spec: dict) -> dict:
     algo = spec.get("algo", {})
     if not isinstance(algo, dict) or set(algo) - _ALGO_KEYS:
         raise SpecError(f"spec.algo: unknown keys {sorted(set(algo) - _ALGO_KEYS)}")
+    for key in sorted(set(algo) - reads):
+        if key == "dbar" and expected_kind == "infinite":
+            # its learners never read it, but the aggregate's drift measure would
+            raise SpecError(f"spec.algo.dbar: {algorithm} chooses its own diameter guesses, so it takes none")
+        raise SpecError(f"spec.algo.{key}: {algorithm} does not read it")
     _check_algo(algo)
     if algorithm == "doubling-dbar":
         if ("known_l" in algo) == ("known_delta" in algo):
             raise SpecError("spec.algo: doubling-dbar needs exactly one of known_l / known_delta")
-    if algorithm in ("doubling-dbar", "borl") and "dbar" in algo:
-        # its learners never read it, but the aggregate's drift measure would
-        raise SpecError(f"spec.algo.dbar: {algorithm} chooses its own diameter guesses, so it takes none")
     spec = {
         "env": spec["env"],
         "algorithm": algorithm,
@@ -238,7 +244,7 @@ def validate_spec(spec: dict) -> dict:
 
 def run_single(spec: dict, seed: int, run_index: int = 0) -> RunLog:
     """One seeded run of the spec's algorithm; returns the run log."""
-    _, run = ALGORITHMS[spec["algorithm"]]
+    _, run, _ = ALGORITHMS[spec["algorithm"]]
     return run(make_env(spec["env"]), spec, seed, run_index)
 
 
@@ -248,7 +254,7 @@ def baseline_run(spec: dict, seed: int, run_index: int = 0) -> RunLog:
     Raises SpecError for doubling-dbar and borl: a restart-free learner would
     need the diameter guess neither is given.
     """
-    _, run = ALGORITHMS[spec["algorithm"]]
+    _, run, _ = ALGORITHMS[spec["algorithm"]]
     if run not in (_master, _bare):
         raise SpecError(f"spec.algorithm: {spec['algorithm']!r} has no restart-free counterpart")
     return _bare(make_env(spec["env"]), spec, seed, run_index)

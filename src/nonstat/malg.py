@@ -15,7 +15,9 @@ instance — the one of smallest order — is active: it emits the block's
 optimistic value g~_t, chooses the policy, and is the only instance whose
 learner state is updated.  Every covering instance accumulates the
 learner's reward into its interval sum, which the order-level
-stationarity test reads when the instance ends.  An instance's uid is its
+stationarity test reads when the instance ends; a caller whose test can
+fail at none of the block's orders (master.ThresholdTable.live_order) sets
+sums_read to False, and no sum is kept.  An instance's uid is its
 index among the block's spawns.  Slots nest, so no instance ends at a
 round where the active one does not: finish_round then returns the empty
 tuple without scanning the stack.
@@ -224,8 +226,9 @@ class InstanceRecord:
     start: int  # absolute rounds, inclusive
     end: int
     learner: object  # the runner's fresh learner until the instance's first update
-    reward_sum: float = 0.0  # all learner rewards in [start, end], active or not
-    active_rounds: int = 0
+    # all learner rewards in [start, end], active or not; kept only in a block
+    # that reaches a live test-1 order (MalgRunner.sums_read), else left at 0
+    reward_sum: float = 0.0
 
     def interval_average(self) -> float:
         return self.reward_sum / float(1 << self.order)
@@ -250,10 +253,12 @@ class MalgRunner:
     Every read before an instance's first update is of runner.fresh, which
     the constructor builds; a caller that reads no learner after its
     instance's last update sets last_update_read to False before the first
-    round (module docstring).
+    round, and one that reads no interval sum sets sums_read to False
+    (module docstring).
     """
 
     last_update_read = True
+    sums_read = True
     _round = None  # the round of the last begin_round, which events shows
     _texts = None  # the block's event texts, once events is read
 
@@ -322,9 +327,9 @@ class MalgRunner:
             if learner is self.fresh:  # its first update: from here on it plays its own
                 learner = rec.learner = self.factory()
             learner.update(feedback)
-        rec.active_rounds += 1
-        for other in self._live:
-            other.reward_sum += reward
+        if self.sums_read:
+            for other in self._live:
+                other.reward_sum += reward
         if rec.end != t:  # slots nest: when the active (shortest) instance goes on, all do
             return ()
         live = self._live

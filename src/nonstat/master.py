@@ -19,6 +19,18 @@ extends one process-wide table, which holds exactly the values a fresh one
 would.  At most THRESHOLD_MEMO_SIZE tables are kept, least recently used
 first out.
 
+Both left-hand sides lie in [0, 1], so a threshold above 1 is never
+crossed.  That rests on the base-learner contract, g~ in [0, 1] (every
+learner clamps predict()), and on rewards in [0, 1]: an interval average
+is at most 1 and U_t at least 0, and each gap g~ - R is at most 1.  It
+holds in float64 too, as a rounded sum of terms that are each at most 1
+never exceeds their count.  So the control loop calls test 1 only for
+ending instances of order >= ThresholdTable.live_order and test 2 only from
+block length ThresholdTable.live_length on, and the runner of a block of
+order below live_order keeps no interval sum.  The loop checks the contract
+on each round's g~ and reward, and raises a ValueError that names the round
+when either lies outside [0, 1].
+
 run_master and run_bare serve every environment kind through its round
 adapter, which carries the MDP log columns, rho_hat's factor: 6
 (BanditWorld), or 18 (AverageRewardWorld), and last_update_read, which the
@@ -395,13 +407,17 @@ class AverageRewardWorld:
 def test1_fails(interval_average: float, u_min: float, threshold: float) -> bool:
     """Order-level test: an ending length-2^m instance whose realized average
     reward beats the block's optimistic floor by threshold = 9 * rho_hat(2^m)
-    exposes a value increase the running learners have not caught."""
+    exposes a value increase the running learners have not caught.  With
+    rewards in [0, 1] and u_min >= 0 it cannot fail at a threshold above 1,
+    so the control loop calls it only for orders >= ThresholdTable.live_order."""
     return interval_average >= u_min + threshold
 
 
 def test2_fails(gap_sum: float, length: int, threshold: float) -> bool:
     """Block-average test: the mean optimism gap (g~ - R) over the block so
-    far must stay below threshold = 3 * rho_hat(block length)."""
+    far must stay below threshold = 3 * rho_hat(block length).  Each gap is
+    at most 1 when g~ <= 1 and R >= 0, so it cannot fail at a threshold above
+    1, and the control loop calls it only from ThresholdTable.live_length on."""
     return gap_sum / length >= threshold
 
 
@@ -410,7 +426,13 @@ class ThresholdTable:
     length: order[m] = 9 * rho_hat(2^m) and length[l - 1] = 3 * rho_hat(l),
     computed once each, when a block first needs them.  Held as float64
     arrays, which store them without a Python object per entry.  The tables
-    only grow, under a lock, so callers may share one."""
+    only grow, under a lock, so callers may share one.
+
+    live_order and live_length are the first order and the first block
+    length whose threshold is at most 1 (a test can fail there), or inf
+    while no covered entry is: every entry before them is above 1."""
+
+    live_order = live_length = math.inf
 
     def __init__(self, rate: RateFunction, horizon: int, delta: float, kappa: float, rho_factor: float):
         self._rho_hat_args = (rate, horizon, delta, kappa, rho_factor)
@@ -424,8 +446,12 @@ class ThresholdTable:
         with self._lock:
             while len(self.order) <= n:
                 self.order.append(9.0 * rho_hat(float(1 << len(self.order)), *args))
+                if self.order[-1] <= 1.0 and self.live_order == math.inf:
+                    self.live_order = len(self.order) - 1
             while len(self.length) < length:
                 self.length.append(3.0 * rho_hat(float(len(self.length) + 1), *args))
+                if self.length[-1] <= 1.0 and self.live_length == math.inf:
+                    self.live_length = len(self.length)
 
 
 THRESHOLD_MEMO_SIZE = 16
@@ -481,8 +507,10 @@ def master_core(
             t_n = t
             block_end = min(t_n + (1 << n) - 1, end_t)
             thresholds.cover(n, block_end - t_n + 1)
+            live_order, live_length = thresholds.live_order, thresholds.live_length
             runner = MalgRunner(t_n, n, rate, factory, rng_sched)
             runner.last_update_read = world.last_update_read
+            runner.sums_read = n >= live_order
             begin, finish, play, extras, append, schedule = (
                 runner.begin_round, runner.finish_round, world.play, world.extras, log.append, runner.schedule)
             u_min = math.inf
@@ -491,18 +519,22 @@ def master_core(
             while t <= block_end:
                 g_tilde, policy, active = begin(t)
                 reward, feedback, f_star = play(t, policy, rng_env)
+                if not (0.0 <= g_tilde <= 1.0 and 0.0 <= reward <= 1.0):
+                    raise ValueError(f"round {t}: g_tilde {g_tilde!r} and reward {reward!r} must both lie in [0, 1]")
                 ended = finish(t, reward, feedback)
-                if g_tilde < u_min:  # min(u_min, g_tilde) without the call, nan included
+                if g_tilde < u_min:  # min(u_min, g_tilde) without the call
                     u_min = g_tilde
                 gap_sum += g_tilde - reward
                 length += 1
 
                 cause = None
                 for rec in ended:
-                    if test1_fails(rec.interval_average(), u_min, order_thresholds[rec.order]):
+                    if rec.order >= live_order and test1_fails(
+                            rec.interval_average(), u_min, order_thresholds[rec.order]):
                         cause = f"test1 m{rec.order}#{rec.uid}"
                         break
-                if cause is None and test2_fails(gap_sum, length, length_thresholds[length - 1]):
+                if cause is None and length >= live_length and test2_fails(
+                        gap_sum, length, length_thresholds[length - 1]):
                     cause = "test2"
                 learner = active.learner
                 if cause is None and learner.restart_signaled:

@@ -171,6 +171,20 @@ def test_run_rejects_a_spec_its_learner_rejects_before_any_seed(tmp_path, capsys
     assert not out.exists()
 
 
+def test_run_rejects_an_algo_key_its_algorithm_never_reads_before_any_seed(tmp_path, capsys, monkeypatch):
+    cfg = json.loads(open(write_config(tmp_path)).read())
+    cfg["algo"] = {"dbar": 4, "known_l": 3, "known_delta": 0.5}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    ran = []
+    monkeypatch.setattr(nonstat.harness, "run_single", lambda *args: ran.append(args))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error: spec.algo.dbar: master+ucb1 does not read it" in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
+
+
 def test_run_accepts_the_bare_form_of_the_one_arm_spec(tmp_path, capsys):
     # the bare learner never reads its rate, so nothing rejects this spec
     spec = dict(LEARNER_REJECTS["one-arm-rate"][0], algorithm="ucb1")

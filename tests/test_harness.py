@@ -233,6 +233,44 @@ def test_validate_keeps_well_typed_algo_values(algorithm, algo):
     assert validate_spec(spec)["algo"] == algo
 
 
+# the spec.algo keys each algorithm's run reads
+ALGO_READS = {
+    "master+ucb1": {"c"}, "ucb1": {"c"}, "master+qucb": {"c"}, "qucb": {"c"},
+    "master-ucrl": {"dbar"}, "ucrl": {"dbar"}, "doubling-dbar": {"known_l", "known_delta"},
+    "master+oful": set(), "oful": set(), "master+glm": set(), "glm": set(), "borl": set(),
+}
+ALGO_VALUES = {"c": 2.0, "dbar": 2.0, "known_l": 3, "known_delta": 0.5}
+
+
+@pytest.mark.parametrize("key", sorted(ALGO_VALUES))
+@pytest.mark.parametrize("algorithm", sorted(ALGO_READS))
+def test_validate_rejects_the_algo_keys_an_algorithm_never_reads(algorithm, key):
+    spec = tiny_spec(algorithm)
+    if algorithm == "doubling-dbar" and key in ALGO_READS[algorithm]:
+        algo = {key: ALGO_VALUES[key]}  # it takes exactly one of the two
+    else:
+        algo = dict(spec["algo"], **{key: ALGO_VALUES[key]})
+    spec = dict(spec, algo=algo)
+    if key in ALGO_READS[algorithm]:
+        assert validate_spec(spec)["algo"] == algo
+    elif key == "dbar" and algorithm in ("doubling-dbar", "borl"):
+        with pytest.raises(SpecError, match=rf"^spec\.algo\.dbar: {algorithm} chooses its own diameter guesses"):
+            validate_spec(spec)
+    else:
+        with pytest.raises(SpecError, match=rf"^spec\.algo\.{key}: {re.escape(algorithm)} does not read it$"):
+            validate_spec(spec)
+
+
+def test_the_algo_reads_cover_every_algorithm():
+    assert ALGO_READS.keys() == nonstat.harness.ALGORITHMS.keys()
+
+
+def test_validate_names_the_first_unread_algo_key():
+    spec = dict(tiny_spec("master+ucb1"), algo={"dbar": 4, "known_l": 3, "known_delta": 0.5})
+    with pytest.raises(SpecError, match=r"^spec\.algo\.dbar: master\+ucb1 does not read it$"):
+        validate_spec(spec)
+
+
 def uniform_mdp_spec(S, A, T=8):
     row = [1.0 / S] * S
     return {

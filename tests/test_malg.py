@@ -167,6 +167,7 @@ class SlotRunner:
         self.slots = [None] * (order_n + 1)
         self.next_uid = 0
         self.prev_uid = -1
+        self.active_rounds = {}  # uid -> rounds played
         self.events = []
         self.schedule = SlotTexts(block_start)
 
@@ -188,7 +189,7 @@ class SlotRunner:
             prev = self._find(self.prev_uid)
             if prev is not None and prev.start <= t <= prev.end:
                 self.events.append(f"pause m{prev.order}#{prev.uid}")
-            if rec.active_rounds > 0:
+            if self.active_rounds.get(rec.uid, 0) > 0:
                 self.events.append(f"resume m{rec.order}#{rec.uid}")
         return rec.learner.predict(), rec.learner.act(), rec
 
@@ -198,7 +199,7 @@ class SlotRunner:
     def finish_round(self, t, reward, feedback):
         rec = self.active
         rec.learner.update(feedback)
-        rec.active_rounds += 1
+        self.active_rounds[rec.uid] = self.active_rounds.get(rec.uid, 0) + 1
         self.prev_uid = rec.uid
         ended = []
         for m in range(self.order_n + 1):
@@ -462,7 +463,7 @@ def test_average_reward_world_updates_every_active_round_with_its_own_learner(mo
         assert runner.fresh.updates == 0
         assert_fresh_serves_reads_before_each_first_update(runner, factory, True)
         for rec, rounds in runner.played.values():
-            assert rec.learner.updates == len(rounds) == rec.active_rounds
+            assert rec.learner.updates == len(rounds)  # the rounds begin_round returned rec
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +493,14 @@ def test_active_rounds_never_exceed_length():
     rng = seed_derive(5, 0, "act2")
     runner = MalgRunner(1, 5, SQRT_RATE, make_factory(), rng)
     seen = {}
+    active_rounds = {}
     for t in range(1, 33):
         _, pol, rec = runner.begin_round(t)
         seen[rec.uid] = rec
+        active_rounds[rec.uid] = active_rounds.get(rec.uid, 0) + 1
         runner.finish_round(t, 0.1, (pol, 0.1))
     for rec in seen.values():
-        assert rec.active_rounds <= (1 << rec.order)
+        assert active_rounds[rec.uid] <= (1 << rec.order)
 
 
 def test_reward_interval_sum_counts_every_covered_round():
@@ -551,7 +554,7 @@ def test_every_instance_matches_a_bare_run_on_its_active_rounds():
         reward = float(seed_derive(10, t, "r").random())
         mirror.update((pol, reward))
         for ended in runner.finish_round(t, reward, (pol, reward)):
-            if ended.active_rounds:
+            if ended.uid in mirrors:  # it was active in some round
                 finals[ended.uid] = snapshot_to_json(ended.learner)
             else:  # an instance that never played never built a learner
                 assert ended.learner is runner.fresh
@@ -581,18 +584,20 @@ def test_learner_is_built_at_the_first_active_round(n, seed, rate, data):
     runner = MalgRunner(3, n, rate, factory, np.random.default_rng(seed))
     assert built == [runner.fresh]
     spawned = {}
+    active_rounds = {}  # uid -> rounds in which begin_round returned it
     for t in range(3, 3 + rounds):
         calls = len(built)
         _, pol, rec = runner.begin_round(t)
         assert len(built) == calls  # reads build nothing
         spawned.update((other.uid, other) for other in runner._live)
-        first = rec.active_rounds == 0
+        first = rec.uid not in active_rounds
+        active_rounds[rec.uid] = active_rounds.get(rec.uid, 0) + 1
         assert (rec.learner is runner.fresh) == first
         runner.finish_round(t, 0.5, (pol, 0.5))
         assert built[calls:] == ([rec.learner] if first else [])
     assert snapshot_to_json(runner.fresh) == snapshot_to_json(read_fresh(lambda: Ucb1(3, 64, 1.0 / 64)))
     for rec in spawned.values():
-        assert (rec.learner is runner.fresh) == (rec.active_rounds == 0)
+        assert (rec.learner is runner.fresh) == (active_rounds.get(rec.uid, 0) == 0)
     if rate is ALL_SPAWN_RATE:  # orders n..1 of offset 0 never play
         assert sum(rec.learner is runner.fresh for rec in spawned.values()) >= n
 

@@ -1,8 +1,10 @@
 import csv
+import functools
 import hashlib
 import io
 import math
 import os
+import re
 import struct
 import sys
 import tempfile
@@ -245,16 +247,15 @@ def test_threshold_memo_holds_at_most_its_bound():
     assert memo.cache_info().maxsize == memo.cache_info().currsize == THRESHOLD_MEMO_SIZE
 
 
-def test_a_table_grown_from_many_threads_equals_a_fresh_one():
-    T = 1 << 12
-    args = (UcrlAcw(3, 2, T, 1 / T, 2.0).rate(), T, 1 / T, 1.0, 18.0)
-    shared = ThresholdTable(*args)
+def grow_from_threads(tables):
+    """Cover each table to orders 0..11 and lengths 1..2000 from 8 threads at once."""
     start = threading.Barrier(8)
 
     def grow(k):
         start.wait(timeout=60)
         for length in range(1, 2001):  # one entry at a time: many check-then-append windows
-            shared.cover(length.bit_length() - 1 + k % 2, length)
+            for table in tables:
+                table.cover(length.bit_length() - 1 + k % 2, length)
 
     threads = [threading.Thread(target=grow, args=(k,)) for k in range(8)]
     interval = sys.getswitchinterval()
@@ -267,10 +268,156 @@ def test_a_table_grown_from_many_threads_equals_a_fresh_one():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+
+
+def test_a_table_grown_from_many_threads_equals_a_fresh_one():
+    T = 1 << 12
+    args = (UcrlAcw(3, 2, T, 1 / T, 2.0).rate(), T, 1 / T, 1.0, 18.0)
+    shared = ThresholdTable(*args)
+    grow_from_threads([shared])
     fresh = ThresholdTable(*args)
     fresh.cover(11, 2000)
     assert shared.order.tobytes() == fresh.order.tobytes()
     assert shared.length.tobytes() == fresh.length.tobytes()
+
+
+def test_live_fields_grown_from_many_threads_equal_fresh_ones():
+    # at these kappas the first live order is 11, the last one covered, and
+    # the first live length 687
+    T = 1 << 12
+    rate = UcrlAcw(3, 2, T, 1 / T, 2.0).rate()
+    tables = [ThresholdTable(rate, T, 1 / T, kappa, 18.0) for kappa in (3e-5, 5e-5)]
+    grow_from_threads(tables)
+    assert [(table.live_order, table.live_length) for table in tables] == [(11, 1), (math.inf, 687)]
+    for kappa, table in zip((3e-5, 5e-5), tables):
+        fresh = ThresholdTable(rate, T, 1 / T, kappa, 18.0)
+        fresh.cover(11, 2000)
+        assert (table.live_order, table.live_length) == (fresh.live_order, fresh.live_length)
+
+
+# ---------------------------------------------------------------------------
+# liveness: a test whose threshold exceeds 1 is never called
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kappa=st.sampled_from([0.0, 1e-5, 1e-4, 1e-3, 1.0, math.inf]),
+    average_reward=st.booleans(),
+    log2_horizon=st.integers(1, 24),
+    covers=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 3000)), min_size=1, max_size=4),
+)
+def test_live_fields_are_the_first_thresholds_at_most_one(kappa, average_reward, log2_horizon, covers):
+    T = 1 << log2_horizon
+    delta = 1.0 / T
+    if average_reward:
+        rate, factor = UcrlAcw(3, 2, T, delta, 2.0).rate(), 18.0
+    else:
+        rate, factor = Ucb1(2, T, delta).rate(), 6.0
+    table = ThresholdTable(rate, T, delta, kappa, factor)
+    for n, length in covers:
+        table.cover(n, length)
+        orders = range(len(table.order))
+        lengths = range(1, len(table.length) + 1)
+        assert table.live_order == next(
+            (m for m in orders if 9.0 * rho_hat(float(1 << m), rate, T, delta, kappa, factor) <= 1.0), math.inf)
+        assert table.live_length == next(
+            (l for l in lengths if 3.0 * rho_hat(float(l), rate, T, delta, kappa, factor) <= 1.0), math.inf)
+
+
+class EveryTestLive(ThresholdTable):
+    """A ThresholdTable that counts every order and block length as live, so
+    the control loop calls every test, as it did before the skip."""
+
+    def cover(self, n, length):
+        super().cover(n, length)
+        self.live_order = self.live_length = 0
+
+
+def counted_run(run, table, monkeypatch):
+    """run()'s log and the test calls it made, with a fresh table of class
+    table for each control-loop call."""
+    calls = {"test1": 0, "test2": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nonstat.master, "_shared_thresholds", table)
+        patch.setattr(nonstat.master, "test1_fails", counting("test1", nonstat.master.test1_fails))
+        patch.setattr(nonstat.master, "test2_fails", counting("test2", nonstat.master.test2_fails))
+        log = run()
+    return log, calls
+
+
+LIVENESS_RUNS = {  # the shared-table runs above, the runs of the scripted tests below, and a mixed one
+    **{f"master-{kappa}": functools.partial(_shared_table_run, ("master", kappa))
+       for kappa in (1e-4, 3e-3, 1.0, math.inf)},
+    "borl": functools.partial(_shared_table_run, ("borl", 1e-4)),
+    "doubling_dbar": functools.partial(_shared_table_run, ("doubling_dbar", 1e-4)),
+    "test2-boundary": lambda: run_scripted([0.2] * 8, [0.0] * 8, 0.3 / (3.0 * 6.0 * n_hat(8) * math.log(64))),
+    "zero-gap": lambda: run_scripted([0.5] * 8, [0.5] * 8, kappa=1e-6),
+    "test1-fail": lambda: run_scripted([0.5] * 4, [0.62] * 4, 0.09 / (9.0 * 6.0 * n_hat(4) * math.log(16))),
+    "test1-boundary": lambda: run_scripted([0.5, 0.5], [0.5, 0.5], kappa=1e-9),
+    "scripted-mixed": lambda: run_scripted(np.random.default_rng(1).random(64).tolist(),
+                                           np.random.default_rng(2).random(64).tolist(), kappa=2e-3),
+}
+
+
+@pytest.mark.parametrize("name", list(LIVENESS_RUNS))
+def test_skipping_the_tests_that_cannot_fail_changes_no_log(name, monkeypatch):
+    skip, skip_calls = counted_run(LIVENESS_RUNS[name], ThresholdTable, monkeypatch)
+    full, full_calls = counted_run(LIVENESS_RUNS[name], EveryTestLive, monkeypatch)
+    assert skip.to_csv_text() == full.to_csv_text()
+    assert skip.restarts == full.restarts
+    # the full run tests every round, but for those that test 1 restarts
+    assert full_calls["test2"] == len(full) - sum(ev.cause.startswith("test1") for ev in full.restarts)
+    assert skip_calls["test1"] <= full_calls["test1"] and skip_calls["test2"] <= full_calls["test2"]
+
+
+def test_a_threshold_of_exactly_one_is_live():
+    # U_t = 0 and an interval average of 1.0 cross a test-1 threshold of 1.0,
+    # but not the next float above it
+    T = 2
+    kappa = 1.0 / (9.0 * 6.0 * n_hat(T) * math.log(T * T))
+    assert order_threshold(0, T, kappa) == 1.0
+    log = run_scripted([0.0] * T, [1.0] * T, kappa)
+    assert [(ev.round, ev.cause) for ev in log.restarts] == [(1, "test1 m0#0"), (2, "test1 m0#0")]
+    above = math.nextafter(kappa, 1.0)
+    assert order_threshold(0, T, above) > 1.0
+    assert run_scripted([0.0] * T, [1.0] * T, above).restarts == []
+
+
+class RoundScriptedLearner(ScriptedLearner):
+    """Emits values[t - 1] at round t: every instance reads one shared round
+    count, which each predict() advances."""
+
+    def __init__(self, values, rounds):
+        super().__init__(values)
+        self.rounds = rounds
+
+    def predict(self):
+        self.rounds[0] += 1
+        return self.values[self.rounds[0] - 1]
+
+
+@pytest.mark.parametrize("g_tilde, reward", [(-0.1, 0.5), (1.5, 0.5), (math.nan, 0.5), (0.5, 1.5)])
+def test_a_value_outside_the_unit_interval_raises_before_its_row(g_tilde, reward):
+    # the skip rests on g~ and R in [0, 1]; a value outside is named, not
+    # compared with a threshold
+    T, bad = 8, 5
+    g_values, rewards = [0.5] * T, [0.5] * T
+    g_values[bad - 1], rewards[bad - 1] = g_tilde, reward
+    rounds = [0]
+    log = RunLog()
+    message = rf"^round {bad}: g_tilde {re.escape(repr(g_tilde))} and reward {re.escape(repr(reward))} "
+    with pytest.raises(ValueError, match=message):
+        master_core(ScriptedWorld(rewards), lambda: RoundScriptedLearner(g_values, rounds), T, 1.0 / T, 1e-3,
+                    seed_derive(0, 0, "env"), seed_derive(0, 0, "sched"), log)
+    assert len(log) == bad - 1
+    assert log.column("g_tilde") == g_values[: bad - 1]
 
 
 def test_test2_single_round_boundary():
