@@ -9,18 +9,24 @@ slots that spawn are kept, by offset.  That is the order in which one draw
 per slot at the round the slot starts would consume the stream, so a block
 cut short (by a restart, or at the end of the caller's round range) rewinds
 the stream to the state those per-round draws would have left:
-MalgRunner.cut restores the state saved at the block start and advances it
-by the draws of the rounds played.  At any round exactly one covering
-instance — the one of smallest order — is active: it emits the block's
-optimistic value g~_t, chooses the policy, and is the only instance whose
-learner state is updated.  Every covering instance accumulates the
-learner's reward into its interval sum, which the order-level
-stationarity test reads when the instance ends; a caller whose test can
-fail at none of the block's orders (master.ThresholdTable.live_order) sets
-sums_read to False, and no sum is kept.  An instance's uid is its
-index among the block's spawns.  Slots nest, so no instance ends at a
-round where the active one does not: finish_round then returns the empty
-tuple without scanning the stack.
+MalgRunner.cut steps it back by the draws of the slots the block did not
+reach.  At any round exactly one covering instance — the one of smallest
+order — is active: it emits the block's optimistic value g~_t, chooses the
+policy, and is the only instance whose learner state is updated.  Every
+covering instance accumulates the learner's reward into its interval sum,
+which the order-level stationarity test reads when the instance ends; a
+caller whose test can fail at none of the block's orders
+(master.ThresholdTable.live_order) sets sums_read to False, and no sum is
+kept.  Slots nest, so no instance ends at a round where the active one does
+not: finish_round then returns the empty tuple without scanning the stack.
+
+An instance is an integer, its uid: its index among the block's spawns.
+The runner builds no object per instance.  It keeps them in lists indexed
+by uid, allocated whole at the block start: orders (the schedule's own
+array), ends (the last round, set at the spawn), learners (runner.fresh
+until the first update) and sums (the interval reward sums).  Its stack
+of covering instances holds uids, and begin_round and finish_round return
+uids.
 
 Each block builds one fresh learner, runner.fresh, by one factory() call,
 and no update ever reaches it: every instance plays it until its first
@@ -48,7 +54,6 @@ import functools
 import math
 import operator
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +61,6 @@ from .rates import RateFunction
 
 __all__ = [
     "BlockSchedule",
-    "InstanceRecord",
     "MalgRunner",
     "spawn_probability",
     "schedule_upfront",
@@ -217,23 +221,6 @@ class BlockSchedule:
         return out
 
 
-@dataclass(slots=True)
-class InstanceRecord:
-    """One scheduled learner instance and its interval bookkeeping."""
-
-    uid: int
-    order: int
-    start: int  # absolute rounds, inclusive
-    end: int
-    learner: object  # the runner's fresh learner until the instance's first update
-    # all learner rewards in [start, end], active or not; kept only in a block
-    # that reaches a live test-1 order (MalgRunner.sums_read), else left at 0
-    reward_sum: float = 0.0
-
-    def interval_average(self) -> float:
-        return self.reward_sum / float(1 << self.order)
-
-
 class MalgRunner:
     """Runs one block: spawning, activity resolution, and feedback routing.
 
@@ -244,17 +231,17 @@ class MalgRunner:
         ... play the environment ...
         ended = runner.finish_round(t, reward, feedback)
 
-    ended holds the instances whose interval closed at t, for the caller's
-    order-level test (the shared empty tuple in a round where none closes);
+    active is the uid of the round's active instance, and ended the uids of
+    the instances whose interval closed at t, shortest first, for the
+    caller's order-level test (the shared empty tuple in a round where none
+    closes); orders, ends, learners and sums are indexed by uid.
     runner.schedule is the block's BlockSchedule, and runner.events lists
-    the schedule events of the round last begun.  A block that stops
-    before its last round must be closed with cut(t), t its last round
-    played, so that rng is left as the per-round draws would leave it.
-    Every read before an instance's first update is of runner.fresh, which
-    the constructor builds; a caller that reads no learner after its
-    instance's last update sets last_update_read to False before the first
-    round, and one that reads no interval sum sets sums_read to False
-    (module docstring).
+    the schedule events of the round last begun.  A block that stops before
+    its last round must be closed with cut(t), t its last round played, so
+    that rng is left as the per-round draws would leave it.  A caller that
+    reads no learner after its instance's last update sets last_update_read
+    to False before the first round, and one that reads no interval sum sets
+    sums_read to False (module docstring).
     """
 
     last_update_read = True
@@ -268,17 +255,20 @@ class MalgRunner:
         self._block_start = block_start
         self._order_n = order_n
         self._rng = rng
-        self._rng_state = rng.bit_generator.state
         self.schedule = BlockSchedule(block_start, *_spawned_slots(order_n, rate, rng))
+        self.orders = orders = self.schedule.orders
         # order n always spawns, at offset 0, and covers the whole block
-        assert self.schedule.orders[:1] == array("i", [order_n]), f"no covering instance at round {block_start}"
-        self._next_spawn = 0  # the first of them not yet spawned, and its uid
+        assert orders[:1] == array("i", [order_n]), f"no covering instance at round {block_start}"
+        spawns = len(orders)
+        self.ends = [0] * spawns
+        self.learners = [self.fresh] * spawns
+        self.sums = [0.0] * spawns
+        self._next_spawn = 0  # the uid of the first spawn not yet made
         self._spawn_at = block_start  # its round
-        # the instances covering the current round, orders descending: aligned
-        # slots nest, so each spawn has the smallest order and the active
-        # instance is always last
-        self._live: list[InstanceRecord] = []
-        self._active: InstanceRecord | None = None  # live[-1] since the last begin_round
+        # the uids of the instances covering the current round, orders
+        # descending: aligned slots nest, so each spawn has the smallest order
+        # and the active instance is always last
+        self._live: list[int] = []
 
     # -- phase 1 -----------------------------------------------------------
 
@@ -286,20 +276,20 @@ class MalgRunner:
         self._round = t
         if t == self._spawn_at:
             self._spawn(t)
-        rec = self._live[-1]
-        self._active = rec
-        learner = rec.learner
-        return learner.predict(), learner.act(), rec
+        uid = self._live[-1]
+        learner = self.learners[uid]
+        return learner.predict(), learner.act(), uid
 
     def _spawn(self, t: int):
         """Push the instances whose slots start at t, orders descending."""
-        live, schedule = self._live, self.schedule
-        starts, orders = schedule.starts, schedule.orders
+        live, orders, ends = self._live, self.orders, self.ends
+        starts = self.schedule.starts
         tau, uid = t - self._block_start, self._next_spawn
         while starts[uid] == tau:
             m = orders[uid]
-            assert not live or live[-1].order > m, "overlapping same-order instances"
-            live.append(InstanceRecord(uid, m, t, t + (1 << m) - 1, self.fresh))
+            assert not live or orders[live[-1]] > m, "overlapping same-order instances"
+            ends[uid] = t + _LAST_OFFSET[m]
+            live.append(uid)
             uid += 1
         self._next_spawn = uid
         self._spawn_at = self._block_start + starts[uid]
@@ -320,27 +310,29 @@ class MalgRunner:
 
     # -- phase 2 -----------------------------------------------------------
 
-    def finish_round(self, t: int, reward: float, feedback) -> list[InstanceRecord] | tuple[()]:
-        rec = self._active
-        if rec.end != t or self.last_update_read:
-            learner = rec.learner
+    def finish_round(self, t: int, reward: float, feedback) -> list[int] | tuple[()]:
+        live, ends = self._live, self.ends
+        uid = live[-1]  # the active instance: nothing spawns between the two phases
+        end = ends[uid]
+        if end != t or self.last_update_read:
+            learner = self.learners[uid]
             if learner is self.fresh:  # its first update: from here on it plays its own
-                learner = rec.learner = self.factory()
+                learner = self.learners[uid] = self.factory()
             learner.update(feedback)
         if self.sums_read:
-            for other in self._live:
-                other.reward_sum += reward
-        if rec.end != t:  # slots nest: when the active (shortest) instance goes on, all do
+            sums = self.sums
+            for other in live:
+                sums[other] += reward
+        if end != t:  # slots nest: when the active (shortest) instance goes on, all do
             return ()
-        live = self._live
         ended = []
-        while live and live[-1].end == t:
+        while live and ends[live[-1]] == t:
             ended.append(live.pop())
         return ended
 
     def cut(self, t: int):
-        """End the block after round t: put rng back where one draw per slot,
-        made at the round the slot starts, would leave it."""
-        bits = self._rng.bit_generator
-        bits.state = self._rng_state
-        bits.advance(_draws_before(self._order_n, t - self._block_start + 1))
+        """End the block after round t: step rng back from the end of the
+        block's draw, one 64-bit output per slot, to where one draw per slot at
+        the round the slot starts would leave it (advance wraps a negative count)."""
+        n = self._order_n
+        self._rng.bit_generator.advance(_draws_before(n, t - self._block_start + 1) - (2 << n) + 1)

@@ -29,7 +29,9 @@ ending instances of order >= ThresholdTable.live_order and test 2 only from
 block length ThresholdTable.live_length on, and the runner of a block of
 order below live_order keeps no interval sum.  The loop checks the contract
 on each round's g~ and reward, and raises a ValueError that names the round
-when either lies outside [0, 1].
+when either lies outside [0, 1].  The runner names each instance by its
+uid, and the loop reads its order, learner and interval sum from the
+runner's uid-indexed lists (nonstat.malg).
 
 run_master and run_bare serve every environment kind through its round
 adapter, which carries the MDP log columns, rho_hat's factor: 6
@@ -513,6 +515,7 @@ def master_core(
             runner.sums_read = n >= live_order
             begin, finish, play, extras, append, schedule = (
                 runner.begin_round, runner.finish_round, world.play, world.extras, log.append, runner.schedule)
+            orders, learners, sums = runner.orders, runner.learners, runner.sums
             u_min = math.inf
             gap_sum = 0.0
             length = 0
@@ -528,19 +531,19 @@ def master_core(
                 length += 1
 
                 cause = None
-                for rec in ended:
-                    if rec.order >= live_order and test1_fails(
-                            rec.interval_average(), u_min, order_thresholds[rec.order]):
-                        cause = f"test1 m{rec.order}#{rec.uid}"
+                for uid in ended:
+                    m = orders[uid]
+                    if m >= live_order and test1_fails(sums[uid] / float(1 << m), u_min, order_thresholds[m]):
+                        cause = f"test1 m{m}#{uid}"
                         break
                 if cause is None and length >= live_length and test2_fails(
                         gap_sum, length, length_thresholds[length - 1]):
                     cause = "test2"
-                learner = active.learner
+                learner = learners[active]
                 if cause is None and learner.restart_signaled:
                     cause = "mdp_signal"
 
-                append(t, n, epoch, active.order, policy, reward, f_star, g_tilde, u_min,
+                append(t, n, epoch, orders[active], policy, reward, f_star, g_tilde, u_min,
                        schedule if cause is None else (schedule, f"restart {cause}"), *extras(learner))
 
                 t += 1

@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from nonstat.mdp import UcrlAcw
 from nonstat import master
 from nonstat.harness import seed_derive
 from nonstat.malg import (
-    InstanceRecord,
     MalgRunner,
     n_hat,
     rho_hat,
@@ -24,10 +24,16 @@ from nonstat.malg import (
 from nonstat.rates import RateFunction
 
 SQRT_RATE = RateFunction(c1=1.0, c2=0.0, p=0.5, c3=1.0, horizon=1 << 20)
+ALL_SPAWN_RATE = RateFunction(c1=64.0, c2=0.0, p=0.5, c3=1.0, horizon=1 << 10)  # rho = 1 up to 4096
 
 
 def make_factory(T=1024, arms=2):
     return lambda: Ucb1(arms, T, 1.0 / T)
+
+
+def start_round(runner, uid):
+    """The first round of the runner's instance uid."""
+    return runner.schedule.t_n + runner.schedule.starts[uid]
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +70,8 @@ def test_odd_offsets_only_spawn_order_zero():
     runner.begin_round(1)
     runner.finish_round(1, 0.0, (0, 0.0))
     runner.begin_round(2)  # offset 1: only m=0 eligible
-    for rec in runner._live:
-        assert rec.order == 0 or rec.start == 1
+    for uid in runner._live:
+        assert runner.orders[uid] == 0 or start_round(runner, uid) == 1
     runner.finish_round(2, 0.0, (0, 0.0))
 
 
@@ -157,6 +163,29 @@ class SlotTexts:
         return [f'"{text}"' if for_csv and "," in text else text for text in self.rounds[:stop]]
 
 
+@dataclass
+class Slot:
+    """SlotRunner's record of one instance."""
+
+    uid: int
+    order: int
+    start: int  # absolute rounds, inclusive
+    end: int
+    learner: object
+    reward_sum: float = 0.0  # every reward in [start, end], active or not
+
+
+class RecordField:
+    """One field of SlotRunner's records by uid, read as the control loop
+    reads MalgRunner's uid-indexed lists."""
+
+    def __init__(self, records, name):
+        self.records, self.name = records, name
+
+    def __getitem__(self, uid):
+        return getattr(self.records[uid], self.name)
+
+
 class SlotRunner:
     """Reference scheduler: one slot per order, scanned each round for the
     covering instance of smallest order."""
@@ -165,7 +194,9 @@ class SlotRunner:
         self.block_start, self.order_n, self.factory, self.rng = block_start, order_n, factory, rng
         self.probs = [spawn_probability(order_n, m, rate) for m in range(order_n + 1)]
         self.slots = [None] * (order_n + 1)
-        self.next_uid = 0
+        self.records = []  # every Slot, by uid
+        self.orders, self.learners, self.sums = (
+            RecordField(self.records, name) for name in ("order", "learner", "reward_sum"))
         self.prev_uid = -1
         self.active_rounds = {}  # uid -> rounds played
         self.events = []
@@ -179,8 +210,8 @@ class SlotRunner:
         for m in range(self.order_n, -1, -1):
             if (t - self.block_start) % (1 << m) == 0 and self.rng.random() < self.probs[m]:
                 assert self.slots[m] is None or self.slots[m].end < t
-                rec = InstanceRecord(self.next_uid, m, t, t + (1 << m) - 1, self.factory())
-                self.next_uid += 1
+                rec = Slot(len(self.records), m, t, t + (1 << m) - 1, self.factory())
+                self.records.append(rec)
                 self.slots[m] = rec
                 self.events.append(f"spawn m{m}#{rec.uid}@[{rec.start},{rec.end}]")
         rec = next(r for r in self.slots if r is not None and r.start <= t <= r.end)
@@ -191,7 +222,7 @@ class SlotRunner:
                 self.events.append(f"pause m{prev.order}#{prev.uid}")
             if self.active_rounds.get(rec.uid, 0) > 0:
                 self.events.append(f"resume m{rec.order}#{rec.uid}")
-        return rec.learner.predict(), rec.learner.act(), rec
+        return rec.learner.predict(), rec.learner.act(), rec.uid
 
     def cut(self, t):
         pass  # the per-round draws already leave the stream where the block stopped
@@ -208,19 +239,25 @@ class SlotRunner:
                 continue
             other.reward_sum += reward
             if other.end == t:
-                ended.append(other)
+                ended.append(other.uid)
                 self.events.append(f"end m{m}#{other.uid}")
                 self.slots[m] = None
         self.schedule.rounds.append(";".join(self.events))
         return ended
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.floats(0.5, 0.95), st.data())
-def test_runner_matches_the_slot_oracle(n, seed, p, data):
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.floats(0.5, 0.95).map(lambda p: RateFunction(c1=1.0, c2=0.0, p=p, c3=1.0, horizon=1 << 20)),
+              st.just(ALL_SPAWN_RATE)),
+    st.data(),
+)
+def test_runner_matches_the_slot_oracle(n, seed, rate, data):
     # every round's events, active instance, ended instances and interval
-    # sums, and the stream state after a block cut at any round
-    rate = RateFunction(c1=1.0, c2=0.0, p=p, c3=1.0, horizon=1 << 20)
+    # sums, and the stream state after a block cut at any round; at
+    # ALL_SPAWN_RATE every slot spawns, as at the rate cap
     rounds = data.draw(st.integers(1, 1 << n))
     rewards = np.random.default_rng(seed).random(rounds)
     factory = make_factory(64, 3)
@@ -228,13 +265,13 @@ def test_runner_matches_the_slot_oracle(n, seed, p, data):
     runner = MalgRunner(3, n, rate, factory, rng_a)
     oracle = SlotRunner(3, n, rate, factory, rng_b)
     for t, r in zip(range(3, 3 + rounds), rewards.tolist()):
-        g_a, pol_a, rec_a = runner.begin_round(t)
-        g_b, pol_b, rec_b = oracle.begin_round(t)
-        assert (g_a, pol_a, rec_a.uid, rec_a.order) == (g_b, pol_b, rec_b.uid, rec_b.order)
+        g_a, pol_a, uid_a = runner.begin_round(t)
+        g_b, pol_b, uid_b = oracle.begin_round(t)
+        assert (g_a, pol_a, uid_a, runner.orders[uid_a]) == (g_b, pol_b, uid_b, oracle.orders[uid_b])
         ended_a = runner.finish_round(t, r, (pol_a, r))
         ended_b = oracle.finish_round(t, r, (pol_b, r))
         assert runner.events == oracle.events
-        assert [(e.uid, e.reward_sum) for e in ended_a] == [(e.uid, e.reward_sum) for e in ended_b]
+        assert [(e, runner.sums[e]) for e in ended_a] == [(e, oracle.sums[e]) for e in ended_b]
     runner.cut(3 + rounds - 1)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
@@ -363,12 +400,12 @@ class RecordingRunner(MalgRunner):
             return self.built[-1]
 
         super().__init__(block_start, order_n, rate, recording_factory, rng)
-        self.played = {}  # uid -> (record, [(round, learner it read)])
+        self.played = {}  # uid -> [(round, learner it read)]
         RecordingRunner.runners.append(self)
 
     def begin_round(self, t):
         out = super().begin_round(t)
-        self.played.setdefault(out[2].uid, (out[2], []))[1].append((t, out[2].learner))
+        self.played.setdefault(out[2], []).append((t, self.learners[out[2]]))
         return out
 
 
@@ -407,15 +444,15 @@ def assert_fresh_serves_reads_before_each_first_update(runner, factory, updated_
     # no update reaches; the first update builds the instance's own learner
     # (one factory() call each), and every later read is of that learner
     own = []
-    for rec, rounds in runner.played.values():
-        updates = [t for t, _ in rounds if updated_at_end or t != rec.end]
+    for uid, rounds in runner.played.items():
+        updates = [t for t, _ in rounds if updated_at_end or t != runner.ends[uid]]
         for t, learner in rounds:
             assert (learner is runner.fresh) == (not updates or t <= updates[0])
         if updates:
-            own.append(rec.learner)
-            assert rec.learner is not runner.fresh
+            own.append(runner.learners[uid])
+            assert runner.learners[uid] is not runner.fresh
         else:
-            assert rec.learner is runner.fresh
+            assert runner.learners[uid] is runner.fresh
     assert runner.built == [runner.fresh, *own]  # built in first-update order, each once
     assert snapshot_to_json(runner.fresh) == snapshot_to_json(read_fresh(factory))
 
@@ -431,10 +468,11 @@ def test_bandit_world_skips_the_last_update_and_shares_a_data_free_learner(monke
     runners = recorded_runners(monkeypatch, master.BanditWorld(env), factory, kappa)
     for runner in runners:
         assert_fresh_serves_reads_before_each_first_update(runner, factory, False)
-        for rec, rounds in runner.played.values():
-            assert rec.learner.t_int == sum(t != rec.end for t, _ in rounds)
+        for uid, rounds in runner.played.items():
+            assert runner.learners[uid].t_int == sum(t != runner.ends[uid] for t, _ in rounds)
     assert any(len(runner.built) > 1 for runner in runners)
-    assert any(rounds == [(rec.end, runner.fresh)] for runner in runners for rec, rounds in runner.played.values())
+    assert any(rounds == [(runner.ends[uid], runner.fresh)]
+               for runner in runners for uid, rounds in runner.played.items())
 
 
 class CountingUcrl(UcrlAcw):
@@ -458,49 +496,38 @@ def test_average_reward_world_updates_every_active_round_with_its_own_learner(mo
          "transitions": [[[0.3, 0.7], [0.6, 0.4]], [[0.5, 0.5], [0.8, 0.2]]]}]})
     factory = with_sqrt_rate(lambda: CountingUcrl(2, 2, T, 1.0 / T, 2.0))
     runners = recorded_runners(monkeypatch, master.AverageRewardWorld(env), factory, kappa)
-    assert any(len(rounds) > 1 for runner in runners for _, rounds in runner.played.values())
+    assert any(len(rounds) > 1 for runner in runners for rounds in runner.played.values())
     for runner in runners:
         assert runner.fresh.updates == 0
         assert_fresh_serves_reads_before_each_first_update(runner, factory, True)
-        for rec, rounds in runner.played.values():
-            assert rec.learner.updates == len(rounds)  # the rounds begin_round returned rec
+        for uid, rounds in runner.played.items():
+            assert runner.learners[uid].updates == len(rounds)  # the rounds begin_round returned uid
 
 
 # ---------------------------------------------------------------------------
 # activity resolution
 
 
-def collect_active_orders(runner, rounds, reward=0.5):
-    orders = []
-    for t in rounds:
-        _, pol, rec = runner.begin_round(t)
-        orders.append(rec.order)
-        runner.finish_round(t, reward, (pol, reward))
-    return orders
-
-
 def test_active_instance_is_minimum_order():
     rng = seed_derive(4, 0, "act")
     runner = MalgRunner(1, 4, SQRT_RATE, make_factory(), rng)
     for t in range(1, 17):
-        _, pol, rec = runner.begin_round(t)
-        covering = [r.order for r in runner._live if r.start <= t <= r.end]
-        assert rec.order == min(covering)
+        _, pol, uid = runner.begin_round(t)
+        covering = [runner.orders[u] for u in runner._live if start_round(runner, u) <= t <= runner.ends[u]]
+        assert runner.orders[uid] == min(covering)
         runner.finish_round(t, 0.3, (pol, 0.3))
 
 
 def test_active_rounds_never_exceed_length():
     rng = seed_derive(5, 0, "act2")
     runner = MalgRunner(1, 5, SQRT_RATE, make_factory(), rng)
-    seen = {}
     active_rounds = {}
     for t in range(1, 33):
-        _, pol, rec = runner.begin_round(t)
-        seen[rec.uid] = rec
-        active_rounds[rec.uid] = active_rounds.get(rec.uid, 0) + 1
+        _, pol, uid = runner.begin_round(t)
+        active_rounds[uid] = active_rounds.get(uid, 0) + 1
         runner.finish_round(t, 0.1, (pol, 0.1))
-    for rec in seen.values():
-        assert active_rounds[rec.uid] <= (1 << rec.order)
+    for uid, rounds in active_rounds.items():
+        assert rounds <= (1 << runner.orders[uid])
 
 
 def test_reward_interval_sum_counts_every_covered_round():
@@ -512,9 +539,9 @@ def test_reward_interval_sum_counts_every_covered_round():
     for t, r in zip(range(1, 9), rewards):
         _, pol, _ = runner.begin_round(t)
         if top is None:
-            top = [rec for rec in runner._live if rec.order == 3][0]
+            top = [uid for uid in runner._live if runner.orders[uid] == 3][0]
         ended = runner.finish_round(t, r, (pol, r))
-    assert top.reward_sum == pytest.approx(sum(rewards))
+    assert runner.sums[top] == pytest.approx(sum(rewards))
     assert top in ended
 
 
@@ -547,24 +574,21 @@ def test_every_instance_matches_a_bare_run_on_its_active_rounds():
     mirrors = {}
     finals = {}
     for t in range(1, 17):
-        g, pol, rec = runner.begin_round(t)
-        mirror = mirrors.setdefault(rec.uid, factory())
+        g, pol, uid = runner.begin_round(t)
+        mirror = mirrors.setdefault(uid, factory())
         assert mirror.predict() == g
         assert mirror.act() == pol
         reward = float(seed_derive(10, t, "r").random())
         mirror.update((pol, reward))
         for ended in runner.finish_round(t, reward, (pol, reward)):
-            if ended.uid in mirrors:  # it was active in some round
-                finals[ended.uid] = snapshot_to_json(ended.learner)
+            if ended in mirrors:  # it was active in some round
+                finals[ended] = snapshot_to_json(runner.learners[ended])
             else:  # an instance that never played never built a learner
-                assert ended.learner is runner.fresh
+                assert runner.learners[ended] is runner.fresh
     assert len(mirrors) > 2, "schedule too sparse to exercise the property"
     assert finals.keys() == mirrors.keys()
     for uid, mirror in mirrors.items():
         assert finals[uid] == snapshot_to_json(mirror)
-
-
-ALL_SPAWN_RATE = RateFunction(c1=64.0, c2=0.0, p=0.5, c3=1.0, horizon=1 << 10)  # rho = 1 up to 4096
 
 
 @settings(max_examples=40, deadline=None)
@@ -583,34 +607,34 @@ def test_learner_is_built_at_the_first_active_round(n, seed, rate, data):
 
     runner = MalgRunner(3, n, rate, factory, np.random.default_rng(seed))
     assert built == [runner.fresh]
-    spawned = {}
+    spawned = set()
     active_rounds = {}  # uid -> rounds in which begin_round returned it
     for t in range(3, 3 + rounds):
         calls = len(built)
-        _, pol, rec = runner.begin_round(t)
+        _, pol, uid = runner.begin_round(t)
         assert len(built) == calls  # reads build nothing
-        spawned.update((other.uid, other) for other in runner._live)
-        first = rec.uid not in active_rounds
-        active_rounds[rec.uid] = active_rounds.get(rec.uid, 0) + 1
-        assert (rec.learner is runner.fresh) == first
+        spawned.update(runner._live)
+        first = uid not in active_rounds
+        active_rounds[uid] = active_rounds.get(uid, 0) + 1
+        assert (runner.learners[uid] is runner.fresh) == first
         runner.finish_round(t, 0.5, (pol, 0.5))
-        assert built[calls:] == ([rec.learner] if first else [])
+        assert built[calls:] == ([runner.learners[uid]] if first else [])
     assert snapshot_to_json(runner.fresh) == snapshot_to_json(read_fresh(lambda: Ucb1(3, 64, 1.0 / 64)))
-    for rec in spawned.values():
-        assert (rec.learner is runner.fresh) == (active_rounds.get(rec.uid, 0) == 0)
+    for uid in spawned:
+        assert (runner.learners[uid] is runner.fresh) == (active_rounds.get(uid, 0) == 0)
     if rate is ALL_SPAWN_RATE:  # orders n..1 of offset 0 never play
-        assert sum(rec.learner is runner.fresh for rec in spawned.values()) >= n
+        assert sum(runner.learners[uid] is runner.fresh for uid in spawned) >= n
 
 
 def test_consecutive_order_zero_instances_are_fresh():
     # two different order-0 instances must both start from scratch
     rng = seed_derive(11, 0, "fresh")
     runner = MalgRunner(1, 1, SQRT_RATE, make_factory(), rng)
-    g1, pol1, rec1 = runner.begin_round(1)
+    g1, pol1, uid1 = runner.begin_round(1)
     runner.finish_round(1, 1.0, (pol1, 1.0))
-    g2, pol2, rec2 = runner.begin_round(2)
-    if rec2.order == 0:
-        assert rec2.uid != rec1.uid
+    g2, pol2, uid2 = runner.begin_round(2)
+    if runner.orders[uid2] == 0:
+        assert uid2 != uid1
         assert g2 == 1.0  # fresh optimistic clamp, no memory of round 1
         assert pol2 == 0
 
@@ -625,16 +649,16 @@ def test_pause_resume_with_serialization_churn():
     mirrors = {}
     compared = 0
     for t in range(1, 17):
-        g, pol, rec = runner.begin_round(t)
-        mirror = mirrors.setdefault(rec.uid, factory())
+        g, pol, uid = runner.begin_round(t)
+        mirror = mirrors.setdefault(uid, factory())
         assert g == mirror.predict()
         assert pol == mirror.act()
         compared += 1
         reward = float(seed_derive(13, t, "r").random())
         mirror.update((pol, reward))
         runner.finish_round(t, reward, (pol, reward))
-        if rec.start <= t + 1 <= rec.end:  # still live: churn it while paused
-            rec.learner = restore(snapshot_to_json(rec.learner))
+        if start_round(runner, uid) <= t + 1 <= runner.ends[uid]:  # still live: churn it while paused
+            runner.learners[uid] = restore(snapshot_to_json(runner.learners[uid]))
     assert compared == 16
 
 
@@ -675,8 +699,8 @@ def test_fixed_seed_reproduces_schedule_and_trace():
         runner = MalgRunner(1, 4, SQRT_RATE, make_factory(), rng)
         out = []
         for t in range(1, 17):
-            g, pol, rec = runner.begin_round(t)
-            out.append((g, pol, rec.order, tuple(runner.events)))
+            g, pol, uid = runner.begin_round(t)
+            out.append((g, pol, runner.orders[uid], tuple(runner.events)))
             runner.finish_round(t, 0.25, (pol, 0.25))
         return out
 

@@ -390,6 +390,26 @@ def test_a_threshold_of_exactly_one_is_live():
     assert run_scripted([0.0] * T, [1.0] * T, above).restarts == []
 
 
+def test_a_test1_restart_above_order_zero_is_pinned():
+    # kappa puts the test-1 threshold of order 0 at 1.2 and of order 1 at
+    # 1.2/sqrt(2), so live_order is 1: rewards 0 through block 2, then 0.9,
+    # restart first on the order-2 instance of uid 1 (order 0, which ends in
+    # the same round, is not tested), then on an order-1 block's top instance
+    T = 16
+    kappa = 1.2 / (9.0 * 6.0 * n_hat(T) * math.log(T * T))
+    assert order_threshold(1, T, kappa) <= 1.0 < order_threshold(0, T, kappa)
+    table = ThresholdTable(SQRT_RATE, T, 1.0 / T, kappa, ScriptedWorld.rho_factor)
+    table.cover(4, T)
+    assert table.live_order == 1
+    log = run_scripted([0.0] * T, [0.0] * 7 + [0.9] * (T - 7), kappa)
+    text = log.to_csv_text()
+    assert [(ev.round, ev.cause, ev.block) for ev in log.restarts] == [(11, "test1 m2#1", 3), (14, "test1 m1#0", 1)]
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c860ed5b3d44bc2c9260742923a95171da7f992e4a0d6429e7162a0110ee4921"
+    )
+    assert RunLog.from_csv(text).restarts == log.restarts
+
+
 class RoundScriptedLearner(ScriptedLearner):
     """Emits values[t - 1] at round t: every instance reads one shared round
     count, which each predict() advances."""
@@ -547,13 +567,13 @@ def test_tests_disabled_master_equals_malg():
     for n in range(5):
         runner = MalgRunner(t, n, factory().rate(), factory, rng_sched)
         for _ in range(1 << n):
-            g, pol, rec = runner.begin_round(t)
+            g, pol, uid = runner.begin_round(t)
             r, fb = env.play(t, pol, rng_env)
             runner.finish_round(t, r, fb)
             i = t - 1
             assert log.column("g_tilde")[i] == g
             assert log.column("policy")[i] == pol
-            assert log.column("active_order")[i] == rec.order
+            assert log.column("active_order")[i] == runner.orders[uid]
             assert log.column("reward")[i] == r
             t += 1
 
