@@ -5,7 +5,7 @@
 
 Every run must report correct with 0 failed seed-runs.  A traced run at
 --seed 0 must also reproduce the layer counts below, and report a nonzero
-malg.self_us and master.log_append_us: a refactor that bypasses a layer the
+time for each layer in NONZERO: a refactor that bypasses a layer the
 tracer wraps changes a count or leaves that layer's time at 0.  A mab-switch
 run at --seed 0, traced or not, must leave the files below in
 .bench_out/mab-switch/ with these SHA-256 digests: the run's CSV logs,
@@ -35,7 +35,10 @@ TRACED_COUNTS = {  # at --seed 0, in COUNT_NAMES order
     "ucrl-evi": (16382, 0, 0, 8218, 0),
     "glm-newton": (12282, 0, 0, 66, 0),
 }
-NONZERO = ("malg.self_us", "master.log_append_us")
+# the environment's sampler (play, or step) and oracle are wrapped on the
+# instance make_env returns: a loop that stops calling them through it
+# leaves their time at 0
+NONZERO = ("malg.self_us", "master.log_append_us", "envs.play_us", "envs.oracle_us")
 OUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), ".bench_out")
 ARTIFACT_DIGESTS = {  # at --seed 0: the files in .bench_out/<workload>/
     "mab-switch": {

@@ -16,6 +16,9 @@ compute both every round.  A segment lookup tries the last segment found
 before it bisects.
 Environments are immutable after construction: building twice from the same
 spec yields bitwise-identical objects, and sampling takes an external RNG.
+Every draw from it is rng.random() with no arguments, one double: the
+control loops (nonstat.master) pass a stream that serves those doubles
+from one chunked draw, and rely on that.
 
 The continuing MDP's segment oracles, J* (extended value iteration) and the
 diameter (the loader's communicating check), are pure functions of the

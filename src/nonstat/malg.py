@@ -128,12 +128,26 @@ def _draws_before(n: int, tau: int) -> int:
     return n + 2 * tau - 1 - (tau - 1).bit_count() if tau else 0
 
 
+SPAWN_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=SPAWN_MEMO_SIZE)
+def _spawn_probabilities(n: int, rate: RateFunction) -> np.ndarray:
+    """spawn_probability(n, m, rate) for m = 0..n, as a read-only float64
+    array.  Memoized per (n, rate), a frozen RateFunction being its own key,
+    because a run that restarts often starts many short blocks; at most
+    SPAWN_MEMO_SIZE vectors are kept, least recently used first out."""
+    probs = np.array([spawn_probability(n, m, rate) for m in range(n + 1)])
+    probs.flags.writeable = False
+    return probs
+
+
 def _spawned_slots(n: int, rate: RateFunction, rng) -> tuple[array, array]:
     """(start offset, order) of the slots of an order-n block that spawn, in
     _slot_layout order, followed by the sentinel start 2^n; one uniform per
     slot, all drawn at once."""
     offsets, orders = _slot_layout(n)
-    probs = np.array([spawn_probability(n, m, rate) for m in range(n + 1)])
+    probs = _spawn_probabilities(n, rate)
     hits = np.flatnonzero(rng.random(len(orders)) < probs[orders])
     starts = array("i", offsets[hits].tobytes())
     starts.append(1 << n)

@@ -56,6 +56,16 @@ straight into its cells.  A restart row holds the pair of the schedule and its
 those tokens, and renders nothing.  Logs read back by from_csv, and those
 of run_bare, hold plain text.
 
+The environment draws its uniforms with rng.random(), no arguments
+(nonstat.envs).  So both loops, master_core and run_bare, hand it a stream
+(_Uniforms) that draws rng_env.random(CHUNK) at once and gives those
+doubles out one per call: the values one call per draw would give, as
+PCG64 makes each double from one 64-bit output.  At every exit of the loop,
+a return, "epoch_overflow" or an exception, the stream steps rng_env back
+over the doubles it drew and did not give out (PCG64's advance, as
+MalgRunner.cut does on rng_sched), so a caller that shares rng_env across
+calls (mdp.borl, mdp.doubling_dbar) sees the state per-call draws leave.
+
 The per-round log stores the environment oracle's f*_t captured at
 simulation time, so dynamic regret is an exact second pass over the rows.
 Each row is one RunLog.append call with its values in RunLog.columns
@@ -470,6 +480,35 @@ def _shared_thresholds(rate, horizon, delta, kappa, rho_factor) -> ThresholdTabl
     return ThresholdTable(rate, horizon, delta, kappa, rho_factor)
 
 
+CHUNK = 1024  # uniforms per draw of an environment stream (_Uniforms)
+
+
+class _Uniforms:
+    """The environment's uniforms for one loop call, from rng (a PCG64
+    Generator): random() returns the next double of rng.random(CHUNK).tolist(),
+    drawn again when spent.  It is the C-level __next__ of a chain over those
+    lists, so no Python frame runs per draw.  close() steps rng back over the
+    doubles drawn and not returned (advance wraps a negative count) and ends
+    the stream."""
+
+    __slots__ = ("random", "_rng", "_left")
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._left = iter(())  # the last chunk's doubles not yet returned
+        self.random = itertools.chain.from_iterable(iter(self._chunk, None)).__next__
+
+    def _chunk(self):
+        self._left = iter(self._rng.random(CHUNK).tolist())
+        return self._left
+
+    def close(self):
+        unused = operator.length_hint(self._left)
+        if unused:
+            self._rng.bit_generator.advance(-unused)
+        del self.random  # which also frees the cycle self -> chain -> self._chunk
+
+
 def master_core(
     world,
     factory,
@@ -493,6 +532,12 @@ def master_core(
     "epoch_overflow" when starting one more epoch would exceed max_epochs
     (the doubling-guess strategy reacts to that).
     kappa = +inf disables both tests; world.rho_factor inflates both thresholds.
+
+    world.play draws from a _Uniforms stream over rng_env, which the loop
+    closes at every exit (a return or an exception): rng_env is left where
+    one rng_env.random() per environment draw would leave it, so callers may
+    share it across calls.  It must be a PCG64 Generator, as rng_sched must
+    (MalgRunner.cut), for bit_generator.advance.
     """
     if end_t is None:
         end_t = horizon
@@ -501,63 +546,68 @@ def master_core(
     rate = factory().rate()
     thresholds = _shared_thresholds(rate, horizon, delta, kappa, world.rho_factor)
     order_thresholds, length_thresholds = thresholds.order, thresholds.length
-    while t <= end_t:
-        epoch = epochs_done
-        restarted = False
-        n = 0
-        while t <= end_t and not restarted:  # blocks within the epoch
-            t_n = t
-            block_end = min(t_n + (1 << n) - 1, end_t)
-            thresholds.cover(n, block_end - t_n + 1)
-            live_order, live_length = thresholds.live_order, thresholds.live_length
-            runner = MalgRunner(t_n, n, rate, factory, rng_sched)
-            runner.last_update_read = world.last_update_read
-            runner.sums_read = n >= live_order
-            begin, finish, play, extras, append, schedule = (
-                runner.begin_round, runner.finish_round, world.play, world.extras, log.append, runner.schedule)
-            orders, learners, sums = runner.orders, runner.learners, runner.sums
-            u_min = math.inf
-            gap_sum = 0.0
-            length = 0
-            while t <= block_end:
-                g_tilde, policy, active = begin(t)
-                reward, feedback, f_star = play(t, policy, rng_env)
-                if not (0.0 <= g_tilde <= 1.0 and 0.0 <= reward <= 1.0):
-                    raise ValueError(f"round {t}: g_tilde {g_tilde!r} and reward {reward!r} must both lie in [0, 1]")
-                ended = finish(t, reward, feedback)
-                if g_tilde < u_min:  # min(u_min, g_tilde) without the call
-                    u_min = g_tilde
-                gap_sum += g_tilde - reward
-                length += 1
+    draws = _Uniforms(rng_env)
+    try:
+        while t <= end_t:
+            epoch = epochs_done
+            restarted = False
+            n = 0
+            while t <= end_t and not restarted:  # blocks within the epoch
+                t_n = t
+                block_end = min(t_n + (1 << n) - 1, end_t)
+                thresholds.cover(n, block_end - t_n + 1)
+                live_order, live_length = thresholds.live_order, thresholds.live_length
+                runner = MalgRunner(t_n, n, rate, factory, rng_sched)
+                runner.last_update_read = world.last_update_read
+                runner.sums_read = n >= live_order
+                begin, finish, play, extras, append, schedule = (
+                    runner.begin_round, runner.finish_round, world.play, world.extras, log.append, runner.schedule)
+                orders, learners, sums = runner.orders, runner.learners, runner.sums
+                u_min = math.inf
+                gap_sum = 0.0
+                length = 0
+                while t <= block_end:
+                    g_tilde, policy, active = begin(t)
+                    reward, feedback, f_star = play(t, policy, draws)
+                    if not (0.0 <= g_tilde <= 1.0 and 0.0 <= reward <= 1.0):
+                        raise ValueError(
+                            f"round {t}: g_tilde {g_tilde!r} and reward {reward!r} must both lie in [0, 1]")
+                    ended = finish(t, reward, feedback)
+                    if g_tilde < u_min:  # min(u_min, g_tilde) without the call
+                        u_min = g_tilde
+                    gap_sum += g_tilde - reward
+                    length += 1
 
-                cause = None
-                for uid in ended:
-                    m = orders[uid]
-                    if m >= live_order and test1_fails(sums[uid] / float(1 << m), u_min, order_thresholds[m]):
-                        cause = f"test1 m{m}#{uid}"
+                    cause = None
+                    for uid in ended:
+                        m = orders[uid]
+                        if m >= live_order and test1_fails(sums[uid] / float(1 << m), u_min, order_thresholds[m]):
+                            cause = f"test1 m{m}#{uid}"
+                            break
+                    if cause is None and length >= live_length and test2_fails(
+                            gap_sum, length, length_thresholds[length - 1]):
+                        cause = "test2"
+                    learner = learners[active]
+                    if cause is None and learner.restart_signaled:
+                        cause = "mdp_signal"
+
+                    append(t, n, epoch, orders[active], policy, reward, f_star, g_tilde, u_min,
+                           schedule if cause is None else (schedule, f"restart {cause}"), *extras(learner))
+
+                    t += 1
+                    if cause is not None:
+                        restarted = True
                         break
-                if cause is None and length >= live_length and test2_fails(
-                        gap_sum, length, length_thresholds[length - 1]):
-                    cause = "test2"
-                learner = learners[active]
-                if cause is None and learner.restart_signaled:
-                    cause = "mdp_signal"
-
-                append(t, n, epoch, orders[active], policy, reward, f_star, g_tilde, u_min,
-                       schedule if cause is None else (schedule, f"restart {cause}"), *extras(learner))
-
-                t += 1
-                if cause is not None:
-                    restarted = True
-                    break
-            if t < t_n + (1 << n):  # cut short by a restart or by end_t
-                runner.cut(t - 1)
-            n += 1
-        if restarted:
-            epochs_done += 1
-            if max_epochs is not None and epochs_done + 1 > max_epochs:
-                return t, "epoch_overflow"
-    return t, "done"
+                if t < t_n + (1 << n):  # cut short by a restart or by end_t
+                    runner.cut(t - 1)
+                n += 1
+            if restarted:
+                epochs_done += 1
+                if max_epochs is not None and epochs_done + 1 > max_epochs:
+                    return t, "epoch_overflow"
+        return t, "done"
+    finally:
+        draws.close()
 
 
 def _world_for(env):
@@ -589,15 +639,20 @@ def run_master(
 def run_bare(env, learner, horizon: int, seed: int = 0, run_index: int = 0) -> RunLog:
     """The base learner alone, with no scheduling and no tests.
 
-    Restart signals of the average-reward learner are ignored.
+    Restart signals of the average-reward learner are ignored.  The
+    environment draws from the run's "env" stream through _Uniforms, as in
+    master_core.
     """
-    rng_env = seed_derive(seed, run_index, "env")
     world = _world_for(env)
     log = RunLog(mdp_columns=world.mdp_columns)
-    for t in range(1, horizon + 1):
-        g_tilde = learner.predict()
-        policy = learner.act()
-        reward, feedback, f_star = world.play(t, policy, rng_env)
-        learner.update(feedback)
-        log.append(t, 0, 0, -1, policy, reward, f_star, g_tilde, 0.0, "", *world.extras(learner))
+    draws = _Uniforms(seed_derive(seed, run_index, "env"))
+    try:
+        for t in range(1, horizon + 1):
+            g_tilde = learner.predict()
+            policy = learner.act()
+            reward, feedback, f_star = world.play(t, policy, draws)
+            learner.update(feedback)
+            log.append(t, 0, 0, -1, policy, reward, f_star, g_tilde, 0.0, "", *world.extras(learner))
+    finally:
+        draws.close()
     return log

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nonstat.base import GlmUcb, Oful, QUcb, Ucb1, restore, snapshot_to_json
 from nonstat.envs import make_env
 from nonstat.mdp import UcrlAcw
-from nonstat import master
+from nonstat import malg, master
 from nonstat.harness import seed_derive
 from nonstat.malg import (
     MalgRunner,
@@ -52,6 +52,22 @@ def test_spawn_probability_sqrt_rate():
 def test_spawn_probability_rejects_bad_orders():
     with pytest.raises(ValueError):
         spawn_probability(2, 3, SQRT_RATE)
+
+
+def test_memoized_spawn_probabilities_equal_fresh_ones_for_each_rate():
+    # two rates with equal horizon: the memo keys on every field of the rate
+    rates = (RateFunction(c1=1.0, c2=0.0, horizon=1 << 12),
+             RateFunction(c1=2.0, c2=1.0, p=0.6, c3=2.0, horizon=1 << 12))
+    for _ in range(2):  # the second pass reads the memo
+        for rate in rates:
+            for n in (0, 1, 3, 7, 12):
+                probs = malg._spawn_probabilities(n, rate)
+                assert probs.tolist() == [spawn_probability(n, m, rate) for m in range(n + 1)]
+                assert not probs.flags.writeable
+    assert malg._spawn_probabilities(7, rates[0]).tolist() != malg._spawn_probabilities(7, rates[1]).tolist()
+    equal = RateFunction(c1=1.0, c2=0.0, horizon=1 << 12)  # an equal rate built anew is the same key
+    assert malg._spawn_probabilities(7, equal) is malg._spawn_probabilities(7, rates[0])
+    assert malg._spawn_probabilities.cache_info().maxsize == malg.SPAWN_MEMO_SIZE
 
 
 # ---------------------------------------------------------------------------

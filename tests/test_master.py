@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 
 import nonstat.master
 import nonstat.mdp
-from nonstat.base import Ucb1
+from nonstat.base import GlmUcb, Oful, QUcb, Ucb1
 from nonstat.envs import make_env
 from nonstat.harness import seed_derive
 from nonstat.malg import MalgRunner, n_hat, rho_hat
 from nonstat.master import (
     THRESHOLD_MEMO_SIZE,
+    AverageRewardWorld,
     BanditWorld,
     RunLog,
     ThresholdTable,
@@ -1088,3 +1089,192 @@ def test_bare_run_ignores_the_restart_signal():
     assert updates == [T]
     assert log.restarts == []
     assert log.column("event") == [""] * T
+
+
+# ---------------------------------------------------------------------------
+# the environment's uniform stream: chunked draws, rewound at every exit
+
+
+def _episodic_spec(T):
+    layer = [[[0.7, 0.3], [0.4, 0.6]], [[0.5, 0.5], [0.2, 0.8]]]
+    return {"kind": "episodic", "T": T, "S": 2, "A": 2, "H": 2, "segments": [
+        {"length": T // 2, "rewards": [[[0.9, 0.1], [0.2, 0.3]], [[0.5, 0.6], [0.4, 0.2]]],
+         "transitions": [layer, layer[::-1]]},
+        {"length": T - T // 2, "rewards": [[[0.1, 0.9], [0.3, 0.2]], [[0.6, 0.5], [0.2, 0.4]]],
+         "transitions": [layer[::-1], layer]},
+    ]}
+
+
+def _linear_spec(T, kind):
+    spec = {"kind": kind, "T": T, "actions": [[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]], "segments": [
+        {"length": T // 2, "theta": [0.8, 0.1]}, {"length": T - T // 2, "theta": [0.1, 0.8]}]}
+    if kind == "glm":
+        spec.update(link="logistic", lam=1.0)
+    return spec
+
+
+def stream_env(kind, T):
+    """An environment of kind whose parameters switch at T/2, and its base learner's factory."""
+    delta = 1.0 / T
+    if kind == "mab":
+        env = mab(T, [{"length": T // 2, "means": [0.9, 0.1]}, {"length": T - T // 2, "means": [0.1, 0.9]}])
+        return env, lambda: Ucb1(2, T, delta)
+    if kind == "infinite":
+        env = switching_mdp(T)
+        return env, functools.partial(UcrlAcw, env.n_states, env.n_actions, T, delta, 1.0)
+    if kind == "episodic":
+        env = make_env(_episodic_spec(T))
+        return env, functools.partial(QUcb, n_states=2, n_actions=2, n_layers=2, horizon=T, delta=delta)
+    env = make_env(_linear_spec(T, kind))
+    if kind == "glm":
+        return env, functools.partial(GlmUcb, env.actions, T, delta, "logistic", 1.0)
+    return env, functools.partial(Oful, actions=env.actions, horizon=T, delta=delta)
+
+
+STREAM_KINDS = ("mab", "linear", "glm", "episodic", "infinite")
+
+
+class CountingRng:
+    """Hands each rng.random() the environment makes through to rng, and records it."""
+
+    def __init__(self, rng, seen):
+        self.rng, self.seen = rng, seen
+
+    def random(self):
+        x = self.rng.random()
+        self.seen.append(x)
+        return x
+
+
+def recording(env, bad_round=None):
+    """The list into which env's sampler (play, or step for the infinite kind)
+    now records every double it draws, and the streams it was handed; with
+    bad_round, the sampler returns a reward of 2.0 at that round, after its
+    draws, which the control loop must reject."""
+    seen, streams = [], []
+    name = "step" if env.kind == "infinite" else "play"
+    sample = getattr(env, name)
+
+    def recorded(t, *args):
+        *args, rng = args
+        streams.append(rng)
+        reward, rest = sample(t, *args, CountingRng(rng, seen))
+        return (2.0 if t == bad_round else reward), rest
+
+    setattr(env, name, recorded)
+    return seen, streams
+
+
+def assert_per_call_draws(seen, rng_env, seed, purpose="env"):
+    """seen are the doubles one rng.random() per draw of the seed's stream gives,
+    and rng_env stands where those draws leave that stream."""
+    ref = seed_derive(seed, 0, purpose)
+    assert seen == [ref.random() for _ in seen]
+    assert rng_env.bit_generator.state == ref.bit_generator.state
+    ahead = seed_derive(seed, 0, purpose)
+    ahead.bit_generator.advance(len(seen))
+    assert rng_env.bit_generator.state == ahead.bit_generator.state
+
+
+@pytest.fixture(params=[7, nonstat.master.CHUNK], ids=["chunk7", "chunk"])
+def chunk(request, monkeypatch):
+    """The stream's chunk: a short one, which refills and rewinds within the
+    smallest run, and the library's own."""
+    monkeypatch.setattr(nonstat.master, "CHUNK", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("kind", STREAM_KINDS)
+def test_the_environment_draws_what_per_call_draws_give_across_restarts(kind, chunk):
+    T = 96 if chunk == 7 else 640
+    env, factory = stream_env(kind, T)
+    seen, streams = recording(env)
+    world = nonstat.master._world_for(env)
+    log = RunLog(mdp_columns=world.mdp_columns)
+    rng_env = seed_derive(41, 0, "env")
+    assert master_core(world, factory, T, 1.0 / T, 1e-4, rng_env, seed_derive(41, 0, "sched"), log) == (T + 1, "done")
+    assert log.restarts and len(seen) >= T
+    assert_per_call_draws(seen, rng_env, 41)
+    assert not hasattr(streams[0], "random")  # the stream ended with its loop call
+
+
+@pytest.mark.parametrize("kind", STREAM_KINDS)
+def test_calls_over_cut_ranges_share_rng_env_as_per_call_draws_do(kind, chunk):
+    T = 80
+    env, factory = stream_env(kind, T)
+    seen, streams = recording(env)
+    world = nonstat.master._world_for(env)
+    log = RunLog(mdp_columns=world.mdp_columns)
+    rng_env, rng_sched = seed_derive(43, 0, "env"), seed_derive(43, 0, "sched")
+    bounds = (0, 1, 6, 7, 30, 57, T)
+    for a, b in zip(bounds, bounds[1:]):
+        master_core(world, factory, T, 1.0 / T, 1e-4, rng_env, rng_sched, log, start_t=a + 1, end_t=b)
+        assert_per_call_draws(seen, rng_env, 43)
+    assert len(log) == T and len(set(map(id, streams))) == len(bounds) - 1
+
+
+def capture_env_stream(monkeypatch, module):
+    """The "env" streams module's seed_derive makes from now on."""
+    made = []
+
+    def derive(seed, run_index, purpose):
+        rng = seed_derive(seed, run_index, purpose)
+        if purpose == "env":
+            made.append(rng)
+        return rng
+
+    monkeypatch.setattr(module, "seed_derive", derive)
+    return made
+
+
+@pytest.mark.parametrize("kind", STREAM_KINDS)
+def test_run_bare_draws_what_per_call_draws_give(kind, chunk, monkeypatch):
+    T = 60
+    env, factory = stream_env(kind, T)
+    seen, _ = recording(env)
+    made = capture_env_stream(monkeypatch, nonstat.master)
+    run_bare(env, factory(), T, seed=47)
+    assert len(made) == 1 and len(seen) >= T
+    assert_per_call_draws(seen, made[0], 47)
+
+
+@pytest.mark.parametrize("kind", STREAM_KINDS)
+def test_a_run_stopped_by_the_unit_interval_check_leaves_rng_env_synced(kind, chunk):
+    T, bad = 64, 23
+    env, factory = stream_env(kind, T)
+    seen, streams = recording(env, bad_round=bad)
+    world = nonstat.master._world_for(env)
+    rng_env = seed_derive(53, 0, "env")
+    with pytest.raises(ValueError, match=f"round {bad}:"):
+        master_core(world, factory, T, 1.0 / T, 1e-4, rng_env, seed_derive(53, 0, "sched"),
+                    RunLog(mdp_columns=world.mdp_columns))
+    assert len(streams) == bad
+    assert_per_call_draws(seen, rng_env, 53)
+    assert not hasattr(streams[0], "random")
+
+
+def test_an_epoch_overflow_leaves_rng_env_synced(chunk):
+    T = 64
+    env, factory = stream_env("infinite", T)
+    seen, _ = recording(env)
+    rng_env = seed_derive(59, 0, "env")
+    t, reason = master_core(AverageRewardWorld(env), factory, T, 1.0 / T, 0.0, rng_env, seed_derive(59, 0, "sched"),
+                            RunLog(mdp_columns=True), max_epochs=1)
+    assert (t, reason) == (2, "epoch_overflow")  # kappa = 0 restarts at round 1
+    assert_per_call_draws(seen, rng_env, 59)
+
+
+@pytest.mark.parametrize("strategy", ["borl", "doubling_dbar"])
+def test_strategies_that_share_rng_env_across_calls_see_per_call_draws(strategy, chunk, monkeypatch):
+    T = 256
+    env = switching_mdp(T)
+    seen, streams = recording(env)
+    made = capture_env_stream(monkeypatch, nonstat.mdp)
+    calls = []
+    monkeypatch.setattr(nonstat.mdp, "master_core", lambda *a, **k: calls.append(1) or master_core(*a, **k))
+    if strategy == "borl":
+        log = nonstat.mdp.borl(env, kappa=1e-4, seed=61)
+    else:
+        log = doubling_dbar(env, known_l=1, kappa=1e-4, seed=61)
+    assert len(log) == T and len(calls) > 1 and len(set(map(id, streams))) == len(calls)
+    assert_per_call_draws(seen, made[0], 61)
