@@ -24,7 +24,8 @@ An instance is an integer, its uid: its index among the block's spawns.
 The runner builds no object per instance.  It keeps them in lists indexed
 by uid, allocated whole at the block start: orders (the schedule's own
 array), ends (the last round, set at the spawn), learners (runner.fresh
-until the first update) and sums (the interval reward sums).  Its stack
+until the first update, and None once the control loop has read the
+learner for the last time) and sums (the interval reward sums).  Its stack
 of covering instances holds uids, and begin_round and finish_round return
 uids.
 

@@ -71,7 +71,18 @@ simulation time, so dynamic regret is an exact second pass over the rows.
 Each row is one RunLog.append call with its values in RunLog.columns
 order; the round adapter's extras(learner) gives the MDP columns' values
 as a tuple, () for bandits.  The control loop binds the runner's, the
-adapter's and the log's methods once per block.
+adapter's and the log's methods once per block.  A log keeps its number
+columns as C arrays, array("q") and array("d"): append adds to short lists,
+which move into the arrays every LOG_CHUNK rows (a module constant, as
+CHUNK is) and before a read, and a column that a chunk's values cannot be
+stored in exactly becomes a plain list (RunLog).  So RunLog.column returns
+the log's own sequence, an array or a list, and the CSV bytes are those of
+the values as appended.
+
+The row of the round at which the active instance ends is the last to read
+its learner, so the loop then frees it in the runner's list (None): on a
+workload where each round builds a learner, they would otherwise all live,
+and be walked by the cyclic GC, until the block ends.
 """
 
 from __future__ import annotations
@@ -84,6 +95,7 @@ import itertools
 import math
 import operator
 import re
+import struct
 import threading
 from array import array
 from dataclasses import dataclass
@@ -157,12 +169,12 @@ def _float_text(value) -> str:
     return repr(float(value))
 
 
-def _has_negative_zero(data: list) -> bool:
+def _has_negative_zero(data) -> bool:
     values = np.array(data, dtype=np.float64)
     return bool(np.signbit(values[values == 0.0]).any())
 
 
-def _number_texts(data: list, is_int: bool):
+def _number_texts(data, is_int: bool):
     """The cells of a number column, str(int(v)) or repr(float(v)), in row order.
 
     Each distinct value is formatted once, through a _Texts memo, unless
@@ -241,31 +253,72 @@ class RestartEvent:
     block: int
 
 
+LOG_CHUNK = 4096  # rows a RunLog gathers in lists before it moves them into its typed columns
+
+
 class RunLog:
     """Column-oriented per-round record; serializes to CSV bit-exactly.
 
-    An event cell is its text, a block's schedule, or a pair of a schedule
-    and the row's own tokens (_event_texts); the log keeps no runner and no
-    learner alive."""
+    An int column is an array("q") and a float column an array("d"), 8 bytes
+    a value and no Python object; the event column is a list of cells.  An
+    event cell is its text, a block's schedule, or a pair of a schedule and
+    the row's own tokens (_event_texts); the log keeps no runner and no
+    learner alive.
+
+    append adds a row's numbers to one short list per column, and those
+    lists move into the typed columns, one struct.pack per column, when
+    they hold LOG_CHUNK rows and before any read of a number column
+    (column, to_csv, restarts).  A float column holds float(v) of each value.
+    A chunk that holds a value its column's type cannot store, such as an
+    int above 2^63 - 1 (an episodic policy id reaches A^(S*H)), or a float
+    or a nan in an int column, turns that column into a plain list of the
+    values as appended, from then on.  So every CSV cell, and every error
+    the writer raises, is what str(int(v)) or repr(float(v)) gives."""
 
     def __init__(self, mdp_columns: bool = False):
         self.columns = _BASE_COLUMNS + _MDP_COLUMNS if mdp_columns else _BASE_COLUMNS
-        self._data = {name: [] for name in self.columns}
-        self._lists = tuple(self._data.values())
+        self._data = {
+            name: [] if name == "event" else array("q" if name in _INT_COLUMNS else "d") for name in self.columns}
+        # each number column's pending values; an event cell goes straight into its column
+        pending = {name: [] for name in self.columns if name != "event"}
+        self._pending = tuple(pending.items())
+        self._lists = tuple(pending.get(name, self._data["event"]) for name in self.columns)
 
     def __len__(self):
-        return len(self._data["t"])
+        return len(self._data["event"])
 
     def append(self, *row):
         """Add one row, its values in self.columns order."""
-        if len(row) != len(self._lists):
-            raise ValueError(f"row of {len(row)} values, expected {len(self._lists)} (the log's columns)")
-        any(map(list.append, self._lists, row))  # list.append returns None: any() runs it on every pair
+        lists = self._lists
+        if len(row) != len(lists):
+            raise ValueError(f"row of {len(row)} values, expected {len(lists)} (the log's columns)")
+        any(map(list.append, lists, row))  # list.append returns None: any() runs it on every pair
+        if len(lists[0]) >= LOG_CHUNK:  # the pending values of t, the first column
+            self._flush()
+
+    def _flush(self):
+        """Move the pending values into their columns."""
+        if not self._lists[0]:  # no row pending
+            return
+        data = self._data
+        for name, pending in self._pending:
+            column = data[name]
+            if column.__class__ is list:
+                column += pending
+            else:
+                try:  # all or nothing; struct packs a list about twice as fast as array.fromlist
+                    column.frombytes(struct.pack(f"{len(pending)}{column.typecode}", *pending))
+                except (struct.error, TypeError, ValueError, OverflowError):
+                    # a value the type cannot hold (the last three come from a value's own __index__):
+                    # keep every value as appended, so the writer raises what it would on them
+                    data[name] = column.tolist() + pending
+            pending.clear()
 
     def column(self, name):
-        """The column's values in row order: the log's own list, except for
-        the event column, whose texts are rendered into a new list at each
-        read, so the log never holds them."""
+        """The column's values in row order: the log's own sequence, an array
+        or a list, except for the event column, whose texts are rendered into
+        a new list at each read, so the log never holds them."""
+        self._flush()
         data = self._data[name]
         return list(_event_texts(self._data["t"], data)) if name == "event" else data
 
@@ -286,6 +339,7 @@ class RunLog:
         block.  Read from the cells that hold text or a row's own tokens, a
         run of equal cells at a time; no schedule is rendered, since its
         events are never restarts."""
+        self._flush()
         data = self._data
         rounds, blocks = data["t"], data["block"]
         out = []
@@ -310,6 +364,7 @@ class RunLog:
         if not hasattr(path_or_buf, "write"):
             with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
                 return self.to_csv(fh)
+        self._flush()
         cells = []
         for name in self.columns:
             data = self._data[name]
@@ -593,6 +648,8 @@ def master_core(
 
                     append(t, n, epoch, orders[active], policy, reward, f_star, g_tilde, u_min,
                            schedule if cause is None else (schedule, f"restart {cause}"), *extras(learner))
+                    if ended:  # the active instance ends with this row, the last to read its learner
+                        learners[active] = None
 
                     t += 1
                     if cause is not None:

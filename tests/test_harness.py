@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nonstat.harness
+import nonstat.master
 import nonstat.mdp
 from nonstat.harness import (
     SpecError,
@@ -573,6 +574,18 @@ def test_every_algorithm_log_is_pinned(algorithm):
     assert hashlib.sha256(text.encode()).hexdigest() == LOG_DIGESTS[algorithm]
 
 
+@pytest.fixture
+def short_log_chunks(monkeypatch):
+    """Logs that move their rows into the typed columns every 7 rows: every
+    tiny_spec log is shorter than LOG_CHUNK rows."""
+    monkeypatch.setattr(nonstat.master, "LOG_CHUNK", 7)
+
+
+@pytest.mark.parametrize("algorithm", sorted(LOG_DIGESTS))
+def test_every_algorithm_log_is_pinned_across_log_chunks(algorithm, short_log_chunks):
+    test_every_algorithm_log_is_pinned(algorithm)
+
+
 # SHA-256 of (aggregate.json, regret.svg) of each algorithm's tiny spec at
 # seeds [0, 1, 2]: the report and the plot, like the logs, are what the
 # library computes
@@ -720,3 +733,8 @@ def test_restart_heavy_log_is_pinned(algorithm):
         assert sorted(set(log.column("dbar"))) == [float(1 << k) for k in range(len(restarts) + 1)]
     if algorithm == "borl":
         assert sorted(set(log.column("borl_arm"))) == [1, 2]
+
+
+@pytest.mark.parametrize("algorithm", sorted(RESTART_PINS))
+def test_restart_heavy_log_is_pinned_across_log_chunks(algorithm, short_log_chunks):
+    test_restart_heavy_log_is_pinned(algorithm)

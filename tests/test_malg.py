@@ -192,14 +192,18 @@ class Slot:
 
 
 class RecordField:
-    """One field of SlotRunner's records by uid, read as the control loop
-    reads MalgRunner's uid-indexed lists."""
+    """One field of SlotRunner's records by uid, read and written as the
+    control loop reads MalgRunner's uid-indexed lists and frees a learner in
+    them: a learner freed too soon is None at its instance's next round."""
 
     def __init__(self, records, name):
         self.records, self.name = records, name
 
     def __getitem__(self, uid):
         return getattr(self.records[uid], self.name)
+
+    def __setitem__(self, uid, value):
+        setattr(self.records[uid], self.name, value)
 
 
 class SlotRunner:
@@ -317,9 +321,10 @@ def assert_control_loop_matches_the_slot_oracle(monkeypatch, env, factory, kappa
     # stream state after each call, as with per-round draws.  SlotRunner
     # builds a learner for every instance and makes every update, so the
     # same log also shows that what BanditWorld lets the runner skip is
-    # never read.  Its log holds the text SlotRunner wrote each round, and
-    # the runner's log the text rendered from its block schedules, both as
-    # CSV cells and as the event column.
+    # never read; the loop frees each learner in SlotRunner's records too,
+    # which would fail at a later read of it.  Its log holds the text
+    # SlotRunner wrote each round, and the runner's log the text rendered
+    # from its block schedules, both as CSV cells and as the event column.
     T = env.horizon
     def run():
         log, rng_env, rng_sched = master.RunLog(), seed_derive(seed, 0, "env"), seed_derive(seed, 0, "sched")
@@ -404,7 +409,8 @@ def test_control_loop_matches_the_slot_oracle_on_glm_and_episodic(monkeypatch, k
 
 class RecordingRunner(MalgRunner):
     """MalgRunner that keeps every runner built, the rounds each instance
-    played with the learner each read, and the learners its factory built."""
+    played with the learner each read, the learner each instance held after
+    its last round, and the learners its factory built."""
 
     runners = []
 
@@ -417,12 +423,19 @@ class RecordingRunner(MalgRunner):
 
         super().__init__(block_start, order_n, rate, recording_factory, rng)
         self.played = {}  # uid -> [(round, learner it read)]
+        self.held = {}  # uid -> its learner after its last round played, before the loop frees it
         RecordingRunner.runners.append(self)
 
     def begin_round(self, t):
         out = super().begin_round(t)
         self.played.setdefault(out[2], []).append((t, self.learners[out[2]]))
         return out
+
+    def finish_round(self, t, reward, feedback):
+        uid = self._live[-1]
+        ended = super().finish_round(t, reward, feedback)
+        self.held[uid] = self.learners[uid]
+        return ended
 
 
 def recorded_runners(monkeypatch, world, factory, kappa, seed=5):
@@ -459,16 +472,20 @@ def assert_fresh_serves_reads_before_each_first_update(runner, factory, updated_
     # every read before an instance's first update is of runner.fresh, which
     # no update reaches; the first update builds the instance's own learner
     # (one factory() call each), and every later read is of that learner
+    # (the loop frees an instance's learner after the row of the instance's
+    # end, if it was active then, and of no other)
     own = []
     for uid, rounds in runner.played.items():
         updates = [t for t, _ in rounds if updated_at_end or t != runner.ends[uid]]
         for t, learner in rounds:
             assert (learner is runner.fresh) == (not updates or t <= updates[0])
         if updates:
-            own.append(runner.learners[uid])
-            assert runner.learners[uid] is not runner.fresh
+            own.append(runner.held[uid])
+            assert runner.held[uid] is not runner.fresh
         else:
-            assert runner.learners[uid] is runner.fresh
+            assert runner.held[uid] is runner.fresh
+        freed = rounds[-1][0] == runner.ends[uid]
+        assert runner.learners[uid] is (None if freed else runner.held[uid])
     assert runner.built == [runner.fresh, *own]  # built in first-update order, each once
     assert snapshot_to_json(runner.fresh) == snapshot_to_json(read_fresh(factory))
 
@@ -485,7 +502,7 @@ def test_bandit_world_skips_the_last_update_and_shares_a_data_free_learner(monke
     for runner in runners:
         assert_fresh_serves_reads_before_each_first_update(runner, factory, False)
         for uid, rounds in runner.played.items():
-            assert runner.learners[uid].t_int == sum(t != runner.ends[uid] for t, _ in rounds)
+            assert runner.held[uid].t_int == sum(t != runner.ends[uid] for t, _ in rounds)
     assert any(len(runner.built) > 1 for runner in runners)
     assert any(rounds == [(runner.ends[uid], runner.fresh)]
                for runner in runners for uid, rounds in runner.played.items())
@@ -517,7 +534,7 @@ def test_average_reward_world_updates_every_active_round_with_its_own_learner(mo
         assert runner.fresh.updates == 0
         assert_fresh_serves_reads_before_each_first_update(runner, factory, True)
         for uid, rounds in runner.played.items():
-            assert runner.learners[uid].updates == len(rounds)  # the rounds begin_round returned uid
+            assert runner.held[uid].updates == len(rounds)  # the rounds begin_round returned uid
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import functools
 import hashlib
+import importlib.util
 import io
 import math
 import os
@@ -9,6 +10,8 @@ import struct
 import sys
 import tempfile
 import threading
+import types
+from array import array
 
 import numpy as np
 import pytest
@@ -438,7 +441,7 @@ def test_a_value_outside_the_unit_interval_raises_before_its_row(g_tilde, reward
         master_core(ScriptedWorld(rewards), lambda: RoundScriptedLearner(g_values, rounds), T, 1.0 / T, 1e-3,
                     seed_derive(0, 0, "env"), seed_derive(0, 0, "sched"), log)
     assert len(log) == bad - 1
-    assert log.column("g_tilde") == g_values[: bad - 1]
+    assert list(log.column("g_tilde")) == g_values[: bad - 1]
 
 
 def test_test2_single_round_boundary():
@@ -482,7 +485,7 @@ def test_kappa_infinite_disables_tests():
     factory, delta = ucb1_stack(env, T)
     log = run_master(env, factory, T, delta, kappa=math.inf, seed=3)
     assert log.restarts == []
-    blocks = log.column("block")
+    blocks = list(log.column("block"))
     # doubling layout: block orders 0,1,1,2,2,2,2,...
     expected = []
     n, t = 0, 0
@@ -587,8 +590,8 @@ def test_block_orders_reset_after_restart():
     master_core(BanditWorld(env), factory, T, delta, 0.0,
                 seed_derive(17, 0, "env"), seed_derive(17, 0, "sched"), log)
     # kappa=0 restarts every round: every row is block 0 of a new epoch
-    assert log.column("block") == [0] * T
-    assert log.column("epoch") == list(range(T))
+    assert list(log.column("block")) == [0] * T
+    assert list(log.column("epoch")) == list(range(T))
     assert len(log.restarts) == T
 
 
@@ -886,8 +889,10 @@ def _outcome(fn):
 def test_csv_writer_raises_on_a_non_finite_int_cell_as_the_cell_writer_does(column, bad):
     log = RunLog()
     for t in range(40):
-        log.append(t, 0, 0, 0, t % 2, 0.5, 0.9, 1.0, 1.0, "")
-    log.column(column)[30] = bad
+        row = [t, 0, 0, 0, t % 2, 0.5, 0.9, 1.0, 1.0, ""]
+        if t == 30:
+            row[log.columns.index(column)] = bad
+        log.append(*row)
     got = _outcome(log.to_csv_text)
     assert isinstance(got, tuple)
     assert got == _outcome(lambda: rowwise_csv(log))
@@ -996,6 +1001,107 @@ def test_empty_log_regret_raises():
 
 
 # ---------------------------------------------------------------------------
+# typed columns: number columns are C arrays, filled from short lists in chunks
+
+
+@pytest.fixture
+def short_log_chunks(monkeypatch):
+    """Logs that move their rows into the typed columns every 7 rows."""
+    monkeypatch.setattr(nonstat.master, "LOG_CHUNK", 7)
+
+
+@pytest.mark.parametrize("check", [
+    test_csv_roundtrip_bit_exact, test_csv_roundtrip_keeps_restart_blocks,
+    test_dynamic_regret_matches_second_pass_exactly, test_csv_writer_with_repeated_values_equals_rowwise_csv_writer])
+def test_csv_round_trip_across_log_chunks(check, short_log_chunks):
+    check()
+
+
+# values each typed column stores as CSV writes them: signed zeros, nan, +-inf,
+# a subnormal, numpy scalars and bools, and the int64 extremes
+_TYPED_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, np.float64(-0.0), np.float64("nan"),
+                 np.float32(0.1), np.int64(3), True, False, 2, 0.1]
+_TYPED_INTS = [0, 1, np.int64(-3), True, False, 2**63 - 1, -(2**63), np.int64(7)]
+
+
+def typed_rows(columns, n, odd=None):
+    """n rows, their number cells cycling through _TYPED_INTS and _TYPED_FLOATS;
+    odd = (column, row, value) puts one other value in."""
+    pools = [["e0", "e1", "e2"] if name == "event" else _TYPED_INTS if name in _INT_COLUMNS else _TYPED_FLOATS
+             for name in columns]
+    rows = [[pool[(i + k) % len(pool)] for k, pool in enumerate(pools)] for i in range(n)]
+    if odd is not None:
+        name, row, value = odd
+        rows[row][columns.index(name)] = value
+    return rows
+
+
+def appended_csv(columns, rows):
+    """rowwise_csv of the values as appended."""
+    return rowwise_csv(types.SimpleNamespace(
+        columns=columns, column=lambda name: [row[columns.index(name)] for row in rows]))
+
+
+def assert_columns_equal(log, other, names):
+    for name in names:
+        a, b = log.column(name), other.column(name)
+        assert a.__class__ is b.__class__, name
+        assert (a.tobytes() == b.tobytes()) if a.__class__ is array else a == b, name  # bits: -0.0 and nan
+
+
+def test_live_bytes_per_log_row_stay_under_their_bounds():
+    # the two figures .github/log_bytes.py prints (master+UCB1 at T = 2^14):
+    # a run_master log and its from_csv copy held 118 and 239 bytes per row
+    # as lists of Python numbers, and hold about 89 and 118 in typed columns
+    path = os.path.join(os.path.dirname(__file__), os.pardir, ".github", "log_bytes.py")
+    spec = importlib.util.spec_from_file_location("log_bytes", path)
+    log_bytes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(log_bytes)
+    built, read = log_bytes.bytes_per_row()
+    assert built < 105
+    assert read < 160
+
+
+@pytest.mark.parametrize("mdp_columns", [False, True])
+def test_typed_columns_store_every_value_as_csv_writes_it(mdp_columns, short_log_chunks):
+    log = RunLog(mdp_columns=mdp_columns)
+    rows = typed_rows(log.columns, 40)
+    for row in rows:
+        log.append(*row)
+    numbers = [name for name in log.columns if name != "event"]
+    assert all(log.column(name).__class__ is array for name in numbers)
+    assert log.column("t") is log.column("t")  # the log's own sequence
+    text = log.to_csv_text()
+    assert text == appended_csv(log.columns, rows)
+    assert_columns_equal(RunLog.from_csv(text), log, numbers)
+
+
+@pytest.mark.parametrize("row", [2, 16], ids=["first_chunk", "later_chunk"])
+@pytest.mark.parametrize("name, value", [("policy", 2**63), ("policy", 3**50), ("block", 2.5), ("episode", 4.0),
+                                         ("epoch", math.nan), ("t", np.float64(1.0)), ("active_order", "7")])
+def test_a_value_an_int_column_cannot_store_turns_it_into_a_list(name, value, row, short_log_chunks):
+    # from then on the column keeps every value as appended, so each CSV cell,
+    # or the error, is what str(int(v)) gives for it; the other columns stay typed
+    log = RunLog(mdp_columns=True)
+    rows = typed_rows(log.columns, 24, (name, row, value))
+    for values in rows:
+        log.append(*values)
+    column = log.column(name)
+    assert column.__class__ is list and column[row] is value
+    assert [int(v) for i, v in enumerate(column) if i != row] == [int(r[log.columns.index(name)])
+                                                                 for i, r in enumerate(rows) if i != row]
+    others = [other for other in log.columns if other not in ("event", name)]
+    assert all(log.column(other).__class__ is array for other in others)
+    got = _outcome(log.to_csv_text)
+    assert got == _outcome(lambda: appended_csv(log.columns, rows))
+    if isinstance(got, str):
+        reread = RunLog.from_csv(got)
+        assert_columns_equal(reread, log, others)
+        if isinstance(value, int):
+            assert reread.column(name) == column
+
+
+# ---------------------------------------------------------------------------
 # bare baseline
 
 
@@ -1003,7 +1109,7 @@ def test_run_bare_single_round():
     env = stationary(1)
     log = run_bare(env, Ucb1(2, 1, 1.0 / 2), 1, seed=31)
     assert len(log) == 1
-    assert log.column("active_order") == [-1]
+    assert list(log.column("active_order")) == [-1]
 
 
 def test_run_bare_sublinear_on_stationary():
@@ -1079,7 +1185,7 @@ def test_signal_restart_through_the_control_loop():
     events = log.column("event")
     assert events[k - 1].split(";")[-1] == "restart mdp_signal"
     assert not any("restart" in ev for ev in events[: k - 1])
-    assert log.column("epoch") == [0] * k + list(range(1, T - k + 1))
+    assert list(log.column("epoch")) == [0] * k + list(range(1, T - k + 1))
 
 
 def test_bare_run_ignores_the_restart_signal():
