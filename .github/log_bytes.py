@@ -7,8 +7,10 @@ Ucb1(2, T, 1/T), kappa 1 and seed 0, at T = 2^14.  One run first fills the
 process-wide memos (the test thresholds, the spawn probabilities, the
 environment's per-segment optima), so that what a second run leaves alive
 is its log.  The figures are the live bytes that this run_master log holds,
-and those that RunLog.from_csv of its CSV text holds, each over T.  A change
-reports them as it reports its src/ lines.
+tracemalloc's peak during that run (the pending rows of a log chunk, the
+block draws and the learners live at once), and the live bytes that
+RunLog.from_csv of its CSV text holds, each over T.  A change reports them as
+it reports its src/ lines.
 """
 
 import os
@@ -25,8 +27,9 @@ from nonstat.master import RunLog, run_master  # noqa: E402
 T = 1 << 14
 
 
-def bytes_per_row(horizon: int = T) -> tuple[float, float]:
-    """(live bytes per row of a run_master log, of its from_csv copy)."""
+def bytes_per_row(horizon: int = T) -> tuple[float, float, float]:
+    """(live bytes per row of a run_master log, of its from_csv copy, and the
+    peak bytes per row traced during the run_master call)."""
     half = horizon // 2
     env = make_env({"kind": "mab", "T": horizon, "segments": [
         {"length": half, "means": [0.9, 0.1]}, {"length": horizon - half, "means": [0.1, 0.9]}]})
@@ -38,8 +41,10 @@ def bytes_per_row(horizon: int = T) -> tuple[float, float]:
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         log = run()
-        built = tracemalloc.get_traced_memory()[0] - before
+        live, peak = tracemalloc.get_traced_memory()
+        built, peak = live - before, peak - before
         text = log.to_csv_text()
         before = tracemalloc.get_traced_memory()[0]
         copy = RunLog.from_csv(text)
@@ -47,12 +52,13 @@ def bytes_per_row(horizon: int = T) -> tuple[float, float]:
     finally:
         tracemalloc.stop()
     assert len(log) == len(copy) == horizon
-    return built / horizon, read / horizon
+    return built / horizon, read / horizon, peak / horizon
 
 
 def main() -> int:
-    built, read = bytes_per_row()
+    built, read, peak = bytes_per_row()
     print(f"live bytes per row at T={T}: run_master log {built:.1f}, from_csv log {read:.1f}")
+    print(f"peak bytes per row traced during run_master at T={T}: {peak:.1f}")
     return 0
 
 

@@ -102,22 +102,28 @@ def spawn_probability(n: int, m: int, rate: RateFunction) -> float:
     return rate.rho(float(1 << n)) / rate.rho(float(1 << m))
 
 
-@functools.lru_cache(maxsize=None)
-def _slot_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(start offset, order) of the 2^(n+1)-1 slots of an order-n block, in draw
-    order: offset ascending, orders descending from the largest slot starting there.
-    Cached per n, as two read-only C-int arrays (8 bytes per slot), because a
-    run that restarts often starts many short blocks."""
-    tau = np.arange(1 << n, dtype=np.intc)
-    top = np.empty(1 << n, dtype=np.intc)  # largest order whose slot starts at tau
-    top[0] = n
-    top[1:] = np.log2(tau[1:] & -tau[1:]).astype(np.intc)
-    counts = top + 1
-    first = np.cumsum(counts, dtype=np.intc) - counts  # first draw of each offset
-    offsets = np.repeat(tau, counts)
-    orders = np.repeat(top + first, counts) - np.arange(len(offsets), dtype=np.intc)
-    offsets.flags.writeable = orders.flags.writeable = False
-    return offsets, orders
+_LAYOUTS = {}  # the memo of _slot_layout, for the orders below _LAYOUT_MEMO_ORDERS: 64 KB in all
+_LAYOUT_MEMO_ORDERS = 12
+
+
+def _slot_layout(n: int) -> np.ndarray:
+    """The (start offset, order) rows of the 2^(n+1)-1 slots of an order-n block in
+    draw order (offset ascending, orders descending at each): the order-n slot, then
+    the order n-1 layout over each half of the block.  A read-only C-int array, 8
+    bytes a slot, memoized for the short blocks a restarting run starts often, and
+    built anew for a larger one, whose 2^n rounds spread the cost."""
+    layout = _LAYOUTS.get(n)
+    if layout is None:
+        half = _slot_layout(n - 1) if n else np.empty((2, 0), np.intc)
+        size = half.shape[1]
+        layout = np.empty((2, 2 * size + 1), np.intc)
+        layout[:, 0] = 0, n
+        layout[:, 1:size + 1] = layout[:, size + 1:] = half
+        layout[0, size + 1:] += (size + 1) // 2  # the offsets of the second half
+        layout.flags.writeable = False
+        if n < _LAYOUT_MEMO_ORDERS:
+            _LAYOUTS[n] = layout
+    return layout
 
 
 _LAST_OFFSET = [(1 << m) - 1 for m in range(64)]  # of an order-m slot, from its start

@@ -26,8 +26,9 @@ is at most 1 and U_t at least 0, and each gap g~ - R is at most 1.  It
 holds in float64 too, as a rounded sum of terms that are each at most 1
 never exceeds their count.  So the control loop calls test 1 only for
 ending instances of order >= ThresholdTable.live_order and test 2 only from
-block length ThresholdTable.live_length on, and the runner of a block of
-order below live_order keeps no interval sum.  The loop checks the contract
+block length ThresholdTable.live_length on; in a block of order below
+live_order, the runner keeps no interval sum and the loop scans no ending
+instance.  The loop checks the contract
 on each round's g~ and reward, and raises a ValueError that names the round
 when either lies outside [0, 1].  The runner names each instance by its
 uid, and the loop reads its order, learner and interval sum from the
@@ -72,12 +73,9 @@ Each row is one RunLog.append call with its values in RunLog.columns
 order; the round adapter's extras(learner) gives the MDP columns' values
 as a tuple, () for bandits.  The control loop binds the runner's, the
 adapter's and the log's methods once per block.  A log keeps its number
-columns as C arrays, array("q") and array("d"): append adds to short lists,
-which move into the arrays every LOG_CHUNK rows (a module constant, as
-CHUNK is) and before a read, and a column that a chunk's values cannot be
-stored in exactly becomes a plain list (RunLog).  So RunLog.column returns
-the log's own sequence, an array or a list, and the CSV bytes are those of
-the values as appended.
+columns as C arrays, filled from its pending rows a chunk at a time
+(RunLog), so RunLog.column returns the log's own sequence, an array or a
+list, and the CSV bytes are those of the values as appended.
 
 The row of the round at which the active instance ends is the last to read
 its learner, so the loop then frees it in the runner's list (None): on a
@@ -180,12 +178,14 @@ def _number_texts(data, is_int: bool):
     Each distinct value is formatted once, through a _Texts memo, unless
     more than half of the column's first _SAMPLE values are distinct, or it
     is a float column that holds a -0.0: -0.0 and 0.0 are one key but two
-    texts (in an int column both read "0").  Those columns are formatted
+    texts (in an int column both read "0"), or a plain list, which holds
+    values as appended (RunLog), keys or not.  Those columns are formatted
     per cell.  A nan is a key only to itself, so each nan object is
     formatted at its first cell.
     """
     sample = data[:_SAMPLE]
-    if len(set(sample)) * 2 > len(sample) or (not is_int and 0.0 in data and _has_negative_zero(data)):
+    if data.__class__ is list or len(set(sample)) * 2 > len(sample) or (
+            not is_int and 0.0 in data and _has_negative_zero(data)):
         return map(str, map(int, data)) if is_int else map(repr, map(float, data))
     return map(_Texts(_int_text if is_int else _float_text).__getitem__, data)
 
@@ -253,7 +253,7 @@ class RestartEvent:
     block: int
 
 
-LOG_CHUNK = 4096  # rows a RunLog gathers in lists before it moves them into its typed columns
+LOG_CHUNK = 8192  # rows a RunLog keeps pending in one flat list before it splits them into its columns
 
 
 class RunLog:
@@ -265,10 +265,10 @@ class RunLog:
     the row's own tokens (_event_texts); the log keeps no runner and no
     learner alive.
 
-    append adds a row's numbers to one short list per column, and those
-    lists move into the typed columns, one struct.pack per column, when
-    they hold LOG_CHUNK rows and before any read of a number column
-    (column, to_csv, restarts).  A float column holds float(v) of each value.
+    append extends one pending list with the row's values, making no object
+    per row.  At LOG_CHUNK rows, and before a read (column, to_csv, restarts)
+    or amend_event, the list is split into columns by slices, and one
+    struct.pack stores each number column (a float column holds float(v)).
     A chunk that holds a value its column's type cannot store, such as an
     int above 2^63 - 1 (an episodic policy id reaches A^(S*H)), or a float
     or a nan in an int column, turns that column into a plain list of the
@@ -279,40 +279,36 @@ class RunLog:
         self.columns = _BASE_COLUMNS + _MDP_COLUMNS if mdp_columns else _BASE_COLUMNS
         self._data = {
             name: [] if name == "event" else array("q" if name in _INT_COLUMNS else "d") for name in self.columns}
-        # each number column's pending values; an event cell goes straight into its column
-        pending = {name: [] for name in self.columns if name != "event"}
-        self._pending = tuple(pending.items())
-        self._lists = tuple(pending.get(name, self._data["event"]) for name in self.columns)
+        self._rows = []  # the pending rows' values, one row after another
+        self._width, self._limit = len(self.columns), LOG_CHUNK * len(self.columns)
 
     def __len__(self):
-        return len(self._data["event"])
+        return len(self._data["event"]) + len(self._rows) // self._width
 
     def append(self, *row):
         """Add one row, its values in self.columns order."""
-        lists = self._lists
-        if len(row) != len(lists):
-            raise ValueError(f"row of {len(row)} values, expected {len(lists)} (the log's columns)")
-        any(map(list.append, lists, row))  # list.append returns None: any() runs it on every pair
-        if len(lists[0]) >= LOG_CHUNK:  # the pending values of t, the first column
+        rows = self._rows
+        if len(row) != self._width:
+            raise ValueError(f"row of {len(row)} values, expected {self._width} (the log's columns)")
+        rows += row
+        if len(rows) >= self._limit:
             self._flush()
 
     def _flush(self):
-        """Move the pending values into their columns."""
-        if not self._lists[0]:  # no row pending
-            return
-        data = self._data
-        for name, pending in self._pending:
-            column = data[name]
+        """Move the pending rows into their columns."""
+        rows, data, width = self._rows, self._data, self._width
+        for i, name in enumerate(self.columns):
+            column, values = data[name], rows[i::width]
             if column.__class__ is list:
-                column += pending
+                column += values
             else:
                 try:  # all or nothing; struct packs a list about twice as fast as array.fromlist
-                    column.frombytes(struct.pack(f"{len(pending)}{column.typecode}", *pending))
+                    column.frombytes(struct.pack(f"{len(values)}{column.typecode}", *values))
                 except (struct.error, TypeError, ValueError, OverflowError):
                     # a value the type cannot hold (the last three come from a value's own __index__):
                     # keep every value as appended, so the writer raises what it would on them
-                    data[name] = column.tolist() + pending
-            pending.clear()
+                    data[name] = column.tolist() + values
+        rows.clear()
 
     def column(self, name):
         """The column's values in row order: the log's own sequence, an array
@@ -324,6 +320,7 @@ class RunLog:
 
     def amend_event(self, token: str):
         """Join token to the last row's event, after a ";" if it has one."""
+        self._flush()
         cells = self._data["event"]
         cell = cells[-1]
         if cell.__class__ is str:
@@ -365,13 +362,9 @@ class RunLog:
             with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
                 return self.to_csv(fh)
         self._flush()
-        cells = []
-        for name in self.columns:
-            data = self._data[name]
-            if name == "event":
-                cells.append(_event_texts(self._data["t"], data, for_csv=True))
-            else:
-                cells.append(_number_texts(data, name in _INT_COLUMNS))
+        data = self._data
+        cells = [_event_texts(data["t"], data[name], for_csv=True) if name == "event"
+                 else _number_texts(data[name], name in _INT_COLUMNS) for name in self.columns]
         rows = map(",".join, zip(*cells))
         path_or_buf.write(",".join(self.columns) + "\n")
         path_or_buf.writelines(map(operator.add, rows, itertools.repeat("\n")))
@@ -614,7 +607,7 @@ def master_core(
                 live_order, live_length = thresholds.live_order, thresholds.live_length
                 runner = MalgRunner(t_n, n, rate, factory, rng_sched)
                 runner.last_update_read = world.last_update_read
-                runner.sums_read = n >= live_order
+                sums_read = runner.sums_read = n >= live_order  # else no order in the block reaches live_order
                 begin, finish, play, extras, append, schedule = (
                     runner.begin_round, runner.finish_round, world.play, world.extras, log.append, runner.schedule)
                 orders, learners, sums = runner.orders, runner.learners, runner.sums
@@ -634,11 +627,12 @@ def master_core(
                     length += 1
 
                     cause = None
-                    for uid in ended:
-                        m = orders[uid]
-                        if m >= live_order and test1_fails(sums[uid] / float(1 << m), u_min, order_thresholds[m]):
-                            cause = f"test1 m{m}#{uid}"
-                            break
+                    if sums_read:
+                        for uid in ended:
+                            m = orders[uid]
+                            if m >= live_order and test1_fails(sums[uid] / float(1 << m), u_min, order_thresholds[m]):
+                                cause = f"test1 m{m}#{uid}"
+                                break
                     if cause is None and length >= live_length and test2_fails(
                             gap_sum, length, length_thresholds[length - 1]):
                         cause = "test2"

@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,39 @@ def test_spawn_orders_make_the_lazy_draws(n, seed, p, data):
     runner.cut(played)  # rounds 1..played
     list(itertools.islice(spawn_orders(n, rate, rng_b), played))
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, malg._LAYOUT_MEMO_ORDERS - 1, malg._LAYOUT_MEMO_ORDERS,
+                               malg._LAYOUT_MEMO_ORDERS + 3])
+def test_slot_layout_lists_each_offsets_slots_orders_descending(n):
+    # memoized or built for its block, the layout is the per-offset order of spawn_orders
+    offsets, orders = malg._slot_layout(n)
+    expected = [(tau, m) for tau in range(1 << n)
+                for m in range(n if tau == 0 else (tau & -tau).bit_length() - 1, -1, -1)]
+    assert list(zip(offsets.tolist(), orders.tolist())) == expected
+    assert offsets.dtype == orders.dtype == np.intc
+    assert not offsets.flags.writeable and not orders.flags.writeable
+
+
+def test_a_long_run_keeps_no_large_slot_layout_alive():
+    # the layouts of orders below _LAYOUT_MEMO_ORDERS are memoized, 8 bytes per
+    # slot, 64 KB in all; a larger block's layout is built for it and freed
+    # with it.  A run at T = 2^16 ends in an order-16 block, whose layout alone
+    # takes 1 MB
+    T = 1 << 16
+    env = make_env({"kind": "mab", "T": T, "segments": [{"length": T, "means": [0.4, 0.6]}]})
+    malg._LAYOUTS.clear()
+    tracemalloc.start(3)  # np.repeat allocates two frames below its caller
+    try:
+        log = master.run_master(env, make_factory(T), T, kappa=1.0, seed=0)
+        assert log.column("block")[-1] == 16
+        del log  # its block schedules are malg's too
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    live = snapshot.filter_traces([tracemalloc.Filter(True, malg.__file__, all_frames=True)])
+    assert sum(stat.size for stat in live.statistics("filename")) < 32 << malg._LAYOUT_MEMO_ORDERS
+    assert sorted(malg._LAYOUTS) == list(range(malg._LAYOUT_MEMO_ORDERS))
 
 
 def test_runner_spawns_follow_schedule_upfront():

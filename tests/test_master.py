@@ -1050,14 +1050,14 @@ def assert_columns_equal(log, other, names):
 
 
 def test_live_bytes_per_log_row_stay_under_their_bounds():
-    # the two figures .github/log_bytes.py prints (master+UCB1 at T = 2^14):
+    # the two live figures .github/log_bytes.py prints (master+UCB1 at T = 2^14):
     # a run_master log and its from_csv copy held 118 and 239 bytes per row
     # as lists of Python numbers, and hold about 89 and 118 in typed columns
     path = os.path.join(os.path.dirname(__file__), os.pardir, ".github", "log_bytes.py")
     spec = importlib.util.spec_from_file_location("log_bytes", path)
     log_bytes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(log_bytes)
-    built, read = log_bytes.bytes_per_row()
+    built, read, _ = log_bytes.bytes_per_row()
     assert built < 105
     assert read < 160
 
@@ -1099,6 +1099,127 @@ def test_a_value_an_int_column_cannot_store_turns_it_into_a_list(name, value, ro
         assert_columns_equal(reread, log, others)
         if isinstance(value, int):
             assert reread.column(name) == column
+
+
+_UNSTORABLE = object()
+
+
+def stored_value(typecode, value):
+    """The value an array of typecode holds for value, or _UNSTORABLE."""
+    try:
+        return struct.unpack(typecode, struct.pack(typecode, value))[0]
+    except (struct.error, TypeError, ValueError, OverflowError):
+        return _UNSTORABLE
+
+
+def reference_column(values, typecode, chunk):
+    """A number column as the log should keep it, from its values as appended
+    one row at a time: typed while each chunk of rows is storable, and from the
+    first chunk that holds a value it cannot store on, a list of the values
+    stored before that chunk and then of those as appended."""
+    stored = [stored_value(typecode, value) for value in values]
+    bad = next((i for i, value in enumerate(stored) if value is _UNSTORABLE), None)
+    if bad is None:
+        return array(typecode, stored)
+    first = bad - bad % chunk
+    return stored[:first] + values[first:]
+
+
+def assert_same_column(got, expected):
+    assert got.__class__ is expected.__class__
+    if got.__class__ is array:
+        assert got.tobytes() == expected.tobytes()  # bits: -0.0 and nan
+    else:
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a is b or (a.__class__ is b.__class__ is float and struct.pack("d", a) == struct.pack("d", b)) or (
+                a.__class__ is b.__class__ is int and a == b)
+
+
+# values a typed column cannot store, whose CSV cells the per-cell writer still writes
+_ODD_INTS = [2**63, 3**50, -(2**63) - 1, 2.5, 4.0, np.float64(-1.5), "7", np.array(2.5)]
+_ODD_FLOATS = ["0.25", "-0.0", "nan", "1e308"]
+
+
+def random_rows(columns, n, rng):
+    """n rows of values each column stores (ints and np.int64; floats, -0.0, nan
+    and np.float64), three cells of which, at random, hold one of _ODD_INTS or _ODD_FLOATS."""
+    def value(name, t):
+        if name == "event":
+            return str(t % 3)
+        if name in _INT_COLUMNS:
+            return int(rng.integers(-5, 5)) if t % 2 else np.int64(rng.integers(0, 2**40))
+        return (float(rng.random()), -0.0, math.nan, np.float64(rng.random()))[t % 4]
+
+    rows = [[value(name, t) for name in columns] for t in range(n)]
+    numbers = [k for k, name in enumerate(columns) if name != "event"]
+    for _ in range(3):
+        t, k = int(rng.integers(n)), numbers[int(rng.integers(len(numbers)))]
+        pool = _ODD_INTS if columns[k] in _INT_COLUMNS else _ODD_FLOATS
+        rows[t][k] = pool[int(rng.integers(len(pool)))]
+    return rows
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["chunk7", "library_chunk"])
+@pytest.mark.parametrize("seed", range(4))
+def test_row_path_equals_a_per_column_reference(seed, chunk, monkeypatch):
+    # a log splits its pending rows into columns a chunk at a time; each column
+    # must hold what appending its values one by one would give, across chunk
+    # boundaries and values a column cannot store, and the CSV must be the
+    # per-cell writer's
+    if chunk is not None:
+        monkeypatch.setattr(nonstat.master, "LOG_CHUNK", chunk)
+    chunk = nonstat.master.LOG_CHUNK
+    rng = np.random.default_rng(seed)
+    log = RunLog(mdp_columns=bool(seed % 2))
+    rows = random_rows(log.columns, 2 * chunk + int(rng.integers(1, chunk)), rng)
+    for row in rows:
+        log.append(*row)
+    assert len(log) == len(rows)
+    for k, name in enumerate(log.columns):
+        values = [row[k] for row in rows]
+        if name == "event":
+            assert log.column(name) == values
+        else:
+            assert_same_column(log.column(name), reference_column(values, "q" if name in _INT_COLUMNS else "d", chunk))
+    assert log.to_csv_text() == appended_csv(log.columns, rows)
+
+
+def test_len_and_amend_event_see_the_pending_rows(short_log_chunks):
+    log = RunLog()
+    for t in range(1, 11):  # rows 1..7 are moved into the columns, 8..10 pending
+        log.append(t, 0, 0, 0, 0, 0.5, 1.0, 1.0, 1.0, f"e{t}")
+        assert len(log) == t
+    log.amend_event("tok")
+    assert len(log) == 10
+    log.append(11, 0, 0, 0, 0, 0.5, 1.0, 1.0, 1.0, "")
+    log.amend_event("last")
+    assert log.column("event") == [f"e{t}" for t in range(1, 10)] + ["e10;tok", "last"]
+    assert list(log.column("t")) == list(range(1, 12))
+
+
+@pytest.mark.parametrize("mdp_columns", [False, True])
+def test_a_row_of_the_wrong_width_is_rejected_and_not_kept(mdp_columns):
+    log = RunLog(mdp_columns=mdp_columns)
+    width = len(log.columns)
+    log.append(*range(width - 1), "")
+    for count in (width - 1, width + 1, 0):
+        with pytest.raises(ValueError, match=re.escape(f"row of {count} values, expected {width} (the log's columns)")):
+            log.append(*range(count))
+    assert len(log) == 1
+    assert list(log.column("t")) == [0]
+
+
+@pytest.mark.parametrize("row", [1, 100], ids=["in_the_sample", "after_the_sample"])
+def test_an_unhashable_value_in_an_int_column_is_written_per_cell(row):
+    # a 0-d array cannot be a memo key; its cell is str(int(v)), as the per-cell writer gives
+    log = RunLog()
+    rows = [[t, 0, 0, 0, np.array(2.5) if t == row else t % 2, 0.5, 1.0, 1.0, 1.0, ""] for t in range(120)]
+    for values in rows:
+        log.append(*values)
+    text = log.to_csv_text()
+    assert text.splitlines()[row + 1].split(",")[4] == "2"
+    assert text == appended_csv(log.columns, rows)
 
 
 # ---------------------------------------------------------------------------
