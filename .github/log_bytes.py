@@ -9,8 +9,10 @@ environment's per-segment optima), so that what a second run leaves alive
 is its log.  The figures are the live bytes that this run_master log holds,
 tracemalloc's peak during that run (the pending rows of a log chunk, the
 block draws and the learners live at once), and the live bytes that
-RunLog.from_csv of its CSV text holds, each over T.  A change reports them as
-it reports its src/ lines.
+RunLog.from_csv of its CSV text holds, each over T.  A last line gives the
+live bytes per row of the same run at kappa 1e-4, which restarts about
+7,300 times: each restart row keeps its own "restart <cause>" token in the
+log's map by row.  A change reports them as it reports its src/ lines.
 """
 
 import os
@@ -27,16 +29,18 @@ from nonstat.master import RunLog, run_master  # noqa: E402
 T = 1 << 14
 
 
-def bytes_per_row(horizon: int = T) -> tuple[float, float, float]:
-    """(live bytes per row of a run_master log, of its from_csv copy, and the
-    peak bytes per row traced during the run_master call)."""
+def _runner(horizon: int, kappa: float):
+    """A function that makes the run_master log of this module's run at kappa."""
     half = horizon // 2
     env = make_env({"kind": "mab", "T": horizon, "segments": [
         {"length": half, "means": [0.9, 0.1]}, {"length": horizon - half, "means": [0.1, 0.9]}]})
+    return lambda: run_master(env, lambda: Ucb1(2, horizon, 1.0 / horizon), horizon, kappa=kappa, seed=0)
 
-    def run():
-        return run_master(env, lambda: Ucb1(2, horizon, 1.0 / horizon), horizon, kappa=1.0, seed=0)
 
+def bytes_per_row(horizon: int = T) -> tuple[float, float, float]:
+    """(live bytes per row of a run_master log, of its from_csv copy, and the
+    peak bytes per row traced during the run_master call)."""
+    run = _runner(horizon, 1.0)
     run()
     tracemalloc.start()
     try:
@@ -55,10 +59,26 @@ def bytes_per_row(horizon: int = T) -> tuple[float, float, float]:
     return built / horizon, read / horizon, peak / horizon
 
 
+def restart_heavy_bytes_per_row(horizon: int = T) -> tuple[float, int]:
+    """(live bytes per row of the run_master log at kappa 1e-4, its restarts)."""
+    run = _runner(horizon, 1e-4)
+    run()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = run()
+        built = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return built / horizon, len(log.restarts)
+
+
 def main() -> int:
     built, read, peak = bytes_per_row()
     print(f"live bytes per row at T={T}: run_master log {built:.1f}, from_csv log {read:.1f}")
     print(f"peak bytes per row traced during run_master at T={T}: {peak:.1f}")
+    built, restarts = restart_heavy_bytes_per_row()
+    print(f"live bytes per row at T={T}, kappa 1e-4 ({restarts} restarts): run_master log {built:.1f}")
     return 0
 
 

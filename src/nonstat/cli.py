@@ -74,13 +74,15 @@ def _cmd_plot(args) -> int:
         if not isinstance(report, dict):
             raise TypeError("the aggregate must be a JSON object")
         curve = report["mean_curve"]
-        svg = render_regret_svg(
-            [(curve["t"], curve["regret"])],
-            f"{report['algorithm']} (T={report['T']})",
-        )
+        rounds, regrets = curve["t"], curve["regret"]
+        if len(rounds) != len(regrets):
+            raise ValueError(f"mean_curve.t has {len(rounds)} values and mean_curve.regret {len(regrets)}")
+        if rounds and not max(rounds) > 0:  # the x axis runs from 0 to the last round
+            raise ValueError(f"mean_curve.t must hold a round above 0, its largest value is {max(rounds)!r}")
+        svg = render_regret_svg([(rounds, regrets)], f"{report['algorithm']} (T={report['T']})")
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
-    except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -185,15 +185,14 @@ class BlockSchedule:
         self.starts = starts
         self.orders = orders
 
-    def texts(self, stop: int, for_csv: bool = False) -> list[str]:
+    def texts(self, stop: int) -> list[str]:
         """The event text of each of the block's first stop rounds: the
         round's spawns, orders descending, and a pause of the instance active
         in the round before if it still covers this round; or, in a round
         with no spawn, a resume of the instance that becomes active if it
         was active before; then the ends of the instances that close,
         shortest first.  Tokens are joined by ";", and a round with none is
-        "".  With for_csv, each text is the cell csv.writer would write for it:
-        quoted when it holds a spawn token, the only one with a comma.
+        "".
 
         The runner's stack of covering instances is replayed with integers,
         only at the rounds where it changes: a spawn, the end of the active
@@ -210,8 +209,7 @@ class BlockSchedule:
         uid = tau = 0  # the next spawn, and the round's offset
         active = active_last = -1  # the active instance and its last offset
         while tau < stop:
-            spawned = starts[uid] == tau
-            if spawned:
+            if starts[uid] == tau:
                 text = spawns[uid]
                 live.append(uid)
                 uid += 1
@@ -234,7 +232,7 @@ class BlockSchedule:
             if active_last == tau:
                 while live and lasts[live[-1]] == tau:
                     text += (";end " if text else "end ") + labels[live.pop()]
-            out[tau] = f'"{text}"' if spawned and for_csv else text
+            out[tau] = text
             if active_last == tau:
                 tau += 1
             else:  # on to the next spawn, or to the active instance's end

@@ -19,20 +19,13 @@ extends one process-wide table, which holds exactly the values a fresh one
 would.  At most THRESHOLD_MEMO_SIZE tables are kept, least recently used
 first out.
 
-Both left-hand sides lie in [0, 1], so a threshold above 1 is never
-crossed.  That rests on the base-learner contract, g~ in [0, 1] (every
-learner clamps predict()), and on rewards in [0, 1]: an interval average
-is at most 1 and U_t at least 0, and each gap g~ - R is at most 1.  It
-holds in float64 too, as a rounded sum of terms that are each at most 1
-never exceeds their count.  So the control loop calls test 1 only for
-ending instances of order >= ThresholdTable.live_order and test 2 only from
-block length ThresholdTable.live_length on; in a block of order below
+A test is called only where its threshold can be crossed
+(ThresholdTable.live_order and live_length); in a block of order below
 live_order, the runner keeps no interval sum and the loop scans no ending
-instance.  The loop checks the contract
-on each round's g~ and reward, and raises a ValueError that names the round
-when either lies outside [0, 1].  The runner names each instance by its
-uid, and the loop reads its order, learner and interval sum from the
-runner's uid-indexed lists (nonstat.malg).
+instance.  That rests on g~ and each reward lying in [0, 1], which the loop
+checks every round: it raises a ValueError that names the round otherwise.
+The runner names each instance by its uid, and the loop reads its order,
+learner and interval sum from the runner's uid-indexed lists (nonstat.malg).
 
 run_master and run_bare serve every environment kind through its round
 adapter, which carries the MDP log columns, rho_hat's factor: 6
@@ -48,24 +41,19 @@ matching the act / update / test / increment order of the control loop.
 When several causes fire in the same round a single restart is recorded,
 with the order-level test first, then the block test, then the signal.
 
-The scheduler formats no event text: each row's event field holds its
-block's schedule (malg.BlockSchedule), one object shared by the block's
-rows, and the text is rendered from it (BlockSchedule.texts) only when it
-is read: RunLog.column("event") into a new list at each read, and to_csv
-straight into its cells.  A restart row holds the pair of the schedule and its
-"restart <cause>" token, which its text follows; RunLog.restarts reads
-those tokens, and renders nothing.  Logs read back by from_csv, and those
-of run_bare, hold plain text.
+An event cell is one of two kinds.  The scheduler formats no event text,
+so a master_core row holds its block's schedule (malg.BlockSchedule), one
+object shared by the block's rows; logs read back by from_csv, and those of
+run_bare, hold plain text.  A token that belongs to one row, the
+"restart <cause>" of a restart row or mdp.doubling_dbar's "double_dbar"
+token, is joined to it by RunLog.amend_event and kept apart, in a map by
+row.  The text is rendered only when it is read (_event_texts):
+RunLog.column("event") into a new list at each read, and to_csv straight
+into its cells, each quoted by _csv_field.  RunLog.restarts reads the
+tokens and text cells, and renders no schedule.
 
-The environment draws its uniforms with rng.random(), no arguments
-(nonstat.envs).  So both loops, master_core and run_bare, hand it a stream
-(_Uniforms) that draws rng_env.random(CHUNK) at once and gives those
-doubles out one per call: the values one call per draw would give, as
-PCG64 makes each double from one 64-bit output.  At every exit of the loop,
-a return, "epoch_overflow" or an exception, the stream steps rng_env back
-over the doubles it drew and did not give out (PCG64's advance, as
-MalgRunner.cut does on rng_sched), so a caller that shares rng_env across
-calls (mdp.borl, mdp.doubling_dbar) sees the state per-call draws leave.
+Both loops, master_core and run_bare, hand the environment its uniforms
+from one _Uniforms stream over rng_env, closed at every exit of the loop.
 
 The per-round log stores the environment oracle's f*_t captured at
 simulation time, so dynamic regret is an exact second pass over the rows.
@@ -190,47 +178,30 @@ def _number_texts(data, is_int: bool):
     return map(_Texts(_int_text if is_int else _float_text).__getitem__, data)
 
 
-def _event_texts(rounds: list, cells: list, for_csv: bool = False):
-    """An iterator over the event text of each row, from its round and its
-    event cell, or with for_csv over the cell to_csv writes for it (_csv_field).
+def _event_texts(cells: list, own: dict):
+    """An iterator over the event text of each row: its cell's text, then the
+    row's own tokens (own, by row), after a ";" when that text is not empty.
 
-    A str is the text itself.  A block's schedule (malg.BlockSchedule), or a
-    pair of one and the row's own tokens, stands for the schedule's text at
-    that round, followed by the own tokens after a ";" when that text is not
-    empty.  The rows of one schedule follow each other: each schedule is
-    rendered once, up to its last row, just before its first, and each run
-    of equal cells is handled at once.
+    A cell is its text, or its block's schedule (malg.BlockSchedule), which
+    stands for the schedule's text at that round.  A block's rows follow each
+    other from its first round, so a run of one schedule is all of its rows,
+    and the schedule is rendered once, up to its last row.
     """
-    stops = {}  # schedule -> the offset after its last row
-    row = 0
-    for cell, group in itertools.groupby(cells):
-        row += operator.countOf(group, cell)
-        schedule = cell[0] if cell.__class__ is tuple else cell
-        if schedule.__class__ is not str:
-            stops[schedule] = max(stops.get(schedule, 0), rounds[row - 1] - schedule.t_n + 1)
-
-    def chunks():
+    def parts():
+        owned = iter(own.items())  # by row ascending: rows are amended as they are appended
+        mark, tokens = next(owned, (math.inf, None))
         row = 0
-        texts = rendered = None  # the schedule last rendered, and its texts
         for cell, group in itertools.groupby(cells):
             count = operator.countOf(group, cell)
-            if cell.__class__ is str:
-                yield itertools.repeat(_csv_field(cell) if for_csv else cell, count)
-            else:
-                schedule, own = cell if cell.__class__ is tuple else (cell, None)
-                if schedule is not rendered:
-                    rendered, texts = schedule, schedule.texts(stops[schedule], for_csv)
-                part = map(texts.__getitem__, map((-schedule.t_n).__add__, rounds[row:row + count]))
-                if own is not None:
-                    if for_csv:  # the text again, unquoted: a schedule's text has no quote of its own
-                        part = [text[1:-1] if text[:1] == '"' else text for text in part]
-                    part = [f"{text};{own}" if text else own for text in part]
-                    if for_csv:
-                        part = map(_csv_field, part)
-                yield part
+            part = [cell] * count if cell.__class__ is str else cell.texts(count)
+            while mark < row + count:
+                text = part[mark - row]
+                part[mark - row] = f"{text};{tokens}" if text else tokens
+                mark, tokens = next(owned, (math.inf, None))
             row += count
+            yield part
 
-    return itertools.chain.from_iterable(chunks())
+    return itertools.chain.from_iterable(parts())
 
 
 def seed_derive(master_seed: int, run_index: int, purpose: str) -> np.random.Generator:
@@ -260,15 +231,15 @@ class RunLog:
     """Column-oriented per-round record; serializes to CSV bit-exactly.
 
     An int column is an array("q") and a float column an array("d"), 8 bytes
-    a value and no Python object; the event column is a list of cells.  An
-    event cell is its text, a block's schedule, or a pair of a schedule and
-    the row's own tokens (_event_texts); the log keeps no runner and no
-    learner alive.
+    a value and no Python object; the event column is a list of cells, each
+    its text or a block's schedule, and the tokens amend_event adds to a row
+    sit apart, in a map by row (_event_texts); the log keeps no runner and
+    no learner alive.
 
     append extends one pending list with the row's values, making no object
-    per row.  At LOG_CHUNK rows, and before a read (column, to_csv, restarts)
-    or amend_event, the list is split into columns by slices, and one
-    struct.pack stores each number column (a float column holds float(v)).
+    per row.  At LOG_CHUNK rows, and before a read (column, to_csv, restarts),
+    the list is split into columns by slices, and one struct.pack stores
+    each number column (a float column holds float(v)).
     A chunk that holds a value its column's type cannot store, such as an
     int above 2^63 - 1 (an episodic policy id reaches A^(S*H)), or a float
     or a nan in an int column, turns that column into a plain list of the
@@ -280,6 +251,7 @@ class RunLog:
         self._data = {
             name: [] if name == "event" else array("q" if name in _INT_COLUMNS else "d") for name in self.columns}
         self._rows = []  # the pending rows' values, one row after another
+        self._own = {}  # row -> the tokens amend_event joined to it
         self._width, self._limit = len(self.columns), LOG_CHUNK * len(self.columns)
 
     def __len__(self):
@@ -316,40 +288,37 @@ class RunLog:
         a new list at each read, so the log never holds them."""
         self._flush()
         data = self._data[name]
-        return list(_event_texts(self._data["t"], data)) if name == "event" else data
+        return list(_event_texts(data, self._own)) if name == "event" else data
 
     def amend_event(self, token: str):
-        """Join token to the last row's event, after a ";" if it has one."""
-        self._flush()
-        cells = self._data["event"]
-        cell = cells[-1]
-        if cell.__class__ is str:
-            cells[-1] = f"{cell};{token}" if cell else token
-        elif cell.__class__ is tuple:
-            cells[-1] = (cell[0], f"{cell[1]};{token}")
-        else:
-            cells[-1] = (cell, token)
+        """Join token to the last row's event, after a ";" if it has one: to
+        the row's own tokens, which its cell's text is followed by."""
+        row = len(self) - 1
+        if row < 0:
+            raise ValueError(f"cannot amend the event of a log with no row (token {token!r})")
+        own = self._own
+        own[row] = f"{own[row]};{token}" if row in own else token
 
     @property
     def restarts(self) -> list[RestartEvent]:
         """The restart tokens of the event column, with their rows' round and
-        block.  Read from the cells that hold text or a row's own tokens, a
-        run of equal cells at a time; no schedule is rendered, since its
+        block.  Read from the rows' own tokens and the cells that hold text,
+        a run of equal cells at a time; no schedule is rendered, since its
         events are never restarts."""
         self._flush()
         data = self._data
-        rounds, blocks = data["t"], data["block"]
-        out = []
+        tokens = {}  # row -> its text cell, then its own tokens, where either may hold a restart
         row = 0
         for cell, group in itertools.groupby(data["event"]):
             count = operator.countOf(group, cell)
-            tokens = cell if cell.__class__ is str else cell[1] if cell.__class__ is tuple else ""
-            if "restart " in tokens:
-                causes = [token[len("restart "):] for token in tokens.split(";") if token.startswith("restart ")]
-                out += [RestartEvent(round=t, cause=cause, block=block)
-                        for t, block in zip(rounds[row:row + count], blocks[row:row + count]) for cause in causes]
+            if cell.__class__ is str and "restart " in cell:
+                tokens.update(dict.fromkeys(range(row, row + count), cell))
             row += count
-        return out
+        for row, own in self._own.items():
+            tokens[row] = f"{tokens[row]};{own}" if row in tokens else own
+        rounds, blocks = data["t"], data["block"]
+        return [RestartEvent(round=rounds[row], cause=token[len("restart "):], block=blocks[row])
+                for row in sorted(tokens) for token in tokens[row].split(";") if token.startswith("restart ")]
 
     # -- serialization ------------------------------------------------------
 
@@ -357,13 +326,13 @@ class RunLog:
         """Write the log as CSV, each column formatted in one pass: ints with
         str(int(v)), floats with repr(float(v)), each distinct value of a
         column that repeats its values once (_number_texts), and the event
-        text per cell, quoted as csv.writer quotes it."""
+        text per cell, quoted as csv.writer quotes it (_csv_field)."""
         if not hasattr(path_or_buf, "write"):
             with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
                 return self.to_csv(fh)
         self._flush()
         data = self._data
-        cells = [_event_texts(data["t"], data[name], for_csv=True) if name == "event"
+        cells = [map(_csv_field, _event_texts(data[name], self._own)) if name == "event"
                  else _number_texts(data[name], name in _INT_COLUMNS) for name in self.columns]
         rows = map(",".join, zip(*cells))
         path_or_buf.write(",".join(self.columns) + "\n")
@@ -467,17 +436,13 @@ class AverageRewardWorld:
 def test1_fails(interval_average: float, u_min: float, threshold: float) -> bool:
     """Order-level test: an ending length-2^m instance whose realized average
     reward beats the block's optimistic floor by threshold = 9 * rho_hat(2^m)
-    exposes a value increase the running learners have not caught.  With
-    rewards in [0, 1] and u_min >= 0 it cannot fail at a threshold above 1,
-    so the control loop calls it only for orders >= ThresholdTable.live_order."""
+    exposes a value increase the running learners have not caught."""
     return interval_average >= u_min + threshold
 
 
 def test2_fails(gap_sum: float, length: int, threshold: float) -> bool:
     """Block-average test: the mean optimism gap (g~ - R) over the block so
-    far must stay below threshold = 3 * rho_hat(block length).  Each gap is
-    at most 1 when g~ <= 1 and R >= 0, so it cannot fail at a threshold above
-    1, and the control loop calls it only from ThresholdTable.live_length on."""
+    far must stay below threshold = 3 * rho_hat(block length)."""
     return gap_sum / length >= threshold
 
 
@@ -490,7 +455,14 @@ class ThresholdTable:
 
     live_order and live_length are the first order and the first block
     length whose threshold is at most 1 (a test can fail there), or inf
-    while no covered entry is: every entry before them is above 1."""
+    while no covered entry is: every entry before them is above 1, and the
+    control loop calls no test there.  Both tests' left-hand sides lie in
+    [0, 1], so a threshold above 1 is never crossed.  That rests on the
+    base-learner contract, g~ in [0, 1] (every learner clamps predict()),
+    and on rewards in [0, 1]: an interval average is at most 1 and U_t at
+    least 0, and each gap g~ - R is at most 1.  It holds in float64 too, as
+    a rounded sum of terms that are each at most 1 never exceeds their
+    count."""
 
     live_order = live_length = math.inf
 
@@ -535,9 +507,14 @@ class _Uniforms:
     """The environment's uniforms for one loop call, from rng (a PCG64
     Generator): random() returns the next double of rng.random(CHUNK).tolist(),
     drawn again when spent.  It is the C-level __next__ of a chain over those
-    lists, so no Python frame runs per draw.  close() steps rng back over the
-    doubles drawn and not returned (advance wraps a negative count) and ends
-    the stream."""
+    lists, so no Python frame runs per draw.  The environment draws with
+    rng.random(), no arguments (nonstat.envs), and PCG64 makes each double
+    from one 64-bit output, so these are the values one call per draw would
+    give.  close() steps rng back over the doubles drawn and not returned
+    (advance wraps a negative count, as MalgRunner.cut does on rng_sched) and
+    ends the stream.  Both loops close it at every exit (a return,
+    "epoch_overflow" or an exception), so a caller that shares rng across
+    calls (mdp.borl, mdp.doubling_dbar) sees the state per-call draws leave."""
 
     __slots__ = ("random", "_rng", "_left")
 
@@ -580,12 +557,7 @@ def master_core(
     "epoch_overflow" when starting one more epoch would exceed max_epochs
     (the doubling-guess strategy reacts to that).
     kappa = +inf disables both tests; world.rho_factor inflates both thresholds.
-
-    world.play draws from a _Uniforms stream over rng_env, which the loop
-    closes at every exit (a return or an exception): rng_env is left where
-    one rng_env.random() per environment draw would leave it, so callers may
-    share it across calls.  It must be a PCG64 Generator, as rng_sched must
-    (MalgRunner.cut), for bit_generator.advance.
+    rng_env (_Uniforms) and rng_sched (MalgRunner.cut) must be PCG64 Generators.
     """
     if end_t is None:
         end_t = horizon
@@ -640,13 +612,14 @@ def master_core(
                     if cause is None and learner.restart_signaled:
                         cause = "mdp_signal"
 
-                    append(t, n, epoch, orders[active], policy, reward, f_star, g_tilde, u_min,
-                           schedule if cause is None else (schedule, f"restart {cause}"), *extras(learner))
+                    append(t, n, epoch, orders[active], policy, reward, f_star, g_tilde, u_min, schedule,
+                           *extras(learner))
                     if ended:  # the active instance ends with this row, the last to read its learner
                         learners[active] = None
 
                     t += 1
                     if cause is not None:
+                        log.amend_event(f"restart {cause}")
                         restarted = True
                         break
                 if t < t_n + (1 << n):  # cut short by a restart or by end_t
@@ -690,9 +663,7 @@ def run_master(
 def run_bare(env, learner, horizon: int, seed: int = 0, run_index: int = 0) -> RunLog:
     """The base learner alone, with no scheduling and no tests.
 
-    Restart signals of the average-reward learner are ignored.  The
-    environment draws from the run's "env" stream through _Uniforms, as in
-    master_core.
+    Restart signals of the average-reward learner are ignored.
     """
     world = _world_for(env)
     log = RunLog(mdp_columns=world.mdp_columns)

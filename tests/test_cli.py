@@ -225,3 +225,21 @@ def test_plot_rejects_an_aggregate_that_is_not_an_object(tmp_path, capsys):
     agg.write_text("[1, 2]")
     assert main(["plot", "--agg", str(agg), "--out", str(tmp_path / "out.svg")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("curve, name", [
+    ({"t": [0], "regret": [0.0]}, "mean_curve.t"),
+    ({"t": [-3, -1], "regret": [0.0, 1.0]}, "mean_curve.t"),
+    ({"t": [1, 2, 3], "regret": [0.0, 1.0]}, "mean_curve.regret"),
+    ({"t": [1], "regret": [0.0, 1.0]}, "mean_curve.regret"),
+])
+def test_plot_rejects_a_curve_it_cannot_draw(tmp_path, capsys, curve, name):
+    # an x axis that ends at 0 or below has no scale, and unequal lists would
+    # be cut to the shorter one without a word
+    agg = tmp_path / "agg.json"
+    agg.write_text(json.dumps({"algorithm": "master+ucb1", "T": 4, "mean_curve": curve}))
+    out = tmp_path / "out.svg"
+    assert main(["plot", "--agg", str(agg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and name in err
+    assert not out.exists()

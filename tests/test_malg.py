@@ -1,5 +1,3 @@
-import csv
-import io
 import itertools
 import math
 import tracemalloc
@@ -199,18 +197,17 @@ def test_runner_spawns_follow_schedule_upfront():
 
 
 class SlotTexts:
-    """SlotRunner's schedule as the control loop logs it: texts(stop, for_csv)
-    gives the event text of each of the first stop rounds the oracle played,
-    as the oracle wrote it, or with for_csv as csv.writer would write it (its
-    text holds no quote, CR or LF, so only a comma makes it quoted)."""
+    """SlotRunner's schedule as the control loop logs it: texts(stop) gives
+    the event text of each of the first stop rounds the oracle played, as the
+    oracle wrote it."""
 
     def __init__(self, t_n):
         self.t_n = t_n
         self.rounds = []
 
-    def texts(self, stop, for_csv=False):
+    def texts(self, stop):
         assert stop <= len(self.rounds)
-        return [f'"{text}"' if for_csv and "," in text else text for text in self.rounds[:stop]]
+        return self.rounds[:stop]
 
 
 @dataclass
@@ -330,24 +327,15 @@ def test_runner_matches_the_slot_oracle(n, seed, rate, data):
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-def csv_cell(text):
-    """text as csv.writer writes it in a row of several fields."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[: -len(",\n")]
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 8), st.integers(0, 2**32 - 1), st.floats(0.5, 0.95), st.data())
-def test_schedule_texts_are_prefixes_and_csv_cells(n, seed, p, data):
-    # each stop renders the first stop rounds of the whole block's texts, and
-    # for_csv gives the cells csv.writer writes for them
+def test_schedule_texts_are_prefixes(n, seed, p, data):
+    # each stop renders the first stop rounds of the whole block's texts
     rate = RateFunction(c1=1.0, c2=0.0, p=p, c3=1.0, horizon=1 << 20)
     schedule = MalgRunner(5, n, rate, make_factory(), np.random.default_rng(seed)).schedule
     full = schedule.texts(1 << n)
     stop = data.draw(st.integers(1, 1 << n))
     assert schedule.texts(stop) == full[:stop]
-    assert schedule.texts(stop, for_csv=True) == [csv_cell(text) for text in full[:stop]]
 
 
 def assert_control_loop_matches_the_slot_oracle(monkeypatch, env, factory, kappa, seed):

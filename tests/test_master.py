@@ -3,7 +3,9 @@ import functools
 import hashlib
 import importlib.util
 import io
+import itertools
 import math
+import operator
 import os
 import re
 import struct
@@ -23,7 +25,7 @@ import nonstat.mdp
 from nonstat.base import GlmUcb, Oful, QUcb, Ucb1
 from nonstat.envs import make_env
 from nonstat.harness import seed_derive
-from nonstat.malg import MalgRunner, n_hat, rho_hat
+from nonstat.malg import BlockSchedule, MalgRunner, n_hat, rho_hat
 from nonstat.master import (
     THRESHOLD_MEMO_SIZE,
     AverageRewardWorld,
@@ -691,10 +693,12 @@ class ReadingLog(RunLog):
 
 def assert_event_reads_agree(make_log, reading_log):
     # make_log(log_class) runs once with no read, once reading at the rows of
-    # reading_log: the column matches its CSV round trip, the CSV bytes and
-    # the restarts do not depend on whether or when the column was read
+    # reading_log: the column matches its CSV round trip, the CSV bytes are
+    # csv.writer's for the column (spawn rows quoted, restart rows too), and
+    # they and the restarts do not depend on whether or when the column was read
     log = make_log(RunLog)
     text = log.to_csv_text()  # no read yet: every master row still holds its schedule
+    assert text == rowwise_csv(log)
     restarts = log.restarts
     events = log.column("event")
     assert events == RunLog.from_csv(text).column("event")
@@ -771,7 +775,70 @@ def test_amend_event_joins_a_token_to_each_kind_of_cell():
     for event in ("", "x", "y"):
         log.append(1, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, event)
         log.amend_event("tok")
-    assert log.column("event") == ["tok", "x;tok", "y;tok"]
+    # a block of order 1 at rounds 4 and 5: its order-0 instances spawn at each round
+    schedule = BlockSchedule(4, array("i", [0, 0, 1, 2]), array("i", [1, 0, 0]))
+    texts = schedule.texts(2)
+    assert texts == ["spawn m1#0@[4,5];spawn m0#1@[4,4];end m0#1", "spawn m0#2@[5,5];end m0#2;end m1#0"]
+    for t in (4, 5):
+        log.append(t, 1, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, schedule)
+    log.amend_event("tok")
+    log.amend_event('a, "b"')
+    assert log.column("event") == ["tok", "x;tok", "y;tok", texts[0], f'{texts[1]};tok;a, "b"']
+    text = log.to_csv_text()
+    assert text == rowwise_csv(log)
+    assert text.endswith(f',"{texts[1]};tok;a, ""b"""\n')
+    assert RunLog.from_csv(text).column("event") == log.column("event")
+
+
+def test_amend_event_on_a_log_with_no_row_raises():
+    log = RunLog()
+    with pytest.raises(ValueError, match="no row"):
+        log.amend_event("tok")
+    assert len(log) == 0 and log.column("event") == []
+
+
+class CellLog(RunLog):
+    """A RunLog that also keeps each row's event cell as appended."""
+
+    def __init__(self):
+        super().__init__()
+        self.cells = []
+
+    def append(self, *row):
+        self.cells.append(row[self.columns.index("event")])
+        super().append(*row)
+
+
+@pytest.mark.parametrize("kappa, seed", [(1e-4, 0), (1e-4, 1), (3e-4, 2), (1.0, 3)])
+def test_each_block_schedule_fills_one_run_of_consecutive_rows(kappa, seed):
+    # the event column renders each schedule once, from the length of its one
+    # run of rows: a block's rows follow each other from its first round,
+    # whole or cut short by a restart or by the end of a call's round range
+    T = 512
+    env = mab(T, [{"length": 200, "means": [0.9, 0.1]}, {"length": T - 200, "means": [0.1, 0.9]}])
+    factory, delta = ucb1_stack(env, T)
+    log, rng_env, rng_sched = CellLog(), seed_derive(seed, 0, "env"), seed_derive(seed, 0, "sched")
+    bounds = [0, 77, 300, T]
+    for a, b in zip(bounds, bounds[1:]):
+        master_core(BanditWorld(env), factory, T, delta, kappa, rng_env, rng_sched, log, start_t=a + 1, end_t=b)
+    rounds, blocks = list(log.column("t")), list(log.column("block"))
+    restart_rounds = {ev.round for ev in log.restarts}
+    seen, cuts = set(), []
+    row = 0
+    for schedule, group in itertools.groupby(log.cells):
+        count = operator.countOf(group, schedule)
+        assert schedule.__class__ is BlockSchedule and schedule not in seen
+        seen.add(schedule)
+        assert rounds[row:row + count] == list(range(schedule.t_n, schedule.t_n + count))
+        assert set(blocks[row:row + count]) == {blocks[row]} and count <= 1 << blocks[row]
+        last = rounds[row + count - 1]
+        if count < 1 << blocks[row]:
+            assert last in restart_rounds or last in bounds
+            cuts.append("restart" if last in restart_rounds else "end_t")
+        row += count
+    assert row == len(log) == T
+    assert "end_t" in cuts
+    assert ("restart" in cuts) == (kappa < 1.0)
 
 
 _INT_COLUMNS = {"t", "block", "epoch", "active_order", "policy", "episode", "borl_arm"}
