@@ -9,7 +9,7 @@ from .envs import (
     nonstat_summary,
 )
 from .harness import baseline_run, run_experiment, run_single
-from .malg import MalgRunner, rho_hat, schedule_upfront, spawn_probability
+from .malg import MalgRunner, rho_hat, spawn_probability
 from .master import RunLog, dynamic_regret, run_bare, run_master, seed_derive, test1_fails, test2_fails
 from .mdp import (
     EviError,
@@ -62,7 +62,6 @@ __all__ = [
     "run_master",
     "run_master_ucrl",
     "run_single",
-    "schedule_upfront",
     "seed_derive",
     "spawn_probability",
     "test1_fails",

@@ -64,6 +64,9 @@ __all__ = [
 ]
 
 SNAPSHOT_VERSION = 1
+GLM_NEWTON_TOL = 1e-8  # glm_solve's stopping rules
+GLM_NEWTON_MAX_ITER = 200
+GLM_PROJECT_TOL = 1e-6
 
 
 class GlmSolveError(RuntimeError):
@@ -311,17 +314,15 @@ def glm_solve(
     reward_vec: np.ndarray,
     lam: float,
     link,
-    newton_tol: float = 1e-8,
-    project_tol: float = 1e-6,
-    max_iter: int = 200,
 ):
     """Estimate the GLM parameter from per-action sufficient statistics.
 
     Solves g(x) = lam * c_mu * x + sum_i counts[i] * mu(a_i @ x) * a_i for
-    g(theta') = reward_vec by damped Newton (residual <= newton_tol), then
-    projects onto the unit ball: theta_hat minimizes the Lambda^{-1}-norm of
-    g(theta') - g(theta) over the ball, by projected gradient descent run
-    until the iterate moves by less than project_tol.
+    g(theta') = reward_vec by damped Newton (residual <= GLM_NEWTON_TOL
+    within GLM_NEWTON_MAX_ITER iterations), then projects onto the unit
+    ball: theta_hat minimizes the Lambda^{-1}-norm of g(theta') - g(theta)
+    over the ball, by projected gradient descent run until the iterate moves
+    by less than GLM_PROJECT_TOL.
 
     Returns (theta_prime, theta_hat).
     """
@@ -340,9 +341,9 @@ def glm_solve(
 
     x = np.zeros(dim)
     residual = g(x) - reward_vec
-    for _ in range(max_iter):
+    for _ in range(GLM_NEWTON_MAX_ITER):
         norm = float(np.linalg.norm(residual))
-        if norm <= newton_tol:
+        if norm <= GLM_NEWTON_TOL:
             break
         step = np.linalg.solve(g_jac(x), -residual)
         alpha = 1.0
@@ -357,7 +358,7 @@ def glm_solve(
             raise GlmSolveError("Newton line search stalled")
     else:
         raise GlmSolveError(
-            f"Newton did not reach residual {newton_tol:g} in {max_iter} iterations"
+            f"Newton did not reach residual {GLM_NEWTON_TOL:g} in {GLM_NEWTON_MAX_ITER} iterations"
         )
     theta_prime = x
 
@@ -389,10 +390,10 @@ def glm_solve(
             step_size /= 2.0
         moved = float(np.linalg.norm(cand - theta))
         theta, value = cand, objective(cand)
-        if moved <= project_tol:
+        if moved <= GLM_PROJECT_TOL:
             return theta_prime, theta
         step_size = min(step_size * 2.0, 1.0)
-    raise GlmSolveError(f"projection did not converge to {project_tol:g}")
+    raise GlmSolveError(f"projection did not converge to {GLM_PROJECT_TOL:g}")
 
 
 class GlmUcb(_Learner):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .envs import EnvSpecError, load_env
@@ -77,6 +78,9 @@ def _cmd_plot(args) -> int:
         rounds, regrets = curve["t"], curve["regret"]
         if len(rounds) != len(regrets):
             raise ValueError(f"mean_curve.t has {len(rounds)} values and mean_curve.regret {len(regrets)}")
+        for name, values in (("t", rounds), ("regret", regrets)):  # a nan or inf has no coordinate
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"mean_curve.{name} must hold finite numbers only")
         if rounds and not max(rounds) > 0:  # the x axis runs from 0 to the last round
             raise ValueError(f"mean_curve.t must hold a round above 0, its largest value is {max(rounds)!r}")
         svg = render_regret_svg([(rounds, regrets)], f"{report['algorithm']} (T={report['T']})")
@@ -97,8 +101,8 @@ def _cmd_diameter(args) -> int:
     if env.kind != "infinite":
         print("config error: diameter needs an infinite-horizon MDP spec", file=sys.stderr)
         return 2
-    for i, b in enumerate(env._segments.bounds[:-1]):
-        print(f"segment {i}: diameter {env.diameter(int(b) + 1):.9f}")
+    for i, (_, diameter) in enumerate(env.segment_diameters()):
+        print(f"segment {i}: diameter {diameter:.9f}")
     return 0
 
 

@@ -458,8 +458,17 @@ class InfiniteEnv(_Env):
         _, trans = self._param(t)
         return _segment_diameter(trans.shape, _bytes(trans))
 
+    def segment_diameters(self):
+        """Yield (first round, diameter) of each segment; a ValueError names the segment's first round."""
+        for t in (self._segments.bounds[:-1] + 1).tolist():
+            try:
+                diameter = self.diameter(t)
+            except ValueError as exc:
+                raise ValueError(f"segment starting at round {t}: {exc}") from None
+            yield t, diameter
+
     def max_diameter(self) -> float:
-        return max(self.diameter(int(b) + 1) for b in self._segments.bounds[:-1])
+        return max(diameter for _, diameter in self.segment_diameters())
 
 
 # ---------------------------------------------------------------------------
@@ -802,12 +811,10 @@ def _make_infinite(spec, horizon):
     s0 = _as_state(spec.get("s0", 0), s, "spec.s0")
     segments = _mdp_segments(spec, horizon, (s, a), ("state", "action"))
     env = InfiniteEnv(horizon, s, a, segments, init_state=s0)
-    for b in env._segments.bounds[:-1]:
-        t = int(b) + 1
-        try:
-            env.diameter(t)
-        except ValueError as exc:
-            _fail("spec.segments", f"segment starting at round {t}: {exc}")
+    try:
+        env.max_diameter()  # every segment must communicate
+    except ValueError as exc:
+        _fail("spec.segments", str(exc))
     return env
 
 

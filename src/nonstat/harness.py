@@ -80,7 +80,7 @@ def _qucb(env, horizon, delta, algo):
 
 
 def _ucrl(env, horizon, delta, algo):
-    return functools.partial(mdp.UcrlAcw, env.n_states, env.n_actions, horizon, delta, algo.get("dbar", 1.0))
+    return mdp._ucrl_factory(env, horizon, delta, algo.get("dbar", 1.0))
 
 
 # the base learner of each environment kind
@@ -102,13 +102,12 @@ def _bare(env, spec, seed, run_index):
 def _doubling_dbar(env, spec, seed, run_index):
     algo = spec.get("algo", {})
     return mdp.doubling_dbar(
-        env, spec["T"], algo.get("known_l"), algo.get("known_delta"), spec["delta"], spec["kappa"],
-        seed, run_index,
+        env, algo.get("known_l"), algo.get("known_delta"), spec["delta"], spec["kappa"], seed, run_index,
     )
 
 
 def _borl(env, spec, seed, run_index):
-    return mdp.borl(env, spec["T"], spec["delta"], spec["kappa"], seed, run_index)
+    return mdp.borl(env, spec["delta"], spec["kappa"], seed, run_index)
 
 
 # name -> (the environment kind it runs on, its run function, the spec.algo
@@ -322,7 +321,8 @@ def _ticks(lo, hi, n=5):
 
 
 def render_regret_svg(curves: list[tuple[list, list]], title: str) -> str:
-    """Fixed-template line plot of cumulative regret curves."""
+    """Fixed-template line plot of cumulative regret curves, under an XML-escaped title."""
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     xmax = max((max(xs) for xs, _ in curves if xs), default=1)
     ymax = max((max(ys) for _, ys in curves if ys), default=1.0)
     ymax = max(ymax, 1e-9)

@@ -64,7 +64,6 @@ __all__ = [
     "BlockSchedule",
     "MalgRunner",
     "spawn_probability",
-    "schedule_upfront",
     "rho_hat",
     "n_hat",
 ]
@@ -159,13 +158,6 @@ def _spawned_slots(n: int, rate: RateFunction, rng) -> tuple[array, array]:
     starts = array("i", offsets[hits].tobytes())
     starts.append(1 << n)
     return starts, array("i", orders[hits].tobytes())
-
-
-def schedule_upfront(n: int, rate: RateFunction, rng) -> list[tuple[int, int, int]]:
-    """The whole block's schedule, from the draw MalgRunner makes at the block
-    start: (m, start_offset, end_offset) triples with offsets 0-based relative
-    to the block start."""
-    return [(m, tau, tau + (1 << m) - 1) for tau, m in zip(*_spawned_slots(n, rate, rng))]
 
 
 class BlockSchedule:

@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 EVI_MAX_ITER = 10**6
+ORACLE_TOL = 1e-9  # the accuracy of compute_diameter and optimal_gain
+DIAMETER_MAX_ITER = 10**6
 
 
 class EviError(RuntimeError):
@@ -102,7 +104,6 @@ def evi(
     budgets: np.ndarray,
     r_max: np.ndarray,
     epsilon: float,
-    max_iter: int = EVI_MAX_ITER,
 ) -> EviOutput:
     """Extended value iteration to accuracy epsilon.
 
@@ -110,12 +111,13 @@ def evi(
     (S, A) upper confidence rewards already clipped to [0, 1].  Stops when
     the span of the damped increments falls below epsilon; the gain is the
     midpoint of the final increments and the bias is the half-normalized
-    iterate, so Bellman residuals are within epsilon.
+    iterate, so Bellman residuals are within epsilon.  Raises EviError after
+    EVI_MAX_ITER iterations.
     """
     n_states, n_actions = r_max.shape
     u = np.zeros(n_states)
     budgets = np.minimum(budgets, 2.0)  # L1 diameter of the simplex
-    for it in range(1, max_iter + 1):
+    for it in range(1, EVI_MAX_ITER + 1):
         order = np.argsort(-u, kind="stable")
         target = np.empty((n_states, n_actions))
         for s in range(n_states):
@@ -137,7 +139,7 @@ def evi(
             )
         u = u_next - u_next.min()
     raise EviError(
-        f"value iteration exceeded {max_iter} iterations "
+        f"value iteration exceeded {EVI_MAX_ITER} iterations "
         f"(S={n_states}, A={n_actions}, eps={epsilon:g}, last span={span:g})"
     )
 
@@ -361,21 +363,19 @@ class UcrlAcw(_Learner):
 _REGISTRY["ucrl"] = UcrlAcw  # restore's class for "ucrl" snapshots
 
 
+def _ucrl_factory(env: InfiniteEnv, horizon: int, delta: float, dbar: float):
+    """The factory of fresh average-reward learners for env with diameter guess dbar."""
+    return functools.partial(UcrlAcw, env.n_states, env.n_actions, horizon, delta, dbar)
+
+
 def run_master_ucrl(
-    env: InfiniteEnv,
-    dbar: float,
-    horizon: int | None = None,
-    delta: float | None = None,
-    kappa: float = 1.0,
-    seed: int = 0,
-    run_index: int = 0,
+    env: InfiniteEnv, dbar: float, delta: float | None = None, kappa: float = 1.0, seed: int = 0, run_index: int = 0
 ) -> RunLog:
-    """The reduction over the average-reward learner with a fixed diameter guess."""
-    horizon = env.horizon if horizon is None else horizon
+    """The reduction over the average-reward learner with a fixed diameter guess, over env.horizon."""
+    horizon = env.horizon
     if delta is None:
         delta = 1.0 / horizon
-    factory = functools.partial(UcrlAcw, env.n_states, env.n_actions, horizon, delta, dbar)
-    return run_master(env, factory, horizon, delta, kappa, seed, run_index)
+    return run_master(env, _ucrl_factory(env, horizon, delta, dbar), horizon, delta, kappa, seed, run_index)
 
 
 def nbar(
@@ -395,7 +395,6 @@ def nbar(
 
 def doubling_dbar(
     env: InfiniteEnv,
-    horizon: int | None = None,
     known_l: int | None = None,
     known_delta: float | None = None,
     delta: float | None = None,
@@ -408,9 +407,9 @@ def doubling_dbar(
     The guess starts at 1; whenever the number of epochs under the current
     guess exceeds the cap (L when L is known, 1 + 3*(Delta^2 T / (S^2 A))^(1/3)
     when Delta is known), the guess doubles and a fresh run continues from
-    the current round.
+    the current round, until env.horizon.
     """
-    horizon = env.horizon if horizon is None else horizon
+    horizon = env.horizon
     if delta is None:
         delta = 1.0 / horizon
     cap = nbar(env.n_states, env.n_actions, horizon, known_l, known_delta)
@@ -421,7 +420,7 @@ def doubling_dbar(
     dbar = 1.0
     t = 1
     while t <= horizon:
-        factory = functools.partial(UcrlAcw, env.n_states, env.n_actions, horizon, delta, dbar)
+        factory = _ucrl_factory(env, horizon, delta, dbar)
         t, reason = master_core(
             world, factory, horizon, delta, kappa, rng_env, rng_sched, log, start_t=t, max_epochs=cap,
         )
@@ -449,13 +448,12 @@ class Exp3P:
     Rewards are consumed in [0, 1] (callers rescale their range).
     """
 
-    def __init__(self, n_arms: int, n_rounds: int, delta: float | None = None):
+    def __init__(self, n_arms: int, n_rounds: int):
         if n_arms < 1 or n_rounds < 1:
             raise ValueError("need n_arms >= 1 and n_rounds >= 1")
         self.n_arms = n_arms
         self.n_rounds = n_rounds
-        if delta is None:
-            delta = 1.0 / n_rounds
+        delta = 1.0 / n_rounds  # the confidence
         log_k = math.log(n_arms) if n_arms > 1 else 0.0
         self.gamma = min(0.6, 2.0 * math.sqrt(0.6 * n_arms * log_k / n_rounds))
         self.alpha = 2.0 * math.sqrt(math.log(n_arms * n_rounds / delta))
@@ -482,16 +480,11 @@ class Exp3P:
 
 
 def borl(
-    env: InfiniteEnv,
-    horizon: int | None = None,
-    delta: float | None = None,
-    kappa: float = 1.0,
-    seed: int = 0,
-    run_index: int = 0,
+    env: InfiniteEnv, delta: float | None = None, kappa: float = 1.0, seed: int = 0, run_index: int = 0
 ) -> RunLog:
     """No prior knowledge at all: adversarial-bandit selection among runs
-    with geometrically spaced diameter guesses on fixed-length intervals."""
-    horizon = env.horizon if horizon is None else horizon
+    with geometrically spaced diameter guesses on fixed-length intervals of env.horizon."""
+    horizon = env.horizon
     if delta is None:
         delta = 1.0 / horizon
     block = borl_interval_length(env.n_states, env.n_actions, horizon)
@@ -508,7 +501,7 @@ def borl(
         arm = world.borl_arm = picker.sample(rng_borl)
         end = min(t + block - 1, horizon)
         first = len(log)
-        factory = functools.partial(UcrlAcw, env.n_states, env.n_actions, horizon, delta, float(1 << arm))
+        factory = _ucrl_factory(env, horizon, delta, float(1 << arm))
         master_core(world, factory, horizon, delta, kappa, rng_env, rng_sched, log, start_t=t, end_t=end)
         total = 0.0
         for reward in log.column("reward")[first:]:
@@ -522,13 +515,14 @@ def borl(
 # exact-model oracles
 
 
-def compute_diameter(trans: np.ndarray, tol: float = 1e-9, max_iter: int = 10**6) -> float:
+def compute_diameter(trans: np.ndarray) -> float:
     """max over ordered state pairs of the optimal expected hitting time.
 
-    Value iteration on the hitting-time equations per target state.  A
-    structural reachability check (can every state reach every other under
-    some action?) rejects non-communicating inputs up front; the iteration
-    cap is a safety net for pathological mixing.
+    Value iteration on the hitting-time equations per target state, until
+    no hitting time moves by more than ORACLE_TOL.  A structural
+    reachability check (can every state reach every other under some
+    action?) rejects non-communicating inputs up front; the iteration cap,
+    DIAMETER_MAX_ITER, is a safety net for pathological mixing.
     """
     n_states = trans.shape[0]
     edges = (trans > 0).any(axis=1)  # s -> s' possible under some action
@@ -545,11 +539,11 @@ def compute_diameter(trans: np.ndarray, tol: float = 1e-9, max_iter: int = 10**6
             continue
         sub = trans[keep][:, :, keep]  # transitions among non-target states
         h = np.zeros(len(keep))
-        for _ in range(max_iter):
+        for _ in range(DIAMETER_MAX_ITER):
             h_new = 1.0 + np.min(np.einsum("sat,t->sa", sub, h), axis=1)
             gap = float(np.abs(h_new - h).max())
             h = h_new
-            if gap <= tol:
+            if gap <= ORACLE_TOL:
                 break
         else:
             raise ValueError("hitting-time iteration failed to converge")
@@ -557,8 +551,8 @@ def compute_diameter(trans: np.ndarray, tol: float = 1e-9, max_iter: int = 10**6
     return diameter
 
 
-def optimal_gain(trans: np.ndarray, rewards: np.ndarray, tol: float = 1e-9) -> float:
-    """Exact optimal gain: zero-width confidence sets, EVI to tolerance."""
+def optimal_gain(trans: np.ndarray, rewards: np.ndarray) -> float:
+    """Exact optimal gain: zero-width confidence sets, EVI to ORACLE_TOL."""
     n_states, n_actions = rewards.shape
-    out = evi(trans, np.zeros((n_states, n_actions)), np.asarray(rewards, dtype=float), tol)
+    out = evi(trans, np.zeros((n_states, n_actions)), np.asarray(rewards, dtype=float), ORACLE_TOL)
     return out.gain

@@ -15,7 +15,7 @@ import pytest
 from nonstat.base import GlmUcb, Oful, QUcb, Ucb1, restore, snapshot_to_json
 from nonstat.envs import decode_policy, make_env, policy_gain
 from nonstat.harness import run_experiment, seed_derive
-from nonstat.malg import schedule_upfront, spawn_probability
+from nonstat.malg import MalgRunner, spawn_probability
 from nonstat.master import RunLog, dynamic_regret, run_bare, run_master
 from nonstat.mdp import (
     UcrlAcw,
@@ -30,6 +30,13 @@ from nonstat.rates import RateFunction
 
 # the whole module takes about ten minutes; `-m "not acceptance"` leaves it out
 pytestmark = pytest.mark.acceptance
+
+
+def schedule_upfront(n, rate, rng):
+    """The (m, start_offset, end_offset) triples of the slots that spawn in
+    one order-n block, from the draw a MalgRunner makes at the block start."""
+    schedule = MalgRunner(0, n, rate, lambda: None, rng).schedule
+    return [(m, tau, tau + (1 << m) - 1) for tau, m in zip(schedule.starts, schedule.orders)]
 
 
 def verdict(num, ok, detail):

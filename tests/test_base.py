@@ -1,6 +1,8 @@
+import importlib
 import inspect
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -368,6 +370,10 @@ def test_named_errors_are_importable_from_the_package():
     assert EviError is nonstat.mdp.EviError and GlmSolveError is nonstat.base.GlmSolveError
     assert {"EviError", "GlmSolveError"} <= set(nonstat.__all__)
     assert "EviError" in nonstat.mdp.__all__ and "GlmSolveError" in nonstat.base.__all__
+    # every exported name exists, so a name that leaves the package leaves its export lists too
+    submodules = [importlib.import_module(f"nonstat.{info.name}") for info in pkgutil.iter_modules(nonstat.__path__)]
+    for module in [nonstat, *submodules]:
+        assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == [], module.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -232,10 +234,15 @@ def test_plot_rejects_an_aggregate_that_is_not_an_object(tmp_path, capsys):
     ({"t": [-3, -1], "regret": [0.0, 1.0]}, "mean_curve.t"),
     ({"t": [1, 2, 3], "regret": [0.0, 1.0]}, "mean_curve.regret"),
     ({"t": [1], "regret": [0.0, 1.0]}, "mean_curve.regret"),
+    ({"t": [1, 2], "regret": [math.nan, 1.0]}, "mean_curve.regret"),
+    ({"t": [1, 2], "regret": [0.0, math.inf]}, "mean_curve.regret"),
+    ({"t": [1, math.nan], "regret": [0.0, 1.0]}, "mean_curve.t"),
+    ({"t": [1, -math.inf], "regret": [0.0, 1.0]}, "mean_curve.t"),
 ])
 def test_plot_rejects_a_curve_it_cannot_draw(tmp_path, capsys, curve, name):
-    # an x axis that ends at 0 or below has no scale, and unequal lists would
-    # be cut to the shorter one without a word
+    # an x axis that ends at 0 or below has no scale, unequal lists would be
+    # cut to the shorter one without a word, and a nan or inf would be
+    # written as a coordinate
     agg = tmp_path / "agg.json"
     agg.write_text(json.dumps({"algorithm": "master+ucb1", "T": 4, "mean_curve": curve}))
     out = tmp_path / "out.svg"
@@ -243,3 +250,14 @@ def test_plot_rejects_a_curve_it_cannot_draw(tmp_path, capsys, curve, name):
     err = capsys.readouterr().err
     assert "config error" in err and name in err
     assert not out.exists()
+
+
+def test_plot_escapes_the_title(tmp_path):
+    agg = tmp_path / "agg.json"
+    agg.write_text(json.dumps({"algorithm": "a<b & c>d", "T": 4, "mean_curve": {"t": [1, 2], "regret": [0.0, 1.0]}}))
+    out = tmp_path / "out.svg"
+    assert main(["plot", "--agg", str(agg), "--out", str(out)]) == 0
+    svg = out.read_text(encoding="utf-8")
+    assert ">a&lt;b &amp; c&gt;d (T=4)</text>" in svg
+    title = ET.fromstring(svg).find("{http://www.w3.org/2000/svg}text")  # a well-formed document
+    assert title.text == "a<b & c>d (T=4)"

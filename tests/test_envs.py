@@ -851,6 +851,7 @@ def test_each_distinct_segment_diameter_is_computed_once_per_process(monkeypatch
     env = make_env(spec)
     assert calls["diameter"] == 1  # two equal segments
     assert env.max_diameter() == env.diameter(6) == 1.0
+    assert list(env.segment_diameters()) == [(1, 1.0), (3, 1.0)]
     with pytest.raises(ValueError, match=r"round 7 outside \[1, 6\]"):
         env.diameter(7)
     monkeypatch.setattr("nonstat.cli.load_env", lambda path: make_env(spec))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nonstat import base
 from nonstat.base import GlmSolveError, GlmUcb, glm_solve, restore, snapshot_to_json
 from nonstat.envs import LINKS, make_env
 from nonstat.harness import seed_derive
@@ -71,10 +72,11 @@ def test_projection_noop_inside_ball():
     assert np.array_equal(theta_prime, theta_hat)
 
 
-def test_nonconvergence_raises():
+def test_nonconvergence_raises(monkeypatch):
     actions = np.array([[1.0]])
-    with pytest.raises(GlmSolveError):
-        glm_solve(actions, np.array([1.0]), np.array([1.0]), lam=1.0, link=LINKS["logistic"], max_iter=1)
+    monkeypatch.setattr(base, "GLM_NEWTON_MAX_ITER", 1)
+    with pytest.raises(GlmSolveError, match="Newton did not reach residual 1e-08 in 1 iterations"):
+        glm_solve(actions, np.array([1.0]), np.array([1.0]), lam=1.0, link=LINKS["logistic"])
 
 
 def glm_env(T=512):

@@ -17,7 +17,6 @@ from nonstat.malg import (
     MalgRunner,
     n_hat,
     rho_hat,
-    schedule_upfront,
     spawn_probability,
 )
 from nonstat.rates import RateFunction
@@ -28,6 +27,13 @@ ALL_SPAWN_RATE = RateFunction(c1=64.0, c2=0.0, p=0.5, c3=1.0, horizon=1 << 10)  
 
 def make_factory(T=1024, arms=2):
     return lambda: Ucb1(arms, T, 1.0 / T)
+
+
+def schedule_upfront(n, rate, rng):
+    """The whole block's schedule, from the draw MalgRunner makes at the block
+    start: (m, start_offset, end_offset) triples with offsets 0-based relative
+    to the block start."""
+    return [(m, tau, tau + (1 << m) - 1) for tau, m in zip(*malg._spawned_slots(n, rate, rng))]
 
 
 def start_round(runner, uid):
