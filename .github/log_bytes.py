@@ -12,7 +12,8 @@ block draws and the learners live at once), and the live bytes that
 RunLog.from_csv of its CSV text holds, each over T.  A last line gives the
 live bytes per row of the same run at kappa 1e-4, which restarts about
 7,300 times: each restart row keeps its own "restart <cause>" token in the
-log's map by row.  A change reports them as it reports its src/ lines.
+log's two parallel sequences: an array of the amended rows and a list
+of their tokens.  A change reports them as it reports its src/ lines.
 """
 
 import os

@@ -101,7 +101,12 @@ def _cmd_diameter(args) -> int:
     if env.kind != "infinite":
         print("config error: diameter needs an infinite-horizon MDP spec", file=sys.stderr)
         return 2
-    for i, (_, diameter) in enumerate(env.segment_diameters()):
+    try:  # the loader checks only that each segment communicates: its hitting times are solved here
+        diameters = [diameter for _, diameter in env.segment_diameters()]
+    except ValueError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    for i, diameter in enumerate(diameters):
         print(f"segment {i}: diameter {diameter:.9f}")
     return 0
 

@@ -21,14 +21,16 @@ control loops (nonstat.master) pass a stream that serves those doubles
 from one chunked draw, and rely on that.
 
 The continuing MDP's segment oracles, J* (extended value iteration) and the
-diameter (the loader's communicating check), are pure functions of the
-segment's payload, a C-ordered float64 array that its shape and bytes
-determine.  So they are memoized per process under that key
-(_segment_gain, _segment_diameter): a later build of the spec, or of any
-spec with an equal segment, solves neither again and reads the bits a
-fresh solve gives.  Each memo keeps at most SEGMENT_MEMO_SIZE segments,
-least recently used first out; a failure is not memoized, so a bad spec
-raises on every build.
+diameter (hitting-time iteration), are pure functions of the segment's
+payload, a C-ordered float64 array that its shape and bytes determine.
+So they are memoized per process under that key (_segment_gain,
+_segment_diameter), each filled at the first read: a later read, in this
+build or in a later build of any spec with an equal segment, solves
+neither again and reads the bits a fresh solve gives.  Each memo keeps at
+most SEGMENT_MEMO_SIZE segments, least recently used first out; a failure
+is not memoized.  The loader's communicating check solves neither: it is
+the structural reachability test of mdp._check_communicating, run on every
+segment at every build, so a bad spec raises on every build.
 
 Per-round drift traces Delta(t) are matched to the base learner each kind
 takes (the measure under which it satisfies its near-stationarity
@@ -453,19 +455,23 @@ class InfiniteEnv(_Env):
         )
 
     def diameter(self, t: int) -> float:
-        """Diameter of round t's segment (memoized per process): the loader's
-        communicating check asks for every segment first."""
+        """Diameter of round t's segment, solved at its first read (memoized
+        per process); the loader checks only that the segment communicates."""
         _, trans = self._param(t)
         return _segment_diameter(trans.shape, _bytes(trans))
 
     def segment_diameters(self):
         """Yield (first round, diameter) of each segment; a ValueError names the segment's first round."""
+        return self._each_segment(self.diameter)
+
+    def _each_segment(self, read):
+        """Yield (first round, read(first round)) of each segment; a ValueError names the segment's first round."""
         for t in (self._segments.bounds[:-1] + 1).tolist():
             try:
-                diameter = self.diameter(t)
+                value = read(t)
             except ValueError as exc:
                 raise ValueError(f"segment starting at round {t}: {exc}") from None
-            yield t, diameter
+            yield t, value
 
     def max_diameter(self) -> float:
         return max(diameter for _, diameter in self.segment_diameters())
@@ -806,13 +812,16 @@ def _make_episodic(spec, horizon):
 
 
 def _make_infinite(spec, horizon):
+    from . import mdp
+
     s = _as_positive_int(_need(spec, "S", "spec"), "spec.S")
     a = _as_positive_int(_need(spec, "A", "spec"), "spec.A")
     s0 = _as_state(spec.get("s0", 0), s, "spec.s0")
     segments = _mdp_segments(spec, horizon, (s, a), ("state", "action"))
     env = InfiniteEnv(horizon, s, a, segments, init_state=s0)
-    try:
-        env.max_diameter()  # every segment must communicate
+    try:  # every segment must communicate; its diameter is solved only where it is read
+        for _ in env._each_segment(lambda t: mdp._check_communicating(env._param(t)[1])):
+            pass
     except ValueError as exc:
         _fail("spec.segments", str(exc))
     return env

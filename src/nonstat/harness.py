@@ -24,7 +24,6 @@ import json
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -387,11 +386,26 @@ def _run_and_persist(args):
 
 def _seed_results(jobs, workers):
     """_run_and_persist of each job, in job order."""
-    if workers <= 1:
+    if workers == 1:
         yield from map(_run_and_persist, jobs)
         return
+    from concurrent.futures import ProcessPoolExecutor  # here, so that importing the package starts no pool machinery
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_run_and_persist, jobs)
+
+
+def _worker_count(workers) -> int:
+    """workers, or NONSTAT_WORKERS when it is None: an integer >= 1, else a
+    ValueError naming workers, or a SpecError naming NONSTAT_WORKERS."""
+    if workers is None:
+        text = os.environ.get("NONSTAT_WORKERS", "1")
+        workers = int(text) if text.strip().isdecimal() else 0
+        if workers < 1:
+            raise SpecError(f"NONSTAT_WORKERS: expected an integer >= 1, got {text!r}")
+    elif not (_is_int(workers) and workers >= 1):
+        raise ValueError(f"workers: expected an integer >= 1, got {workers!r}")
+    return workers
 
 
 def run_experiment(spec: dict, workers: int | None = None) -> dict:
@@ -401,6 +415,7 @@ def run_experiment(spec: dict, workers: int | None = None) -> dict:
     completion, and removing the output directory from the spec produces
     identical run logs.
     """
+    workers = _worker_count(workers)
     spec = validate_spec(spec)
     # aggregate's drift measure, before any seed runs; not in validate_spec,
     # which accepts a spec it cannot measure for run_single
@@ -412,8 +427,6 @@ def run_experiment(spec: dict, workers: int | None = None) -> dict:
     out_dir = spec.get("out")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    if workers is None:
-        workers = int(os.environ.get("NONSTAT_WORKERS", "1"))
     jobs = [(spec, seed, i, out_dir) for i, seed in enumerate(spec["seeds"])]
     per_seed = []
     curves = []  # downsampled, for the SVG

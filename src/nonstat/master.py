@@ -46,11 +46,12 @@ so a master_core row holds its block's schedule (malg.BlockSchedule), one
 object shared by the block's rows; logs read back by from_csv, and those of
 run_bare, hold plain text.  A token that belongs to one row, the
 "restart <cause>" of a restart row or mdp.doubling_dbar's "double_dbar"
-token, is joined to it by RunLog.amend_event and kept apart, in a map by
-row.  The text is rendered only when it is read (_event_texts):
-RunLog.column("event") into a new list at each read, and to_csv straight
-into its cells, each quoted by _csv_field.  RunLog.restarts reads the
-tokens and text cells, and renders no schedule.
+token, is joined to it by RunLog.amend_event and kept apart, in two
+parallel sequences: the amended rows, ascending, and their tokens.  The
+text is rendered only when it is read (_event_texts): RunLog.column("event")
+into a new list at each read, and to_csv straight into its cells, each
+quoted by _csv_field.  RunLog.restarts reads the tokens and text cells,
+and renders no schedule.
 
 Both loops, master_core and run_bare, hand the environment its uniforms
 from one _Uniforms stream over rng_env, closed at every exit of the loop.
@@ -178,9 +179,10 @@ def _number_texts(data, is_int: bool):
     return map(_Texts(_int_text if is_int else _float_text).__getitem__, data)
 
 
-def _event_texts(cells: list, own: dict):
+def _event_texts(cells: list, own):
     """An iterator over the event text of each row: its cell's text, then the
-    row's own tokens (own, by row), after a ";" when that text is not empty.
+    row's own tokens (own: (row, tokens) pairs, by row ascending), after a
+    ";" when that text is not empty.
 
     A cell is its text, or its block's schedule (malg.BlockSchedule), which
     stands for the schedule's text at that round.  A block's rows follow each
@@ -188,7 +190,7 @@ def _event_texts(cells: list, own: dict):
     and the schedule is rendered once, up to its last row.
     """
     def parts():
-        owned = iter(own.items())  # by row ascending: rows are amended as they are appended
+        owned = iter(own)
         mark, tokens = next(owned, (math.inf, None))
         row = 0
         for cell, group in itertools.groupby(cells):
@@ -233,8 +235,9 @@ class RunLog:
     An int column is an array("q") and a float column an array("d"), 8 bytes
     a value and no Python object; the event column is a list of cells, each
     its text or a block's schedule, and the tokens amend_event adds to a row
-    sit apart, in a map by row (_event_texts); the log keeps no runner and
-    no learner alive.
+    sit apart, in an array("q") of the amended rows, ascending, and a list of
+    their tokens (_event_texts); the log keeps no runner and no learner
+    alive.
 
     append extends one pending list with the row's values, making no object
     per row.  At LOG_CHUNK rows, and before a read (column, to_csv, restarts),
@@ -251,7 +254,9 @@ class RunLog:
         self._data = {
             name: [] if name == "event" else array("q" if name in _INT_COLUMNS else "d") for name in self.columns}
         self._rows = []  # the pending rows' values, one row after another
-        self._own = {}  # row -> the tokens amend_event joined to it
+        # the rows amend_event joined tokens to, ascending (it amends the last row),
+        # and their tokens: 16 bytes a row beside the tokens' text
+        self._own_rows, self._own_tokens = array("q"), []
         self._width, self._limit = len(self.columns), LOG_CHUNK * len(self.columns)
 
     def __len__(self):
@@ -288,7 +293,11 @@ class RunLog:
         a new list at each read, so the log never holds them."""
         self._flush()
         data = self._data[name]
-        return list(_event_texts(data, self._own)) if name == "event" else data
+        return list(_event_texts(data, self._own())) if name == "event" else data
+
+    def _own(self):
+        """The (row, tokens) pairs of the rows amend_event joined tokens to, by row ascending."""
+        return zip(self._own_rows, self._own_tokens)
 
     def amend_event(self, token: str):
         """Join token to the last row's event, after a ";" if it has one: to
@@ -296,8 +305,12 @@ class RunLog:
         row = len(self) - 1
         if row < 0:
             raise ValueError(f"cannot amend the event of a log with no row (token {token!r})")
-        own = self._own
-        own[row] = f"{own[row]};{token}" if row in own else token
+        rows, tokens = self._own_rows, self._own_tokens
+        if rows and rows[-1] == row:
+            tokens[-1] = f"{tokens[-1]};{token}"
+        else:
+            rows.append(row)
+            tokens.append(token)
 
     @property
     def restarts(self) -> list[RestartEvent]:
@@ -314,7 +327,7 @@ class RunLog:
             if cell.__class__ is str and "restart " in cell:
                 tokens.update(dict.fromkeys(range(row, row + count), cell))
             row += count
-        for row, own in self._own.items():
+        for row, own in self._own():
             tokens[row] = f"{tokens[row]};{own}" if row in tokens else own
         rounds, blocks = data["t"], data["block"]
         return [RestartEvent(round=rounds[row], cause=token[len("restart "):], block=blocks[row])
@@ -332,7 +345,7 @@ class RunLog:
                 return self.to_csv(fh)
         self._flush()
         data = self._data
-        cells = [map(_csv_field, _event_texts(data[name], self._own)) if name == "event"
+        cells = [map(_csv_field, _event_texts(data[name], self._own())) if name == "event"
                  else _number_texts(data[name], name in _INT_COLUMNS) for name in self.columns]
         rows = map(",".join, zip(*cells))
         path_or_buf.write(",".join(self.columns) + "\n")

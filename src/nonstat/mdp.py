@@ -515,15 +515,10 @@ def borl(
 # exact-model oracles
 
 
-def compute_diameter(trans: np.ndarray) -> float:
-    """max over ordered state pairs of the optimal expected hitting time.
-
-    Value iteration on the hitting-time equations per target state, until
-    no hitting time moves by more than ORACLE_TOL.  A structural
-    reachability check (can every state reach every other under some
-    action?) rejects non-communicating inputs up front; the iteration cap,
-    DIAMETER_MAX_ITER, is a safety net for pathological mixing.
-    """
+def _check_communicating(trans: np.ndarray) -> None:
+    """Raise a ValueError unless every state of the (S, A, S) transitions can
+    reach every other under some actions: the structural reachability test,
+    on the nonzero entries alone, that the loader runs on every segment."""
     n_states = trans.shape[0]
     edges = (trans > 0).any(axis=1)  # s -> s' possible under some action
     reach = edges | np.eye(n_states, dtype=bool)
@@ -532,6 +527,19 @@ def compute_diameter(trans: np.ndarray) -> float:
     if not reach.all():
         raise ValueError("MDP is not communicating (some state pair is unreachable)")
 
+
+def compute_diameter(trans: np.ndarray) -> float:
+    """max over ordered state pairs of the optimal expected hitting time.
+
+    Value iteration on the hitting-time equations per target state, until
+    no hitting time moves by more than ORACLE_TOL.  _check_communicating,
+    the loader's check, rejects non-communicating inputs up front; the
+    iteration cap, DIAMETER_MAX_ITER, is a safety net for pathological
+    mixing, and its ValueError reaches only a diameter read: the loader
+    does not solve hitting times.
+    """
+    _check_communicating(trans)
+    n_states = trans.shape[0]
     diameter = 0.0
     for target in range(n_states):
         keep = [s for s in range(n_states) if s != target]
@@ -546,7 +554,7 @@ def compute_diameter(trans: np.ndarray) -> float:
             if gap <= ORACLE_TOL:
                 break
         else:
-            raise ValueError("hitting-time iteration failed to converge")
+            raise ValueError(f"hitting-time iteration failed to converge in DIAMETER_MAX_ITER={DIAMETER_MAX_ITER} sweeps")
         diameter = max(diameter, float(h.max()))
     return diameter
 

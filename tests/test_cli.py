@@ -100,6 +100,20 @@ def test_diameter_reads_a_file_whose_name_looks_like_json(tmp_path, monkeypatch,
     assert "segment 0: diameter 1.000000000" in capsys.readouterr().out
 
 
+def test_diameter_past_its_iteration_cap_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+    # the loader checks reachability only: the spec loads, and its hitting times fail at the read
+    import nonstat.envs
+    import nonstat.mdp
+
+    nonstat.envs._segment_diameter.cache_clear()
+    monkeypatch.setattr(nonstat.mdp, "DIAMETER_MAX_ITER", 1)
+    assert main(["diameter", "--mdp", write_mdp(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("runtime error: segment starting at round 1: hitting-time iteration failed to converge "
+                   "in DIAMETER_MAX_ITER=1 sweeps\n")
+
+
 def test_diameter_rejects_wrong_kind(tmp_path, capsys):
     cfg = tmp_path / "env.json"
     cfg.write_text(json.dumps({"kind": "mab", "T": 4, "segments": [{"length": 4, "means": [0.5]}]}))
@@ -120,6 +134,15 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "regret_mean" in proc.stdout
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.0", ""])
+def test_run_rejects_a_bad_worker_count(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("NONSTAT_WORKERS", value)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: NONSTAT_WORKERS: expected an integer >= 1, got {value!r}\n"
+    assert not out.exists()  # checked before any seed runs
 
 
 @pytest.mark.parametrize("flag, value", [("--seeds", "a"), ("--seeds", "1..b"), ("--kappa", "abc")])

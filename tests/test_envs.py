@@ -841,16 +841,17 @@ def infinite_spec(rewards, trans, lengths):
 
 
 def test_each_distinct_segment_diameter_is_computed_once_per_process(monkeypatch):
-    # the loader's communicating check computes it; max_diameter, diameter(t),
-    # the diameter command and later builds read the process-wide memo
+    # the loader computes none; the first read computes it, and max_diameter,
+    # diameter(t), the diameter command and later builds read the process-wide memo
     from nonstat.cli import main
 
     calls = count_oracle_calls(monkeypatch)
     seg = {"rewards": [[0.5], [0.5]], "transitions": [[[0, 1]], [[1, 0]]]}
     spec = {"kind": "infinite", "T": 6, "S": 2, "A": 1, "segments": [dict(seg, length=2), dict(seg, length=4)]}
     env = make_env(spec)
-    assert calls["diameter"] == 1  # two equal segments
+    assert calls["diameter"] == 0
     assert env.max_diameter() == env.diameter(6) == 1.0
+    assert calls["diameter"] == 1  # two equal segments
     assert list(env.segment_diameters()) == [(1, 1.0), (3, 1.0)]
     with pytest.raises(ValueError, match=r"round 7 outside \[1, 6\]"):
         env.diameter(7)
@@ -903,23 +904,107 @@ def test_second_build_of_a_spec_solves_no_oracle(monkeypatch):
     trans = [rng.dirichlet(np.ones(3), size=(3, 2)) for _ in range(2)]
     spec = infinite_spec([rng.random((3, 2)) for _ in range(2)], trans, [4, 4])
     env = make_env(spec)
+    assert calls == {"gain": 0, "diameter": 0}  # each is solved at its first read
     first = [env.optimal_value(t) for t in range(1, 9)]
+    diameter = env.max_diameter()
     assert calls == {"gain": 2, "diameter": 2}
     again = make_env(spec)
     assert [again.optimal_value(t) for t in range(1, 9)] == first
-    assert again.max_diameter() == env.max_diameter()
+    assert again.max_diameter() == diameter
     assert calls == {"gain": 2, "diameter": 2}
 
 
 def test_noncommunicating_spec_raises_on_every_build(monkeypatch):
-    # segment 0 communicates, segment 1 has two absorbing states: a failure is not memoized
+    # segment 0 communicates, segment 1 has two absorbing states: every build
+    # checks both segments' reachability, and solves no hitting time
+    import nonstat.mdp
+
     calls = count_oracle_calls(monkeypatch)
+    checks = []
+    check = nonstat.mdp._check_communicating
+    monkeypatch.setattr(nonstat.mdp, "_check_communicating", lambda trans: checks.append(1) or check(trans))
     rewards = [[[0.5], [0.5]]] * 2
     spec = infinite_spec(rewards, [[[[0.0, 1.0]], [[1.0, 0.0]]], [[[1.0, 0.0]], [[0.0, 1.0]]]], [2, 2])
     for build in (1, 2):
         with pytest.raises(EnvSpecError, match="segment starting at round 3: .*not communicating"):
             make_env(spec)
-        assert calls["diameter"] == build + 1  # segment 0 once, segment 1 at every build
+        assert len(checks) == 2 * build
+        assert calls["diameter"] == 0
+
+
+def parent_reachability_step(trans):
+    """The structural reachability test the loader ran first, as it stood
+    before the loader stopped solving hitting times: the reference."""
+    n_states = trans.shape[0]
+    edges = (trans > 0).any(axis=1)  # s -> s' possible under some action
+    reach = edges | np.eye(n_states, dtype=bool)
+    for _ in range(n_states):
+        reach = reach | (reach @ reach)
+    if not reach.all():
+        raise ValueError("MDP is not communicating (some state pair is unreachable)")
+
+
+@st.composite
+def sparse_mdp(draw):
+    """(rewards, transitions, lengths) of an MDP spec whose transitions hold
+    zero entries, so that some segments do not communicate."""
+    n_states, n_actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    weight = st.sampled_from([0.0, 0.0, 0.0, 1.0, 0.25, 5e-324])
+    rewards, trans = [], []
+    for _ in lengths:
+        rewards.append(np.full((n_states, n_actions), 0.5))
+        w = np.array(draw(st.lists(weight, min_size=n_states * n_actions * n_states,
+                                   max_size=n_states * n_actions * n_states)))
+        w = w.reshape(n_states, n_actions, n_states)
+        w[w.sum(axis=2) == 0.0, draw(st.integers(0, n_states - 1))] = 1.0  # an empty row gets one next state
+        trans.append(w / w.sum(axis=2, keepdims=True))
+    return rewards, trans, lengths
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_mdp())
+def test_loader_rejects_what_the_reachability_step_rejects(mdp_draw):
+    rewards, trans, lengths = mdp_draw
+    spec = infinite_spec(rewards, trans, lengths)
+    expected = None
+    for t, p in zip(np.cumsum([1] + lengths[:-1]).tolist(), trans):
+        try:
+            parent_reachability_step(np.asarray(p))
+        except ValueError as exc:
+            expected = f"spec.segments: segment starting at round {t}: {exc}"
+            break
+    if expected is None:
+        make_env(spec)
+    else:
+        with pytest.raises(EnvSpecError) as info:
+            make_env(spec)
+        assert str(info.value) == expected
+
+
+def test_make_env_solves_no_hitting_times(monkeypatch):
+    calls = count_oracle_calls(monkeypatch)
+    rng = np.random.default_rng(5)
+    trans = [rng.dirichlet(np.ones(4), size=(4, 3)) for _ in range(3)]
+    env = make_env(infinite_spec([rng.random((4, 3)) for _ in range(3)], trans, [2, 3, 4]))
+    assert calls == {"gain": 0, "diameter": 0}
+    assert [t for t, _ in env.segment_diameters()] == [1, 3, 6]
+    assert calls["diameter"] == 3
+
+
+def test_a_diameter_past_its_iteration_cap_fails_at_its_read(monkeypatch):
+    # a communicating segment whose hitting times need more than DIAMETER_MAX_ITER sweeps
+    # loads; reading its diameter raises, naming the segment
+    import nonstat.mdp
+
+    count_oracle_calls(monkeypatch)
+    monkeypatch.setattr(nonstat.mdp, "DIAMETER_MAX_ITER", 1)
+    seg = {"rewards": [[0.5], [0.5]], "transitions": [[[0, 1]], [[1, 0]]]}
+    env = make_env({"kind": "infinite", "T": 4, "S": 2, "A": 1, "segments": [dict(seg, length=4)]})
+    with pytest.raises(ValueError, match=r"^segment starting at round 1: hitting-time iteration failed to "
+                                         r"converge in DIAMETER_MAX_ITER=1 sweeps$"):
+        env.max_diameter()
+    assert _segment_diameter.cache_info().currsize == 0  # a failure is not memoized
 
 
 def test_segment_memo_keys_hold_the_shape():
@@ -935,7 +1020,8 @@ def test_segment_memos_hold_at_most_their_bound():
     _segment_gain.cache_clear()
     _segment_diameter.cache_clear()
     for a in range(1, SEGMENT_MEMO_SIZE + 9):  # one state, a actions: a distinct segment each
-        make_env(infinite_spec([np.full((1, a), 0.5)], [np.ones((1, a, 1))], [1])).optimal_value(1)
+        env = make_env(infinite_spec([np.full((1, a), 0.5)], [np.ones((1, a, 1))], [1]))
+        env.optimal_value(1), env.diameter(1)
         for memo in (_segment_gain, _segment_diameter):
             assert memo.cache_info().currsize <= SEGMENT_MEMO_SIZE
     for memo in (_segment_gain, _segment_diameter):

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -461,6 +463,28 @@ def test_workers_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("NONSTAT_WORKERS", "1")
     again = run_experiment(experiment(T=64))
     assert report["per_seed"] == again["per_seed"]
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.0, True, "2"])
+def test_run_experiment_rejects_a_bad_worker_count(workers, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=rf"^workers: expected an integer >= 1, got {re.escape(repr(workers))}$"):
+        run_experiment(experiment(T=16, out=str(out)), workers=workers)
+    assert not out.exists()  # checked before any seed runs
+
+
+def test_import_and_validate_load_no_process_pool():
+    # multiprocessing is imported by the workers > 1 branch alone
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    spec = experiment(T=4, algorithm="master-ucrl", env={
+        "kind": "infinite", "T": 4, "S": 2, "A": 1,
+        "segments": [{"length": 4, "rewards": [[0.5], [0.5]], "transitions": [[[0, 1]], [[1, 0]]]}]})
+    code = (f"import sys; sys.path.insert(0, {src!r}); import nonstat.harness; "
+            f"nonstat.harness.validate_spec({spec!r}); "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
