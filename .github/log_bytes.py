@@ -13,7 +13,11 @@ RunLog.from_csv of its CSV text holds, each over T.  A last line gives the
 live bytes per row of the same run at kappa 1e-4, which restarts about
 7,300 times: each restart row keeps its own "restart <cause>" token in the
 log's two parallel sequences: an array of the amended rows and a list
-of their tokens.  A change reports them as it reports its src/ lines.
+of their tokens.  The last two give tracemalloc's peak during RunLog.to_csv
+of the kappa 1 log into os.devnull, beyond what the log holds, over T, at
+T = 2^14 and 2^16: the writer formats a chunk of rows at a time, so this
+figure should not grow with T.  A change reports them as it reports its
+src/ lines.
 """
 
 import os
@@ -35,7 +39,7 @@ def _runner(horizon: int, kappa: float):
     half = horizon // 2
     env = make_env({"kind": "mab", "T": horizon, "segments": [
         {"length": half, "means": [0.9, 0.1]}, {"length": horizon - half, "means": [0.1, 0.9]}]})
-    return lambda: run_master(env, lambda: Ucb1(2, horizon, 1.0 / horizon), horizon, kappa=kappa, seed=0)
+    return lambda: run_master(env, lambda: Ucb1(2, horizon, 1.0 / horizon), kappa=kappa, seed=0)
 
 
 def bytes_per_row(horizon: int = T) -> tuple[float, float, float]:
@@ -74,12 +78,30 @@ def restart_heavy_bytes_per_row(horizon: int = T) -> tuple[float, int]:
     return built / horizon, len(log.restarts)
 
 
+def writer_peak_bytes_per_row(horizon: int) -> float:
+    """tracemalloc's peak during to_csv of the kappa 1 run_master log, beyond
+    the bytes live before the call, over the horizon."""
+    log = _runner(horizon, 1.0)()
+    log.to_csv(os.devnull)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        log.to_csv(os.devnull)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak / horizon
+
+
 def main() -> int:
     built, read, peak = bytes_per_row()
     print(f"live bytes per row at T={T}: run_master log {built:.1f}, from_csv log {read:.1f}")
     print(f"peak bytes per row traced during run_master at T={T}: {peak:.1f}")
     built, restarts = restart_heavy_bytes_per_row()
     print(f"live bytes per row at T={T}, kappa 1e-4 ({restarts} restarts): run_master log {built:.1f}")
+    for horizon in (T, 4 * T):
+        print(f"peak extra bytes per row traced during to_csv at T={horizon}: {writer_peak_bytes_per_row(horizon):.1f}")
     return 0
 
 

@@ -46,7 +46,7 @@ for name, env, learner in (
     ("generalized linear / logistic link", glm, GlmUcb(glm.actions, T, delta, link="logistic")),
 ):
     summary = nonstat_summary(env, delta)
-    log = run_bare(env, learner, T, seed=0)
+    log = run_bare(env, learner, seed=0)
     f_star = np.asarray(log.column("f_star"))
     g = np.asarray(log.column("g_tilde"))
     print(f"{name}:")

@@ -53,33 +53,33 @@ class SpecError(ValueError):
 #
 # An algorithm is an environment kind, a run function (env, spec, seed,
 # run_index) -> run log, and the spec.algo keys that run reads.  The kind
-# fixes the base learner, whose function maps (env, T, delta, spec.algo) to
+# fixes the base learner, whose function maps (env, delta, spec.algo) to
 # its factory, the round adapter and the drift measure.
 
 
-def _ucb1(env, horizon, delta, algo):
+def _ucb1(env, delta, algo):
     bonus = {"bonus_scale": algo["c"]} if "c" in algo else {}
-    return functools.partial(base.Ucb1, n_arms=env.n_arms, horizon=horizon, delta=delta, **bonus)
+    return functools.partial(base.Ucb1, n_arms=env.n_arms, horizon=env.horizon, delta=delta, **bonus)
 
 
-def _oful(env, horizon, delta, algo):
-    return functools.partial(base.Oful, actions=env.actions, horizon=horizon, delta=delta)
+def _oful(env, delta, algo):
+    return functools.partial(base.Oful, actions=env.actions, horizon=env.horizon, delta=delta)
 
 
-def _glm(env, horizon, delta, algo):
-    return functools.partial(base.GlmUcb, env.actions, horizon, delta, env.link.name, env.lam)
+def _glm(env, delta, algo):
+    return functools.partial(base.GlmUcb, env.actions, env.horizon, delta, env.link.name, env.lam)
 
 
-def _qucb(env, horizon, delta, algo):
+def _qucb(env, delta, algo):
     bonus = {"bonus_scale": algo["c"]} if "c" in algo else {}
     return functools.partial(
-        base.QUcb, n_states=env.n_states, n_actions=env.n_actions, n_layers=env.n_layers, horizon=horizon,
+        base.QUcb, n_states=env.n_states, n_actions=env.n_actions, n_layers=env.n_layers, horizon=env.horizon,
         delta=delta, init_state=env.init_state, **bonus,
     )
 
 
-def _ucrl(env, horizon, delta, algo):
-    return mdp._ucrl_factory(env, horizon, delta, algo.get("dbar", 1.0))
+def _ucrl(env, delta, algo):
+    return mdp._ucrl_factory(env, delta, algo.get("dbar", 1.0))
 
 
 # the base learner of each environment kind
@@ -87,15 +87,16 @@ _LEARNERS = {"mab": _ucb1, "linear": _oful, "glm": _glm, "episodic": _qucb, "inf
 
 
 def _learner(env, spec):
-    return _LEARNERS[env.kind](env, spec["T"], spec["delta"], spec.get("algo", {}))
+    return _LEARNERS[env.kind](env, spec["delta"], spec.get("algo", {}))
 
 
 def _master(env, spec, seed, run_index):
-    return run_master(env, _learner(env, spec), spec["T"], spec["delta"], spec["kappa"], seed, run_index)
+    return run_master(env, _learner(env, spec), delta=spec["delta"], kappa=spec["kappa"], seed=seed,
+                      run_index=run_index)
 
 
 def _bare(env, spec, seed, run_index):
-    return run_bare(env, _learner(env, spec)(), spec["T"], seed, run_index)
+    return run_bare(env, _learner(env, spec)(), seed=seed, run_index=run_index)
 
 
 def _doubling_dbar(env, spec, seed, run_index):
@@ -146,8 +147,9 @@ def _is_number(value) -> bool:
 
 def _check_algo(algo: dict):
     """Type checks of the algo values a run reads; SpecError names the key."""
-    if "known_delta" in algo and not _is_number(algo["known_delta"]):
-        raise SpecError(f"spec.algo.known_delta: expected a number, got {algo['known_delta']!r}")
+    known_delta = algo.get("known_delta", 0.0)
+    if not (_is_number(known_delta) and 0.0 <= known_delta < math.inf):
+        raise SpecError(f"spec.algo.known_delta: expected a finite number >= 0, got {known_delta!r}")
     if "c" in algo and not (_is_number(algo["c"]) and math.isfinite(algo["c"])):
         raise SpecError(f"spec.algo.c: expected a finite number, got {algo['c']!r}")
     dbar = algo.get("dbar", 1.0)

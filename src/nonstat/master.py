@@ -27,10 +27,10 @@ checks every round: it raises a ValueError that names the round otherwise.
 The runner names each instance by its uid, and the loop reads its order,
 learner and interval sum from the runner's uid-indexed lists (nonstat.malg).
 
-run_master and run_bare serve every environment kind through its round
-adapter, which carries the MDP log columns, rho_hat's factor: 6
-(BanditWorld), or 18 (AverageRewardWorld), and last_update_read, which the
-scheduler reads (nonstat.malg).
+run_master and run_bare run over env.horizon and serve every environment
+kind through its round adapter, which carries the MDP log columns, rho_hat's
+factor: 6 (BanditWorld), or 18 (AverageRewardWorld), and last_update_read,
+which the scheduler reads (nonstat.malg).
 
 A failed test aborts the epoch: everything restarts from scratch at the
 next round (block order back to 0, all instances discarded).  A third
@@ -64,7 +64,9 @@ as a tuple, () for bandits.  The control loop binds the runner's, the
 adapter's and the log's methods once per block.  A log keeps its number
 columns as C arrays, filled from its pending rows a chunk at a time
 (RunLog), so RunLog.column returns the log's own sequence, an array or a
-list, and the CSV bytes are those of the values as appended.
+list, and the CSV bytes are those of the values as appended: to_csv
+formats each distinct 8-byte value of a typed column once per LOG_CHUNK
+rows (_number_texts).
 
 The row of the round at which the active instance ends is the last to read
 its learner, so the loop then frees it in the runner's list (None): on a
@@ -132,51 +134,25 @@ def _csv_field(text: str) -> str:
     return text
 
 
-_SAMPLE = 64  # the first rows of a number column, which decide how it is formatted
-
-
-class _Texts(dict):
-    """A number column's texts keyed by value: each distinct value is
-    formatted once, at its first cell."""
-
-    def __init__(self, fmt):
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, value):
-        text = self[value] = self.fmt(value)
-        return text
-
-
-def _int_text(value) -> str:
-    return str(int(value))
-
-
-def _float_text(value) -> str:
-    return repr(float(value))
-
-
-def _has_negative_zero(data) -> bool:
-    values = np.array(data, dtype=np.float64)
-    return bool(np.signbit(values[values == 0.0]).any())
-
-
 def _number_texts(data, is_int: bool):
     """The cells of a number column, str(int(v)) or repr(float(v)), in row order.
 
-    Each distinct value is formatted once, through a _Texts memo, unless
-    more than half of the column's first _SAMPLE values are distinct, or it
-    is a float column that holds a -0.0: -0.0 and 0.0 are one key but two
-    texts (in an int column both read "0"), or a plain list, which holds
-    values as appended (RunLog), keys or not.  Those columns are formatted
-    per cell.  A nan is a key only to itself, so each nan object is
-    formatted at its first cell.
+    A typed column is formatted LOG_CHUNK rows at a time: np.unique over the
+    chunk's raw 8-byte values formats each distinct value once, and tells
+    -0.0 from 0.0 (and one nan from another) by its bits.  A plain list,
+    which holds values as appended (RunLog), is formatted per cell.
     """
-    sample = data[:_SAMPLE]
-    if data.__class__ is list or len(set(sample)) * 2 > len(sample) or (
-            not is_int and 0.0 in data and _has_negative_zero(data)):
+    if data.__class__ is list:
         return map(str, map(int, data)) if is_int else map(repr, map(float, data))
-    return map(_Texts(_int_text if is_int else _float_text).__getitem__, data)
+    return itertools.chain.from_iterable(
+        _chunk_texts(data[start:start + LOG_CHUNK], is_int) for start in range(0, len(data), LOG_CHUNK))
+
+
+def _chunk_texts(chunk: array, is_int: bool) -> list:
+    """The cells of a slice of a typed column; only the list outlives the call."""
+    keys, rows = np.unique(np.frombuffer(chunk, np.int64), return_inverse=True)
+    texts = map(str, keys.tolist()) if is_int else map(repr, keys.view(np.float64).tolist())
+    return np.array(list(texts), dtype=object)[rows].tolist()
 
 
 def _event_texts(cells: list, own):
@@ -336,10 +312,10 @@ class RunLog:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path_or_buf):
-        """Write the log as CSV, each column formatted in one pass: ints with
+        """Write the log as CSV, a chunk of rows at a time: ints with
         str(int(v)), floats with repr(float(v)), each distinct value of a
-        column that repeats its values once (_number_texts), and the event
-        text per cell, quoted as csv.writer quotes it (_csv_field)."""
+        typed column once per chunk (_number_texts), and the event text per
+        cell, quoted as csv.writer quotes it (_csv_field)."""
         if not hasattr(path_or_buf, "write"):
             with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
                 return self.to_csv(fh)
@@ -652,29 +628,22 @@ def _world_for(env):
     return AverageRewardWorld(env) if env.kind == "infinite" else BanditWorld(env)
 
 
-def run_master(
-    env,
-    factory,
-    horizon: int,
-    delta: float | None = None,
-    kappa: float = 1.0,
-    seed: int = 0,
-    run_index: int = 0,
-) -> RunLog:
-    """Full run of the reduction over an environment of any kind."""
+def run_master(env, factory, *, delta: float | None = None, kappa: float = 1.0, seed: int = 0,
+               run_index: int = 0) -> RunLog:
+    """Full run of the reduction over an environment of any kind, over env.horizon."""
     if delta is None:
-        delta = 1.0 / horizon
+        delta = 1.0 / env.horizon
     world = _world_for(env)
     log = RunLog(mdp_columns=world.mdp_columns)
     master_core(
-        world, factory, horizon, delta, kappa,
+        world, factory, env.horizon, delta, kappa,
         seed_derive(seed, run_index, "env"), seed_derive(seed, run_index, "sched"), log,
     )
     return log
 
 
-def run_bare(env, learner, horizon: int, seed: int = 0, run_index: int = 0) -> RunLog:
-    """The base learner alone, with no scheduling and no tests.
+def run_bare(env, learner, *, seed: int = 0, run_index: int = 0) -> RunLog:
+    """The base learner alone over env.horizon, with no scheduling and no tests.
 
     Restart signals of the average-reward learner are ignored.
     """
@@ -682,7 +651,7 @@ def run_bare(env, learner, horizon: int, seed: int = 0, run_index: int = 0) -> R
     log = RunLog(mdp_columns=world.mdp_columns)
     draws = _Uniforms(seed_derive(seed, run_index, "env"))
     try:
-        for t in range(1, horizon + 1):
+        for t in range(1, env.horizon + 1):
             g_tilde = learner.predict()
             policy = learner.act()
             reward, feedback, f_star = world.play(t, policy, draws)

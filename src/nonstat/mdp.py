@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -363,19 +364,18 @@ class UcrlAcw(_Learner):
 _REGISTRY["ucrl"] = UcrlAcw  # restore's class for "ucrl" snapshots
 
 
-def _ucrl_factory(env: InfiniteEnv, horizon: int, delta: float, dbar: float):
-    """The factory of fresh average-reward learners for env with diameter guess dbar."""
-    return functools.partial(UcrlAcw, env.n_states, env.n_actions, horizon, delta, dbar)
+def _ucrl_factory(env: InfiniteEnv, delta: float, dbar: float):
+    """The factory of fresh average-reward learners for env with diameter guess dbar, over env.horizon."""
+    return functools.partial(UcrlAcw, env.n_states, env.n_actions, env.horizon, delta, dbar)
 
 
 def run_master_ucrl(
     env: InfiniteEnv, dbar: float, delta: float | None = None, kappa: float = 1.0, seed: int = 0, run_index: int = 0
 ) -> RunLog:
     """The reduction over the average-reward learner with a fixed diameter guess, over env.horizon."""
-    horizon = env.horizon
     if delta is None:
-        delta = 1.0 / horizon
-    return run_master(env, _ucrl_factory(env, horizon, delta, dbar), horizon, delta, kappa, seed, run_index)
+        delta = 1.0 / env.horizon
+    return run_master(env, _ucrl_factory(env, delta, dbar), delta=delta, kappa=kappa, seed=seed, run_index=run_index)
 
 
 def nbar(
@@ -389,7 +389,11 @@ def nbar(
     if (known_l is None) == (known_delta is None):
         raise ValueError("exactly one of known_l / known_delta must be given")
     if known_l is not None:
+        if not (isinstance(known_l, numbers.Integral) and not isinstance(known_l, bool) and known_l >= 1):
+            raise ValueError(f"known_l: expected an integer >= 1, got {known_l!r}")
         return float(known_l)
+    if not (isinstance(known_delta, numbers.Real) and 0.0 <= known_delta < math.inf):
+        raise ValueError(f"known_delta: expected a finite number >= 0, got {known_delta!r}")
     return 1.0 + 3.0 * (known_delta**2 * horizon / (n_states**2 * n_actions)) ** (1.0 / 3.0)
 
 
@@ -420,7 +424,7 @@ def doubling_dbar(
     dbar = 1.0
     t = 1
     while t <= horizon:
-        factory = _ucrl_factory(env, horizon, delta, dbar)
+        factory = _ucrl_factory(env, delta, dbar)
         t, reason = master_core(
             world, factory, horizon, delta, kappa, rng_env, rng_sched, log, start_t=t, max_epochs=cap,
         )
@@ -501,7 +505,7 @@ def borl(
         arm = world.borl_arm = picker.sample(rng_borl)
         end = min(t + block - 1, horizon)
         first = len(log)
-        factory = _ucrl_factory(env, horizon, delta, float(1 << arm))
+        factory = _ucrl_factory(env, delta, float(1 << arm))
         master_core(world, factory, horizon, delta, kappa, rng_env, rng_sched, log, start_t=t, end_t=end)
         total = 0.0
         for reward in log.column("reward")[first:]:

@@ -144,7 +144,7 @@ def test_acceptance_03_no_false_restarts():
     )
     clean = 0
     for seed in range(50):
-        log = run_master(env, lambda: Ucb1(5, T, delta), T, delta, kappa=1.0, seed=seed)
+        log = run_master(env, lambda: Ucb1(5, T, delta), delta=delta, kappa=1.0, seed=seed)
         clean += not log.restarts
     elapsed = time.time() - t_start
     ok = clean >= 48 and elapsed < 120.0
@@ -173,11 +173,11 @@ def test_acceptance_04_detection_and_benefit():
     master_regrets = []
     bare_regrets = []
     for seed in range(50):
-        log = run_master(env, lambda: Ucb1(2, T, delta), T, delta, kappa=0.05, seed=seed)
+        log = run_master(env, lambda: Ucb1(2, T, delta), delta=delta, kappa=0.05, seed=seed)
         master_regrets.append(dynamic_regret(log))
         if any(T // 2 < ev.round <= T // 2 + 2048 for ev in log.restarts):
             detected += 1
-        bare = run_bare(env, Ucb1(2, T, delta), T, seed=seed)
+        bare = run_bare(env, Ucb1(2, T, delta), seed=seed)
         bare_regrets.append(dynamic_regret(bare))
     ratio = float(np.mean(master_regrets) / np.mean(bare_regrets))
     elapsed = time.time() - t_start
@@ -216,7 +216,7 @@ def test_acceptance_05_sqrt_lt_scaling():
             regrets = []
             for seed in range(seeds):
                 log = run_master(
-                    env, lambda: Ucb1(5, T, delta), T, delta, kappa=0.05, seed=seed
+                    env, lambda: Ucb1(5, T, delta), delta=delta, kappa=0.05, seed=seed
                 )
                 regrets.append(dynamic_regret(log))
             table[(L, T)] = float(np.mean(regrets)) / math.sqrt(L * T)
@@ -314,7 +314,7 @@ def test_acceptance_06_optimism_rates():
     env = make_env(swap)
     dbar = env.diameter(1)
     j_star = env.optimal_value(1)
-    log = run_bare(env, UcrlAcw(env.n_states, env.n_actions, T, 1.0 / T, dbar=max(1.0, dbar)), T, seed=62)
+    log = run_bare(env, UcrlAcw(env.n_states, env.n_actions, T, 1.0 / T, dbar=max(1.0, dbar)), seed=62)
     episodes = np.asarray(log.column("episode"))
     gains = np.asarray(log.column("g_tilde"))
     per_episode = {}
@@ -469,7 +469,7 @@ def test_acceptance_09_regret_exactness():
         }
     )
     for seed in range(5):
-        runs.append(run_master(env, lambda: Ucb1(2, 2048, 1 / 2048), 2048, kappa=1.0, seed=seed))
+        runs.append(run_master(env, lambda: Ucb1(2, 2048, 1 / 2048), kappa=1.0, seed=seed))
     swap = {
         "kind": "infinite",
         "T": 512,

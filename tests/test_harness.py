@@ -207,6 +207,10 @@ def average_reward_spec(algorithm, algo):
         ("master+ucb1", {"c": math.nan}, "c"),
         ("master+ucb1", {"c": math.inf}, "c"),
         ("master+qucb", {"c": -math.inf}, "c"),
+        # the epoch cap needs a finite known_delta >= 0: a nan cap never overflows
+        ("doubling-dbar", {"known_delta": math.nan}, "known_delta"),
+        ("doubling-dbar", {"known_delta": math.inf}, "known_delta"),
+        ("doubling-dbar", {"known_delta": -1}, "known_delta"),
     ],
 )
 def test_validate_rejects_mistyped_algo_values(algorithm, algo, field):

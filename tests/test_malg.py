@@ -177,7 +177,7 @@ def test_a_long_run_keeps_no_large_slot_layout_alive():
     malg._LAYOUTS.clear()
     tracemalloc.start(3)  # np.repeat allocates two frames below its caller
     try:
-        log = master.run_master(env, make_factory(T), T, kappa=1.0, seed=0)
+        log = master.run_master(env, make_factory(T), kappa=1.0, seed=0)
         assert log.column("block")[-1] == 16
         del log  # its block schedules are malg's too
         snapshot = tracemalloc.take_snapshot()

@@ -210,7 +210,7 @@ def _shared_table_run(case):
     if name == "doubling_dbar":
         return doubling_dbar(make_env(SWAP_MDP), known_l=2, kappa=kappa, seed=3)
     env = make_env(SWITCH_ENV)
-    return run_master(env, lambda: Ucb1(2, 512, 1 / 512), 512, 1 / 512, kappa=kappa, seed=3)
+    return run_master(env, lambda: Ucb1(2, 512, 1 / 512), delta=1 / 512, kappa=kappa, seed=3)
 
 
 @pytest.mark.parametrize(
@@ -485,7 +485,7 @@ def test_kappa_infinite_disables_tests():
     T = 64
     env = stationary(T)
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, T, delta, kappa=math.inf, seed=3)
+    log = run_master(env, factory, delta=delta, kappa=math.inf, seed=3)
     assert log.restarts == []
     blocks = list(log.column("block"))
     # doubling layout: block orders 0,1,1,2,2,2,2,...
@@ -501,7 +501,7 @@ def test_kappa_one_no_false_restarts_smoke():
     T = 2048
     env = stationary(T, (0.3, 0.6, 0.5))
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, T, delta, kappa=1.0, seed=5)
+    log = run_master(env, factory, delta=delta, kappa=1.0, seed=5)
     assert log.restarts == []
 
 
@@ -513,7 +513,7 @@ def test_u_min_is_running_minimum():
     T = 256
     env = stationary(T)
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, T, delta, kappa=math.inf, seed=7)
+    log = run_master(env, factory, delta=delta, kappa=math.inf, seed=7)
     blocks = np.asarray(log.column("block"))
     g = np.asarray(log.column("g_tilde"))
     u = np.asarray(log.column("u_min"))
@@ -565,7 +565,7 @@ def test_tests_disabled_master_equals_malg():
     T = 31  # blocks 1,2,4,8,16 exactly
     env = stationary(T)
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, T, delta, kappa=math.inf, seed=13)
+    log = run_master(env, factory, delta=delta, kappa=math.inf, seed=13)
 
     rng_env = seed_derive(13, 0, "env")
     rng_sched = seed_derive(13, 0, "sched")
@@ -643,7 +643,7 @@ def test_dynamic_regret_matches_second_pass_exactly():
         {"length": 256, "means": [0.1, 0.9]},
     ])
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, T, delta, kappa=1.0, seed=23)
+    log = run_master(env, factory, delta=delta, kappa=1.0, seed=23)
     text = log.to_csv_text()
     reread = RunLog.from_csv(text)
     total = 0.0
@@ -656,7 +656,7 @@ def test_csv_roundtrip_bit_exact():
     T = 128
     env = stationary(T)
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, T, delta, kappa=1.0, seed=29)
+    log = run_master(env, factory, delta=delta, kappa=1.0, seed=29)
     text = log.to_csv_text()
     again = RunLog.from_csv(text).to_csv_text()
     assert text == again
@@ -669,7 +669,7 @@ def test_csv_roundtrip_keeps_restart_blocks():
         {"length": 256, "means": [0.1, 0.9]},
     ])
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, T, delta, kappa=1e-4, seed=31)
+    log = run_master(env, factory, delta=delta, kappa=1e-4, seed=31)
     assert any(ev.block > 0 for ev in log.restarts)
     assert RunLog.from_csv(log.to_csv_text()).restarts == log.restarts
 
@@ -966,23 +966,70 @@ def test_csv_writer_raises_on_a_non_finite_int_cell_as_the_cell_writer_does(colu
 
 
 def test_csv_writer_formats_each_repeated_value_once(monkeypatch):
-    formatted = []
-
-    def counting(fmt):
-        def wrapped(value):
-            formatted.append(value)
-            return fmt(value)
-        return wrapped
-
-    monkeypatch.setattr(nonstat.master, "_int_text", counting(nonstat.master._int_text))
-    monkeypatch.setattr(nonstat.master, "_float_text", counting(nonstat.master._float_text))
+    # a typed column is formatted a chunk at a time, each distinct 8-byte value
+    # once a chunk (-0.0 apart from 0.0); a plain-list column, here the policy
+    # column with an id above 2^63 - 1, is formatted per cell
+    chunk = 32
+    monkeypatch.setattr(nonstat.master, "LOG_CHUNK", chunk)
     log = RunLog()
-    for t in range(100):  # t is distinct in every row: formatted per cell, not through the memo
-        log.append(t, t // 50, 0, t % 3, t % 2, float(t % 2), 0.9, 1.0, 0.25, "")
+    for t in range(100):
+        log.append(t, t // 50, 0, t % 3, 2**63 if t == 5 else t % 2, float(t % 2), (0.0, -0.0)[t % 2], 1.0,
+                   math.nan, "")
     assert log.to_csv_text() == rowwise_csv(log)
-    assert sorted(map(repr, formatted)) == sorted(
-        ["0", "1", "0", "0", "1", "2", "0", "1", "0.0", "1.0", "0.9", "1.0", "0.25"]
-    )
+    for name in log.columns[:-1]:
+        column, is_int = log.column(name), name in _INT_COLUMNS
+        formatted = []
+
+        def counting(fmt):
+            def wrapped(value):
+                formatted.append(value)
+                return fmt(value)
+            return wrapped
+
+        with pytest.MonkeyPatch.context() as patch:  # the builtins as nonstat.master's globals find them
+            patch.setattr(nonstat.master, "str", counting(str), raising=False)
+            patch.setattr(nonstat.master, "repr", counting(repr), raising=False)
+            texts = list(nonstat.master._number_texts(column, is_int))
+        assert texts == [str(int(v)) if is_int else repr(float(v)) for v in column]
+        if column.__class__ is list:
+            assert name == "policy" and len(formatted) == len(column)
+        else:
+            distinct = [len({struct.pack(column.typecode, v) for v in column[i:i + chunk]})
+                        for i in range(0, len(column), chunk)]
+            assert len(formatted) == sum(distinct), name
+
+
+@pytest.mark.parametrize("chunk", [7, None], ids=["chunk7", "library_chunk"])
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.integers(0, 2**20))
+def test_csv_writer_equals_rowwise_csv_writer_across_chunk_edges(chunk, seed, mdp_columns, fallback, extra):
+    # two chunks and part of a third, whose number cells are drawn from signed
+    # zeros, nan, +-inf, a subnormal and the int64 extremes, with 0.0 and -0.0
+    # on both sides of each chunk edge, and a policy column that holds an id
+    # above 2^63 - 1 (a plain list, formatted per cell) or does not
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(nonstat.master, "LOG_CHUNK", chunk)
+        chunk = nonstat.master.LOG_CHUNK
+        rng = np.random.default_rng(seed)
+        log = RunLog(mdp_columns=mdp_columns)
+        n = 2 * chunk + 2 + extra % chunk
+        floats = _EDGE_FLOATS + [np.float64(-0.0), np.float64("nan"), 0.25]
+        ints = [0, 1, -1, -(2**63), 2**63 - 1, np.int64(-(2**63)), np.int64(2**63 - 1), 7]
+        pools = [["", "x,y", 'a "b"', "c\rd"] if name == "event" else ints if name in _INT_COLUMNS else floats
+                 for name in log.columns]
+        cells = [[pool[i] for i in rng.integers(len(pool), size=n)] for pool in pools]  # by column
+        for k, name in enumerate(log.columns):
+            if name not in _INT_COLUMNS and name != "event":
+                for edge in (chunk, 2 * chunk):
+                    cells[k][edge - 2:edge + 2] = [0.0, -0.0, -0.0, 0.0]
+        if fallback:
+            cells[log.columns.index("policy")][int(rng.integers(n))] = 2**63 + extra
+        rows = [list(row) for row in zip(*cells)]
+        for row in rows:
+            log.append(*row)
+        assert (log.column("policy").__class__ is list) == fallback
+        assert log.to_csv_text() == rowwise_csv(log) == appended_csv(log.columns, rows)
 
 
 def csv_cells(log):
@@ -1295,7 +1342,7 @@ def test_an_unhashable_value_in_an_int_column_is_written_per_cell(row):
 
 def test_run_bare_single_round():
     env = stationary(1)
-    log = run_bare(env, Ucb1(2, 1, 1.0 / 2), 1, seed=31)
+    log = run_bare(env, Ucb1(2, 1, 1.0 / 2), seed=31)
     assert len(log) == 1
     assert list(log.column("active_order")) == [-1]
 
@@ -1303,12 +1350,27 @@ def test_run_bare_single_round():
 def test_run_bare_sublinear_on_stationary():
     T = 4096
     env = stationary(T, (0.8, 0.2))
-    log = run_bare(env, Ucb1(2, T, 1.0 / T), T, seed=37)
+    log = run_bare(env, Ucb1(2, T, 1.0 / T), seed=37)
     regret = dynamic_regret(log)
     curve = np.cumsum(np.asarray(log.column("f_star")) - np.asarray(log.column("reward")))
     # second half accrues far less than the first half (sublinear)
     assert curve[-1] - curve[T // 2] < curve[T // 2] * 0.8
     assert regret < 0.2 * T
+
+
+def test_old_signature_calls_raise_type_error():
+    # both loops run over env.horizon and take the rest by keyword, so a call
+    # that passes the horizon fails instead of taking T as delta or seed
+    T = 64
+    env = stationary(T)
+    factory, delta = ucb1_stack(env, T)
+    with pytest.raises(TypeError):
+        run_master(env, factory, T, delta)
+    with pytest.raises(TypeError):
+        run_master(env, factory, T)
+    with pytest.raises(TypeError):
+        run_bare(env, factory(), T)
+    assert len(run_master(env, factory, delta=delta)) == len(run_bare(env, factory())) == T
 
 
 def test_kappa_zero_log_is_pinned():
@@ -1317,7 +1379,7 @@ def test_kappa_zero_log_is_pinned():
     T = 32
     env = mab(T, [{"length": 16, "means": [0.9, 0.1]}, {"length": 16, "means": [0.1, 0.9]}])
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, T, delta, kappa=0.0, seed=0)
+    log = run_master(env, factory, delta=delta, kappa=0.0, seed=0)
     text = log.to_csv_text()
     test2 = {8, 16, *range(17, 28), 29, 30, 32}
     expected = [(t, "test2" if t in test2 else "test1 m0#0", 0) for t in range(1, T + 1)]
@@ -1379,7 +1441,7 @@ def test_signal_restart_through_the_control_loop():
 def test_bare_run_ignores_the_restart_signal():
     T = 12
     updates = [0]
-    log = run_bare(stationary(T), SignalingLearner(1, updates), T)
+    log = run_bare(stationary(T), SignalingLearner(1, updates))
     assert updates == [T]
     assert log.restarts == []
     assert log.column("event") == [""] * T
@@ -1527,7 +1589,7 @@ def test_run_bare_draws_what_per_call_draws_give(kind, chunk, monkeypatch):
     env, factory = stream_env(kind, T)
     seen, _ = recording(env)
     made = capture_env_stream(monkeypatch, nonstat.master)
-    run_bare(env, factory(), T, seed=47)
+    run_bare(env, factory(), seed=47)
     assert len(made) == 1 and len(seen) >= T
     assert_per_call_draws(seen, made[0], 47)
 

@@ -762,10 +762,27 @@ def test_physical_state_persists_across_blocks():
 def test_nbar_arithmetic():
     assert nbar(2, 2, 4096, known_l=3) == 3.0
     assert nbar(2, 2, 4096, known_delta=1.0) == pytest.approx(25.0)
+    assert nbar(2, 2, 4096, known_l=np.int64(2)) == 2.0
+    assert nbar(2, 2, 4096, known_delta=0) == 1.0
     with pytest.raises(ValueError):
         nbar(2, 2, 4096)
     with pytest.raises(ValueError):
         nbar(2, 2, 4096, known_l=2, known_delta=1.0)
+
+
+@pytest.mark.parametrize("knowledge", [
+    {"known_l": 0}, {"known_l": -1}, {"known_l": 1.5}, {"known_l": True}, {"known_l": "2"},
+    {"known_delta": math.nan}, {"known_delta": math.inf}, {"known_delta": -math.inf}, {"known_delta": -1.0},
+    {"known_delta": "1"},
+])
+def test_nbar_rejects_knowledge_out_of_range(knowledge):
+    # known_l=0 gave a cap of 0.0, and known_delta=nan a cap of nan, which
+    # doubling_dbar's epoch count never exceeds
+    (field,) = knowledge
+    with pytest.raises(ValueError, match=rf"^{field}: "):
+        nbar(2, 2, 4096, **knowledge)
+    with pytest.raises(ValueError, match=rf"^{field}: "):
+        doubling_dbar(infinite_env(32), **knowledge)
 
 
 def test_doubling_dbar_runs_to_horizon():
