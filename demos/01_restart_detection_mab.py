@@ -32,7 +32,7 @@ print(f"switching 2-armed bandit, T={T}, optimal arm flips after round {SWITCH}"
 print(f"test threshold scale kappa={KAPPA}\n")
 
 for seed in range(5):
-    log = run_master(env, lambda: Ucb1(2, T, delta), delta=delta, kappa=KAPPA, seed=seed)
+    log = run_master(env, lambda: Ucb1(2, T, delta), kappa=KAPPA, seed=seed)
     bare = run_bare(env, Ucb1(2, T, delta), seed=seed)
     restarts = [ev.round for ev in log.restarts]
     post = [r for r in restarts if r > SWITCH]
@@ -43,7 +43,7 @@ for seed in range(5):
     )
 
 print("\nschedule anatomy of the first 12 rounds (seed 0):")
-log = run_master(env, lambda: Ucb1(2, T, delta), delta=delta, kappa=KAPPA, seed=0)
+log = run_master(env, lambda: Ucb1(2, T, delta), kappa=KAPPA, seed=0)
 for i in range(12):
     print(
         f"  t={log.column('t')[i]:>3} block={log.column('block')[i]} "

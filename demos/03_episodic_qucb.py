@@ -46,7 +46,7 @@ for t in (1, T):
           f"{env.n_policies} policies: {brute:.4f})")
 
 delta = 1.0 / T
-log = run_master(env, lambda: QUcb(S, A, H, T, delta), delta=delta, kappa=1.0, seed=0)
+log = run_master(env, lambda: QUcb(S, A, H, T, delta), kappa=1.0, seed=0)
 regret = dynamic_regret(log)
 curve = np.cumsum(np.asarray(log.column("f_star")) - np.asarray(log.column("reward")))
 print(f"\nreduction over Q-learning bonuses: regret {regret:.1f} over {T} episodes")

@@ -4,8 +4,10 @@ Each learner exposes, before every round, a clamped optimistic value
 predict() in [0, 1] and a policy act(); after the environment responds it
 consumes update(feedback), which is the only call that advances internal
 time.  rate() returns the RateFunction rho(t) of the learner's
-near-stationary regret, built from its constructor parameters alone (the
-reduction reads it from one fresh learner per control-loop call).
+near-stationary regret, built from its constructor parameters alone, and
+the attribute delta holds its constructor's confidence.  The reduction
+reads both from one fresh learner per control-loop call: its test
+thresholds are built from rho, delta and the environment's horizon.
 
 The reduction relies on two more facts.  predict/act are pure reads: they
 never change observable state, so any number of callers may read one fresh

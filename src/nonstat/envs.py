@@ -20,17 +20,19 @@ Every draw from it is rng.random() with no arguments, one double: the
 control loops (nonstat.master) pass a stream that serves those doubles
 from one chunked draw, and rely on that.
 
-The continuing MDP's segment oracles, J* (extended value iteration) and the
-diameter (hitting-time iteration), are pure functions of the segment's
-payload, a C-ordered float64 array that its shape and bytes determine.
-So they are memoized per process under that key (_segment_gain,
-_segment_diameter), each filled at the first read: a later read, in this
-build or in a later build of any spec with an equal segment, solves
-neither again and reads the bits a fresh solve gives.  Each memo keeps at
-most SEGMENT_MEMO_SIZE segments, least recently used first out; a failure
-is not memoized.  The loader's communicating check solves neither: it is
-the structural reachability test of mdp._check_communicating, run on every
-segment at every build, so a bad spec raises on every build.
+The continuing MDP's segment optimum J* (extended value iteration) is a
+pure function of the segment's payload, a C-ordered float64 array that its
+shape and bytes determine.  So it is memoized per process under that key
+(_segment_gain), filled at the first read: a later read, in this build or
+in a later build of any spec with an equal segment, does not solve it
+again and reads the bits a fresh solve gives.  The memo keeps at most
+SEGMENT_MEMO_SIZE segments, least recently used first out; a failure is
+not memoized.  A segment's diameter (hitting-time iteration) is solved at
+each read, as each of its readers (InfiniteEnv.diameter, max_diameter,
+nonstat diameter) reads a segment once.  The loader's communicating check
+solves neither: it is the structural reachability test of
+mdp._check_communicating, run on every segment at every build, so a bad
+spec raises on every build.
 
 Per-round drift traces Delta(t) are matched to the base learner each kind
 takes (the measure under which it satisfies its near-stationarity
@@ -167,7 +169,7 @@ def _sampling_tables(rewards, trans, axes):
 
 
 # ---------------------------------------------------------------------------
-# process-wide memos of the continuing MDP's segment oracles
+# the process-wide memo of the continuing MDP's segment gain
 
 SEGMENT_MEMO_SIZE = 64
 
@@ -194,19 +196,6 @@ def _segment_gain(shape: tuple, trans: bytes, rewards: bytes) -> float:
     from . import mdp
 
     return mdp.optimal_gain(_thaw(trans, shape), _thaw(rewards, shape[:2]))
-
-
-@functools.lru_cache(maxsize=SEGMENT_MEMO_SIZE)
-def _segment_diameter(shape: tuple, trans: bytes) -> float:
-    """mdp.compute_diameter of the (S, A, S) transitions with this shape and these bytes.
-
-    A key holds the transitions' 8*S*A*S bytes, so the memo holds at most
-    SEGMENT_MEMO_SIZE times that: 98 KB for segments with S=8, A=3, and
-    17 MB for segments with S=64, A=8.
-    """
-    from . import mdp
-
-    return mdp.compute_diameter(_thaw(trans, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +444,12 @@ class InfiniteEnv(_Env):
         )
 
     def diameter(self, t: int) -> float:
-        """Diameter of round t's segment, solved at its first read (memoized
-        per process); the loader checks only that the segment communicates."""
+        """Diameter of round t's segment, solved at each read; the loader
+        checks only that the segment communicates."""
+        from . import mdp
+
         _, trans = self._param(t)
-        return _segment_diameter(trans.shape, _bytes(trans))
+        return mdp.compute_diameter(trans)
 
     def segment_diameters(self):
         """Yield (first round, diameter) of each segment; a ValueError names the segment's first round."""

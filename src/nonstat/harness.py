@@ -91,8 +91,7 @@ def _learner(env, spec):
 
 
 def _master(env, spec, seed, run_index):
-    return run_master(env, _learner(env, spec), delta=spec["delta"], kappa=spec["kappa"], seed=seed,
-                      run_index=run_index)
+    return run_master(env, _learner(env, spec), kappa=spec["kappa"], seed=seed, run_index=run_index)
 
 
 def _bare(env, spec, seed, run_index):
@@ -146,18 +145,12 @@ def _is_number(value) -> bool:
 
 
 def _check_algo(algo: dict):
-    """Type checks of the algo values a run reads; SpecError names the key."""
-    known_delta = algo.get("known_delta", 0.0)
-    if not (_is_number(known_delta) and 0.0 <= known_delta < math.inf):
-        raise SpecError(f"spec.algo.known_delta: expected a finite number >= 0, got {known_delta!r}")
+    """Type checks of the algo values c and dbar; SpecError names the key."""
     if "c" in algo and not (_is_number(algo["c"]) and math.isfinite(algo["c"])):
         raise SpecError(f"spec.algo.c: expected a finite number, got {algo['c']!r}")
     dbar = algo.get("dbar", 1.0)
     if not (_is_number(dbar) and 1.0 <= dbar < math.inf):
         raise SpecError(f"spec.algo.dbar: expected a finite number >= 1, got {dbar!r}")
-    known_l = algo.get("known_l", 1)
-    if not (_is_int(known_l) and known_l > 0):
-        raise SpecError(f"spec.algo.known_l: expected a positive integer, got {known_l!r}")
 
 
 def validate_spec(spec: dict) -> dict:
@@ -171,7 +164,7 @@ def validate_spec(spec: dict) -> dict:
         if key not in spec:
             raise SpecError(f"spec.{key}: missing")
     algorithm = spec["algorithm"]
-    if algorithm not in ALGORITHMS:
+    if not (isinstance(algorithm, str) and algorithm in ALGORITHMS):
         raise SpecError(f"spec.algorithm: unknown {algorithm!r} (have {tuple(ALGORITHMS)})")
     try:
         env = make_env(spec["env"])
@@ -204,8 +197,13 @@ def validate_spec(spec: dict) -> dict:
     repeated = sorted(s for s, n in Counter(seeds).items() if n > 1)
     if repeated:  # each run writes seed_<seed>.csv
         raise SpecError(f"spec.seeds: repeated seeds {repeated}")
+    out = spec.get("out")
+    if not (out is None or isinstance(out, (str, os.PathLike))):
+        raise SpecError(f"spec.out: expected a path or null, got {out!r}")
     algo = spec.get("algo", {})
-    if not isinstance(algo, dict) or set(algo) - _ALGO_KEYS:
+    if not isinstance(algo, dict):
+        raise SpecError(f"spec.algo: expected an object, got {algo!r}")
+    if set(algo) - _ALGO_KEYS:
         raise SpecError(f"spec.algo: unknown keys {sorted(set(algo) - _ALGO_KEYS)}")
     for key in sorted(set(algo) - reads):
         if key == "dbar" and expected_kind == "infinite":
@@ -213,9 +211,11 @@ def validate_spec(spec: dict) -> dict:
             raise SpecError(f"spec.algo.dbar: {algorithm} chooses its own diameter guesses, so it takes none")
         raise SpecError(f"spec.algo.{key}: {algorithm} does not read it")
     _check_algo(algo)
-    if algorithm == "doubling-dbar":
-        if ("known_l" in algo) == ("known_delta" in algo):
-            raise SpecError("spec.algo: doubling-dbar needs exactly one of known_l / known_delta")
+    if algorithm == "doubling-dbar":  # its epoch cap checks the knowledge, and names the field
+        try:
+            mdp.nbar(env.n_states, env.n_actions, horizon, algo.get("known_l"), algo.get("known_delta"))
+        except ValueError as exc:
+            raise SpecError(f"spec.algo.{exc}") from None
     spec = {
         "env": spec["env"],
         "algorithm": algorithm,
@@ -223,7 +223,7 @@ def validate_spec(spec: dict) -> dict:
         "delta": float(delta),
         "kappa": float(kappa),
         "seeds": list(seeds),
-        "out": spec.get("out"),
+        "out": out,
         "algo": dict(algo),
     }
     # the run's base learner, and its rate where the run reads one, so that a

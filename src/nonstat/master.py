@@ -30,7 +30,9 @@ learner and interval sum from the runner's uid-indexed lists (nonstat.malg).
 run_master and run_bare run over env.horizon and serve every environment
 kind through its round adapter, which carries the MDP log columns, rho_hat's
 factor: 6 (BanditWorld), or 18 (AverageRewardWorld), and last_update_read,
-which the scheduler reads (nonstat.malg).
+which the scheduler reads (nonstat.malg).  master_core reads the horizon T
+from the adapter's env and the confidence delta from the learner it builds
+for rate(), so no caller passes either.
 
 A failed test aborts the epoch: everything restarts from scratch at the
 next round (block order back to 0, all instances discarded).  A third
@@ -355,7 +357,16 @@ class RunLog:
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(f"line {reader.line_num}: {len(row)} cells, expected {len(header)}")
-            log.append(*[parse(cell) for parse, cell in zip(parsers, row)])
+            try:
+                values = [parse(cell) for parse, cell in zip(parsers, row)]
+            except ValueError:  # name the first cell that does not parse
+                for name, parse, cell in zip(header, parsers, row):
+                    try:
+                        parse(cell)
+                    except ValueError as exc:
+                        raise ValueError(f"line {reader.line_num}, column {name}: {exc}") from None
+                raise
+            log.append(*values)
         return log
 
 
@@ -523,37 +534,28 @@ class _Uniforms:
         del self.random  # which also frees the cycle self -> chain -> self._chunk
 
 
-def master_core(
-    world,
-    factory,
-    horizon: int,
-    delta: float,
-    kappa: float,
-    rng_env,
-    rng_sched,
-    log: RunLog,
-    *,
-    start_t: int = 1,
-    end_t: int | None = None,
-    max_epochs: int | None = None,
-):
+def master_core(world, factory, kappa: float, rng_env, rng_sched, log: RunLog, *, start_t: int = 1,
+                end_t: int | None = None, max_epochs: int | None = None):
     """Shared control loop; returns (next_round, stop_reason).
 
-    factory() builds a fresh base learner; the scheduler and both tests read
-    the rate() of one learner built before the first round.  Rounds run over
-    [start_t, end_t] (end_t defaults to the horizon, which always sets the
-    test thresholds).  stop_reason is "done" when the range is exhausted or
+    factory() builds a fresh base learner.  One learner built before the
+    first round gives the rate() that the scheduler and both tests read and
+    the confidence delta that the tests read; the horizon T of the tests is
+    world.env.horizon.  Rounds run over [start_t, end_t] (end_t defaults to
+    T).  stop_reason is "done" when the range is exhausted or
     "epoch_overflow" when starting one more epoch would exceed max_epochs
     (the doubling-guess strategy reacts to that).
     kappa = +inf disables both tests; world.rho_factor inflates both thresholds.
     rng_env (_Uniforms) and rng_sched (MalgRunner.cut) must be PCG64 Generators.
     """
+    horizon = world.env.horizon
     if end_t is None:
         end_t = horizon
     t = start_t
     epochs_done = 0
-    rate = factory().rate()
-    thresholds = _shared_thresholds(rate, horizon, delta, kappa, world.rho_factor)
+    learner = factory()
+    rate = learner.rate()
+    thresholds = _shared_thresholds(rate, horizon, learner.delta, kappa, world.rho_factor)
     order_thresholds, length_thresholds = thresholds.order, thresholds.length
     draws = _Uniforms(rng_env)
     try:
@@ -628,17 +630,12 @@ def _world_for(env):
     return AverageRewardWorld(env) if env.kind == "infinite" else BanditWorld(env)
 
 
-def run_master(env, factory, *, delta: float | None = None, kappa: float = 1.0, seed: int = 0,
-               run_index: int = 0) -> RunLog:
-    """Full run of the reduction over an environment of any kind, over env.horizon."""
-    if delta is None:
-        delta = 1.0 / env.horizon
+def run_master(env, factory, *, kappa: float = 1.0, seed: int = 0, run_index: int = 0) -> RunLog:
+    """Full run of the reduction over an environment of any kind, over env.horizon,
+    at the confidence delta of factory's learners."""
     world = _world_for(env)
     log = RunLog(mdp_columns=world.mdp_columns)
-    master_core(
-        world, factory, env.horizon, delta, kappa,
-        seed_derive(seed, run_index, "env"), seed_derive(seed, run_index, "sched"), log,
-    )
+    master_core(world, factory, kappa, seed_derive(seed, run_index, "env"), seed_derive(seed, run_index, "sched"), log)
     return log
 
 

@@ -375,7 +375,7 @@ def run_master_ucrl(
     """The reduction over the average-reward learner with a fixed diameter guess, over env.horizon."""
     if delta is None:
         delta = 1.0 / env.horizon
-    return run_master(env, _ucrl_factory(env, delta, dbar), delta=delta, kappa=kappa, seed=seed, run_index=run_index)
+    return run_master(env, _ucrl_factory(env, delta, dbar), kappa=kappa, seed=seed, run_index=run_index)
 
 
 def nbar(
@@ -387,12 +387,13 @@ def nbar(
 ) -> float:
     """Epoch cap for the doubling diameter-guess strategy."""
     if (known_l is None) == (known_delta is None):
-        raise ValueError("exactly one of known_l / known_delta must be given")
+        raise ValueError("known_l / known_delta: exactly one must be given")
     if known_l is not None:
         if not (isinstance(known_l, numbers.Integral) and not isinstance(known_l, bool) and known_l >= 1):
             raise ValueError(f"known_l: expected an integer >= 1, got {known_l!r}")
         return float(known_l)
-    if not (isinstance(known_delta, numbers.Real) and 0.0 <= known_delta < math.inf):
+    if not (isinstance(known_delta, numbers.Real) and not isinstance(known_delta, bool)
+            and 0.0 <= known_delta < math.inf):
         raise ValueError(f"known_delta: expected a finite number >= 0, got {known_delta!r}")
     return 1.0 + 3.0 * (known_delta**2 * horizon / (n_states**2 * n_actions)) ** (1.0 / 3.0)
 
@@ -425,9 +426,7 @@ def doubling_dbar(
     t = 1
     while t <= horizon:
         factory = _ucrl_factory(env, delta, dbar)
-        t, reason = master_core(
-            world, factory, horizon, delta, kappa, rng_env, rng_sched, log, start_t=t, max_epochs=cap,
-        )
+        t, reason = master_core(world, factory, kappa, rng_env, rng_sched, log, start_t=t, max_epochs=cap)
         if reason == "epoch_overflow":
             dbar *= 2.0
             if len(log):
@@ -506,7 +505,7 @@ def borl(
         end = min(t + block - 1, horizon)
         first = len(log)
         factory = _ucrl_factory(env, delta, float(1 << arm))
-        master_core(world, factory, horizon, delta, kappa, rng_env, rng_sched, log, start_t=t, end_t=end)
+        master_core(world, factory, kappa, rng_env, rng_sched, log, start_t=t, end_t=end)
         total = 0.0
         for reward in log.column("reward")[first:]:
             total += reward

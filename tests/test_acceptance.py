@@ -144,7 +144,7 @@ def test_acceptance_03_no_false_restarts():
     )
     clean = 0
     for seed in range(50):
-        log = run_master(env, lambda: Ucb1(5, T, delta), delta=delta, kappa=1.0, seed=seed)
+        log = run_master(env, lambda: Ucb1(5, T, delta), kappa=1.0, seed=seed)
         clean += not log.restarts
     elapsed = time.time() - t_start
     ok = clean >= 48 and elapsed < 120.0
@@ -173,7 +173,7 @@ def test_acceptance_04_detection_and_benefit():
     master_regrets = []
     bare_regrets = []
     for seed in range(50):
-        log = run_master(env, lambda: Ucb1(2, T, delta), delta=delta, kappa=0.05, seed=seed)
+        log = run_master(env, lambda: Ucb1(2, T, delta), kappa=0.05, seed=seed)
         master_regrets.append(dynamic_regret(log))
         if any(T // 2 < ev.round <= T // 2 + 2048 for ev in log.restarts):
             detected += 1
@@ -216,7 +216,7 @@ def test_acceptance_05_sqrt_lt_scaling():
             regrets = []
             for seed in range(seeds):
                 log = run_master(
-                    env, lambda: Ucb1(5, T, delta), delta=delta, kappa=0.05, seed=seed
+                    env, lambda: Ucb1(5, T, delta), kappa=0.05, seed=seed
                 )
                 regrets.append(dynamic_regret(log))
             table[(L, T)] = float(np.mean(regrets)) / math.sqrt(L * T)

@@ -102,10 +102,8 @@ def test_diameter_reads_a_file_whose_name_looks_like_json(tmp_path, monkeypatch,
 
 def test_diameter_past_its_iteration_cap_is_a_runtime_error(tmp_path, monkeypatch, capsys):
     # the loader checks reachability only: the spec loads, and its hitting times fail at the read
-    import nonstat.envs
     import nonstat.mdp
 
-    nonstat.envs._segment_diameter.cache_clear()
     monkeypatch.setattr(nonstat.mdp, "DIAMETER_MAX_ITER", 1)
     assert main(["diameter", "--mdp", write_mdp(tmp_path)]) == 3
     out, err = capsys.readouterr()
@@ -210,6 +208,25 @@ def test_run_rejects_an_algo_key_its_algorithm_never_reads_before_any_seed(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("algo", None, "spec.algo: expected an object"),
+        ("algo", 5, "spec.algo: expected an object"),
+        ("algo", ["c"], "spec.algo: expected an object"),
+        ("algorithm", ["x"], "spec.algorithm: unknown ['x']"),
+        ("out", 5, "spec.out: expected a path or null"),
+    ],
+)
+def test_run_names_a_wrongly_typed_field_with_exit_2(tmp_path, capsys, key, value, message):
+    cfg = json.loads(open(write_config(tmp_path)).read())
+    cfg[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
 def test_run_accepts_the_bare_form_of_the_one_arm_spec(tmp_path, capsys):
     # the bare learner never reads its rate, so nothing rejects this spec
     spec = dict(LEARNER_REJECTS["one-arm-rate"][0], algorithm="ucb1")
@@ -235,8 +252,10 @@ def one_row_log_text():
         (one_row_log_text().replace(",1.0,\n", ",1.0,,x\n"), "line 2: 11 cells, expected 10"),
         # csv.reader's field size limit
         (one_row_log_text().replace(",1.0,\n", ",1.0," + "e" * 200_000 + "\n"), "field larger than field limit"),
+        # a cell its column's parser rejects
+        (one_row_log_text().replace("\n1,", "\nx,"), "line 2, column t: invalid literal for int()"),
     ],
-    ids=["empty", "short-row", "long-row", "field-limit"],
+    ids=["empty", "short-row", "long-row", "field-limit", "bad-cell"],
 )
 def test_regret_rejects_a_malformed_log(tmp_path, capsys, text, message):
     path = tmp_path / "bad.csv"

@@ -17,7 +17,6 @@ from nonstat.envs import (
     InfiniteEnv,
     _Segments,
     _sampling_tables,
-    _segment_diameter,
     _segment_gain,
     decode_layer_policy,
     decode_policy,
@@ -814,7 +813,7 @@ def test_loader_rejects_noncommunicating():
 
 def count_oracle_calls(monkeypatch):
     """Route mdp.optimal_gain and mdp.compute_diameter through counters, with
-    both segment memos emptied first; returns the counts by name."""
+    the segment gain memo emptied first; returns the counts by name."""
     import nonstat.mdp
 
     calls = {"gain": 0, "diameter": 0}
@@ -829,7 +828,6 @@ def count_oracle_calls(monkeypatch):
     monkeypatch.setattr(nonstat.mdp, "optimal_gain", counted("gain", nonstat.mdp.optimal_gain))
     monkeypatch.setattr(nonstat.mdp, "compute_diameter", counted("diameter", nonstat.mdp.compute_diameter))
     _segment_gain.cache_clear()
-    _segment_diameter.cache_clear()
     return calls
 
 
@@ -838,26 +836,6 @@ def infinite_spec(rewards, trans, lengths):
     segments = [{"length": n, "rewards": np.asarray(r).tolist(), "transitions": np.asarray(p).tolist()}
                 for n, r, p in zip(lengths, rewards, trans)]
     return {"kind": "infinite", "T": sum(lengths), "S": n_states, "A": n_actions, "segments": segments}
-
-
-def test_each_distinct_segment_diameter_is_computed_once_per_process(monkeypatch):
-    # the loader computes none; the first read computes it, and max_diameter,
-    # diameter(t), the diameter command and later builds read the process-wide memo
-    from nonstat.cli import main
-
-    calls = count_oracle_calls(monkeypatch)
-    seg = {"rewards": [[0.5], [0.5]], "transitions": [[[0, 1]], [[1, 0]]]}
-    spec = {"kind": "infinite", "T": 6, "S": 2, "A": 1, "segments": [dict(seg, length=2), dict(seg, length=4)]}
-    env = make_env(spec)
-    assert calls["diameter"] == 0
-    assert env.max_diameter() == env.diameter(6) == 1.0
-    assert calls["diameter"] == 1  # two equal segments
-    assert list(env.segment_diameters()) == [(1, 1.0), (3, 1.0)]
-    with pytest.raises(ValueError, match=r"round 7 outside \[1, 6\]"):
-        env.diameter(7)
-    monkeypatch.setattr("nonstat.cli.load_env", lambda path: make_env(spec))
-    assert main(["diameter", "--mdp", "spec.json"]) == 0
-    assert calls["diameter"] == 1  # one fresh load, no fresh compute
 
 
 @st.composite
@@ -889,7 +867,6 @@ def test_segment_memos_are_bitwise_the_direct_oracles(mdp_draw):
     rewards, trans, lengths = mdp_draw
     spec = infinite_spec(rewards, trans, lengths)
     _segment_gain.cache_clear()
-    _segment_diameter.cache_clear()
     starts = np.cumsum([1] + lengths[:-1]).tolist()
     for _ in range(2):  # the first build fills the memos, the second reads them
         env = make_env(spec)
@@ -906,11 +883,10 @@ def test_second_build_of_a_spec_solves_no_oracle(monkeypatch):
     env = make_env(spec)
     assert calls == {"gain": 0, "diameter": 0}  # each is solved at its first read
     first = [env.optimal_value(t) for t in range(1, 9)]
-    diameter = env.max_diameter()
+    env.max_diameter()
     assert calls == {"gain": 2, "diameter": 2}
     again = make_env(spec)
     assert [again.optimal_value(t) for t in range(1, 9)] == first
-    assert again.max_diameter() == diameter
     assert calls == {"gain": 2, "diameter": 2}
 
 
@@ -1004,28 +980,15 @@ def test_a_diameter_past_its_iteration_cap_fails_at_its_read(monkeypatch):
     with pytest.raises(ValueError, match=r"^segment starting at round 1: hitting-time iteration failed to "
                                          r"converge in DIAMETER_MAX_ITER=1 sweeps$"):
         env.max_diameter()
-    assert _segment_diameter.cache_info().currsize == 0  # a failure is not memoized
-
-
-def test_segment_memo_keys_hold_the_shape():
-    # the same 16 zero bytes: one state with 16 actions communicates (diameter 0),
-    # two states with 4 actions do not
-    zeros = bytes(16 * 8)
-    assert _segment_diameter((1, 16, 1), zeros) == 0.0
-    with pytest.raises(ValueError, match="not communicating"):
-        _segment_diameter((2, 4, 2), zeros)
 
 
 def test_segment_memos_hold_at_most_their_bound():
     _segment_gain.cache_clear()
-    _segment_diameter.cache_clear()
     for a in range(1, SEGMENT_MEMO_SIZE + 9):  # one state, a actions: a distinct segment each
         env = make_env(infinite_spec([np.full((1, a), 0.5)], [np.ones((1, a, 1))], [1]))
-        env.optimal_value(1), env.diameter(1)
-        for memo in (_segment_gain, _segment_diameter):
-            assert memo.cache_info().currsize <= SEGMENT_MEMO_SIZE
-    for memo in (_segment_gain, _segment_diameter):
-        assert memo.cache_info().maxsize == memo.cache_info().currsize == SEGMENT_MEMO_SIZE
+        env.optimal_value(1)
+        assert _segment_gain.cache_info().currsize <= SEGMENT_MEMO_SIZE
+    assert _segment_gain.cache_info().maxsize == _segment_gain.cache_info().currsize == SEGMENT_MEMO_SIZE
 
 
 def test_glm_loader_and_values():

@@ -128,6 +128,29 @@ def test_validate_rejects_bad_algorithm():
         validate_spec(experiment(algorithm="zap"))
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"algo": None}, r"^spec\.algo: expected an object, got None$"),
+        ({"algo": 5}, r"^spec\.algo: expected an object, got 5$"),
+        ({"algo": ["c"]}, r"^spec\.algo: expected an object, got \['c'\]$"),
+        ({"algorithm": ["x"]}, r"^spec\.algorithm: unknown \['x'\]"),
+        ({"out": 5}, r"^spec\.out: expected a path or null, got 5$"),
+    ],
+    ids=["algo-null", "algo-int", "algo-list", "algorithm-list", "out-int"],
+)
+def test_validate_names_a_wrongly_typed_field(overrides, message):
+    # each raised a TypeError (or, for out, an OSError from os.makedirs) before
+    with pytest.raises(SpecError, match=message):
+        validate_spec(experiment(**overrides))
+
+
+def test_validate_keeps_an_out_path(tmp_path):
+    assert validate_spec(experiment(out=tmp_path))["out"] == tmp_path
+    assert validate_spec(experiment(out=str(tmp_path)))["out"] == str(tmp_path)
+    assert validate_spec(experiment(out=None))["out"] is None
+
+
 def test_validate_rejects_env_algo_mismatch():
     with pytest.raises(SpecError, match="needs a"):
         validate_spec(experiment(algorithm="master+oful"))

@@ -358,7 +358,7 @@ def assert_control_loop_matches_the_slot_oracle(monkeypatch, env, factory, kappa
         log, rng_env, rng_sched = master.RunLog(), seed_derive(seed, 0, "env"), seed_derive(seed, 0, "sched")
         states = []
         for start, end in [(1, T * 77 // 256), (T * 77 // 256 + 1, T * 200 // 256), (T * 200 // 256 + 1, T)]:
-            master.master_core(master.BanditWorld(env), factory, T, 1.0 / T, kappa,
+            master.master_core(master.BanditWorld(env), factory, kappa,
                                rng_env, rng_sched, log, start_t=start, end_t=end)
             states.append(rng_sched.bit_generator.state)
         return log, states
@@ -471,7 +471,7 @@ def recorded_runners(monkeypatch, world, factory, kappa, seed=5):
     monkeypatch.setattr(master, "MalgRunner", RecordingRunner)
     T = world.env.horizon
     log = master.RunLog(mdp_columns=world.mdp_columns)
-    master.master_core(world, factory, T, 1.0 / T, kappa, seed_derive(seed, 0, "env"),
+    master.master_core(world, factory, kappa, seed_derive(seed, 0, "env"),
                        seed_derive(seed, 0, "sched"), log)
     assert len(log) == T
     return RecordingRunner.runners

@@ -78,6 +78,7 @@ class ScriptedWorld:
 
     def __init__(self, rewards):
         self.rewards = rewards
+        self.env = types.SimpleNamespace(horizon=len(rewards))  # the horizon T that master_core reads
 
     def play(self, t, policy, rng):
         return self.rewards[t - 1], (0, self.rewards[t - 1]), 1.0
@@ -89,8 +90,9 @@ class ScriptedWorld:
 class ScriptedLearner:
     restart_signaled = False
 
-    def __init__(self, values):
+    def __init__(self, values, delta):
         self.values = values
+        self.delta = delta  # the confidence that master_core reads
         self.i = 0
 
     def rate(self):
@@ -109,19 +111,17 @@ class ScriptedLearner:
 def run_scripted(g_values, rewards, kappa, T=None):
     T = T or len(rewards)
     log = RunLog()
-    learners = [ScriptedLearner(list(g_values))]
+    learners = [ScriptedLearner(list(g_values), 1.0 / T)]
 
     def factory():
         # every instance shares the scripted emission stream
-        inst = ScriptedLearner(learners[0].values)
+        inst = ScriptedLearner(learners[0].values, 1.0 / T)
         inst.i = learners[0].i
         return inst
 
     master_core(
         ScriptedWorld(rewards),
         factory,
-        T,
-        1.0 / T,
         kappa,
         seed_derive(0, 0, "env"),
         seed_derive(0, 0, "sched"),
@@ -210,7 +210,7 @@ def _shared_table_run(case):
     if name == "doubling_dbar":
         return doubling_dbar(make_env(SWAP_MDP), known_l=2, kappa=kappa, seed=3)
     env = make_env(SWITCH_ENV)
-    return run_master(env, lambda: Ucb1(2, 512, 1 / 512), delta=1 / 512, kappa=kappa, seed=3)
+    return run_master(env, lambda: Ucb1(2, 512, 1 / 512), kappa=kappa, seed=3)
 
 
 @pytest.mark.parametrize(
@@ -420,8 +420,8 @@ class RoundScriptedLearner(ScriptedLearner):
     """Emits values[t - 1] at round t: every instance reads one shared round
     count, which each predict() advances."""
 
-    def __init__(self, values, rounds):
-        super().__init__(values)
+    def __init__(self, values, rounds, delta):
+        super().__init__(values, delta)
         self.rounds = rounds
 
     def predict(self):
@@ -440,7 +440,7 @@ def test_a_value_outside_the_unit_interval_raises_before_its_row(g_tilde, reward
     log = RunLog()
     message = rf"^round {bad}: g_tilde {re.escape(repr(g_tilde))} and reward {re.escape(repr(reward))} "
     with pytest.raises(ValueError, match=message):
-        master_core(ScriptedWorld(rewards), lambda: RoundScriptedLearner(g_values, rounds), T, 1.0 / T, 1e-3,
+        master_core(ScriptedWorld(rewards), lambda: RoundScriptedLearner(g_values, rounds, 1.0 / T), 1e-3,
                     seed_derive(0, 0, "env"), seed_derive(0, 0, "sched"), log)
     assert len(log) == bad - 1
     assert list(log.column("g_tilde")) == g_values[: bad - 1]
@@ -485,7 +485,7 @@ def test_kappa_infinite_disables_tests():
     T = 64
     env = stationary(T)
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, delta=delta, kappa=math.inf, seed=3)
+    log = run_master(env, factory, kappa=math.inf, seed=3)
     assert log.restarts == []
     blocks = list(log.column("block"))
     # doubling layout: block orders 0,1,1,2,2,2,2,...
@@ -501,7 +501,7 @@ def test_kappa_one_no_false_restarts_smoke():
     T = 2048
     env = stationary(T, (0.3, 0.6, 0.5))
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, delta=delta, kappa=1.0, seed=5)
+    log = run_master(env, factory, kappa=1.0, seed=5)
     assert log.restarts == []
 
 
@@ -513,7 +513,7 @@ def test_u_min_is_running_minimum():
     T = 256
     env = stationary(T)
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, delta=delta, kappa=math.inf, seed=7)
+    log = run_master(env, factory, kappa=math.inf, seed=7)
     blocks = np.asarray(log.column("block"))
     g = np.asarray(log.column("g_tilde"))
     u = np.asarray(log.column("u_min"))
@@ -542,7 +542,7 @@ def test_restart_erases_state_suffix_equality():
     rng_sched_a = seed_derive(11, 0, "sched")
     log_a = RunLog()
     # kappa=0 makes test 1 fire at round 1 (avg >= u_min + 0)
-    master_core(BanditWorld(env), factory, T, delta, 0.0, rng_env_a, rng_sched_a, log_a)
+    master_core(BanditWorld(env), factory, 0.0, rng_env_a, rng_sched_a, log_a)
     assert log_a.restarts and log_a.restarts[0].round == 1
 
     # replicate: one manual round with the same stream, then a fresh core
@@ -553,7 +553,7 @@ def test_restart_erases_state_suffix_equality():
     r, fb = env.play(1, pol, rng_env_b)
     runner.finish_round(1, r, fb)
     log_b = RunLog()
-    master_core(BanditWorld(env), factory, T, delta, 0.0, rng_env_b, rng_sched_b, log_b, start_t=2)
+    master_core(BanditWorld(env), factory, 0.0, rng_env_b, rng_sched_b, log_b, start_t=2)
     assert log_a.column("policy")[1:] == log_b.column("policy")
     assert log_a.column("reward")[1:] == log_b.column("reward")
     assert log_a.column("g_tilde")[1:] == log_b.column("g_tilde")
@@ -565,7 +565,7 @@ def test_tests_disabled_master_equals_malg():
     T = 31  # blocks 1,2,4,8,16 exactly
     env = stationary(T)
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, delta=delta, kappa=math.inf, seed=13)
+    log = run_master(env, factory, kappa=math.inf, seed=13)
 
     rng_env = seed_derive(13, 0, "env")
     rng_sched = seed_derive(13, 0, "sched")
@@ -589,7 +589,7 @@ def test_block_orders_reset_after_restart():
     env = stationary(T, (0.9, 0.1))
     factory, delta = ucb1_stack(env, T)
     log = RunLog()
-    master_core(BanditWorld(env), factory, T, delta, 0.0,
+    master_core(BanditWorld(env), factory, 0.0,
                 seed_derive(17, 0, "env"), seed_derive(17, 0, "sched"), log)
     # kappa=0 restarts every round: every row is block 0 of a new epoch
     assert list(log.column("block")) == [0] * T
@@ -602,7 +602,7 @@ def test_at_most_one_restart_event_per_round():
     env = stationary(T, (0.9, 0.1))
     factory, delta = ucb1_stack(env, T)
     log = RunLog()
-    master_core(BanditWorld(env), factory, T, delta, 1e-9,
+    master_core(BanditWorld(env), factory, 1e-9,
                 seed_derive(19, 0, "env"), seed_derive(19, 0, "sched"), log)
     rounds = [ev.round for ev in log.restarts]
     assert len(rounds) == len(set(rounds))
@@ -643,7 +643,7 @@ def test_dynamic_regret_matches_second_pass_exactly():
         {"length": 256, "means": [0.1, 0.9]},
     ])
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, delta=delta, kappa=1.0, seed=23)
+    log = run_master(env, factory, kappa=1.0, seed=23)
     text = log.to_csv_text()
     reread = RunLog.from_csv(text)
     total = 0.0
@@ -656,7 +656,7 @@ def test_csv_roundtrip_bit_exact():
     T = 128
     env = stationary(T)
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, delta=delta, kappa=1.0, seed=29)
+    log = run_master(env, factory, kappa=1.0, seed=29)
     text = log.to_csv_text()
     again = RunLog.from_csv(text).to_csv_text()
     assert text == again
@@ -669,7 +669,7 @@ def test_csv_roundtrip_keeps_restart_blocks():
         {"length": 256, "means": [0.1, 0.9]},
     ])
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, delta=delta, kappa=1e-4, seed=31)
+    log = run_master(env, factory, kappa=1e-4, seed=31)
     assert any(ev.block > 0 for ev in log.restarts)
     assert RunLog.from_csv(log.to_csv_text()).restarts == log.restarts
 
@@ -731,7 +731,7 @@ def test_event_column_reads_agree_on_restart_heavy_runs(kappa, seed, cuts, reads
     def make_log(log_class):
         log, rng_env, rng_sched = log_class(), seed_derive(seed, 0, "env"), seed_derive(seed, 0, "sched")
         for a, b in zip(bounds, bounds[1:]):
-            master_core(BanditWorld(env), factory, T, delta, kappa, rng_env, rng_sched, log,
+            master_core(BanditWorld(env), factory, kappa, rng_env, rng_sched, log,
                         start_t=a + 1, end_t=b)
         return log
 
@@ -820,7 +820,7 @@ def test_each_block_schedule_fills_one_run_of_consecutive_rows(kappa, seed):
     log, rng_env, rng_sched = CellLog(), seed_derive(seed, 0, "env"), seed_derive(seed, 0, "sched")
     bounds = [0, 77, 300, T]
     for a, b in zip(bounds, bounds[1:]):
-        master_core(BanditWorld(env), factory, T, delta, kappa, rng_env, rng_sched, log, start_t=a + 1, end_t=b)
+        master_core(BanditWorld(env), factory, kappa, rng_env, rng_sched, log, start_t=a + 1, end_t=b)
     rounds, blocks = list(log.column("t")), list(log.column("block"))
     restart_rounds = {ev.round for ev in log.restarts}
     seen, cuts = set(), []
@@ -1079,6 +1079,23 @@ def test_csv_text_roundtrip_keeps_a_lone_surrogate():
     reread = RunLog.from_csv(text)
     assert reread.column("event") == ["a\ud800,b"]
     assert reread.to_csv_text() == text
+
+
+@pytest.mark.parametrize("column, cell, message", [
+    ("block", "x", "invalid literal for int() with base 10: 'x'"),
+    ("reward", "0.5.1", "could not convert string to float: '0.5.1'"),
+])
+def test_csv_reader_names_the_line_and_column_of_a_cell_it_cannot_parse(column, cell, message):
+    log = RunLog()
+    for t in (1, 2):
+        log.append(t, 0, 0, 0, 0, 0.5, 1.0, 1.0, 1.0, "")
+    lines = log.to_csv_text().split("\n")
+    cells = lines[2].split(",")
+    cells[log.columns.index(column)] = cell
+    lines[2] = ",".join(cells)
+    with pytest.raises(ValueError) as info:
+        RunLog.from_csv("\n".join(lines))
+    assert str(info.value) == f"line 3, column {column}: {message}"
 
 
 def test_csv_roundtrip_through_a_file_with_multiline_events(tmp_path):
@@ -1360,7 +1377,9 @@ def test_run_bare_sublinear_on_stationary():
 
 def test_old_signature_calls_raise_type_error():
     # both loops run over env.horizon and take the rest by keyword, so a call
-    # that passes the horizon fails instead of taking T as delta or seed
+    # that passes the horizon fails instead of taking T as delta or seed; the
+    # reduction reads delta from the learner, so a call that passes it fails
+    # instead of running the learner and the tests at two different deltas
     T = 64
     env = stationary(T)
     factory, delta = ucb1_stack(env, T)
@@ -1370,7 +1389,25 @@ def test_old_signature_calls_raise_type_error():
         run_master(env, factory, T)
     with pytest.raises(TypeError):
         run_bare(env, factory(), T)
-    assert len(run_master(env, factory, delta=delta)) == len(run_bare(env, factory())) == T
+    with pytest.raises(TypeError):
+        run_master(env, factory, delta=delta)
+    with pytest.raises(TypeError):  # master_core(world, factory, horizon, delta, kappa, rng_env, rng_sched, log)
+        master_core(BanditWorld(env), factory, T, delta, 1.0, seed_derive(0, 0, "env"), seed_derive(0, 0, "sched"),
+                    RunLog())
+    assert len(run_master(env, factory)) == len(run_bare(env, factory())) == T
+
+
+def test_delta_of_the_tests_is_the_learners():
+    # a master+UCB1 log at T=2^10 and kappa=1e-4, where restarts are live,
+    # with delta=0.3 in the learner: the SHA-256 of the log written when the
+    # run was also given delta=0.3, which a run at delta=1/T does not match
+    T = 1 << 10
+    env = mab(T, [{"length": T // 2, "means": [0.9, 0.1]}, {"length": T // 2, "means": [0.1, 0.9]}])
+    log = run_master(env, lambda: Ucb1(2, T, 0.3), kappa=1e-4, seed=0)
+    assert len(log.restarts) == 488
+    assert hashlib.sha256(log.to_csv_text().encode()).hexdigest() == (
+        "fa266554f011dd477dd88feb81eedef5a2bfb878e4925e16bdb9bbdfd32dd9f6"
+    )
 
 
 def test_kappa_zero_log_is_pinned():
@@ -1379,7 +1416,7 @@ def test_kappa_zero_log_is_pinned():
     T = 32
     env = mab(T, [{"length": 16, "means": [0.9, 0.1]}, {"length": 16, "means": [0.1, 0.9]}])
     factory, delta = ucb1_stack(env, T)
-    log = run_master(env, factory, delta=delta, kappa=0.0, seed=0)
+    log = run_master(env, factory, kappa=0.0, seed=0)
     text = log.to_csv_text()
     test2 = {8, 16, *range(17, 28), 29, 30, 32}
     expected = [(t, "test2" if t in test2 else "test1 m0#0", 0) for t in range(1, T + 1)]
@@ -1398,9 +1435,10 @@ class SignalingLearner:
     """Scripted learner whose restart signal turns on at the k-th update made
     by any instance of the run (the count is shared through `updates`)."""
 
-    def __init__(self, k, updates):
+    def __init__(self, k, updates, delta):
         self.k = k
         self.updates = updates
+        self.delta = delta  # the confidence that master_core reads
 
     def rate(self):
         return SQRT_RATE
@@ -1427,8 +1465,8 @@ def test_signal_restart_through_the_control_loop():
     updates = [0]
     log = RunLog()
     master_core(
-        ScriptedWorld([0.5] * T), lambda: SignalingLearner(k, updates), T, 1.0 / T,
-        math.inf, seed_derive(0, 0, "env"), seed_derive(0, 0, "sched"), log,
+        ScriptedWorld([0.5] * T), lambda: SignalingLearner(k, updates, 1.0 / T), math.inf,
+        seed_derive(0, 0, "env"), seed_derive(0, 0, "sched"), log,
     )
     expected = [(k, "mdp_signal", 2)] + [(t, "mdp_signal", 0) for t in range(k + 1, T + 1)]
     assert [(ev.round, ev.cause, ev.block) for ev in log.restarts] == expected
@@ -1441,7 +1479,7 @@ def test_signal_restart_through_the_control_loop():
 def test_bare_run_ignores_the_restart_signal():
     T = 12
     updates = [0]
-    log = run_bare(stationary(T), SignalingLearner(1, updates))
+    log = run_bare(stationary(T), SignalingLearner(1, updates, 1.0 / T))
     assert updates == [T]
     assert log.restarts == []
     assert log.column("event") == [""] * T
@@ -1548,7 +1586,7 @@ def test_the_environment_draws_what_per_call_draws_give_across_restarts(kind, ch
     world = nonstat.master._world_for(env)
     log = RunLog(mdp_columns=world.mdp_columns)
     rng_env = seed_derive(41, 0, "env")
-    assert master_core(world, factory, T, 1.0 / T, 1e-4, rng_env, seed_derive(41, 0, "sched"), log) == (T + 1, "done")
+    assert master_core(world, factory, 1e-4, rng_env, seed_derive(41, 0, "sched"), log) == (T + 1, "done")
     assert log.restarts and len(seen) >= T
     assert_per_call_draws(seen, rng_env, 41)
     assert not hasattr(streams[0], "random")  # the stream ended with its loop call
@@ -1564,7 +1602,7 @@ def test_calls_over_cut_ranges_share_rng_env_as_per_call_draws_do(kind, chunk):
     rng_env, rng_sched = seed_derive(43, 0, "env"), seed_derive(43, 0, "sched")
     bounds = (0, 1, 6, 7, 30, 57, T)
     for a, b in zip(bounds, bounds[1:]):
-        master_core(world, factory, T, 1.0 / T, 1e-4, rng_env, rng_sched, log, start_t=a + 1, end_t=b)
+        master_core(world, factory, 1e-4, rng_env, rng_sched, log, start_t=a + 1, end_t=b)
         assert_per_call_draws(seen, rng_env, 43)
     assert len(log) == T and len(set(map(id, streams))) == len(bounds) - 1
 
@@ -1602,7 +1640,7 @@ def test_a_run_stopped_by_the_unit_interval_check_leaves_rng_env_synced(kind, ch
     world = nonstat.master._world_for(env)
     rng_env = seed_derive(53, 0, "env")
     with pytest.raises(ValueError, match=f"round {bad}:"):
-        master_core(world, factory, T, 1.0 / T, 1e-4, rng_env, seed_derive(53, 0, "sched"),
+        master_core(world, factory, 1e-4, rng_env, seed_derive(53, 0, "sched"),
                     RunLog(mdp_columns=world.mdp_columns))
     assert len(streams) == bad
     assert_per_call_draws(seen, rng_env, 53)
@@ -1614,7 +1652,7 @@ def test_an_epoch_overflow_leaves_rng_env_synced(chunk):
     env, factory = stream_env("infinite", T)
     seen, _ = recording(env)
     rng_env = seed_derive(59, 0, "env")
-    t, reason = master_core(AverageRewardWorld(env), factory, T, 1.0 / T, 0.0, rng_env, seed_derive(59, 0, "sched"),
+    t, reason = master_core(AverageRewardWorld(env), factory, 0.0, rng_env, seed_derive(59, 0, "sched"),
                             RunLog(mdp_columns=True), max_epochs=1)
     assert (t, reason) == (2, "epoch_overflow")  # kappa = 0 restarts at round 1
     assert_per_call_draws(seen, rng_env, 59)

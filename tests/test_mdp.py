@@ -773,7 +773,7 @@ def test_nbar_arithmetic():
 @pytest.mark.parametrize("knowledge", [
     {"known_l": 0}, {"known_l": -1}, {"known_l": 1.5}, {"known_l": True}, {"known_l": "2"},
     {"known_delta": math.nan}, {"known_delta": math.inf}, {"known_delta": -math.inf}, {"known_delta": -1.0},
-    {"known_delta": "1"},
+    {"known_delta": "1"}, {"known_delta": True},
 ])
 def test_nbar_rejects_knowledge_out_of_range(knowledge):
     # known_l=0 gave a cap of 0.0, and known_delta=nan a cap of nan, which
