@@ -22,8 +22,11 @@ COUNT_NAMES = ("malg.spawns", "master.test_calls", "master.restarts", "base.inst
 TRACED_COUNTS = {  # at --seed 0, in COUNT_NAMES order
     # base.instances counts factory calls: one fresh learner per block, which
     # serves every read before an instance's first update, and one per
-    # instance at that update (under the bandit adapter an instance that
-    # plays only its end round makes none).  mdp.evi_calls is 0 everywhere:
+    # instance at that update, unless that update is also its last: under
+    # the bandit adapter such an instance builds none, and under the
+    # average-reward one all such instances of a block share one learner.
+    # On ucrl-evi every round is such an instance's, so its 26 blocks (13
+    # per seed-run) build 2 learners each.  mdp.evi_calls is 0 everywhere:
     # the data-free learners share one solve, and the oracle's per-segment
     # J* solves are memoized per process, so the warm-up operation makes
     # them all before the traced one.  master.test_calls counts only the
@@ -32,7 +35,7 @@ TRACED_COUNTS = {  # at --seed 0, in COUNT_NAMES order
     # threshold exceeds 1; mab-switch keeps 6 test-1 calls and 32,754 test-2
     # calls of its 111,231
     "mab-switch": (45824, 32760, 30, 11031, 0),
-    "ucrl-evi": (16382, 0, 0, 8218, 0),
+    "ucrl-evi": (16382, 0, 0, 52, 0),
     "glm-newton": (12282, 0, 0, 66, 0),
 }
 # the environment's sampler (play, or step) and oracle are wrapped on the

@@ -17,7 +17,11 @@ that nothing reads afterwards may be left out.  The scheduler
 (nonstat.malg) relies on the first to serve every read of an instance
 without data from one fresh learner per block, and on the second to skip
 an instance's last update under the bandit and episodic adapter; no
-learner knows it is scheduled.
+learner knows it is scheduled.  A learner may declare a third,
+first_update_reads_fixed: a fresh learner's reads after its first update
+are the same for every feedback, which check_feedback(feedback) validates
+alone.  Only the average-reward learner does, and the scheduler then
+serves every instance whose first update is its last from one learner.
 
 Every learner serves predict and act from one read cache, _reads: the
 (value, action) pair its _decide computes at the first read, kept until
@@ -126,6 +130,7 @@ class _Learner:
     _fields: tuple = ()
 
     restart_signaled = False  # only the average-reward learner ever signals
+    first_update_reads_fixed = False  # only the average-reward learner declares it (module docstring)
 
     _reads = None  # (predict(), act()) as _decide computed them, or None when stale
 

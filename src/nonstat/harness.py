@@ -79,7 +79,7 @@ def _qucb(env, delta, algo):
 
 
 def _ucrl(env, delta, algo):
-    return mdp._ucrl_factory(env, delta, algo.get("dbar", 1.0))
+    return mdp._ucrl_factory(env, algo.get("dbar", 1.0), delta)
 
 
 # the base learner of each environment kind

@@ -24,22 +24,25 @@ An instance is an integer, its uid: its index among the block's spawns.
 The runner builds no object per instance.  It keeps them in lists indexed
 by uid, allocated whole at the block start: orders (the schedule's own
 array), ends (the last round, set at the spawn), learners (runner.fresh
-until the first update, and None once the control loop has read the
-learner for the last time) and sums (the interval reward sums).  Its stack
-of covering instances holds uids, and begin_round and finish_round return
-uids.
+until the first update, then the instance's own learner or runner.shared,
+and None once the control loop has read it for the last time) and sums
+(the interval reward sums).  Its stack of covering instances holds uids,
+and begin_round and finish_round return uids.
 
 Each block builds one fresh learner, runner.fresh, by one factory() call,
 and no update ever reaches it: every instance plays it until its first
 update, which builds the instance's own learner by one factory() call and
 updates that.  By the base-learner contract (nonstat.base) reads are pure,
 so each read of runner.fresh is what a learner of the instance's own would
-show.  A caller that reads no learner after its instance's last update
-(master.BanditWorld) sets last_update_read to False: finish_round then
-skips the update at the round the active instance ends, so an instance
-whose first active round is its last (every order-0 instance) builds no
-learner.  Factories draw no randomness, so when and how often they are
-called changes no stream.
+show.  An instance whose first active round is its last (every order-0
+instance) builds no learner of its own.  A caller that reads no learner
+after its instance's last update (master.BanditWorld) sets
+last_update_read to False, and finish_round skips that update.  When
+runner.fresh declares first_update_reads_fixed (read once per block), all
+such instances read one learner, runner.shared: the first builds and
+updates it, and the others' feedback is only checked (check_feedback).
+Factories draw no randomness, so when and how often they are called
+changes no stream.
 
 The runner formats no event text.  Its block's spawns are kept as data, a
 BlockSchedule, which a run log stores in place of its rows' event text;
@@ -252,7 +255,8 @@ class MalgRunner:
     that rng is left as the per-round draws would leave it.  A caller that
     reads no learner after its instance's last update sets last_update_read
     to False before the first round, and one that reads no interval sum sets
-    sums_read to False (module docstring).
+    sums_read to False (module docstring), which also says when
+    runner.shared, None until then, is built.
     """
 
     last_update_read = True
@@ -263,6 +267,8 @@ class MalgRunner:
     def __init__(self, block_start: int, order_n: int, rate: RateFunction, factory, rng):
         self.factory = factory
         self.fresh = factory()  # read by every instance until its first update
+        self._share = getattr(self.fresh, "first_update_reads_fixed", False)  # undeclared: False
+        self.shared = None
         self._block_start = block_start
         self._order_n = order_n
         self._rng = rng
@@ -327,9 +333,19 @@ class MalgRunner:
         end = ends[uid]
         if end != t or self.last_update_read:
             learner = self.learners[uid]
-            if learner is self.fresh:  # its first update: from here on it plays its own
+            if learner is not self.fresh:
+                learner.update(feedback)
+            elif end == t and self._share:  # its first update and its last: it reads runner.shared
+                shared = self.shared
+                if shared is None:
+                    shared = self.shared = self.factory()
+                    shared.update(feedback)
+                else:  # an update would leave its reads as they are
+                    shared.check_feedback(feedback)
+                self.learners[uid] = shared
+            else:  # its first update: from here on it plays its own
                 learner = self.learners[uid] = self.factory()
-            learner.update(feedback)
+                learner.update(feedback)
         if self.sums_read:
             sums = self.sums
             for other in live:

@@ -71,9 +71,10 @@ formats each distinct 8-byte value of a typed column once per LOG_CHUNK
 rows (_number_texts).
 
 The row of the round at which the active instance ends is the last to read
-its learner, so the loop then frees it in the runner's list (None): on a
-workload where each round builds a learner, they would otherwise all live,
-and be walked by the cyclic GC, until the block ends.
+its learner, so the loop then frees it in the runner's list (None): the
+learners of instances with data would otherwise all live, and be walked by
+the cyclic GC, until the block ends.  An instance whose first active round
+is its last has none of its own (nonstat.malg: MalgRunner.shared).
 """
 
 from __future__ import annotations

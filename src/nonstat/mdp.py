@@ -17,7 +17,8 @@ signals a restart when it crosses 4*S*sqrt(A*t*log(SAT/delta)), t being the
 learner's own active-round count.  The learner builds its count arrays
 and its integer policy table only when something reads them (UcrlAcw says
 when), so one updated once and read only for its log columns builds no
-array; update() names the field of a transition out of range.
+array; check_feedback, which update() calls, names the field of a
+transition out of range.
 
 The reduction over this learner is the generic one: run_master_ucrl is
 master.run_master over UcrlAcw, and doubling_dbar and borl call
@@ -219,9 +220,14 @@ class UcrlAcw(_Learner):
     builds them.  policy_table, the int64 copy of the last solve's policy,
     is made at its first read (predict, act or snapshot) and dropped at the
     next solve.
+
+    Those scalars are the same after every first update: the prior solve
+    depends on the constructor's arguments alone, and the transition is
+    only recorded.  So the learner declares first_update_reads_fixed.
     """
 
     name = "ucrl"
+    first_update_reads_fixed = True
     _fields = (
         "visit_total",
         "visit_episode",
@@ -333,9 +339,11 @@ class UcrlAcw(_Learner):
             return True
         return False
 
-    def update(self, feedback):
+    def check_feedback(self, feedback) -> tuple:
+        """The transition (s, a, reward, s'), or a ValueError that names its
+        field out of range.  Plain checks, each written so that nan, a float
+        index or a bool fails it."""
         s, a, reward, nxt = feedback
-        # plain checks, each written so that nan, a float index or a bool fails it
         n_states = self.n_states
         if not (type(s) is int or isinstance(s, np.integer)) or not 0 <= s < n_states:
             raise ValueError(f"state={s!r} must be an integer in [0, {n_states})")
@@ -345,10 +353,14 @@ class UcrlAcw(_Learner):
             raise ValueError(f"next_state={nxt!r} must be an integer in [0, {n_states})")
         if not 0.0 <= reward <= 1.0:
             raise ValueError(f"reward={reward!r} must be in [0, 1]")
+        return s, a, reward, nxt
+
+    def update(self, feedback):
+        s, a, reward, nxt = self.check_feedback(feedback)
         self._ensure_solved()
         self.gamma_budget += self.eta
         self.t_int += 1
-        if self.gamma_budget > 4.0 * n_states * math.sqrt(self.n_actions * self.t_int * self._log_term):
+        if self.gamma_budget > 4.0 * self.n_states * math.sqrt(self.n_actions * self.t_int * self._log_term):
             self.signaled = True
         if self._visit_total is None:
             if self._pending is None:
@@ -364,8 +376,11 @@ class UcrlAcw(_Learner):
 _REGISTRY["ucrl"] = UcrlAcw  # restore's class for "ucrl" snapshots
 
 
-def _ucrl_factory(env: InfiniteEnv, delta: float, dbar: float):
-    """The factory of fresh average-reward learners for env with diameter guess dbar, over env.horizon."""
+def _ucrl_factory(env: InfiniteEnv, dbar: float, delta: float | None):
+    """The factory of fresh average-reward learners for env with diameter guess dbar, over env.horizon,
+    at confidence delta (None: 1 / env.horizon)."""
+    if delta is None:
+        delta = 1.0 / env.horizon
     return functools.partial(UcrlAcw, env.n_states, env.n_actions, env.horizon, delta, dbar)
 
 
@@ -373,9 +388,7 @@ def run_master_ucrl(
     env: InfiniteEnv, dbar: float, delta: float | None = None, kappa: float = 1.0, seed: int = 0, run_index: int = 0
 ) -> RunLog:
     """The reduction over the average-reward learner with a fixed diameter guess, over env.horizon."""
-    if delta is None:
-        delta = 1.0 / env.horizon
-    return run_master(env, _ucrl_factory(env, delta, dbar), kappa=kappa, seed=seed, run_index=run_index)
+    return run_master(env, _ucrl_factory(env, dbar, delta), kappa=kappa, seed=seed, run_index=run_index)
 
 
 def nbar(
@@ -415,8 +428,6 @@ def doubling_dbar(
     the current round, until env.horizon.
     """
     horizon = env.horizon
-    if delta is None:
-        delta = 1.0 / horizon
     cap = nbar(env.n_states, env.n_actions, horizon, known_l, known_delta)
     log = RunLog(mdp_columns=True)
     rng_env = seed_derive(seed, run_index, "env")
@@ -425,7 +436,7 @@ def doubling_dbar(
     dbar = 1.0
     t = 1
     while t <= horizon:
-        factory = _ucrl_factory(env, delta, dbar)
+        factory = _ucrl_factory(env, dbar, delta)
         t, reason = master_core(world, factory, kappa, rng_env, rng_sched, log, start_t=t, max_epochs=cap)
         if reason == "epoch_overflow":
             dbar *= 2.0
@@ -488,8 +499,6 @@ def borl(
     """No prior knowledge at all: adversarial-bandit selection among runs
     with geometrically spaced diameter guesses on fixed-length intervals of env.horizon."""
     horizon = env.horizon
-    if delta is None:
-        delta = 1.0 / horizon
     block = borl_interval_length(env.n_states, env.n_actions, horizon)
     n_arms = borl_arm_count(horizon)
     n_intervals = math.ceil(horizon / block)
@@ -504,7 +513,7 @@ def borl(
         arm = world.borl_arm = picker.sample(rng_borl)
         end = min(t + block - 1, horizon)
         first = len(log)
-        factory = _ucrl_factory(env, delta, float(1 << arm))
+        factory = _ucrl_factory(env, float(1 << arm), delta)
         master_core(world, factory, kappa, rng_env, rng_sched, log, start_t=t, end_t=end)
         total = 0.0
         for reward in log.column("reward")[first:]:

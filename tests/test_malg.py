@@ -437,8 +437,9 @@ def test_control_loop_matches_the_slot_oracle_on_glm_and_episodic(monkeypatch, k
 
 class RecordingRunner(MalgRunner):
     """MalgRunner that keeps every runner built, the rounds each instance
-    played with the learner each read, the learner each instance held after
-    its last round, and the learners its factory built."""
+    played with the learner each read and the feedback each gave, the
+    learner each instance held after its last round, and the learners its
+    factory built."""
 
     runners = []
 
@@ -452,6 +453,7 @@ class RecordingRunner(MalgRunner):
         super().__init__(block_start, order_n, rate, recording_factory, rng)
         self.played = {}  # uid -> [(round, learner it read)]
         self.held = {}  # uid -> its learner after its last round played, before the loop frees it
+        self.feedback = {}  # uid -> the feedback of each round it played
         RecordingRunner.runners.append(self)
 
     def begin_round(self, t):
@@ -463,6 +465,7 @@ class RecordingRunner(MalgRunner):
         uid = self._live[-1]
         ended = super().finish_round(t, reward, feedback)
         self.held[uid] = self.learners[uid]
+        self.feedback.setdefault(uid, []).append(feedback)
         return ended
 
 
@@ -544,11 +547,20 @@ class CountingUcrl(UcrlAcw):
         super().update(feedback)
 
 
+def mdp_reads(learner):
+    """What the average-reward adapter reads of a learner after its update."""
+    return learner.episode, learner.eta, learner.gamma_budget, learner.dbar, learner.restart_signaled
+
+
 @pytest.mark.parametrize("kappa", [1e-3, 1.0])
 def test_average_reward_world_updates_every_active_round_with_its_own_learner(monkeypatch, kappa):
     # extras and restart_signaled read the learner after each update, so no
-    # update is skipped: every instance that plays builds its own learner at
-    # its first active round, and runner.fresh serves only that round's reads
+    # update is skipped, but UcrlAcw's reads after a first update are the same
+    # for every feedback (first_update_reads_fixed): every instance whose first
+    # active round is its last reads the block's one shared learner, built and
+    # updated once, at the first such round; every other instance builds its
+    # own learner at its first active round and updates it at each of them;
+    # runner.fresh serves the reads before each first update
     T = 64
     env = make_env({"kind": "infinite", "T": T, "S": 2, "A": 2, "segments": [
         {"length": T // 2, "rewards": [[0.9, 0.1], [0.2, 0.6]],
@@ -558,11 +570,44 @@ def test_average_reward_world_updates_every_active_round_with_its_own_learner(mo
     factory = with_sqrt_rate(lambda: CountingUcrl(2, 2, T, 1.0 / T, 2.0))
     runners = recorded_runners(monkeypatch, master.AverageRewardWorld(env), factory, kappa)
     assert any(len(rounds) > 1 for runner in runners for rounds in runner.played.values())
+    one_round_counts = []
     for runner in runners:
         assert runner.fresh.updates == 0
-        assert_fresh_serves_reads_before_each_first_update(runner, factory, True)
-        for uid, rounds in runner.played.items():
-            assert runner.held[uid].updates == len(rounds)  # the rounds begin_round returned uid
+        one_round = [uid for uid, rounds in runner.played.items() if rounds == [(runner.ends[uid], runner.fresh)]]
+        one_round_counts.append(len(one_round))
+        assert (runner.shared is None) == (not one_round)
+        builds = []  # the learner each instance built at its first update, in first-update order
+        for uid, rounds in runner.played.items():  # by first active round
+            if uid in one_round:
+                assert runner.held[uid] is runner.shared
+                assert mdp_reads(runner.shared) == mdp_reads(updated_once(factory, runner.feedback[uid][0]))
+                if runner.shared not in builds:  # built at the first such instance's update
+                    builds.append(runner.shared)
+            else:
+                first = rounds[0][0]
+                for t, learner in rounds:
+                    assert (learner is runner.fresh) == (t == first)
+                    assert learner is not runner.shared
+                assert runner.held[uid] not in (runner.fresh, runner.shared)
+                assert runner.held[uid].updates == len(rounds)  # the rounds begin_round returned uid
+                builds.append(runner.held[uid])
+            freed = rounds[-1][0] == runner.ends[uid]
+            assert runner.learners[uid] is (None if freed else runner.held[uid])
+        assert runner.built == [runner.fresh, *builds]  # in build order, each once
+        assert snapshot_to_json(runner.fresh) == snapshot_to_json(read_fresh(factory))
+        if one_round:  # updated once, by the first such instance's feedback
+            assert runner.shared.updates == 1
+            assert snapshot_to_json(runner.shared) == snapshot_to_json(
+                updated_once(factory, runner.feedback[one_round[0]][0]))
+    assert max(one_round_counts) > 1  # a shared learner serves several instances
+    assert any(len(runner.built) > 2 for runner in runners)  # and some instance of a block plays its own
+
+
+def updated_once(factory, feedback):
+    """A factory() learner after one update."""
+    learner = factory()
+    learner.update(feedback)
+    return learner
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import json
 import math
@@ -31,7 +32,7 @@ from nonstat.mdp import (
     run_master_ucrl,
     widen_to_span,
 )
-from nonstat.master import RunLog, dynamic_regret
+from nonstat.master import AverageRewardWorld, RunLog, dynamic_regret, master_core
 
 SWAP_TRANS = np.array([[[0.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]])
 SWAP_REWARDS = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -617,24 +618,24 @@ def test_restore_gives_each_array_its_dtype_and_shape():
         restore(snap)
 
 
-@pytest.mark.parametrize(
-    "transition, name",
-    [
-        ((-1, 0, 0.5, 0), "state="),
-        ((2, 0, 0.5, 0), "state="),
-        ((1.0, 0, 0.5, 0), "state="),
-        ((True, 0, 0.5, 0), "state="),
-        ((0, -1, 0.5, 0), "action="),
-        ((0, 3, 0.5, 0), "action="),
-        ((0, np.float64(1.0), 0.5, 0), "action="),
-        ((0, 0, 0.5, -1), "next_state="),
-        ((0, 0, 0.5, 2), "next_state="),
-        ((0, 0, 0.5, 0.0), "next_state="),
-        ((0, 0, math.nan, 0), "reward="),
-        ((0, 0, -0.5, 0), "reward="),
-        ((0, 0, 1.5, 0), "reward="),
-    ],
-)
+BAD_TRANSITIONS = [  # of a learner with S=2 and A=3, and the field each names
+    ((-1, 0, 0.5, 0), "state="),
+    ((2, 0, 0.5, 0), "state="),
+    ((1.0, 0, 0.5, 0), "state="),
+    ((True, 0, 0.5, 0), "state="),
+    ((0, -1, 0.5, 0), "action="),
+    ((0, 3, 0.5, 0), "action="),
+    ((0, np.float64(1.0), 0.5, 0), "action="),
+    ((0, 0, 0.5, -1), "next_state="),
+    ((0, 0, 0.5, 2), "next_state="),
+    ((0, 0, 0.5, 0.0), "next_state="),
+    ((0, 0, math.nan, 0), "reward="),
+    ((0, 0, -0.5, 0), "reward="),
+    ((0, 0, 1.5, 0), "reward="),
+]
+
+
+@pytest.mark.parametrize("transition, name", BAD_TRANSITIONS)
 @pytest.mark.parametrize("first", [True, False])
 def test_bad_transition_raises_at_its_update(transition, name, first):
     inst = UcrlAcw(2, 3, 256, 1.0 / 256, dbar=1.0)
@@ -644,6 +645,89 @@ def test_bad_transition_raises_at_its_update(transition, name, first):
     with pytest.raises(ValueError, match=f"^{name}"):
         inst.update(transition)
     assert snapshot_to_json(inst) == before  # the rejected update changed nothing
+
+
+@pytest.mark.parametrize("delta", [1.0 / 64, 64.0])  # 64: log(S*A*T/delta) = 0 at S = A = 1, so it signals
+@pytest.mark.parametrize("dbar", [1.0, 4.0, 64.0])
+def test_first_update_leaves_the_same_reads_for_every_feedback(dbar, delta):
+    # first_update_reads_fixed: after a fresh learner's first update, what the
+    # average-reward adapter reads (its log columns and the restart signal)
+    # is the same for every transition, read before the update or not
+    assert UcrlAcw.first_update_reads_fixed
+    signals = set()
+    for n_states, n_actions in itertools.product([1, 2, 3], [1, 2]):
+        reads = set()
+        for s, a, reward, nxt in itertools.product(
+                range(n_states), range(n_actions), [0.0, 0.5, 1.0], range(n_states)):
+            for read_first in (False, True):
+                inst = UcrlAcw(n_states, n_actions, 64, delta, dbar)
+                if read_first:
+                    inst.predict()
+                inst.update((s, a, reward, nxt))
+                reads.add((inst.episode, inst.eta, inst.gamma_budget, inst.dbar, inst.restart_signaled))
+        assert len(reads) == 1, (n_states, n_actions)
+        signals.add(reads.pop()[-1])
+    assert signals == ({False, True} if delta == 64.0 else {False})
+
+
+def test_only_the_average_reward_learner_declares_fixed_first_update_reads():
+    declared = {algo for algo, cls in nonstat.base._REGISTRY.items() if cls.first_update_reads_fixed}
+    assert declared == {"ucrl"}
+    assert not nonstat.base._Learner.first_update_reads_fixed
+
+
+class BadTransitionWorld(AverageRewardWorld):
+    """The average-reward adapter, but for the transition it reports at round bad_round."""
+
+    def __init__(self, env, bad_round, transition):
+        super().__init__(env)
+        self.bad_round, self.transition = bad_round, transition
+
+    def play(self, t, policy, rng):
+        reward, feedback, f_star = super().play(t, policy, rng)
+        return reward, (self.transition if t == self.bad_round else feedback), f_star
+
+
+@pytest.mark.parametrize("transition, name", BAD_TRANSITIONS)
+def test_bad_transition_of_a_later_one_round_instance_raises_its_update_error(transition, name):
+    # at T = 64 every slot spawns, so each round is an order-0 instance's
+    # first and last; block 1 (rounds 2 and 3) builds its shared learner at
+    # round 2, and round 3's transition is only checked, with the message an
+    # update of the instance's own learner gives
+    T = 64
+    env = make_env({"kind": "infinite", "T": T, "S": 2, "A": 3, "segments": [
+        {"length": T, "rewards": [[0.9, 0.1, 0.5], [0.2, 0.6, 0.4]],
+         "transitions": [[[0.7, 0.3], [0.4, 0.6], [0.5, 0.5]], [[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]]]}]})
+    built = []
+
+    def factory():
+        built.append(UcrlAcw(2, 3, T, 1.0 / T))
+        return built[-1]
+
+    with pytest.raises(ValueError) as direct:
+        UcrlAcw(2, 3, T, 1.0 / T).update(transition)
+    with pytest.raises(ValueError, match=f"^{name}") as raised:
+        master_core(BadTransitionWorld(env, 3, transition), factory, 1.0, seed_derive(0, 0, "env"),
+                    seed_derive(0, 0, "sched"), RunLog(mdp_columns=True))
+    assert str(raised.value) == str(direct.value)
+    # the learner master_core reads rate() from, then runner.fresh and
+    # runner.shared of blocks 0 and 1: round 3 built none
+    assert [learner.t_int for learner in built] == [0, 0, 1, 0, 1]
+
+
+def test_a_widening_signal_restart_is_pinned():
+    # a real mdp_signal restart: at S = 2, A = 1 and delta = T, log(S*A*T/delta)
+    # is log 2, and a two-state chain that leaves each state with probability
+    # 0.001 has a bias span that needs widening once an instance holds data;
+    # with the tests off (kappa = inf), an order-12 instance's widening budget
+    # crosses its threshold at round 9480 (eta 0.5, gamma_budget 201.53125)
+    T = 1 << 14
+    env = make_env({"kind": "infinite", "T": T, "S": 2, "A": 1, "segments": [
+        {"length": T, "rewards": [[1.0], [0.0]], "transitions": [[[0.999, 0.001]], [[0.001, 0.999]]]}]})
+    log = run_master_ucrl(env, 1.0, delta=float(T), kappa=math.inf, seed=1)
+    assert [(ev.round, ev.cause, ev.block) for ev in log.restarts] == [(9480, "mdp_signal", 13)]
+    assert hashlib.sha256(log.to_csv_text().encode()).hexdigest() == (
+        "45a6d30bc874561bb8dd18f270d1d836986c7de87d8670f1fe2e736864004e85")
 
 
 # ---------------------------------------------------------------------------
