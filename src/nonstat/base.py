@@ -88,35 +88,6 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-class _Lazy:
-    """An array field of a learner made at its first read, of a declared
-    dtype and shape (the names of the learner's size attributes).
-
-    The value lives in the attribute of the same name with a leading
-    underscore, None until the learner method named make sets it; the
-    class reads and writes that plain attribute itself.  A __getattr__
-    hook, or a cache written through the instance __dict__, would instead
-    slow every attribute read of the learner: CPython's specialized reads
-    give up on both.
-    """
-
-    def __init__(self, make: str, shape: tuple, dtype=np.float64):
-        self.make, self.shape, self.dtype = make, shape, dtype
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, learner, owner=None):
-        if learner is None:
-            return self
-        if getattr(learner, self.slot) is None:
-            getattr(learner, self.make)()
-        return getattr(learner, self.slot)
-
-    def __set__(self, learner, value):
-        setattr(learner, self.slot, value)
-
-
 class _Learner:
     """The read protocol and the snapshot plumbing.
 
@@ -172,10 +143,7 @@ class _Learner:
     def _load_state(self, state: dict):
         for key in self._fields:
             val = state[key]
-            lazy = getattr(type(self), key, None)
-            if isinstance(lazy, _Lazy):  # its declared dtype and shape: loading makes nothing
-                val = np.array(val, dtype=lazy.dtype).reshape([getattr(self, name) for name in lazy.shape])
-            elif isinstance(current := getattr(self, key), np.ndarray):
+            if isinstance(current := getattr(self, key), np.ndarray):
                 val = np.array(val, dtype=current.dtype).reshape(current.shape)
             else:
                 val = type(current)(val)
@@ -192,6 +160,14 @@ def _check_horizon_delta(horizon, delta):
         raise ValueError(f"horizon={horizon!r} must be >= 1")
     if not (delta > 0 and horizon / delta >= 1.0):
         raise ValueError(f"delta={delta!r} must be > 0 with horizon={horizon} / delta >= 1 (log(horizon / delta) >= 0)")
+
+
+def _check_sizes(**sizes):
+    """Raise ValueError, naming the field, unless each size is an integer
+    >= 1: a Python or numpy int, not a bool, a float or nan."""
+    for field, size in sizes.items():
+        if not (type(size) is int or isinstance(size, np.integer)) or not size >= 1:
+            raise ValueError(f"{field}={size!r} must be an integer >= 1")
 
 
 def _decision(scores: np.ndarray) -> tuple:
@@ -217,8 +193,7 @@ class Ucb1(_Learner):
     _vector = None  # the learner's own score vector once built, kept current by update
 
     def __init__(self, n_arms: int, horizon: int, delta: float, bonus_scale: float = 2.0):
-        if not (type(n_arms) is int or isinstance(n_arms, np.integer)) or not n_arms >= 1:
-            raise ValueError(f"n_arms={n_arms!r} must be an integer >= 1")
+        _check_sizes(n_arms=n_arms)
         _check_horizon_delta(horizon, delta)
         if not math.isfinite(bonus_scale):
             raise ValueError(f"bonus_scale={bonus_scale!r} must be finite")
@@ -477,8 +452,8 @@ class GlmUcb(_Learner):
 class QUcb(_Learner):
     """Optimistic Q-learning on a layered MDP.  act() is the encoded greedy
     layer policy.  Raises ValueError, naming the field, unless n_states,
-    n_actions and n_layers are >= 1 and init_state is an integer in
-    [0, n_states)."""
+    n_actions and n_layers are integers >= 1 and init_state is an integer
+    in [0, n_states)."""
 
     name = "qucb"
     _fields = ("q", "visits", "v", "t_int")
@@ -493,12 +468,7 @@ class QUcb(_Learner):
         init_state: int = 0,
         bonus_scale: float = 2.0,
     ):
-        if not n_states >= 1:  # each written so that nan fails it
-            raise ValueError(f"n_states={n_states!r} must be >= 1")
-        if not n_actions >= 1:
-            raise ValueError(f"n_actions={n_actions!r} must be >= 1")
-        if not n_layers >= 1:
-            raise ValueError(f"n_layers={n_layers!r} must be >= 1")
+        _check_sizes(n_states=n_states, n_actions=n_actions, n_layers=n_layers)
         if not (type(init_state) is int or isinstance(init_state, np.integer)) or not 0 <= init_state < n_states:
             raise ValueError(f"init_state={init_state!r} must be an integer in [0, {n_states})")
         _check_horizon_delta(horizon, delta)

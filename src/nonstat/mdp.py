@@ -14,11 +14,8 @@ The learner wraps EVI with adaptive confidence widening: the L1 radius is
 inflated by eta, doubled from 1/T until the bias span fits within twice the
 diameter guess.  The cumulative widening budget is tracked and the learner
 signals a restart when it crosses 4*S*sqrt(A*t*log(SAT/delta)), t being the
-learner's own active-round count.  The learner builds its count arrays
-and its integer policy table only when something reads them (UcrlAcw says
-when), so one updated once and read only for its log columns builds no
-array; check_feedback, which update() calls, names the field of a
-transition out of range.
+learner's own active-round count.  check_feedback, which update() calls,
+names the field of a transition out of range.
 
 The reduction over this learner is the generic one: run_master_ucrl is
 master.run_master over UcrlAcw, and doubling_dbar and borl call
@@ -36,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _REGISTRY, _check_horizon_delta, _Lazy, _Learner
+from .base import _REGISTRY, _check_horizon_delta, _check_sizes, _Learner
 from .envs import InfiniteEnv, encode_policy
 from .master import AverageRewardWorld, RunLog, master_core, run_master, seed_derive
 from .rates import RateFunction
@@ -205,25 +202,17 @@ class UcrlAcw(_Learner):
     """Optimistic average-reward learner with adaptive confidence widening.
 
     Episodes end when a visited pair doubles its count; the model is
-    re-solved lazily at the first predict()/act() of a new episode.  State
+    re-solved at the first read or update of a new episode.  State
     feedback is whatever pair (s, a, R, s') the caller actually played; the
     learner never assumes continuity of s across updates, which is exactly
     the re-assignment semantics pausing and resuming requires.
 
-    The learner builds no array that nothing reads.  The four count arrays
-    are built together at their first need: a second update, a solve with
-    data, snapshot or a direct read; _load_state sets them unbuilt.  The
-    first update of a learner without them only records its transition,
-    which the build then counts with update's own in-place operations.  So
-    a learner the scheduler updates once and then reads only for its
-    scalars (episode, eta, gamma_budget, dbar and restart_signaled) never
-    builds them.  policy_table, the int64 copy of the last solve's policy,
-    is made at its first read (predict, act or snapshot) and dropped at the
-    next solve.
-
-    Those scalars are the same after every first update: the prior solve
-    depends on the constructor's arguments alone, and the transition is
-    only recorded.  So the learner declares first_update_reads_fixed.
+    After a fresh learner's first update, its scalars (episode, eta,
+    gamma_budget, dbar and restart_signaled) are the same for every
+    transition: the prior solve depends on the constructor's arguments
+    alone, the first visit ends the first episode, and the budget and the
+    count move by constants.  So the learner declares
+    first_update_reads_fixed.
     """
 
     name = "ucrl"
@@ -242,17 +231,9 @@ class UcrlAcw(_Learner):
         "needs_solve",
         "signaled",
     )
-    visit_total = _Lazy("_build_counts", ("n_states", "n_actions"))
-    visit_episode = _Lazy("_build_counts", ("n_states", "n_actions"))
-    trans_counts = _Lazy("_build_counts", ("n_states", "n_actions", "n_states"))
-    reward_sums = _Lazy("_build_counts", ("n_states", "n_actions"))
-    policy_table = _Lazy("_copy_policy", ("n_states",), np.int64)
 
     def __init__(self, n_states: int, n_actions: int, horizon: int, delta: float, dbar: float = 1.0):
-        if not n_states >= 1:
-            raise ValueError(f"n_states={n_states!r} must be >= 1")
-        if not n_actions >= 1:
-            raise ValueError(f"n_actions={n_actions!r} must be >= 1")
+        _check_sizes(n_states=n_states, n_actions=n_actions)
         _check_horizon_delta(horizon, delta)
         if not 1.0 <= dbar < math.inf:  # written so that nan fails it
             raise ValueError(f"diameter guess dbar={dbar} must be finite and >= 1")
@@ -262,32 +243,18 @@ class UcrlAcw(_Learner):
         self.delta = delta
         self.dbar = float(dbar)
         self._log_term = math.log(n_states * n_actions * horizon / delta)
-        self._visit_total = self._visit_episode = self._trans_counts = self._reward_sums = None
-        self._pending = None  # a first update's (s, a, reward, s') while the count arrays are unbuilt
+        self.visit_total = np.zeros((n_states, n_actions))
+        self.visit_episode = np.zeros((n_states, n_actions))
+        self.trans_counts = np.zeros((n_states, n_actions, n_states))
+        self.reward_sums = np.zeros((n_states, n_actions))
         self.t_int = 0
         self.episode = 0
         self.gamma_budget = 0.0
         self.eta = 1.0 / horizon
         self.gain = 1.0
-        self._policy = None  # the last solve's policy, which policy_table copies; None before any
-        self._policy_table = None
+        self.policy_table = np.zeros(n_states, dtype=np.int64)
         self.needs_solve = True
         self.signaled = False
-
-    def _build_counts(self):
-        """Build the four count arrays and count the recorded first transition."""
-        n_states, n_actions = self.n_states, self.n_actions
-        self._visit_total = np.zeros((n_states, n_actions))
-        self._visit_episode = np.zeros((n_states, n_actions))
-        self._trans_counts = np.zeros((n_states, n_actions, n_states))
-        self._reward_sums = np.zeros((n_states, n_actions))
-        if self._pending is not None:
-            pending, self._pending = self._pending, None
-            self._count(*pending)
-
-    def _copy_policy(self):
-        policy = self._policy
-        self._policy_table = np.zeros(self.n_states, dtype=np.int64) if policy is None else policy.astype(np.int64)
 
     def rate(self) -> RateFunction:
         s, a, lg = self.n_states, self.n_actions, self._log_term
@@ -304,8 +271,7 @@ class UcrlAcw(_Learner):
 
     def _solve_episode(self):
         self.episode += 1
-        # unbuilt count arrays hold no data; built ones at t_int 0 may (a loaded state)
-        if self.t_int == 0 and (self._visit_total is None or not np.count_nonzero(self._visit_total)):
+        if self.t_int == 0 and not np.count_nonzero(self.visit_total):  # a loaded state at t_int 0 may hold data
             out, eta = _prior_solution(self.n_states, self.n_actions, self.horizon, self.delta, self.dbar)
         else:
             out, eta = _optimistic_solve(
@@ -315,8 +281,7 @@ class UcrlAcw(_Learner):
         self._reads = None
         self.eta = eta
         self.gain = out.gain
-        self._policy = out.policy
-        self._policy_table = None
+        self.policy_table = out.policy.astype(np.int64)
         self.needs_solve = False
 
     def _ensure_solved(self):
@@ -326,18 +291,6 @@ class UcrlAcw(_Learner):
     def _decide(self) -> tuple:
         self._ensure_solved()
         return self.gain, encode_policy(self.policy_table, self.n_actions)
-
-    def _count(self, s, a, reward, nxt) -> bool:
-        """Add one transition to the built count arrays; True when it ends the episode."""
-        visit_episode = self._visit_episode
-        visit_episode[s, a] += 1.0
-        self._trans_counts[s, a, nxt] += 1.0
-        self._reward_sums[s, a] += reward
-        if visit_episode[s, a] >= max(1.0, self._visit_total[s, a]):
-            self._visit_total += visit_episode
-            visit_episode[:] = 0.0
-            return True
-        return False
 
     def check_feedback(self, feedback) -> tuple:
         """The transition (s, a, reward, s'), or a ValueError that names its
@@ -362,14 +315,13 @@ class UcrlAcw(_Learner):
         self.t_int += 1
         if self.gamma_budget > 4.0 * self.n_states * math.sqrt(self.n_actions * self.t_int * self._log_term):
             self.signaled = True
-        if self._visit_total is None:
-            if self._pending is None:
-                # a learner without data: its first visit ends the first episode
-                self._pending = (s, a, reward, nxt)
-                self.needs_solve, self._reads = True, None
-                return
-            self._build_counts()
-        if self._count(s, a, reward, nxt):
+        visit_episode = self.visit_episode
+        visit_episode[s, a] += 1.0
+        self.trans_counts[s, a, nxt] += 1.0
+        self.reward_sums[s, a] += reward
+        if visit_episode[s, a] >= max(1.0, self.visit_total[s, a]):
+            self.visit_total += visit_episode
+            visit_episode[:] = 0.0
             self.needs_solve, self._reads = True, None
 
 

@@ -101,6 +101,10 @@ ACTIONS_2D = [[1.0, 0.0], [0.0, 1.0]]
         ("ucrl", dict(n_states=2, n_actions=0, horizon=16, delta=0.1), "n_actions"),
         ("ucrl", dict(n_states=2, n_actions=math.nan, horizon=16, delta=0.1), "n_actions"),
         ("ucrl", dict(n_states=2, n_actions=2, horizon=0, delta=0.1), "horizon"),
+        ("ucrl", dict(n_states=2.5, n_actions=2, horizon=16, delta=0.1), "n_states"),  # failed at its first read
+        ("ucrl", dict(n_states=True, n_actions=2, horizon=16, delta=0.1), "n_states"),
+        ("ucrl", dict(n_states=2, n_actions=2.0, horizon=16, delta=0.1), "n_actions"),
+        ("ucrl", dict(n_states=2, n_actions=True, horizon=16, delta=0.1), "n_actions"),
         ("oful", dict(actions=ACTIONS_2D, horizon=16, delta=0.0), "delta"),
         ("oful", dict(actions=ACTIONS_2D, horizon=16, delta=math.nan), "delta"),
         ("oful", dict(actions=ACTIONS_2D, horizon=16, delta=16.5), "delta"),
@@ -116,6 +120,12 @@ ACTIONS_2D = [[1.0, 0.0], [0.0, 1.0]]
         ("qucb", dict(n_states=0, n_actions=2, n_layers=2, horizon=16, delta=0.1), "n_states"),  # was a math domain error
         ("qucb", dict(n_states=2, n_actions=0, n_layers=2, horizon=16, delta=0.1), "n_actions"),
         ("qucb", dict(n_states=2, n_actions=2, n_layers=math.nan, horizon=16, delta=0.1), "n_layers"),
+        ("qucb", dict(n_states=2, n_actions=2, n_layers=1.5, horizon=16, delta=0.1), "n_layers"),  # was numpy's unnamed TypeError
+        ("qucb", dict(n_states=2, n_actions=2, n_layers=True, horizon=16, delta=0.1), "n_layers"),
+        ("qucb", dict(n_states=2.0, n_actions=2, n_layers=2, horizon=16, delta=0.1), "n_states"),
+        ("qucb", dict(n_states=True, n_actions=2, n_layers=2, horizon=16, delta=0.1), "n_states"),
+        ("qucb", dict(n_states=2, n_actions=1.5, n_layers=2, horizon=16, delta=0.1), "n_actions"),
+        ("qucb", dict(n_states=2, n_actions=True, n_layers=2, horizon=16, delta=0.1), "n_actions"),
         ("glm", dict(actions=ACTIONS_2D, horizon=16, delta=16.0), "lam"),  # c_mu < 1: was a math domain error
         ("glm", dict(actions=ACTIONS_2D, horizon=16, delta=0.1, lam=0.0), "lam"),  # was ZeroDivisionError
         ("glm", dict(actions=ACTIONS_2D, horizon=16, delta=0.1, lam=math.nan), "lam"),

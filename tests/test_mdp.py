@@ -560,49 +560,6 @@ def test_lazy_learner_equals_its_eager_reference(script):
     assert snapshot_to_json(inst) == snapshot_to_json(eager)
 
 
-def _owned_arrays(learner):
-    """The arrays a learner holds that are its own: the shared solve of
-    learners without data is read-only."""
-    return [v for v in vars(learner).values() if isinstance(v, np.ndarray) and v.flags.writeable]
-
-
-def test_one_update_builds_no_array():
-    inst = UcrlAcw(3, 2, 256, 1.0 / 256, dbar=2.0)
-    inst.update((2, 1, 0.5, 0))
-    # what a row reads of the learner after its update
-    assert (inst.episode, inst.gamma_budget, inst.dbar) == (1, inst.eta, 2.0)
-    assert not inst.restart_signaled
-    assert _owned_arrays(inst) == []
-    assert inst.visit_total[2, 1] == 1.0 and inst.reward_sums[2, 1] == 0.5  # built at this read
-    assert inst.trans_counts[2, 1, 0] == 1.0 and not inst.visit_episode.any()
-    assert len(_owned_arrays(inst)) == 4  # the counts, not yet the policy table
-    assert inst.policy_table.dtype == np.int64 and inst.policy_table.flags.writeable
-
-
-class CountingUcrlAcw(UcrlAcw):
-    builds = 0
-
-    def _build_counts(self):
-        type(self).builds += 1
-        super()._build_counts()
-
-
-@pytest.mark.parametrize("solved", [False, True])
-def test_restore_builds_no_count_array(monkeypatch, solved):
-    inst = UcrlAcw(3, 2, 256, 1.0 / 256, dbar=2.0)
-    for s, a in [(0, 1), (2, 0), (2, 0), (1, 1)]:
-        inst.update((s, a, 0.25 * s, (s + 1) % 3))
-    if solved:
-        inst.act()
-    text = snapshot_to_json(inst)
-    monkeypatch.setitem(nonstat.base._REGISTRY, "ucrl", CountingUcrlAcw)
-    monkeypatch.setattr(CountingUcrlAcw, "builds", 0)
-    clone = restore(text)
-    assert type(clone) is CountingUcrlAcw and CountingUcrlAcw.builds == 0
-    assert snapshot_to_json(clone) == text and CountingUcrlAcw.builds == 0
-    assert clone.act() == inst.act() and repr(clone.predict()) == repr(inst.predict())
-
-
 def test_restore_gives_each_array_its_dtype_and_shape():
     # snapshots are outside input: a loaded array takes the field's dtype and
     # shape, and one of the wrong size is rejected
