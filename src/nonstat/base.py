@@ -93,8 +93,9 @@ class _Learner:
 
     A subclass computes the (predict(), act()) pair in _decide and resets
     _reads to None wherever it changes what the pair reads.  It lists its
-    array/scalar state fields, and keeps each constructor argument in the
-    attribute of its name, which _params reads back.
+    state fields (ndarrays, lists of floats and scalars), and keeps each
+    constructor argument in the attribute of its name, which _params reads
+    back.
     """
 
     name = "?"
@@ -122,11 +123,15 @@ class _Learner:
         return reads[1]
 
     def _plain(self, keys) -> dict:
-        """The named attributes, ndarrays written as lists."""
+        """The named attributes, ndarrays written as lists and lists copied."""
         out = {}
         for key in keys:
             val = getattr(self, key)
-            out[key] = val.tolist() if isinstance(val, np.ndarray) else val
+            if isinstance(val, np.ndarray):
+                val = val.tolist()
+            elif isinstance(val, list):
+                val = list(val)
+            out[key] = val
         return out
 
     def _params(self) -> dict:
@@ -145,6 +150,8 @@ class _Learner:
             val = state[key]
             if isinstance(current := getattr(self, key), np.ndarray):
                 val = np.array(val, dtype=current.dtype).reshape(current.shape)
+            elif isinstance(current, list):  # a list of floats, read as a float64 array of its length
+                val = np.array(val, dtype=np.float64).reshape(len(current)).tolist()
             else:
                 val = type(current)(val)
             setattr(self, key, val)
@@ -181,16 +188,23 @@ def _decision(scores: np.ndarray) -> tuple:
 
 
 class Ucb1(_Learner):
-    """UCB1.  The score vector is built with the vector formula at the first
+    """UCB1.  counts, sums and the score vector are lists of Python floats:
+    on a learner of a few arms, list indexing and scalar arithmetic cost
+    less than numpy's per-call overhead.  The vector is built at the first
     read (or the first after _load_state) and kept current from then on:
-    update rewrites the one entry it changes, in scalar arithmetic with the
-    formula's operations in the same order, so the bits are the formula's.
-    Updates before the first read build nothing."""
+    update rewrites the one entry it changes.  Both compute each entry with
+    the vector formula's operations in the same order (sums / max(counts, 1)
+    + bonus_scale * sqrt(log_term / max(counts, 1))), and IEEE arithmetic
+    rounds a float64 scalar as numpy rounds an array entry, so the bits are
+    those of the vector formula.  Updates before the first read build
+    nothing.  update raises ValueError, naming arm=, unless the arm is an
+    integer (not a bool) in [0, n_arms); any reward is accepted, nan and
+    inf included, and added in float64 arithmetic."""
 
     name = "ucb1"
     _fields = ("counts", "sums", "t_int")
 
-    _vector = None  # the learner's own score vector once built, kept current by update
+    _vector = None  # the learner's own score list once built, kept current by update
 
     def __init__(self, n_arms: int, horizon: int, delta: float, bonus_scale: float = 2.0):
         _check_sizes(n_arms=n_arms)
@@ -202,8 +216,8 @@ class Ucb1(_Learner):
         self.delta = delta
         self.bonus_scale = bonus_scale
         self._log_term = math.log(horizon / delta)
-        self.counts = np.zeros(n_arms)
-        self.sums = np.zeros(n_arms)
+        self.counts = [0.0] * n_arms
+        self.sums = [0.0] * n_arms
         self.t_int = 0
 
     def rate(self) -> RateFunction:
@@ -215,23 +229,35 @@ class Ucb1(_Learner):
         scores = self._vector
         if scores is None:
             scores = self._vector = self._compute_scores()
-        return _decision(scores)
+        total = sum(scores)
+        if total != total:  # a nan score (or inf - inf): _decision takes the first nan, as argmax does
+            return _decision(np.array(scores))
+        best = max(scores)  # the first maximum, the entry np.argmax takes
+        return _clamp01(best), scores.index(best)
 
-    def _compute_scores(self) -> np.ndarray:
-        nplus = np.maximum(self.counts, 1.0)
-        return self.sums / nplus + self.bonus_scale * np.sqrt(self._log_term / nplus)
+    def _compute_scores(self) -> list:
+        # 1.0 if c < 1.0 else c is np.maximum(c, 1.0), nan included
+        log_term, bonus_scale = self._log_term, self.bonus_scale
+        return [s / (n := 1.0 if c < 1.0 else c) + bonus_scale * math.sqrt(log_term / n)
+                for c, s in zip(self.counts, self.sums)]
 
     def update(self, feedback):
         arm, reward = feedback
+        if not (type(arm) is int and 0 <= arm < self.n_arms):
+            if not (isinstance(arm, np.integer) and 0 <= arm < self.n_arms):
+                raise ValueError(f"arm={arm!r} must be an integer in [0, {self.n_arms})")
         counts, sums = self.counts, self.sums
-        counts[arm] += 1.0
-        sums[arm] += reward
+        c = counts[arm] = counts[arm] + 1.0
+        s = sums[arm] + reward
+        if type(s) is not float:  # a numpy reward, added in float64 (a float plus a float32 is a float32)
+            s = float(np.float64(sums[arm]) + reward)
+        sums[arm] = s
         self.t_int += 1
         self._reads = None
         scores = self._vector
-        if scores is not None:  # _compute_scores' formula at one arm, in float64 scalars
-            n = max(float(counts[arm]), 1.0)
-            scores[arm] = float(sums[arm]) / n + self.bonus_scale * math.sqrt(self._log_term / n)
+        if scores is not None:  # _compute_scores' formula at one arm
+            n = 1.0 if c < 1.0 else c
+            scores[arm] = s / n + self.bonus_scale * math.sqrt(self._log_term / n)
 
     def _load_state(self, state: dict):
         super()._load_state(state)

@@ -282,16 +282,25 @@ class _BanditEnv(_Env):
         self._means = None if segments is None else [{} for _ in segments.payloads]
 
     def f(self, t: int, pid: int) -> float:
-        # int ids only: a float id equal to a played one must raise as the formula does
+        """The mean of action pid at round t.  Raises ValueError, naming the
+        round and the id, unless pid is an integer (not a bool) in
+        [0, n_policies); a round served from the memo holds a checked id."""
+        # int ids only: a float id equal to a played one must reach _check_pid
         if self._means is not None and 1 <= t <= self.horizon and type(pid) is int:
             means = self._means[self._segments.index_of(t)]
             try:
                 return means[pid]
             except KeyError:
                 pass
+            self._check_pid(t, pid)
             m = means[pid] = self._mean(t, pid)
             return m
+        self._check_pid(t, pid)
         return self._mean(t, pid)
+
+    def _check_pid(self, t: int, pid):
+        if not ((type(pid) is int or isinstance(pid, np.integer)) and 0 <= pid < self.n_policies):
+            raise ValueError(f"round {t}: policy id {pid!r} must be an integer in [0, {self.n_policies})")
 
     def _optimum(self, param) -> float:
         return float(self._values(param).max())

@@ -60,7 +60,7 @@ def test_ucb1_equal_bonus_reduces_to_means():
 def test_ucb1_update():
     inst = make_ucb1()
     inst.update((0, 0.7))
-    assert inst.counts.tolist() == [1.0, 0.0]
+    assert list(inst.counts) == [1.0, 0.0]
     assert inst.sums[0] == 0.7
     assert inst.t_int == 1
 
@@ -80,6 +80,24 @@ def test_ucb1_rejects_bad_parameters(params, field):
     # with nan scores such a learner would predict 0.0 and play arm 0 for ever
     with pytest.raises(ValueError, match=field):
         Ucb1(2, **params)
+
+
+@pytest.mark.parametrize("arm", [-1, -2, 2, True, False, 1.0, np.int64(-1), np.int64(2), np.float64(0.0), None, "0"])
+def test_ucb1_update_names_a_bad_arm(arm):
+    inst = make_ucb1()
+    inst.update((1, 0.5))
+    before = snapshot_to_json(inst)
+    with pytest.raises(ValueError, match=r"\barm="):
+        inst.update((arm, 1.0))
+    assert snapshot_to_json(inst) == before
+
+
+def test_ucb1_update_takes_a_numpy_int_arm():
+    inst, ref = make_ucb1(), make_ucb1()
+    for arm in (0, 1, 1):
+        inst.update((np.int64(arm), 0.5))
+        ref.update((arm, 0.5))
+    assert snapshot_to_json(inst) == snapshot_to_json(ref)
 
 
 def test_ucb1_accepts_boundary_parameters():
@@ -362,7 +380,7 @@ def test_snapshot_roundtrip_bitwise(algo, params):
 
 
 def test_fork_fresh_examples():
-    assert fork_fresh("ucb1", n_arms=3, horizon=64, delta=0.1).counts.tolist() == [0, 0, 0]
+    assert list(fork_fresh("ucb1", n_arms=3, horizon=64, delta=0.1).counts) == [0, 0, 0]
     oful = fork_fresh("oful", actions=[[1.0, 0.0], [0.0, 1.0]], horizon=64, delta=0.1)
     assert np.array_equal(oful.lam_mat, np.eye(2))
     qucb = fork_fresh("qucb", n_states=2, n_actions=2, n_layers=4, horizon=64, delta=0.1)

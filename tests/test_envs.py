@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -186,7 +187,10 @@ def _bandit_env(kind, lengths, drift, rng):
 
 
 def _row_mean(env, t, pid):
-    """Reference: f_t(pid) from the per-row formula, computed afresh at every call."""
+    """Reference: f_t(pid) from the per-row formula, computed afresh at every
+    call, of an id that is an int in [0, K)."""
+    if not (type(pid) is int and 0 <= pid < env.n_policies):
+        raise ValueError(f"round {t}: policy id {pid!r} must be an integer in [0, {env.n_policies})")
     if env.kind == "mab":
         return float(env.means(t)[pid])
     v = float(env.actions[pid] @ env.theta(t))
@@ -244,6 +248,26 @@ def test_linear_mean_memo_is_bitwise_the_row_formula(kind, lengths, drift, seed)
         assert env._means is None
     else:
         assert sum(len(means) for means in env._means) <= len(played)
+
+
+@pytest.mark.parametrize("kind", ["mab", None, "logistic"])
+@pytest.mark.parametrize("drift", [False, True])
+def test_bandit_envs_name_a_bad_policy_id(kind, drift):
+    env = _bandit_env(kind, [2, 3], drift, np.random.default_rng(0))
+    K = env.n_policies
+    rng = np.random.default_rng(1)
+    for t in (1, 3, env.horizon):
+        played = env.play(t, K - 1, rng)  # fills the segment's memo with a good id first
+        assert played[1][0] == K - 1
+        assert env.f(t, np.int64(K - 1)) == env.f(t, K - 1)  # a numpy int is an id too
+        state = rng.bit_generator.state
+        for pid in (-1, -K, K, K + 7, True, False, 1.0, float(K - 1), np.int64(K), np.int64(-1), None):
+            for call in (lambda: env.f(t, pid), lambda: env.play(t, pid, rng)):
+                with pytest.raises(ValueError, match=rf"^round {t}: policy id {re.escape(repr(pid))} must be"):
+                    call()
+        assert rng.bit_generator.state == state  # a refused play draws nothing
+    if not drift:
+        assert all(set(means) <= {K - 1} for means in env._means)  # no bad id was memoized
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +439,15 @@ def test_bandit_envs_match_the_parent_classes(kind, lengths, drift, seed):
     # int ids only: the parent's linear memo answered a float id equal to a played one
     pids = rng.integers(-env.n_policies - 2, env.n_policies + 2, size=80).tolist()
     for t, pid in zip(rounds, pids):
-        assert _outcome(env.f, t, pid) == _outcome(parent.f, t, pid)
         assert _outcome(env.optimal_value, t) == _outcome(parent.optimal_value, t)
         assert _outcome(param, t) == _outcome(parent_param, t)
-        assert _outcome(env.play, t, pid, lib) == _outcome(parent.play, t, pid, ref)
+        if 0 <= pid < env.n_policies:
+            assert _outcome(env.f, t, pid) == _outcome(parent.f, t, pid)
+            assert _outcome(env.play, t, pid, lib) == _outcome(parent.play, t, pid, ref)
+        else:  # ParentMabEnv and ParentLinearEnv read a negative id from the end; the envs refuse it
+            for call in (lambda: env.f(t, pid), lambda: env.play(t, pid, lib)):
+                with pytest.raises(ValueError, match=rf"^round {t}: policy id {pid} "):
+                    call()
         assert lib.bit_generator.state == ref.bit_generator.state
     for delta in (None, float(rng.uniform(1e-3, 1.0))):
         got = nonstat_summary(env, delta).delta_trace

@@ -240,13 +240,20 @@ def test_glm_fit_never_read_never_raises(monkeypatch):
 @pytest.mark.parametrize(
     "scores",
     [[0.3, 0.7, 0.7], [-0.0, 0.0], [0.0, -0.0], [-1.0, -0.0], [math.nan, 1.0, math.nan], [1.0, math.nan],
-     [2.0, 1.5], [-0.5, -0.25], [math.inf, math.inf], [0.5]],
+     [2.0, 1.5], [-0.5, -0.25], [math.inf, math.inf], [0.5], [-math.inf, -math.inf], [-math.inf, math.inf],
+     [math.inf, -math.inf], [1.0, -math.inf, math.nan], [-0.0, math.nan]],
 )
 def test_decision_reads_what_max_and_argmax_read(scores):
-    scores = np.array(scores)
-    value, action = _decision(scores)
-    assert repr(value) == repr(_clamp01(float(scores.max())))
-    assert action == int(np.argmax(scores))
+    array = np.array(scores)
+    value, action = _decision(array)
+    assert repr(value) == repr(_clamp01(float(array.max())))
+    assert action == int(np.argmax(array))
+    # Ucb1 decides from its list of floats, and must read the same pair
+    inst = Ucb1(len(scores), 16, 1 / 16)
+    inst._vector = list(scores)
+    assert repr(inst.predict()) == repr(value)
+    assert type(inst.act()) is int
+    assert inst.act() == action
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +350,9 @@ def test_glm_learner_with_state_never_takes_the_prior(make_state):
 
 
 def _ucb1_scores(inst):
-    """The score vector Ucb1 decides from: its own, built or patched to date by the read."""
+    """The score vector Ucb1 decides from, built or patched to date by the read, as a float64 array."""
     inst.predict()
-    return inst._vector
+    return np.array(inst._vector)
 
 
 @st.composite
@@ -415,7 +422,6 @@ def test_ucb1_learner_with_state_never_takes_the_prior(make_state):
     assert inst.predict() == eager.predict()
     assert inst.act() == eager.act()
     assert _ucb1_scores(inst).tobytes() == eager._indexes().tobytes()
-    assert _ucb1_scores(inst).flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +473,54 @@ def test_ucb1_first_update_without_data_builds_no_vector():
     for learner in (inst, eager):
         learner.update((1, 1.0))
     assert inst._vector is None
-    vector = _ucb1_scores(inst)
+    inst.predict()
+    vector = inst._vector
     for learner in (inst, eager):
         learner.update((0, 0.25))
-    assert _ucb1_scores(inst) is vector  # patched in place, not rebuilt
-    assert vector.tobytes() == eager._indexes().tobytes()
+    inst.predict()
+    assert inst._vector is vector  # patched in place, not rebuilt
+    assert np.array(vector).tobytes() == eager._indexes().tobytes()
+
+
+def test_ucb1_snapshot_is_not_changed_by_later_updates():
+    inst = Ucb1(3, 512, 1 / 512)
+    inst.update((1, 0.5))
+    inst.predict()
+    snap = inst.snapshot()
+    frozen = json.dumps(snap)
+    for arm in (1, 0, 2):
+        inst.update((arm, 1.0))
+    assert json.dumps(snap) == frozen
+    restored = restore(snap)
+    inst._load_state(snap["state"])
+    restored.update((2, 0.25))  # nor does a restored learner share its state with the snapshot
+    assert json.dumps(snap) == frozen
+    assert snapshot_to_json(inst) == frozen
+
+
+@pytest.mark.parametrize("field", ["counts", "sums"])
+@pytest.mark.parametrize("length", [0, 1, 3])
+def test_ucb1_restore_rejects_a_state_of_another_length(field, length):
+    snap = Ucb1(2, 512, 1 / 512).snapshot()
+    snap["state"][field] = [0.0] * length
+    with pytest.raises(ValueError, match="reshape"):
+        restore(snap)
+
+
+@pytest.mark.parametrize(
+    "rewards",
+    [np.float32([0.1, 1.0, 0.3, 0.7]), np.float16([0.1, 1.0, 0.3, 0.7]), np.float64([0.1, 1.0, 0.3, 0.7]),
+     np.int64([0, 1, 1, 0]), np.bool_([0, 1, 1, 0]), [0, 1, 1, 0], [False, True, True, False]],
+)
+def test_ucb1_adds_a_reward_of_any_numeric_type_as_a_float64_array_does(rewards):
+    inst, eager = Ucb1(2, 512, 1 / 512), EagerUcb1(2, 512, 1 / 512)
+    for arm, reward in zip([0, 1, 0, 0], rewards):
+        for learner in (inst, eager):
+            learner.update((arm, reward))
+        assert repr(inst.predict()) == repr(eager.predict())
+        assert inst.act() == eager.act()
+    assert all(type(x) is float for x in inst.sums + inst._vector)
+    assert snapshot_to_json(inst) == snapshot_to_json(eager)
 
 
 def test_qucb_act_encodes_its_current_greedy_policy_once_per_update(monkeypatch):

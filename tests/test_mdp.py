@@ -377,13 +377,13 @@ def test_signal_fires_when_budget_crossed():
 
 
 # ---------------------------------------------------------------------------
-# the learner's lazy state against its eager reference
+# the learner's snapshot, restore and load round trip against a reference
 
 
-class EagerUcrlAcw(_Learner):
-    """The learner as it was before its state became lazy, verbatim but for
-    rate(), which nothing here reads: every array is built at construction
-    and policy_table at every solve."""
+class ReferenceUcrlAcw(_Learner):
+    """An independent copy of the learner, verbatim but for rate(), which
+    nothing here reads: every array is built at construction and
+    policy_table at every solve."""
 
     name = "ucrl"
     _fields = (
@@ -510,8 +510,8 @@ def ucrl_scripts(draw):
     return params, draw(st.lists(st.one_of(update, update, other), max_size=60))
 
 
-def _eager_state(eager):
-    return json.loads(snapshot_to_json(eager))["state"]
+def _reference_state(ref):
+    return json.loads(snapshot_to_json(ref))["state"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -527,37 +527,36 @@ def _eager_state(eager):
 @example(({"n_states": 2, "n_actions": 1, "horizon": 16, "delta": 1 / 16, "dbar": 1.0},
           [("update", (0, 0, -0.0, 1)), ("update", (0, 0, 1.0, 0)), ("update", (0, 0, 0.0, 0)),
            ("update", (1, 0, 0.5, 1)), ("act", None)]))
-def test_lazy_learner_equals_its_eager_reference(script):
+def test_snapshot_restore_and_load_round_trip_equals_a_reference(script):
     params, steps = script
-    inst, eager = UcrlAcw(**params), EagerUcrlAcw(**params)
+    inst, ref = UcrlAcw(**params), ReferenceUcrlAcw(**params)
 
     def agree():
         assert (inst.episode, inst.eta, inst.gamma_budget, inst.dbar) == (
-            eager.episode, eager.eta, eager.gamma_budget, eager.dbar)
-        assert inst.restart_signaled == eager.restart_signaled
-        # a copy's snapshot, so the lazy learner itself builds nothing here
-        assert snapshot_to_json(copy.deepcopy(inst)) == snapshot_to_json(eager)
+            ref.episode, ref.eta, ref.gamma_budget, ref.dbar)
+        assert inst.restart_signaled == ref.restart_signaled
+        assert snapshot_to_json(inst) == snapshot_to_json(ref)
 
     agree()
     for kind, transition in steps:
         if kind == "update":
             inst.update(transition)
-            eager.update(transition)
+            ref.update(transition)
         elif kind == "predict":
-            assert repr(inst.predict()) == repr(eager.predict())
+            assert repr(inst.predict()) == repr(ref.predict())
         elif kind == "act":
-            assert inst.act() == eager.act()
+            assert inst.act() == ref.act()
         elif kind == "restore":
             inst = restore(snapshot_to_json(inst))
-            eager._load_state(_eager_state(eager))
-        else:  # load the reference's state, which the lazy learner may not have built
-            state = _eager_state(eager)
+            ref._load_state(_reference_state(ref))
+        else:  # load the reference's state
+            state = _reference_state(ref)
             inst._load_state(state)
-            eager._load_state(state)
+            ref._load_state(state)
         agree()
-    assert inst.act() == eager.act()
-    assert repr(inst.predict()) == repr(eager.predict())
-    assert snapshot_to_json(inst) == snapshot_to_json(eager)
+    assert inst.act() == ref.act()
+    assert repr(inst.predict()) == repr(ref.predict())
+    assert snapshot_to_json(inst) == snapshot_to_json(ref)
 
 
 def test_restore_gives_each_array_its_dtype_and_shape():
